@@ -38,6 +38,7 @@ __all__ = [
     "low_cutoff",
     "besov_norm",
     "besov_norms_batch",
+    "besov_norms_of_samples",
     "mollify",
     "check_product_estimate",
     "check_multiplier_bound",
@@ -136,6 +137,16 @@ class BesovParams:
         inv_p = 0.0 if np.isinf(self.p) else 1.0 / self.p
         return self.s > max(2.0 + inv_p, 2.5) and not np.isinf(self.r)
 
+    def require_admissible(self) -> None:
+        """Raise ValueError naming the threshold unless ``admissible``."""
+        if not self.admissible:
+            inv_p = 0.0 if np.isinf(self.p) else 1.0 / self.p
+            raise ValueError(
+                f"inadmissible Besov parameters (s, p, r) = ({self.s}, "
+                f"{self.p}, {self.r}): need s > max(2 + 1/p, 5/2) = "
+                f"{max(2.0 + inv_p, 2.5)} and r finite"
+            )
+
     def shift(self, ds: float) -> "BesovParams":
         return BesovParams(s=self.s + ds, p=self.p, r=self.r)
 
@@ -202,6 +213,14 @@ def besov_norms_batch(
     """Besov norms of a batch of coefficient rows (shape (..., N))."""
     norms = _block_lp_norms(part, np.asarray(coefficients, dtype=complex), params.p)
     return np.atleast_1d(_lr_combine(norms, params.s, params.r))
+
+
+def besov_norms_of_samples(
+    part: LPPartition, samples: np.ndarray, params: BesovParams
+) -> np.ndarray:
+    """Besov norms of a batch of real sample rows (shape (..., N))."""
+    coefficients = np.fft.fft(samples, axis=-1) / part.grid.N
+    return besov_norms_batch(part, coefficients, params)
 
 
 @dataclass(frozen=True)

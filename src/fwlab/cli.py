@@ -97,62 +97,44 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: (argparse dest, config section or None for top level, config key) of
+#: every flag that overrides the config; unset flags are None or False
+_OVERRIDES = (
+    ("N", "grid", "N"),
+    ("L", "grid", "L"),
+    ("dt", "time", "dt"),
+    ("T", "time", "T"),
+    ("t_cap", "time", "t_cap"),
+    ("s", "besov", "s"),
+    ("p", "besov", "p"),
+    ("r", "besov", "r"),
+    ("C", "scheme", "C"),
+    ("n_max", "scheme", "n_max"),
+    ("seed", None, "seed"),
+    ("out", None, "output_dir"),
+    ("preset", "experiment", "preset"),
+    ("amplitude", "experiment", "amplitude"),
+    ("field", "experiment", "field_csv"),
+    ("velocity", "experiment", "velocity"),
+    ("forcing", "experiment", "forcing"),
+    ("fit_constant", "experiment", "fit_constant"),
+    ("amplitudes", "experiment", "amplitudes"),
+    ("deltas", "experiment", "deltas"),
+    ("j_max", "experiment", "j_max"),
+)
+
+
 def _config_from_args(args: argparse.Namespace, kind: str) -> RunConfig:
     if args.config:
         doc = yaml.safe_load(Path(args.config).read_text()) or {}
     else:
         doc = {}
-    doc.setdefault("grid", {})
-    doc.setdefault("time", {})
-    doc.setdefault("besov", {})
-    doc.setdefault("scheme", {})
-    doc.setdefault("experiment", {})
-    doc["experiment"]["kind"] = kind
-
-    if args.N is not None:
-        doc["grid"]["N"] = args.N
-    if args.L is not None:
-        doc["grid"]["L"] = args.L
-    if args.dt is not None:
-        doc["time"]["dt"] = args.dt
-    if args.T is not None:
-        doc["time"]["T"] = args.T
-    if args.t_cap is not None:
-        doc["time"]["t_cap"] = args.t_cap
-    if args.s is not None:
-        doc["besov"]["s"] = args.s
-    if args.p is not None:
-        doc["besov"]["p"] = args.p
-    if args.r is not None:
-        doc["besov"]["r"] = args.r
-    if args.C is not None:
-        doc["scheme"]["C"] = args.C
-    if args.n_max is not None:
-        doc["scheme"]["n_max"] = args.n_max
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if args.out is not None:
-        doc["output_dir"] = args.out
-    if args.preset is not None:
-        doc["experiment"]["preset"] = args.preset
-    if args.amplitude is not None:
-        doc["experiment"]["amplitude"] = args.amplitude
-
-    if getattr(args, "field", None):
-        doc["experiment"]["field_csv"] = args.field
-    if getattr(args, "velocity", None):
-        doc["experiment"]["velocity"] = args.velocity
-    if getattr(args, "forcing", None):
-        doc["experiment"]["forcing"] = args.forcing
-    if getattr(args, "fit_constant", False):
-        doc["experiment"]["fit_constant"] = True
-    if getattr(args, "amplitudes", None):
-        doc["experiment"]["amplitudes"] = args.amplitudes
-    if getattr(args, "deltas", None):
-        doc["experiment"]["deltas"] = args.deltas
-    if getattr(args, "j_max", None) is not None:
-        doc["experiment"]["j_max"] = args.j_max
-
+    doc.setdefault("experiment", {})["kind"] = kind
+    for dest, section, key in _OVERRIDES:
+        value = getattr(args, dest, None)
+        if value is not None and value is not False:
+            target = doc if section is None else doc.setdefault(section, {})
+            target[key] = value
     return parse_config(yaml.safe_dump(doc))
 
 

@@ -7,7 +7,10 @@ The evolution is
     rho_t + u rho_x + rho u_x + u_x = 0
 
 with Lambda = 1 - d^2/dx^2, discretized pseudo-spectrally with 2/3-rule
-dealiasing of products and classical RK4 in time.  The constructive scheme
+dealiasing of products and classical RK4 in time.  One right-hand-side kernel
+acts on the stacked (u, rho) samples; the direct solver integrates it with
+the RK4 integrator it shares with the transport solver, and fw_rhs wraps it
+for single states.  The constructive scheme
 iterates the pair of linear transport problems
 
     u^{n+1}_t + u^n u^{n+1}_x = Lambda^{-1} d/dx (rho^n - u^n)
@@ -34,13 +37,15 @@ from .besov import (
     LPPartition,
     MollifierKernel,
     besov_norms_batch,
+    besov_norms_of_samples,
     build_partition,
     mollify,
 )
-from .spectral import Grid, GridFunction, dealias, dealias_mask, ddx, lambda_inv_dx
+from .spectral import Grid, GridFunction, dealias_mask
 from .transport import (
     BlowUpError,
     TransportProblem,
+    integrate_rk4,
     make_time_grid,
     solve_transport,
 )
@@ -55,6 +60,7 @@ __all__ = [
     "fw_rhs",
     "solve_fw_direct",
     "lifespan",
+    "initial_norm",
     "run_scheme",
     "empirical_lifespan",
     "stability_experiment",
@@ -98,13 +104,7 @@ class SchemeConfig:
     dt: float = 1e-3
 
     def __post_init__(self):
-        if not self.params.admissible:
-            inv_p = 0.0 if np.isinf(self.params.p) else 1.0 / self.params.p
-            raise ValueError(
-                f"(s, p, r) = ({self.params.s}, {self.params.p}, "
-                f"{self.params.r}) violates s > max(2 + 1/p, 5/2) = "
-                f"{max(2.0 + inv_p, 2.5)} with finite r"
-            )
+        self.params.require_admissible()
         if self.C <= 0:
             raise ValueError("C must be positive")
         if self.n_max < 1:
@@ -113,28 +113,30 @@ class SchemeConfig:
             raise ValueError("dt must be positive")
 
 
+def _fw_symbols(grid: Grid):
+    """The d/dx and Lambda^{-1} d/dx symbols and the 2/3-rule mask."""
+    xi = grid.wavenumbers
+    ik = 1j * xi
+    return ik, ik / (1.0 + xi**2), dealias_mask(grid)
+
+
+def _fw_rhs(y, ik, lam, mask):
+    """Time derivative of the stacked (u, rho) samples y, shape (2, N)."""
+    y_hat = np.fft.fft(y)
+    u_hat, rho_hat = y_hat
+    ux, rhox = np.fft.ifft(ik * y_hat).real
+    nonlocal_term = np.fft.ifft(lam * (rho_hat - u_hat)).real
+    u, rho = y
+    adv = np.fft.ifft(mask * np.fft.fft(np.stack([u * ux, u * rhox + rho * ux]))).real
+    return np.stack([-adv[0] + nonlocal_term, -adv[1] - ux])
+
+
 def fw_rhs(state: FWState) -> tuple[GridFunction, GridFunction]:
     """Right-hand side of the system: (du/dt, drho/dt)."""
-    u, rho = state.u, state.rho
-    ux = ddx(u)
-    rhox = ddx(rho)
-    du = -dealias(u * ux) + lambda_inv_dx(rho - u)
-    drho = -dealias(u * rhox) - dealias(rho * ux) - ux
-    return du, drho
-
-
-def _fw_rhs_arrays(u, rho, ik, lam, mask):
-    """Sample-space RHS used inside the integrator (4 ffts per call pair)."""
-    u_hat = np.fft.fft(u)
-    rho_hat = np.fft.fft(rho)
-    ux = np.fft.ifft(ik * u_hat).real
-    rhox = np.fft.ifft(ik * rho_hat).real
-    nonlocal_term = np.fft.ifft(lam * (rho_hat - u_hat)).real
-    du = -np.fft.ifft(mask * np.fft.fft(u * ux)).real + nonlocal_term
-    drho = (
-        -np.fft.ifft(mask * np.fft.fft(u * rhox + rho * ux)).real - ux
-    )
-    return du, drho
+    y = np.stack([state.u.samples, state.rho.samples])
+    du, drho = _fw_rhs(y, *_fw_symbols(state.grid))
+    return (GridFunction.from_samples(state.grid, du),
+            GridFunction.from_samples(state.grid, drho))
 
 
 @dataclass(frozen=True)
@@ -155,12 +157,6 @@ class FWTrajectory:
             t=float(self.time_grid[i]),
         )
 
-    def u_coefficients(self) -> np.ndarray:
-        return np.fft.fft(self.u, axis=-1) / self.grid.N
-
-    def rho_coefficients(self) -> np.ndarray:
-        return np.fft.fft(self.rho, axis=-1) / self.grid.N
-
 
 def solve_fw_direct(initial: FWState, T: float, dt: float) -> FWTrajectory:
     """Integrate the nonlinear system with RK4, storing every node.
@@ -177,35 +173,12 @@ def solve_fw_direct(initial: FWState, T: float, dt: float) -> FWTrajectory:
             "(0.5*dx/max(1, max|u0|))"
         )
     time_grid = make_time_grid(T, dt)
-    xi = grid.wavenumbers
-    ik = 1j * xi
-    lam = ik / (1.0 + xi**2)
-    mask = dealias_mask(grid)
-
-    n_nodes = time_grid.size
-    u_states = np.empty((n_nodes, grid.N))
-    rho_states = np.empty((n_nodes, grid.N))
-    u = u0.copy()
-    rho = initial.rho.samples.copy()
-    u_states[0], rho_states[0] = u, rho
-    # blow-up is an expected outcome; overflow en route to the NaN check is not
-    # worth a warning storm
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n_nodes - 1):
-            ku1, kr1 = _fw_rhs_arrays(u, rho, ik, lam, mask)
-            ku2, kr2 = _fw_rhs_arrays(u + 0.5 * dt * ku1, rho + 0.5 * dt * kr1, ik, lam, mask)
-            ku3, kr3 = _fw_rhs_arrays(u + 0.5 * dt * ku2, rho + 0.5 * dt * kr2, ik, lam, mask)
-            ku4, kr4 = _fw_rhs_arrays(u + dt * ku3, rho + dt * kr3, ik, lam, mask)
-            u = u + (dt / 6.0) * (ku1 + 2 * ku2 + 2 * ku3 + ku4)
-            rho = rho + (dt / 6.0) * (kr1 + 2 * kr2 + 2 * kr3 + kr4)
-            if not (np.all(np.isfinite(u)) and np.all(np.isfinite(rho))):
-                raise BlowUpError(
-                    f"direct solve lost finiteness at node {i + 1} "
-                    f"(t = {time_grid[i + 1]:.6g})",
-                    node=i + 1, t=float(time_grid[i + 1]),
-                )
-            u_states[i + 1], rho_states[i + 1] = u, rho
-
+    symbols = _fw_symbols(grid)
+    states = integrate_rk4(
+        lambda y, i, w: _fw_rhs(y, *symbols),
+        np.stack([u0, initial.rho.samples]), time_grid, dt, "direct solve",
+    )
+    u_states, rho_states = states[:, 0], states[:, 1]
     return FWTrajectory(
         grid=grid, time_grid=time_grid, u=u_states, rho=rho_states,
         mean_u=u_states.mean(axis=-1), mean_rho=rho_states.mean(axis=-1),
@@ -226,6 +199,24 @@ def lifespan(P0: float, C: float, cap: float = LIFESPAN_CAP) -> float:
     return min(3.0 / (16.0 * C * P0**2), cap)
 
 
+def initial_norm(part: LPPartition, u0: GridFunction, rho0: GridFunction,
+                 params: BesovParams) -> float:
+    """The size of the data, P0 = ||u0||_{B^s} + ||rho0||_{B^{s-1}}."""
+    return float(
+        besov_norms_batch(part, u0.coefficients, params)[0]
+        + besov_norms_batch(part, rho0.coefficients, params.shift(-1.0))[0]
+    )
+
+
+def _sup_distance(part: LPPartition, du: np.ndarray, drho: np.ndarray,
+                  params: BesovParams) -> float:
+    """sup_t ||du||_{B^s} + sup_t ||drho||_{B^{s-1}} over sample rows."""
+    return float(
+        np.max(besov_norms_of_samples(part, du, params))
+        + np.max(besov_norms_of_samples(part, drho, params.shift(-1.0)))
+    )
+
+
 @dataclass(frozen=True)
 class IterationTrace:
     """Everything recorded while running the mollified iteration scheme.
@@ -244,7 +235,6 @@ class IterationTrace:
     rho_iterates: np.ndarray = field(repr=False)
     norm_u: np.ndarray = field(repr=False)  # ||u^n(t)||_{B^s}
     norm_rho: np.ndarray = field(repr=False)  # ||rho^n(t)||_{B^{s-1}}
-    V_profiles: np.ndarray = field(repr=False)
     d_n: np.ndarray  # successive differences, length n_max
     bound_312: np.ndarray  # per-iterate flags for the sqrt bound
     bound_313: np.ndarray  # per-iterate flags for the 2*P0 bound
@@ -255,12 +245,6 @@ class IterationTrace:
 
     def norm_sum(self, n: int) -> np.ndarray:
         return self.norm_u[n] + self.norm_rho[n]
-
-
-def _cumtrapz(values: np.ndarray, dt: float) -> np.ndarray:
-    out = np.zeros_like(values)
-    out[1:] = np.cumsum(0.5 * (values[1:] + values[:-1])) * dt
-    return out
 
 
 def run_scheme(
@@ -276,12 +260,9 @@ def run_scheme(
     if part is None:
         part = build_partition(grid)
     params = cfg.params
-    s, sm1, sm2 = params, params.shift(-1.0), params.shift(-2.0)
+    sm1 = params.shift(-1.0)
 
-    P0 = float(
-        besov_norms_batch(part, u0.coefficients, s)[0]
-        + besov_norms_batch(part, rho0.coefficients, sm1)[0]
-    )
+    P0 = initial_norm(part, u0, rho0, params)
     T = lifespan(P0, cfg.C)
     if P0 > 0:
         # 4*C*P0^2*T = 3/4 by construction; guard against misuse
@@ -291,9 +272,7 @@ def run_scheme(
     time_grid = make_time_grid(T, T / n_steps)
     n_nodes = time_grid.size
 
-    ik = 1j * grid.wavenumbers
-    lam = ik / (1.0 + grid.wavenumbers**2)
-    mask = dealias_mask(grid)
+    ik, lam, mask = _fw_symbols(grid)
 
     n_it = cfg.n_max + 1
     u_iter = np.zeros((n_it, n_nodes, grid.N))
@@ -317,7 +296,7 @@ def run_scheme(
         prob_u = TransportProblem.build(grid, time_grid, un, forcing_u, u_init)
         prob_rho = TransportProblem.build(grid, time_grid, un, forcing_rho, rho_init)
         try:
-            traj_u = solve_transport(prob_u, s, part=part)
+            traj_u = solve_transport(prob_u, params, part=part)
             traj_rho = solve_transport(prob_rho, sm1, part=part)
         except (ValueError, BlowUpError) as exc:
             raise RuntimeError(f"transport solve failed at iterate {n + 1}: {exc}") from exc
@@ -326,23 +305,15 @@ def run_scheme(
 
     norm_u = np.empty((n_it, n_nodes))
     norm_rho = np.empty((n_it, n_nodes))
-    V_profiles = np.empty((n_it, n_nodes))
     for n in range(n_it):
-        u_hat = np.fft.fft(u_iter[n], axis=-1) / grid.N
-        rho_hat = np.fft.fft(rho_iter[n], axis=-1) / grid.N
-        norm_u[n] = besov_norms_batch(part, u_hat, s)
-        norm_rho[n] = besov_norms_batch(part, rho_hat, sm1)
-        ux_hat = (ik / grid.N) * np.fft.fft(u_iter[n], axis=-1)
-        V_profiles[n] = _cumtrapz(besov_norms_batch(part, ux_hat, sm1), cfg.dt)
+        norm_u[n] = besov_norms_of_samples(part, u_iter[n], params)
+        norm_rho[n] = besov_norms_of_samples(part, rho_iter[n], sm1)
 
-    d_n = np.empty(cfg.n_max)
-    for n in range(cfg.n_max):
-        du_hat = np.fft.fft(u_iter[n + 1] - u_iter[n], axis=-1) / grid.N
-        drho_hat = np.fft.fft(rho_iter[n + 1] - rho_iter[n], axis=-1) / grid.N
-        d_n[n] = float(
-            np.max(besov_norms_batch(part, du_hat, sm1))
-            + np.max(besov_norms_batch(part, drho_hat, sm2))
-        )
+    d_n = np.array([
+        _sup_distance(part, u_iter[n + 1] - u_iter[n],
+                      rho_iter[n + 1] - rho_iter[n], sm1)
+        for n in range(cfg.n_max)
+    ])
 
     norm_sum = norm_u + norm_rho
     if P0 > 0:
@@ -356,7 +327,7 @@ def run_scheme(
     return IterationTrace(
         grid=grid, time_grid=time_grid, params=params, C=cfg.C, P0=P0, T=T,
         u_iterates=u_iter, rho_iterates=rho_iter, norm_u=norm_u,
-        norm_rho=norm_rho, V_profiles=V_profiles, d_n=d_n,
+        norm_rho=norm_rho, d_n=d_n,
         bound_312=bound_312, bound_313=bound_313,
     )
 
@@ -372,14 +343,9 @@ def scheme_direct_distance(
         part = build_partition(trace.grid)
     if direct.time_grid.size != trace.time_grid.size:
         raise ValueError("trace and direct trajectory use different time grids")
-    sm1 = trace.params.shift(-1.0)
-    sm2 = trace.params.shift(-2.0)
-    du = np.fft.fft(trace.u_iterates[-1] - direct.u, axis=-1) / trace.grid.N
-    drho = np.fft.fft(trace.rho_iterates[-1] - direct.rho, axis=-1) / trace.grid.N
-    return float(
-        np.max(besov_norms_batch(part, du, sm1))
-        + np.max(besov_norms_batch(part, drho, sm2))
-    )
+    return _sup_distance(part, trace.u_iterates[-1] - direct.u,
+                         trace.rho_iterates[-1] - direct.rho,
+                         trace.params.shift(-1.0))
 
 
 def empirical_lifespan(
@@ -399,32 +365,23 @@ def empirical_lifespan(
     if part is None:
         part = build_partition(u0.grid)
     params = cfg.params
-    sm1 = params.shift(-1.0)
-    P0 = float(
-        besov_norms_batch(part, u0.coefficients, params)[0]
-        + besov_norms_batch(part, rho0.coefficients, sm1)[0]
-    )
+    P0 = initial_norm(part, u0, rho0, params)
 
     if mode == "direct":
         try:
             traj = solve_fw_direct(FWState(u=u0, rho=rho0), t_cap, cfg.dt)
-            u_hat, rho_hat = traj.u_coefficients(), traj.rho_coefficients()
-            time_grid = traj.time_grid
+            u, rho, time_grid = traj.u, traj.rho, traj.time_grid
         except BlowUpError as exc:
-            # keep the finite prefix
-            partial = solve_fw_direct(
-                FWState(u=u0, rho=rho0), (exc.node - 1) * cfg.dt, cfg.dt
-            ) if exc.node > 1 else None
-            if partial is None:
+            if exc.node <= 1:
                 raise
-            u_hat, rho_hat = partial.u_coefficients(), partial.rho_coefficients()
-            time_grid = partial.time_grid
+            # keep the finite prefix
+            u, rho = exc.states[:, 0], exc.states[:, 1]
+            time_grid = make_time_grid(t_cap, cfg.dt)[:exc.node]
     elif mode == "scheme":
         scaled = SchemeConfig(params=params, C=3.0 / (16.0 * t_cap * P0**2)
                               if P0 > 0 else cfg.C, n_max=cfg.n_max, dt=cfg.dt)
         trace = run_scheme(u0, rho0, scaled, part=part)
-        u_hat = np.fft.fft(trace.u_iterates[-1], axis=-1) / u0.grid.N
-        rho_hat = np.fft.fft(trace.rho_iterates[-1], axis=-1) / u0.grid.N
+        u, rho = trace.u_iterates[-1], trace.rho_iterates[-1]
         time_grid = trace.time_grid
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -432,8 +389,8 @@ def empirical_lifespan(
     # near-blow-up nodes can overflow the L^p sums; inf counts as a violation
     with np.errstate(over="ignore"):
         norm_sum = (
-            besov_norms_batch(part, u_hat, params)
-            + besov_norms_batch(part, rho_hat, sm1)
+            besov_norms_of_samples(part, u, params)
+            + besov_norms_of_samples(part, rho, params.shift(-1.0))
         )
     ok = norm_sum <= 2.0 * P0 * (1.0 + 1e-10) + 1e-14
     if not ok[0]:
@@ -484,9 +441,8 @@ def stability_experiment(
     pert = solve_fw_direct(
         FWState(u=u0 + delta_u, rho=rho0 + delta_rho), T, cfg.dt
     )
-    dw = np.fft.fft(pert.u - base.u, axis=-1) / u0.grid.N
-    dv = np.fft.fft(pert.rho - base.rho, axis=-1) / u0.grid.N
-    D = besov_norms_batch(part, dw, sm1) + besov_norms_batch(part, dv, sm2)
+    D = (besov_norms_of_samples(part, pert.u - base.u, sm1)
+         + besov_norms_of_samples(part, pert.rho - base.rho, sm2))
 
     if D[0] == 0.0:
         return StabilityReport(
@@ -530,8 +486,6 @@ def continuity_experiment(
         raise ValueError("j_max must be at least 3")
     if part is None:
         part = build_partition(u0.grid)
-    params = cfg.params
-    sm1 = params.shift(-1.0)
 
     reference = solve_fw_direct(FWState(u=u0, rho=rho0), T, cfg.dt)
     epsilons = 2.0 ** (-np.arange(j_max + 1, dtype=float))
@@ -547,12 +501,8 @@ def continuity_experiment(
             raise RuntimeError(
                 f"continuity family member j = {j} blew up: {exc}"
             ) from exc
-        du = np.fft.fft(traj.u - reference.u, axis=-1) / u0.grid.N
-        drho = np.fft.fft(traj.rho - reference.rho, axis=-1) / u0.grid.N
-        errors[j] = float(
-            np.max(besov_norms_batch(part, du, params))
-            + np.max(besov_norms_batch(part, drho, sm1))
-        )
+        errors[j] = _sup_distance(part, traj.u - reference.u,
+                                  traj.rho - reference.rho, cfg.params)
 
     nonincreasing = bool(np.all(np.diff(errors) <= 1e-12))
     return ContinuityReport(

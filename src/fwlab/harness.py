@@ -25,6 +25,7 @@ from .besov import (
     MollifierKernel,
     LPPartition,
     besov_norm,
+    besov_norms_of_samples,
     build_partition,
     mollify,
 )
@@ -32,6 +33,7 @@ from .fw import (
     FWState,
     SchemeConfig,
     empirical_lifespan,
+    initial_norm,
     lifespan,
     run_scheme,
     solve_fw_direct,
@@ -177,16 +179,8 @@ def parse_config(text: str) -> RunConfig:
         raise ValueError(f"unknown experiment kind {kind!r}; choose from {EXPERIMENT_KINDS}")
 
     params = BesovParams(s=besov["s"], p=besov["p"], r=besov["r"])
-    needs_admissible = kind in ("simulate", "iterate", "lifespan-sweep",
-                                "stability", "continuity")
-    if needs_admissible and not params.admissible:
-        inv_p = 0.0 if np.isinf(params.p) else 1.0 / params.p
-        if np.isinf(params.r):
-            raise ValueError("inadmissible Besov parameters: r must be finite")
-        raise ValueError(
-            f"inadmissible Besov parameters: s = {params.s} violates "
-            f"s > max(2 + 1/p, 5/2) = {max(2.0 + inv_p, 2.5)}"
-        )
+    if kind in ("simulate", "iterate", "lifespan-sweep", "stability", "continuity"):
+        params.require_admissible()
 
     return RunConfig(
         grid=grid, time=time_sec, besov=besov, scheme=scheme,
@@ -487,10 +481,8 @@ def _run_simulate(cfg: RunConfig) -> ExperimentReport:
     part = build_partition(grid)
     u0, rho0 = _load_initial_pair(cfg, grid)
     traj = solve_fw_direct(FWState(u=u0, rho=rho0), cfg.time["T"], cfg.time["dt"])
-    from .besov import besov_norms_batch
-
-    nu = besov_norms_batch(part, traj.u_coefficients(), params)
-    nr = besov_norms_batch(part, traj.rho_coefficients(), params.shift(-1.0))
+    nu = besov_norms_of_samples(part, traj.u, params)
+    nr = besov_norms_of_samples(part, traj.rho, params.shift(-1.0))
     rows = [
         [t, a, b, mu, mr]
         for t, a, b, mu, mr in zip(traj.time_grid, nu, nr, traj.mean_u, traj.mean_rho)
@@ -538,14 +530,9 @@ def _run_lifespan_sweep(cfg: RunConfig) -> ExperimentReport:
     t_cap = cfg.time["t_cap"] or cfg.time["T"]
     rows = []
     products = []
-    from .besov import besov_norms_batch
-
     for a in cfg.experiment["amplitudes"]:
         u0, rho0 = _load_initial_pair(cfg, grid, amplitude=float(a))
-        P0 = float(
-            besov_norms_batch(part, u0.coefficients, scheme_cfg.params)[0]
-            + besov_norms_batch(part, rho0.coefficients, scheme_cfg.params.shift(-1.0))[0]
-        )
+        P0 = initial_norm(part, u0, rho0, scheme_cfg.params)
         T_emp = empirical_lifespan(u0, rho0, scheme_cfg, t_cap, part=part)
         product = T_emp * P0**2
         rows.append([a, P0, T_emp, product])

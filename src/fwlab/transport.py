@@ -7,7 +7,8 @@ The initial-value problem
 is integrated with classical four-stage RK4 in time and spectral derivatives
 in space; the prescribed velocity and forcing are given at the time nodes and
 linearly interpolated at half steps.  The advective product v * f_x is
-dealiased with the 2/3 rule.
+dealiased with the 2/3 rule.  The RK4 integrator, integrate_rk4, is shared
+with the direct Fornberg-Whitham solver and owns the blow-up check.
 
 The companion checker evaluates, node by node,
 
@@ -25,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .besov import BesovParams, LPPartition, besov_norms_batch, build_partition
+from .besov import BesovParams, LPPartition, besov_norms_of_samples, build_partition
 from .spectral import Grid, GridFunction, dealias_mask
 
 __all__ = [
@@ -34,6 +35,7 @@ __all__ = [
     "TransportEstimateReport",
     "BlowUpError",
     "make_time_grid",
+    "integrate_rk4",
     "solve_transport",
     "verify_transport_estimate",
     "fit_transport_constant",
@@ -47,12 +49,14 @@ C_CAP = 1e6
 
 
 class BlowUpError(RuntimeError):
-    """NaN/Inf detected mid-run; carries the offending time node."""
+    """NaN/Inf detected mid-run; carries the offending time node and the
+    finite states at nodes 0..node-1."""
 
-    def __init__(self, message: str, node: int, t: float):
+    def __init__(self, message: str, node: int, t: float, states: np.ndarray):
         super().__init__(message)
         self.node = node
         self.t = t
+        self.states = states
 
 
 def make_time_grid(T: float, dt: float) -> np.ndarray:
@@ -63,6 +67,36 @@ def make_time_grid(T: float, dt: float) -> np.ndarray:
     if M < 1 or abs(M * dt - T) > 1e-9 * max(T, 1.0):
         raise ValueError(f"dt = {dt} does not divide T = {T}")
     return np.linspace(0.0, T, M + 1)
+
+
+def integrate_rk4(rhs, y0: np.ndarray, time_grid: np.ndarray, dt: float,
+                  what: str) -> np.ndarray:
+    """Classical RK4 from y0 over every node of time_grid with step dt.
+
+    rhs(y, i, w) is the time derivative at state y and time t_i + w*dt for
+    w in {0, 1/2, 1}.  Returns the states at every node, shape
+    (nodes,) + y0.shape.  A non-finite state raises BlowUpError carrying the
+    finite prefix; blow-up is an expected outcome, so overflow on the way
+    to it is not warned about.
+    """
+    states = np.empty((time_grid.size,) + y0.shape)
+    states[0] = y0
+    y = y0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(time_grid.size - 1):
+            k1 = rhs(y, i, 0.0)
+            k2 = rhs(y + 0.5 * dt * k1, i, 0.5)
+            k3 = rhs(y + 0.5 * dt * k2, i, 0.5)
+            k4 = rhs(y + dt * k3, i, 1.0)
+            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.all(np.isfinite(y)):
+                raise BlowUpError(
+                    f"{what} lost finiteness at node {i + 1} "
+                    f"(t = {time_grid[i + 1]:.6g})",
+                    node=i + 1, t=float(time_grid[i + 1]), states=states[:i + 1],
+                )
+            states[i + 1] = y
+    return states
 
 
 def _as_sample_matrix(grid: Grid, fields: Sequence[GridFunction] | np.ndarray,
@@ -132,9 +166,6 @@ class TransportTrajectory:
     def state(self, i: int) -> GridFunction:
         return GridFunction.from_samples(self.problem.grid, self.states[i])
 
-    def coefficient_rows(self) -> np.ndarray:
-        return np.fft.fft(self.states, axis=-1) / self.problem.grid.N
-
 
 def _cumtrapz(values: np.ndarray, dt: float) -> np.ndarray:
     out = np.zeros_like(values)
@@ -149,27 +180,6 @@ def _check_cfl(grid: Grid, velocity: np.ndarray, dt: float) -> None:
             f"dt = {dt} violates the advective stability bound "
             f"{CFL_FACTOR * grid.dx / vmax:.3e} (max|v| = {vmax:.3e})"
         )
-
-
-def _advance(grid: Grid, f: np.ndarray, dt: float,
-             v0: np.ndarray, v1: np.ndarray,
-             F0: np.ndarray, F1: np.ndarray,
-             ik: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """One RK4 step of f_t = -dealias(v f_x) + F with v, F linearly
-    interpolated at the half step."""
-    vh = 0.5 * (v0 + v1)
-    Fh = 0.5 * (F0 + F1)
-
-    def rhs(fs, v, F):
-        fx = np.fft.ifft(ik * np.fft.fft(fs)).real
-        adv = np.fft.ifft(mask * np.fft.fft(v * fx)).real
-        return -adv + F
-
-    k1 = rhs(f, v0, F0)
-    k2 = rhs(f + 0.5 * dt * k1, vh, Fh)
-    k3 = rhs(f + 0.5 * dt * k2, vh, Fh)
-    k4 = rhs(f + dt * k3, v1, F1)
-    return f + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def solve_transport(
@@ -190,26 +200,22 @@ def solve_transport(
 
     ik = 1j * grid.wavenumbers
     mask = dealias_mask(grid)
-    n_nodes = prob.time_grid.size
+    v, F = prob.velocity, prob.forcing
 
-    states = np.empty((n_nodes, grid.N))
-    states[0] = prob.initial.samples
-    f = prob.initial.samples.copy()
-    for i in range(n_nodes - 1):
-        f = _advance(grid, f, dt, prob.velocity[i], prob.velocity[i + 1],
-                     prob.forcing[i], prob.forcing[i + 1], ik, mask)
-        if not np.all(np.isfinite(f)):
-            raise BlowUpError(
-                f"transport solution lost finiteness at node {i + 1} "
-                f"(t = {prob.time_grid[i + 1]:.6g})",
-                node=i + 1, t=float(prob.time_grid[i + 1]),
-            )
-        states[i + 1] = f
+    def rhs(f, i, w):
+        if w == 0.5:
+            vw, Fw = 0.5 * (v[i] + v[i + 1]), 0.5 * (F[i] + F[i + 1])
+        else:
+            vw, Fw = v[i + int(w)], F[i + int(w)]
+        fx = np.fft.ifft(ik * np.fft.fft(f)).real
+        adv = np.fft.ifft(mask * np.fft.fft(vw * fx)).real
+        return -adv + Fw
 
-    vx = np.fft.ifft(ik * np.fft.fft(prob.velocity, axis=-1), axis=-1).real
-    vx_coeffs = np.fft.fft(vx, axis=-1) / grid.N
-    vx_norms = besov_norms_batch(part, vx_coeffs, params.shift(-1.0))
-    V = _cumtrapz(vx_norms, dt)
+    states = integrate_rk4(rhs, prob.initial.samples, prob.time_grid, dt,
+                           "transport solution")
+
+    vx = np.fft.ifft(ik * np.fft.fft(v, axis=-1), axis=-1).real
+    V = _cumtrapz(besov_norms_of_samples(part, vx, params.shift(-1.0)), dt)
     return TransportTrajectory(problem=prob, states=states, V_profile=V,
                                params=params)
 
@@ -243,10 +249,8 @@ def _check_estimate_admissible(params: BesovParams) -> None:
 
 def _estimate_profiles(traj: TransportTrajectory, part: LPPartition):
     """Node-wise ||f||, ||F|| in B^s and the V profile, computed once."""
-    grid = traj.problem.grid
-    f_norms = besov_norms_batch(part, traj.coefficient_rows(), traj.params)
-    F_coeffs = np.fft.fft(traj.problem.forcing, axis=-1) / grid.N
-    F_norms = besov_norms_batch(part, F_coeffs, traj.params)
+    f_norms = besov_norms_of_samples(part, traj.states, traj.params)
+    F_norms = besov_norms_of_samples(part, traj.problem.forcing, traj.params)
     return f_norms, F_norms, traj.V_profile
 
 

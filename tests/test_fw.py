@@ -18,8 +18,10 @@ from fwlab import (
     solve_fw_direct,
     stability_experiment,
 )
+import fwlab.fw
 from fwlab.fw import LIFESPAN_CAP
 from fwlab.besov import BesovParams, besov_norms_batch
+from fwlab.transport import BlowUpError
 
 from conftest import random_field
 
@@ -57,7 +59,33 @@ class TestRhs:
             FWState(u=_gf(grid256, 0.0), rho=_gf(other, 0.0))
 
 
+def _blowup_data():
+    """Sine/cosine data of amplitude 2 on a coarse grid; at dt = 1e-2 the
+    direct solve loses finiteness at node 648 (t = 6.48)."""
+    grid = make_grid(64, 8.0)
+    return (GridFunction.from_samples(grid, 2.0 * np.sin(grid.x)),
+            GridFunction.from_samples(grid, 2.0 * np.cos(grid.x)))
+
+
 class TestDirectSolve:
+    def test_frozen_node(self, grid256):
+        u0 = GridFunction.from_samples(grid256, 0.1 * np.sin(grid256.x))
+        rho0 = GridFunction.from_samples(grid256, 0.1 * np.cos(grid256.x))
+        traj = solve_fw_direct(FWState(u=u0, rho=rho0), 1.0, 2e-3)
+        assert traj.u[500, 37] == pytest.approx(0.023834874475615296, rel=1e-12)
+        assert traj.rho[500, 37] == pytest.approx(-0.0048525736681658055, rel=1e-12)
+
+    def test_blowup_carries_finite_prefix(self):
+        u0, rho0 = _blowup_data()
+        with pytest.raises(BlowUpError) as info:
+            solve_fw_direct(FWState(u=u0, rho=rho0), 20.0, 1e-2)
+        exc = info.value
+        assert exc.node == 648
+        assert exc.t == pytest.approx(6.48, rel=1e-12)
+        assert exc.states.shape == (648, 2, 64)
+        assert np.all(np.isfinite(exc.states))
+        assert np.array_equal(exc.states[0], np.stack([u0.samples, rho0.samples]))
+
     def test_constant_state_stays_put(self, grid256):
         traj = solve_fw_direct(FWState(u=_gf(grid256, 0.8), rho=_gf(grid256, 0.2)), 1.0, 1e-2)
         assert np.max(np.abs(traj.u - 0.8)) <= 1e-12
@@ -163,6 +191,20 @@ class TestEmpiricalLifespan:
         cfg = SchemeConfig(params=params322, dt=1e-2)
         got = empirical_lifespan(_gf(grid256, 0.3), _gf(grid256, -0.1), cfg, t_cap=0.5)
         assert got == pytest.approx(0.5)
+
+    def test_blowup_uses_finite_prefix(self, params322, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve_fw_direct(*args, **kwargs)
+
+        monkeypatch.setattr(fwlab.fw, "solve_fw_direct", counting)
+        u0, rho0 = _blowup_data()
+        cfg = SchemeConfig(params=params322, dt=1e-2)
+        got = empirical_lifespan(u0, rho0, cfg, t_cap=20.0)
+        assert len(calls) == 1
+        assert got == pytest.approx(0.35, rel=1e-12)
 
     def test_unknown_mode_rejected(self, grid256, params322):
         z = _gf(grid256, 0.0)

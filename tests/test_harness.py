@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fwlab import GridFunction, make_grid
-from fwlab.cli import main as cli_main
+from fwlab.cli import _KIND_BY_COMMAND, _build_parser, _config_from_args, main as cli_main
 from fwlab.harness import (
     emit_field_csv,
     make_preset,
@@ -189,3 +189,32 @@ class TestCli:
         summary = (tmp_path / "out" / "summary.txt").read_text()
         assert "N: 128" in summary
         assert "amplitude: 0.05" in summary
+
+    @pytest.mark.parametrize("command, argv, section, key, expected", [
+        ("simulate", ["--N", "128"], "grid", "N", 128),
+        ("simulate", ["--L", "2.0"], "grid", "L", 2.0),
+        ("simulate", ["--dt", "0.004"], "time", "dt", 0.004),
+        ("simulate", ["--T", "0.5"], "time", "T", 0.5),
+        ("lifespan", ["--t-cap", "3.0"], "time", "t_cap", 3.0),
+        ("simulate", ["--s", "3.5"], "besov", "s", 3.5),
+        ("simulate", ["--p", "inf"], "besov", "p", np.inf),
+        ("norm", ["--r", "3"], "besov", "r", 3.0),
+        ("iterate", ["--C", "2.0"], "scheme", "C", 2.0),
+        ("iterate", ["--n-max", "4"], "scheme", "n_max", 4),
+        ("simulate", ["--seed", "9"], None, "seed", 9),
+        ("simulate", ["--out", "elsewhere"], None, "output_dir", "elsewhere"),
+        ("simulate", ["--preset", "gauss"], "experiment", "preset", "gauss"),
+        ("simulate", ["--amplitude", "0.2"], "experiment", "amplitude", 0.2),
+        ("norm", ["--field", "f.csv"], "experiment", "field_csv", "f.csv"),
+        ("transport", ["--velocity", "cosine"], "experiment", "velocity", "cosine"),
+        ("transport", ["--forcing", "sine"], "experiment", "forcing", "sine"),
+        ("transport", ["--fit-constant"], "experiment", "fit_constant", True),
+        ("lifespan", ["--amplitudes", "0.1", "0.2"], "experiment", "amplitudes", [0.1, 0.2]),
+        ("stability", ["--deltas", "1e-3"], "experiment", "deltas", [1e-3]),
+        ("continuity", ["--j-max", "4"], "experiment", "j_max", 4),
+    ])
+    def test_flag_lands_in_config_key(self, command, argv, section, key, expected):
+        args = _build_parser().parse_args([command] + argv)
+        cfg = _config_from_args(args, _KIND_BY_COMMAND[command])
+        got = getattr(cfg, key) if section is None else getattr(cfg, section)[key]
+        assert got == expected

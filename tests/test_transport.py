@@ -10,7 +10,7 @@ from fwlab import (
     solve_transport,
     verify_transport_estimate,
 )
-from fwlab.transport import make_time_grid
+from fwlab.transport import BlowUpError, make_time_grid
 from fwlab.harness import random_transport_problem
 
 from conftest import random_field
@@ -65,6 +65,32 @@ class TestSolveTransport:
         prob = _constant_problem(grid256, tg, 0.0, F.samples, f0)
         traj = solve_transport(prob, params322)
         assert np.max(np.abs(traj.states[-1] - (f0.samples + 0.5 * F.samples))) <= 1e-10
+
+    def test_frozen_node(self, grid256, params322):
+        x = grid256.x
+        tg = make_time_grid(1.0, 2e-3)
+        n = tg.size
+        prob = TransportProblem.build(
+            grid256, tg, np.tile(0.5 * np.sin(x), (n, 1)),
+            np.tile(0.5 * np.cos(x), (n, 1)), GridFunction.from_samples(grid256, np.sin(x)),
+        )
+        traj = solve_transport(prob, params322)
+        assert traj.states[500, 37] == pytest.approx(0.9353624741856418, rel=1e-12)
+
+    def test_blowup_carries_finite_prefix(self, grid256, params322):
+        f0 = GridFunction.from_samples(grid256, np.sin(grid256.x))
+        tg = make_time_grid(0.1, 0.01)
+        forcing = np.zeros((tg.size, grid256.N))
+        forcing[3:] = np.inf  # first reached at the half step of step 2 -> 3
+        prob = _constant_problem(grid256, tg, 0.5, forcing, f0)
+        with pytest.raises(BlowUpError) as info:
+            solve_transport(prob, params322)
+        exc = info.value
+        assert exc.node == 3
+        assert exc.t == pytest.approx(0.03, rel=1e-12)
+        assert exc.states.shape == (3, grid256.N)
+        assert np.all(np.isfinite(exc.states))
+        assert np.array_equal(exc.states[0], f0.samples)
 
     def test_cfl_guard(self, grid256, params322):
         f0 = GridFunction.from_samples(grid256, np.sin(grid256.x))
