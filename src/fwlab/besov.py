@@ -181,10 +181,24 @@ def _block_lp_norms(part: LPPartition, coefficients: np.ndarray, p: float) -> np
     coefficients: (..., N) complex in FFT order under the amplitude
     normalization.  Returns an array of shape (q_max + 2, ...), blocks in
     order q = -1, 0, ..., q_max.
+
+    At p = 2, Parseval gives ||Delta_q f||_{L^2}^2 = 2 pi L sum |mask_q c|^2
+    from the coefficients, with no inverse transform.
     """
-    masks = part.all_masks()  # (Q, N)
     grid = part.grid
-    blocks = masks[(slice(None),) + (None,) * (coefficients.ndim - 1)] * coefficients[None]
+    masks = part.all_masks()  # (Q, N)
+    batch_masks = masks[(slice(None),) + (None,) * (coefficients.ndim - 1)]
+    if p == 2:
+        modulus = np.abs(coefficients)
+        power = modulus**2
+        if np.all(np.isfinite(power)):
+            sums = np.moveaxis(power @ (masks**2).T, -1, 0)
+        else:
+            # |c|^2 overflowed: square mask * |c| so that a zero mask gives 0,
+            # not 0 * inf = NaN, and the row reads inf like the sample sum
+            sums = np.sum((batch_masks * modulus) ** 2, axis=-1)
+        return np.sqrt(2.0 * np.pi * grid.L * sums)
+    blocks = batch_masks * coefficients[None]
     samples = np.fft.ifft(blocks * grid.N, axis=-1).real
     return lp_norm_samples(samples, grid.dx, p)
 

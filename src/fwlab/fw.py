@@ -293,15 +293,17 @@ def run_scheme(
         prod = np.fft.ifft(mask * np.fft.fft(rhon * unx, axis=-1), axis=-1).real
         forcing_rho = -prod - unx
 
-        prob_u = TransportProblem.build(grid, time_grid, un, forcing_u, u_init)
-        prob_rho = TransportProblem.build(grid, time_grid, un, forcing_rho, rho_init)
+        # u^{n+1} and rho^{n+1} share the velocity u^n: one 2-row solve
+        prob = TransportProblem.build(
+            grid, time_grid, un, np.stack([forcing_u, forcing_rho], axis=1),
+            (u_init, rho_init),
+        )
         try:
-            traj_u = solve_transport(prob_u, params, part=part)
-            traj_rho = solve_transport(prob_rho, sm1, part=part)
+            traj = solve_transport(prob, params, part=part)
         except (ValueError, BlowUpError) as exc:
             raise RuntimeError(f"transport solve failed at iterate {n + 1}: {exc}") from exc
-        u_iter[n + 1] = traj_u.states
-        rho_iter[n + 1] = traj_rho.states
+        u_iter[n + 1] = traj.states[:, 0]
+        rho_iter[n + 1] = traj.states[:, 1]
 
     norm_u = np.empty((n_it, n_nodes))
     norm_rho = np.empty((n_it, n_nodes))

@@ -455,7 +455,7 @@ def _run_transport(cfg: RunConfig) -> ExperimentReport:
         report.summary["C_emp"] = C
         violations = 0
         for p_ in held_out:
-            t_ = solve_transport(p_, params, part=build_partition(p_.grid))
+            t_ = solve_transport(p_, params, part=part)
             rep = verify_transport_estimate(t_, params, C, part=part)
             violations += int(np.count_nonzero(~rep.holds))
         report.summary["held_out_violations"] = violations

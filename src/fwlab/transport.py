@@ -10,6 +10,11 @@ linearly interpolated at half steps.  The advective product v * f_x is
 dealiased with the 2/3 rule.  The RK4 integrator, integrate_rk4, is shared
 with the direct Fornberg-Whitham solver and owns the blow-up check.
 
+One problem may carry a batch of B rows (initial data and forcing) driven by
+one shared velocity; they are integrated together, one FFT per stage for the
+whole batch.  The mollified scheme solves its u and rho transport problems
+this way.  The V(t) profile of a trajectory is computed when first read.
+
 The companion checker evaluates, node by node,
 
     ||f(t)||_{B^s} <= e^{C V(t)} ( ||f0||_{B^s} + C int_0^t e^{-C V} ||F|| )
@@ -22,6 +27,7 @@ a family of problems.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -100,7 +106,7 @@ def integrate_rk4(rhs, y0: np.ndarray, time_grid: np.ndarray, dt: float,
 
 
 def _as_sample_matrix(grid: Grid, fields: Sequence[GridFunction] | np.ndarray,
-                      n_nodes: int, name: str) -> np.ndarray:
+                      shape: tuple[int, ...], name: str) -> np.ndarray:
     if isinstance(fields, np.ndarray):
         arr = np.asarray(fields, dtype=float)
     else:
@@ -108,38 +114,54 @@ def _as_sample_matrix(grid: Grid, fields: Sequence[GridFunction] | np.ndarray,
             if f.grid != grid:
                 raise ValueError(f"{name} field grid mismatch")
         arr = np.array([f.samples for f in fields], dtype=float)
-    if arr.shape != (n_nodes, grid.N):
+    if arr.shape != shape:
         raise ValueError(
             f"{name} must provide one field per time node: expected "
-            f"{(n_nodes, grid.N)}, got {arr.shape}"
+            f"{shape}, got {arr.shape}"
         )
     return arr
 
 
 @dataclass(frozen=True)
 class TransportProblem:
-    """Velocity, forcing and initial data sharing one spatial and time grid."""
+    """Velocity, forcing and initial data sharing one spatial and time grid.
+
+    ``initial`` is one GridFunction, or a tuple of B of them solved as a
+    batch: the rows share the velocity and the forcing has one row each.
+    """
 
     grid: Grid
     time_grid: np.ndarray
     velocity: np.ndarray = field(repr=False)  # (M+1, N) samples
-    forcing: np.ndarray = field(repr=False)  # (M+1, N) samples
-    initial: GridFunction
+    forcing: np.ndarray = field(repr=False)  # (M+1, N) or (M+1, B, N) samples
+    initial: GridFunction | tuple[GridFunction, ...]
 
     @classmethod
-    def build(cls, grid: Grid, time_grid: np.ndarray,
-              velocity, forcing, initial: GridFunction) -> "TransportProblem":
+    def build(cls, grid: Grid, time_grid: np.ndarray, velocity, forcing,
+              initial: GridFunction | Sequence[GridFunction]) -> "TransportProblem":
         time_grid = np.asarray(time_grid, dtype=float)
         n_nodes = time_grid.size
         steps = np.diff(time_grid)
         if n_nodes < 2 or not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
             raise ValueError("time grid must be uniform with at least one step")
-        if initial.grid != grid:
+        if isinstance(initial, GridFunction):
+            fields, rows = (initial,), ()
+        else:
+            initial = fields = tuple(initial)
+            rows = (len(fields),)
+        if any(f.grid != grid for f in fields):
             raise ValueError("initial field grid mismatch")
-        v = _as_sample_matrix(grid, velocity, n_nodes, "velocity")
-        F = _as_sample_matrix(grid, forcing, n_nodes, "forcing")
+        v = _as_sample_matrix(grid, velocity, (n_nodes, grid.N), "velocity")
+        F = _as_sample_matrix(grid, forcing, (n_nodes,) + rows + (grid.N,), "forcing")
         return cls(grid=grid, time_grid=time_grid, velocity=v, forcing=F,
                    initial=initial)
+
+    @property
+    def initial_samples(self) -> np.ndarray:
+        """Initial data, shape (N,) or (B, N) for a batch."""
+        if isinstance(self.initial, GridFunction):
+            return self.initial.samples
+        return np.stack([f.samples for f in self.initial])
 
     @property
     def dt(self) -> float:
@@ -152,12 +174,13 @@ class TransportProblem:
 
 @dataclass(frozen=True)
 class TransportTrajectory:
-    """Solution states at every node plus the running V(t) integral."""
+    """Solution states at every node; the running V(t) integral is computed
+    on first read of ``V_profile``."""
 
     problem: TransportProblem
-    states: np.ndarray = field(repr=False)  # (M+1, N) samples
-    V_profile: np.ndarray
+    states: np.ndarray = field(repr=False)  # (M+1, N) or (M+1, B, N) samples
     params: BesovParams
+    part: LPPartition | None = field(default=None, repr=False, compare=False)
 
     @property
     def time_grid(self) -> np.ndarray:
@@ -165,6 +188,17 @@ class TransportTrajectory:
 
     def state(self, i: int) -> GridFunction:
         return GridFunction.from_samples(self.problem.grid, self.states[i])
+
+    @cached_property
+    def V_profile(self) -> np.ndarray:
+        """V(t) = int_0^t ||v_x||_{B^{s-1}}, one profile for every row."""
+        prob = self.problem
+        part = self.part if self.part is not None else build_partition(prob.grid)
+        ik = 1j * prob.grid.wavenumbers
+        vx = np.fft.ifft(ik * np.fft.fft(prob.velocity, axis=-1), axis=-1).real
+        return _cumtrapz(
+            besov_norms_of_samples(part, vx, self.params.shift(-1.0)), prob.dt
+        )
 
 
 def _cumtrapz(values: np.ndarray, dt: float) -> np.ndarray:
@@ -189,14 +223,16 @@ def solve_transport(
 ) -> TransportTrajectory:
     """Integrate the transport problem and record every intermediate state.
 
-    The Besov parameters fix the exponent of the V(t) profile, which uses
-    ||v_x||_{B^{s-1}} as in the a priori estimate.
+    A batched problem integrates its B rows together and returns states of
+    shape (M+1, B, N); a one-row problem returns (M+1, N).  The Besov
+    parameters fix the exponent of the V(t) profile, which uses
+    ||v_x||_{B^{s-1}} as in the a priori estimate; the profile and the
+    partition it needs (``part``, built if omitted) are only used when
+    ``V_profile`` is read.
     """
     grid = prob.grid
     dt = prob.dt
     _check_cfl(grid, prob.velocity, dt)
-    if part is None:
-        part = build_partition(grid)
 
     ik = 1j * grid.wavenumbers
     mask = dealias_mask(grid)
@@ -211,13 +247,10 @@ def solve_transport(
         adv = np.fft.ifft(mask * np.fft.fft(vw * fx)).real
         return -adv + Fw
 
-    states = integrate_rk4(rhs, prob.initial.samples, prob.time_grid, dt,
+    states = integrate_rk4(rhs, prob.initial_samples, prob.time_grid, dt,
                            "transport solution")
-
-    vx = np.fft.ifft(ik * np.fft.fft(v, axis=-1), axis=-1).real
-    V = _cumtrapz(besov_norms_of_samples(part, vx, params.shift(-1.0)), dt)
-    return TransportTrajectory(problem=prob, states=states, V_profile=V,
-                               params=params)
+    return TransportTrajectory(problem=prob, states=states, params=params,
+                               part=part)
 
 
 @dataclass(frozen=True)
@@ -309,9 +342,12 @@ def fit_transport_constant(
         raise ValueError("problem family is empty")
     _check_estimate_admissible(params)
 
+    parts: dict[Grid, LPPartition] = {}
     profiles = []
     for prob in problems:
-        part = build_partition(prob.grid)
+        if prob.grid not in parts:
+            parts[prob.grid] = build_partition(prob.grid)
+        part = parts[prob.grid]
         traj = solve_transport(prob, params, part=part)
         profiles.append((prob.dt,) + _estimate_profiles(traj, part))
 

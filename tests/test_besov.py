@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fwlab import (
     BesovParams,
@@ -12,14 +13,16 @@ from fwlab import (
     mollify,
 )
 from fwlab.besov import (
+    _block_lp_norms,
     besov_norms_batch,
+    besov_norms_of_samples,
     chi_profile,
     phi_profile,
     check_multiplier_bound,
     check_product_estimate,
     low_cutoff,
 )
-from fwlab.spectral import lp_norm
+from fwlab.spectral import lp_norm, lp_norm_samples
 
 from conftest import random_field
 
@@ -214,6 +217,65 @@ class TestBesovNorm:
         batch = besov_norms_batch(part256, rows, params322)
         for f, b in zip(fields, batch):
             assert b == pytest.approx(besov_norm(part256, f, params322), rel=1e-13)
+
+
+def _sample_block_norms(part, coefficients, p):
+    """Block L^p norms by definition: masked coefficients -> ifft -> L^p."""
+    masks = part.all_masks()[(slice(None),) + (None,) * (coefficients.ndim - 1)]
+    samples = np.fft.ifft(masks * coefficients[None] * part.grid.N, axis=-1).real
+    return lp_norm_samples(samples, part.grid.dx, p)
+
+
+def _random_coefficients(grid, rng, shape, k_max):
+    rows = np.stack([
+        random_field(grid, rng, k_max=k_max).coefficients
+        for _ in range(int(np.prod(shape)))
+    ])
+    return rows.reshape(shape + (grid.N,))
+
+
+class TestParsevalBlocks:
+    """At p = 2 the block norms come from the coefficients (Parseval)."""
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 3)])
+    def test_matches_sample_definition(self, grid256, part256, shape):
+        rng = np.random.default_rng(211)
+        c = _random_coefficients(grid256, rng, shape, k_max=grid256.N // 2 - 1)
+        got = _block_lp_norms(part256, c, 2.0)
+        want = _sample_block_norms(part256, c, 2.0)
+        assert got.shape == want.shape == (part256.q_max + 2,) + shape
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k_max=st.integers(1, 127),
+        s=st.floats(-1.0, 4.0),
+        r=st.sampled_from([1.0, 1.5, 2.0, 3.0, np.inf]),
+    )
+    def test_property_band_limited_rows(self, grid256, part256, seed, k_max, s, r):
+        rng = np.random.default_rng(seed)
+        c = _random_coefficients(grid256, rng, (4,), k_max=k_max)
+        want_blocks = _sample_block_norms(part256, c, 2.0)
+        # the sample path's inverse FFT leaves an absolute roundoff floor in
+        # blocks the rows barely reach; the weights 2^{sq} magnify it
+        row = np.fft.ifft(c * grid256.N, axis=-1).real
+        floor = 1e-14 * lp_norm_samples(row, grid256.dx, 2.0)
+        got_blocks = _block_lp_norms(part256, c, 2.0)
+        assert np.all(np.abs(got_blocks - want_blocks) <= 1e-13 * want_blocks + floor)
+        weights = part256.block_weights(s)
+        terms = weights[:, None] * want_blocks
+        want = terms.max(axis=0) if np.isinf(r) else np.sum(terms**r, axis=0) ** (1 / r)
+        got = besov_norms_batch(part256, c, BesovParams(s, 2.0, r))
+        assert np.all(np.abs(got - want) <= 1e-13 * want + weights.sum() * floor)
+
+    def test_overflowing_row_is_inf(self, grid256, part256, params322):
+        # |c|^2 overflows on a huge finite row; the sample path gives inf and
+        # so must Parseval, not NaN from 0 * inf outside a block's support
+        row = 1e200 * np.sin(grid256.x)
+        with np.errstate(over="ignore"):
+            got = besov_norms_of_samples(part256, row, params322)
+        assert np.array_equal(got, [np.inf])
 
 
 class TestMollifier:

@@ -21,7 +21,7 @@ from fwlab import (
 import fwlab.fw
 from fwlab.fw import LIFESPAN_CAP
 from fwlab.besov import BesovParams, besov_norms_batch
-from fwlab.transport import BlowUpError
+from fwlab.transport import BlowUpError, solve_transport
 
 from conftest import random_field
 
@@ -166,6 +166,33 @@ class TestScheme:
         )
         assert trace.P0 == pytest.approx(P0, rel=1e-13)
         assert trace.T == pytest.approx(3.0 / (16.0 * P0**2), rel=1e-13)
+
+    def test_frozen_d_n(self, grid256, part256, params322):
+        u0 = GridFunction.from_samples(grid256, 0.1 * np.sin(grid256.x))
+        rho0 = GridFunction.from_samples(grid256, 0.1 * np.cos(grid256.x))
+        cfg = SchemeConfig(params=params322, C=1.0, n_max=3, dt=1e-2)
+        trace = run_scheme(u0, rho0, cfg, part=part256)
+        np.testing.assert_allclose(
+            trace.d_n, [0.3601685824450574, 0.6264793811114006, 0.4135604873038824],
+            rtol=1e-12, atol=0.0,
+        )
+
+    def test_one_transport_solve_per_iterate(self, grid256, part256, params322,
+                                             monkeypatch):
+        trajectories = []
+
+        def recording(*args, **kwargs):
+            trajectories.append(solve_transport(*args, **kwargs))
+            return trajectories[-1]
+
+        monkeypatch.setattr(fwlab.fw, "solve_transport", recording)
+        u0 = GridFunction.from_samples(grid256, 0.1 * np.sin(grid256.x))
+        rho0 = GridFunction.from_samples(grid256, 0.1 * np.cos(grid256.x))
+        cfg = SchemeConfig(params=params322, C=1.0, n_max=3, dt=1e-2)
+        run_scheme(u0, rho0, cfg, part=part256)
+        assert len(trajectories) == cfg.n_max
+        # V(t) is computed on first read; the scheme never reads it
+        assert all("V_profile" not in vars(t) for t in trajectories)
 
     def test_contraction_and_direct_agreement(self, grid256, part256, params322):
         u0 = GridFunction.from_samples(grid256, 0.1 * np.sin(grid256.x))

@@ -92,6 +92,43 @@ class TestSolveTransport:
         assert np.all(np.isfinite(exc.states))
         assert np.array_equal(exc.states[0], f0.samples)
 
+    def test_two_row_batch_equals_one_row_solves(self, grid256, params322):
+        rng = np.random.default_rng(157)
+        tg = make_time_grid(0.2, 2e-3)
+        n = tg.size
+        v = np.tile(random_field(grid256, rng, k_max=4, amplitude=0.3).samples, (n, 1))
+        f0, g0 = random_field(grid256, rng), random_field(grid256, rng)
+        F = np.tile(random_field(grid256, rng, amplitude=0.5).samples, (n, 1))
+        G = np.tile(random_field(grid256, rng, amplitude=0.5).samples, (n, 1))
+        batch = TransportProblem.build(grid256, tg, v, np.stack([F, G], axis=1), (f0, g0))
+        traj = solve_transport(batch, params322)
+        assert traj.states.shape == (n, 2, grid256.N)
+        one_f = solve_transport(TransportProblem.build(grid256, tg, v, F, f0), params322)
+        one_g = solve_transport(TransportProblem.build(grid256, tg, v, G, g0), params322)
+        assert np.array_equal(traj.states[:, 0], one_f.states)
+        assert np.array_equal(traj.states[:, 1], one_g.states)
+        # one velocity, hence one V profile for the batch
+        assert np.array_equal(traj.V_profile, one_f.V_profile)
+
+    def test_batch_forcing_shape_checked(self, grid256):
+        f0 = GridFunction.from_samples(grid256, np.sin(grid256.x))
+        tg = make_time_grid(0.1, 0.01)
+        v = np.zeros((tg.size, grid256.N))
+        with pytest.raises(ValueError, match="forcing"):
+            TransportProblem.build(grid256, tg, v, v, (f0, f0))
+        other = GridFunction.from_samples(make_grid(128, 8.0), np.zeros(128))
+        with pytest.raises(ValueError, match="initial"):
+            TransportProblem.build(grid256, tg, v, np.stack([v, v], axis=1), (f0, other))
+
+    def test_V_profile_computed_on_first_read(self, grid256, params322):
+        f0 = GridFunction.from_samples(grid256, np.sin(grid256.x))
+        tg = make_time_grid(0.1, 0.01)
+        prob = _constant_problem(grid256, tg, 0.5, np.zeros(grid256.N), f0)
+        traj = solve_transport(prob, params322)
+        assert "V_profile" not in vars(traj)
+        assert traj.V_profile.shape == (tg.size,)
+        assert traj.V_profile is traj.V_profile
+
     def test_cfl_guard(self, grid256, params322):
         f0 = GridFunction.from_samples(grid256, np.sin(grid256.x))
         tg = make_time_grid(1.0, 0.5)  # dt far above 0.5 dx / |v|
