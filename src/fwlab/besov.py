@@ -15,7 +15,6 @@ truncation of the l^r sum is exact).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -23,7 +22,6 @@ from .spectral import (
     Grid,
     GridFunction,
     lambda_inv_dx,
-    lp_norm,
     lp_norm_samples,
 )
 

@@ -8,6 +8,7 @@ verdict of the run passes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -15,7 +16,6 @@ import yaml
 
 from .harness import (
     RunConfig,
-    load_config,
     output_dir_for,
     parse_config,
     run_experiment,
@@ -147,11 +147,7 @@ def _run_verify(args: argparse.Namespace) -> int:
         ("simulate", {"preset": "sine", "amplitude": 0.01}),
     ):
         cfg = _config_from_args(args, kind)
-        exp = dict(cfg.experiment)
-        exp.update(overrides)
-        cfg = RunConfig(grid=cfg.grid, time=cfg.time, besov=cfg.besov,
-                        scheme=cfg.scheme, experiment=exp,
-                        output_dir=cfg.output_dir, seed=cfg.seed)
+        cfg = dataclasses.replace(cfg, experiment={**cfg.experiment, **overrides})
         report = run_experiment(cfg, write=False)
         for name, verdict in report.verdicts.items():
             print(f"verify {kind}/{name}: {'pass' if verdict else 'FAIL'}")

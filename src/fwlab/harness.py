@@ -22,19 +22,15 @@ import yaml
 from . import __version__
 from .besov import (
     BesovParams,
-    MollifierKernel,
-    LPPartition,
     besov_norm,
     besov_norms_of_samples,
     build_partition,
-    mollify,
 )
 from .fw import (
     FWState,
     SchemeConfig,
     empirical_lifespan,
     initial_norm,
-    lifespan,
     run_scheme,
     solve_fw_direct,
     stability_experiment,

@@ -10,10 +10,11 @@ linearly interpolated at half steps.  The advective product v * f_x is
 dealiased with the 2/3 rule.  The RK4 integrator, integrate_rk4, is shared
 with the direct Fornberg-Whitham solver and owns the blow-up check.
 
-One problem may carry a batch of B rows (initial data and forcing) driven by
-one shared velocity; they are integrated together, one FFT per stage for the
-whole batch.  The mollified scheme solves its u and rho transport problems
-this way.  The V(t) profile of a trajectory is computed when first read.
+A problem holds sample arrays only.  It may carry a batch of B rows
+(initial data and forcing) driven by one shared velocity; they are
+integrated together, one FFT per stage for the whole batch.  The mollified
+scheme solves its u and rho transport problems this way.  The V(t) profile
+of a trajectory is computed when first read.
 
 The companion checker evaluates, node by node,
 
@@ -49,6 +50,9 @@ __all__ = [
 
 #: advective stability margin: dt <= CFL_FACTOR * dx / max|v|
 CFL_FACTOR = 0.5
+
+#: calibration bisects to this relative tolerance
+C_RTOL = 1e-3
 
 #: calibration gives up above this constant
 C_CAP = 1e6
@@ -105,15 +109,8 @@ def integrate_rk4(rhs, y0: np.ndarray, time_grid: np.ndarray, dt: float,
     return states
 
 
-def _as_sample_matrix(grid: Grid, fields: Sequence[GridFunction] | np.ndarray,
-                      shape: tuple[int, ...], name: str) -> np.ndarray:
-    if isinstance(fields, np.ndarray):
-        arr = np.asarray(fields, dtype=float)
-    else:
-        for f in fields:
-            if f.grid != grid:
-                raise ValueError(f"{name} field grid mismatch")
-        arr = np.array([f.samples for f in fields], dtype=float)
+def _as_sample_matrix(samples, shape: tuple[int, ...], name: str) -> np.ndarray:
+    arr = np.asarray(samples, dtype=float)
     if arr.shape != shape:
         raise ValueError(
             f"{name} must provide one field per time node: expected "
@@ -124,17 +121,18 @@ def _as_sample_matrix(grid: Grid, fields: Sequence[GridFunction] | np.ndarray,
 
 @dataclass(frozen=True)
 class TransportProblem:
-    """Velocity, forcing and initial data sharing one spatial and time grid.
+    """Velocity, forcing and initial data samples on one spatial and time grid.
 
-    ``initial`` is one GridFunction, or a tuple of B of them solved as a
-    batch: the rows share the velocity and the forcing has one row each.
+    ``build`` takes the initial data as one GridFunction, or a tuple of B of
+    them solved as a batch: the rows share the velocity and the forcing has
+    one row each.
     """
 
     grid: Grid
     time_grid: np.ndarray
     velocity: np.ndarray = field(repr=False)  # (M+1, N) samples
     forcing: np.ndarray = field(repr=False)  # (M+1, N) or (M+1, B, N) samples
-    initial: GridFunction | tuple[GridFunction, ...]
+    initial: np.ndarray = field(repr=False)  # (N,) or (B, N) samples
 
     @classmethod
     def build(cls, grid: Grid, time_grid: np.ndarray, velocity, forcing,
@@ -147,29 +145,19 @@ class TransportProblem:
         if isinstance(initial, GridFunction):
             fields, rows = (initial,), ()
         else:
-            initial = fields = tuple(initial)
+            fields = tuple(initial)
             rows = (len(fields),)
         if any(f.grid != grid for f in fields):
             raise ValueError("initial field grid mismatch")
-        v = _as_sample_matrix(grid, velocity, (n_nodes, grid.N), "velocity")
-        F = _as_sample_matrix(grid, forcing, (n_nodes,) + rows + (grid.N,), "forcing")
+        v = _as_sample_matrix(velocity, (n_nodes, grid.N), "velocity")
+        F = _as_sample_matrix(forcing, (n_nodes,) + rows + (grid.N,), "forcing")
+        f0 = np.stack([f.samples for f in fields]) if rows else initial.samples
         return cls(grid=grid, time_grid=time_grid, velocity=v, forcing=F,
-                   initial=initial)
-
-    @property
-    def initial_samples(self) -> np.ndarray:
-        """Initial data, shape (N,) or (B, N) for a batch."""
-        if isinstance(self.initial, GridFunction):
-            return self.initial.samples
-        return np.stack([f.samples for f in self.initial])
+                   initial=f0)
 
     @property
     def dt(self) -> float:
         return float(self.time_grid[1] - self.time_grid[0])
-
-    @property
-    def T(self) -> float:
-        return float(self.time_grid[-1])
 
 
 @dataclass(frozen=True)
@@ -185,9 +173,6 @@ class TransportTrajectory:
     @property
     def time_grid(self) -> np.ndarray:
         return self.problem.time_grid
-
-    def state(self, i: int) -> GridFunction:
-        return GridFunction.from_samples(self.problem.grid, self.states[i])
 
     @cached_property
     def V_profile(self) -> np.ndarray:
@@ -247,7 +232,7 @@ def solve_transport(
         adv = np.fft.ifft(mask * np.fft.fft(vw * fx)).real
         return -adv + Fw
 
-    states = integrate_rk4(rhs, prob.initial_samples, prob.time_grid, dt,
+    states = integrate_rk4(rhs, prob.initial, prob.time_grid, dt,
                            "transport solution")
     return TransportTrajectory(problem=prob, states=states, params=params,
                                part=part)
@@ -330,13 +315,11 @@ def verify_transport_estimate(
 def fit_transport_constant(
     problems: Sequence[TransportProblem],
     params: BesovParams,
-    rtol: float = 1e-3,
-    cap: float = C_CAP,
 ) -> float:
     """Smallest C for which the estimate holds at every node of every problem.
 
-    Bisection to the requested relative tolerance; raises if no constant
-    below the cap works.
+    Bisection to the relative tolerance C_RTOL; raises if no constant below
+    C_CAP works.
     """
     if len(problems) == 0:
         raise ValueError("problem family is empty")
@@ -360,15 +343,15 @@ def fit_transport_constant(
     hi = 1.0
     while not all_hold(hi):
         hi *= 2.0
-        if hi > cap:
+        if hi > C_CAP:
             raise RuntimeError(
-                f"transport-constant calibration failed: no C below {cap:g}"
+                f"transport-constant calibration failed: no C below {C_CAP:g}"
             )
     lo = 0.0
     # a problem whose norm profile never exceeds the C -> 0 limit of the
     # right-hand side admits every positive C; stop at an absolute floor
     # instead of bisecting into denormals
-    while hi - lo > rtol * hi and hi > 1e-12:
+    while hi - lo > C_RTOL * hi and hi > 1e-12:
         mid = 0.5 * (lo + hi)
         if mid > 0 and all_hold(mid):
             hi = mid

@@ -1,0 +1,38 @@
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import fwlab
+
+SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(fwlab.__path__))
+SOURCES = sorted(p for p in Path(fwlab.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")
+
+
+@pytest.mark.parametrize("module_name", ["fwlab"] + [f"fwlab.{m}" for m in SUBMODULES])
+def test_all_names_resolve(module_name):
+    module = importlib.import_module(module_name)
+    # cli.py, the command-line entry point, exports nothing
+    missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert not missing, f"{module_name}.__all__ names undefined {missing}"
+
+
+def _imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text())
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [name for name in _imported_names(tree) if name not in used]
+    assert not unused, f"{path.name} imports names it never uses: {unused}"

@@ -19,8 +19,8 @@ from fwlab import (
     stability_experiment,
 )
 import fwlab.fw
-from fwlab.fw import LIFESPAN_CAP
-from fwlab.besov import BesovParams, besov_norms_batch
+from fwlab.fw import LIFESPAN_CAP, _sup_distance
+from fwlab.besov import BesovParams, besov_norms_batch, besov_norms_of_samples
 from fwlab.transport import BlowUpError, solve_transport
 
 from conftest import random_field
@@ -194,6 +194,39 @@ class TestScheme:
         # V(t) is computed on first read; the scheme never reads it
         assert all("V_profile" not in vars(t) for t in trajectories)
 
+    def test_each_iterate_transformed_once(self, grid256, part256, params322,
+                                           monkeypatch):
+        calls = []
+        real = fwlab.fw.besov_norms_of_samples
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(fwlab.fw, "besov_norms_of_samples", counting)
+        u0 = GridFunction.from_samples(grid256, 0.1 * np.sin(grid256.x))
+        rho0 = GridFunction.from_samples(grid256, 0.1 * np.cos(grid256.x))
+        cfg = SchemeConfig(params=params322, C=1.0, n_max=3, dt=1e-2)
+        run_scheme(u0, rho0, cfg, part=part256)
+        # only d_n samples-to-norms transforms remain: two per iterate
+        assert len(calls) == 2 * cfg.n_max
+
+    def test_norms_and_d_n_match_stored_iterates(self, grid256, part256, params322):
+        u0 = GridFunction.from_samples(grid256, 0.1 * np.sin(grid256.x))
+        rho0 = GridFunction.from_samples(grid256, 0.1 * np.cos(grid256.x))
+        cfg = SchemeConfig(params=params322, C=1.0, n_max=3, dt=1e-2)
+        trace = run_scheme(u0, rho0, cfg, part=part256)
+        sm1 = params322.shift(-1.0)
+        for n in range(cfg.n_max + 1):
+            assert np.array_equal(
+                trace.norm_u[n], besov_norms_of_samples(part256, trace.u_iterates[n], params322))
+            assert np.array_equal(
+                trace.norm_rho[n], besov_norms_of_samples(part256, trace.rho_iterates[n], sm1))
+        for n in range(cfg.n_max):
+            assert trace.d_n[n] == _sup_distance(
+                part256, trace.u_iterates[n + 1] - trace.u_iterates[n],
+                trace.rho_iterates[n + 1] - trace.rho_iterates[n], sm1)
+
     def test_contraction_and_direct_agreement(self, grid256, part256, params322):
         u0 = GridFunction.from_samples(grid256, 0.1 * np.sin(grid256.x))
         rho0 = GridFunction.from_samples(grid256, 0.1 * np.cos(grid256.x))
@@ -233,11 +266,16 @@ class TestEmpiricalLifespan:
         assert len(calls) == 1
         assert got == pytest.approx(0.35, rel=1e-12)
 
-    def test_unknown_mode_rejected(self, grid256, params322):
-        z = _gf(grid256, 0.0)
+    def test_inflated_initial_norm_names_measure_and_threshold(
+            self, grid256, params322, monkeypatch):
+        u0 = GridFunction.from_samples(grid256, 0.1 * np.sin(grid256.x))
+        rho0 = GridFunction.from_samples(grid256, 0.1 * np.cos(grid256.x))
+        real = fwlab.fw.besov_norms_of_samples
+        monkeypatch.setattr(fwlab.fw, "besov_norms_of_samples",
+                            lambda *args: 3.0 * real(*args))
         cfg = SchemeConfig(params=params322, dt=1e-2)
-        with pytest.raises(ValueError):
-            empirical_lifespan(z, z, cfg, t_cap=0.5, mode="magic")
+        with pytest.raises(RuntimeError, match=r"t = 0: .* exceeds 2\*P0 = "):
+            empirical_lifespan(u0, rho0, cfg, t_cap=0.1)
 
 
 class TestStability:

@@ -120,6 +120,21 @@ class TestSolveTransport:
         with pytest.raises(ValueError, match="initial"):
             TransportProblem.build(grid256, tg, v, np.stack([v, v], axis=1), (f0, other))
 
+    def test_problem_holds_initial_samples(self, grid256):
+        f0 = GridFunction.from_samples(grid256, np.sin(grid256.x))
+        g0 = GridFunction.from_samples(grid256, np.cos(grid256.x))
+        tg = make_time_grid(0.1, 0.01)
+        v = np.zeros((tg.size, grid256.N))
+        one = TransportProblem.build(grid256, tg, v, v, f0)
+        assert one.initial.shape == (grid256.N,)
+        assert np.array_equal(one.initial, f0.samples)
+        two = TransportProblem.build(grid256, tg, v, np.stack([v, v], axis=1), (f0, g0))
+        assert two.initial.shape == (2, grid256.N)
+        assert np.array_equal(two.initial, [f0.samples, g0.samples])
+        other = GridFunction.from_samples(make_grid(128, 8.0), np.zeros(128))
+        with pytest.raises(ValueError, match="initial"):
+            TransportProblem.build(grid256, tg, v, v, other)
+
     def test_V_profile_computed_on_first_read(self, grid256, params322):
         f0 = GridFunction.from_samples(grid256, np.sin(grid256.x))
         tg = make_time_grid(0.1, 0.01)
