@@ -29,6 +29,7 @@ the nonlinear system directly.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,12 +155,20 @@ class FWTrajectory:
     mean_rho: np.ndarray = field(repr=False)
 
 
-def solve_fw_direct(initial: FWState, T: float, dt: float) -> FWTrajectory:
-    """Integrate the nonlinear system with RK4, storing every node.
+def _check_memory(T: float, dt: float, node_bytes: int, flags: str) -> None:
+    """Refuse, before allocating, to store node_bytes at every node of [0, T]
+    with step dt when physical memory cannot hold them."""
+    n_bytes = (T / dt + 1.0) * node_bytes if dt > 0 else 0.0
+    present = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if n_bytes > present:
+        raise ValueError(
+            f"the stored states need {n_bytes / 1e9:.3g} GB but the machine "
+            f"has {present / 1e9:.3g} GB; change {flags}"
+        )
 
-    NaN/Inf mid-run raises BlowUpError with the offending node; the theory is
-    local in time, so a blow-up is an outcome, not an artifact failure.
-    """
+
+def _march_fw(initial: FWState, time_grid: np.ndarray, dt: float):
+    """The direct RK4 march, yielding the stacked (u, rho) state per node."""
     grid = initial.grid
     u0 = initial.u.samples
     bound = 0.5 * grid.dx / max(1.0, float(np.max(np.abs(u0))))
@@ -168,31 +177,40 @@ def solve_fw_direct(initial: FWState, T: float, dt: float) -> FWTrajectory:
             f"dt = {dt} violates the stability bound {bound:.3e} "
             "(0.5*dx/max(1, max|u0|))"
         )
-    time_grid = make_time_grid(T, dt)
     symbols = _fw_symbols(grid)
-    states = integrate_rk4(
+    return integrate_rk4(
         lambda y, i, w: _fw_rhs(y, *symbols),
         np.stack([u0, initial.rho.samples]), time_grid, dt, "direct solve",
     )
+
+
+def solve_fw_direct(initial: FWState, T: float, dt: float) -> FWTrajectory:
+    """Integrate the nonlinear system with RK4, storing every node.
+
+    NaN/Inf mid-run raises BlowUpError with the offending node; the theory is
+    local in time, so a blow-up is an outcome, not an artifact failure.
+    """
+    _check_memory(T, dt, 2 * initial.grid.N * 8, "--dt or --T")
+    time_grid = make_time_grid(T, dt)
+    states = np.fromiter(_march_fw(initial, time_grid, dt), count=time_grid.size,
+                         dtype=np.dtype((float, (2, initial.grid.N))))
     u_states, rho_states = states[:, 0], states[:, 1]
     return FWTrajectory(
-        grid=grid, time_grid=time_grid, u=u_states, rho=rho_states,
+        grid=initial.grid, time_grid=time_grid, u=u_states, rho=rho_states,
         mean_u=u_states.mean(axis=-1), mean_rho=rho_states.mean(axis=-1),
     )
 
 
-def lifespan(P0: float, C: float, cap: float = LIFESPAN_CAP) -> float:
-    """Guaranteed common existence time T = 3 / (16 C P0^2).
-
-    Zero data has unbounded lifespan; the configured cap is returned instead.
-    """
+def lifespan(P0: float, C: float) -> float:
+    """Guaranteed common existence time T = 3 / (16 C P0^2), at most
+    LIFESPAN_CAP (which zero data, of unbounded lifespan, gets)."""
     if P0 < 0:
         raise ValueError("P0 must be nonnegative")
     if C <= 0:
         raise ValueError("C must be positive")
     if P0 == 0.0:
-        return cap
-    return min(3.0 / (16.0 * C * P0**2), cap)
+        return LIFESPAN_CAP
+    return min(3.0 / (16.0 * C * P0**2), LIFESPAN_CAP)
 
 
 def initial_norm(part: LPPartition, u0: GridFunction, rho0: GridFunction,
@@ -275,12 +293,13 @@ def run_scheme(
         assert 4.0 * cfg.C * P0**2 * T < 1.0
     # the lifespan is an awkward number; refine dt so the nodes land on T
     n_steps = max(1, int(np.ceil(T / cfg.dt - 1e-12)))
+    n_it = cfg.n_max + 1
+    _check_memory(T, cfg.dt, 2 * n_it * grid.N * 8, "--dt or --n-max")
     time_grid = make_time_grid(T, T / n_steps)
     n_nodes = time_grid.size
 
     ik, lam, mask = _fw_symbols(grid)
 
-    n_it = cfg.n_max + 1
     u_iter = np.zeros((n_it, n_nodes, grid.N))
     rho_iter = np.zeros((n_it, n_nodes, grid.N))
     # iterate 0 is the zero pair: zero transforms and zero norms
@@ -306,6 +325,7 @@ def run_scheme(
             raise RuntimeError(f"transport solve failed at iterate {n + 1}: {exc}") from exc
         u_iter[n + 1] = traj.states[:, 0]
         rho_iter[n + 1] = traj.states[:, 1]
+        del traj, prob, forcing
         d_n[n] = _sup_distance(part, u_iter[n + 1] - u_iter[n],
                                rho_iter[n + 1] - rho_iter[n], sm1)
 
@@ -356,40 +376,37 @@ def empirical_lifespan(
 ) -> float:
     """Largest time node at which ||u|| + ||rho|| still sits under 2*P0.
 
-    The nonlinear system is integrated directly on [0, t_cap]; a numerical
-    blow-up truncates the trajectory at the last finite node.
+    The nonlinear system is marched directly on [0, t_cap] and the march
+    stops at the first node over the bound; a numerical blow-up before that
+    ends it at the last finite node.
     """
     if part is None:
         part = build_partition(u0.grid)
-    params = cfg.params
+    params, sm1 = cfg.params, cfg.params.shift(-1.0)
     P0 = initial_norm(part, u0, rho0, params)
+    limit = 2.0 * P0 * (1.0 + 1e-10) + 1e-14
+    time_grid = make_time_grid(t_cap, cfg.dt)
 
     try:
-        traj = solve_fw_direct(FWState(u=u0, rho=rho0), t_cap, cfg.dt)
-        u, rho, time_grid = traj.u, traj.rho, traj.time_grid
+        for i, (u, rho) in enumerate(_march_fw(FWState(u=u0, rho=rho0),
+                                               time_grid, cfg.dt)):
+            # near-blow-up nodes can overflow the L^p sums; inf counts as
+            # a violation, and so does NaN
+            with np.errstate(over="ignore"):
+                norm_sum = (besov_norms_of_samples(part, u, params)[0]
+                            + besov_norms_of_samples(part, rho, sm1)[0])
+            if not norm_sum <= limit:
+                if i == 0:
+                    raise RuntimeError(
+                        f"norm bound violated at t = 0: ||u|| + ||rho|| = "
+                        f"{norm_sum:.6g} exceeds 2*P0 = {2.0 * P0:.6g}"
+                    )
+                return float(time_grid[i - 1])
     except BlowUpError as exc:
         if exc.node <= 1:
             raise
-        # keep the finite prefix
-        u, rho = exc.states[:, 0], exc.states[:, 1]
-        time_grid = make_time_grid(t_cap, cfg.dt)[:exc.node]
-
-    # near-blow-up nodes can overflow the L^p sums; inf counts as a violation
-    with np.errstate(over="ignore"):
-        norm_sum = (
-            besov_norms_of_samples(part, u, params)
-            + besov_norms_of_samples(part, rho, params.shift(-1.0))
-        )
-    ok = norm_sum <= 2.0 * P0 * (1.0 + 1e-10) + 1e-14
-    if not ok[0]:
-        # without this, the last-node index below would wrap to -1
-        raise RuntimeError(
-            f"norm bound violated at t = 0: ||u|| + ||rho|| = {norm_sum[0]:.6g} "
-            f"exceeds 2*P0 = {2.0 * P0:.6g}"
-        )
-    violations = np.nonzero(~ok)[0]
-    last = violations[0] - 1 if violations.size else time_grid.size - 1
-    return float(time_grid[last])
+        return float(time_grid[exc.node - 1])
+    return float(time_grid[-1])
 
 
 @dataclass(frozen=True)

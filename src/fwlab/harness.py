@@ -49,7 +49,6 @@ __all__ = [
     "RunConfig",
     "ExperimentReport",
     "parse_config",
-    "load_config",
     "run_experiment",
     "emit_field_csv",
     "read_field_csv",
@@ -184,10 +183,6 @@ def parse_config(text: str) -> RunConfig:
         output_dir=str(doc.get("output_dir", "fwlab_out")),
         seed=int(doc.get("seed", 0)),
     )
-
-
-def load_config(path: str | Path) -> RunConfig:
-    return parse_config(Path(path).read_text())
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ is integrated with classical four-stage RK4 in time and spectral derivatives
 in space; the prescribed velocity and forcing are given at the time nodes and
 linearly interpolated at half steps.  The advective product v * f_x is
 dealiased with the 2/3 rule.  The RK4 integrator, integrate_rk4, is shared
-with the direct Fornberg-Whitham solver and owns the blow-up check.
+with the direct Fornberg-Whitham solver and owns the blow-up check; it yields
+one state per node and each caller keeps what it needs.
 
 A problem holds sample arrays only.  It may carry a batch of B rows
 (initial data and forcing) driven by one shared velocity; they are
@@ -59,14 +60,12 @@ C_CAP = 1e6
 
 
 class BlowUpError(RuntimeError):
-    """NaN/Inf detected mid-run; carries the offending time node and the
-    finite states at nodes 0..node-1."""
+    """NaN/Inf detected mid-run at time node ``node`` (time ``t``)."""
 
-    def __init__(self, message: str, node: int, t: float, states: np.ndarray):
+    def __init__(self, message: str, node: int, t: float):
         super().__init__(message)
         self.node = node
         self.t = t
-        self.states = states
 
 
 def make_time_grid(T: float, dt: float) -> np.ndarray:
@@ -80,33 +79,32 @@ def make_time_grid(T: float, dt: float) -> np.ndarray:
 
 
 def integrate_rk4(rhs, y0: np.ndarray, time_grid: np.ndarray, dt: float,
-                  what: str) -> np.ndarray:
-    """Classical RK4 from y0 over every node of time_grid with step dt.
+                  what: str):
+    """Classical RK4 from y0 over the nodes of time_grid with step dt.
 
     rhs(y, i, w) is the time derivative at state y and time t_i + w*dt for
-    w in {0, 1/2, 1}.  Returns the states at every node, shape
-    (nodes,) + y0.shape.  A non-finite state raises BlowUpError carrying the
-    finite prefix; blow-up is an expected outcome, so overflow on the way
-    to it is not warned about.
+    w in {0, 1/2, 1}.  A generator: it yields y0, then the state at each
+    later node, and stores nothing, so the caller keeps what it needs and
+    may stop early.  A non-finite state raises BlowUpError; blow-up is an
+    expected outcome, so overflow on the way to it is not warned about.
     """
-    states = np.empty((time_grid.size,) + y0.shape)
-    states[0] = y0
     y = y0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(time_grid.size - 1):
+    yield y
+    for i in range(time_grid.size - 1):
+        # never held across a yield, where it would leak into the caller
+        with np.errstate(over="ignore", invalid="ignore"):
             k1 = rhs(y, i, 0.0)
             k2 = rhs(y + 0.5 * dt * k1, i, 0.5)
             k3 = rhs(y + 0.5 * dt * k2, i, 0.5)
             k4 = rhs(y + dt * k3, i, 1.0)
             y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(y)):
-                raise BlowUpError(
-                    f"{what} lost finiteness at node {i + 1} "
-                    f"(t = {time_grid[i + 1]:.6g})",
-                    node=i + 1, t=float(time_grid[i + 1]), states=states[:i + 1],
-                )
-            states[i + 1] = y
-    return states
+        if not np.all(np.isfinite(y)):
+            raise BlowUpError(
+                f"{what} lost finiteness at node {i + 1} "
+                f"(t = {time_grid[i + 1]:.6g})",
+                node=i + 1, t=float(time_grid[i + 1]),
+            )
+        yield y
 
 
 def _as_sample_matrix(samples, shape: tuple[int, ...], name: str) -> np.ndarray:
@@ -232,8 +230,10 @@ def solve_transport(
         adv = np.fft.ifft(mask * np.fft.fft(vw * fx)).real
         return -adv + Fw
 
-    states = integrate_rk4(rhs, prob.initial, prob.time_grid, dt,
-                           "transport solution")
+    states = np.fromiter(
+        integrate_rk4(rhs, prob.initial, prob.time_grid, dt, "transport solution"),
+        dtype=np.dtype((float, prob.initial.shape)), count=prob.time_grid.size,
+    )
     return TransportTrajectory(problem=prob, states=states, params=params,
                                part=part)
 

@@ -21,7 +21,7 @@ from fwlab import (
 import fwlab.fw
 from fwlab.fw import LIFESPAN_CAP, _sup_distance
 from fwlab.besov import BesovParams, besov_norms_batch, besov_norms_of_samples
-from fwlab.transport import BlowUpError, solve_transport
+from fwlab.transport import BlowUpError, integrate_rk4, solve_transport
 
 from conftest import random_field
 
@@ -75,16 +75,29 @@ class TestDirectSolve:
         assert traj.u[500, 37] == pytest.approx(0.023834874475615296, rel=1e-12)
         assert traj.rho[500, 37] == pytest.approx(-0.0048525736681658055, rel=1e-12)
 
-    def test_blowup_carries_finite_prefix(self):
+    def test_blowup_carries_finite_prefix(self, monkeypatch):
+        yielded = []
+
+        def recording(*args):
+            for y in integrate_rk4(*args):
+                yielded.append(y)
+                yield y
+
+        monkeypatch.setattr(fwlab.fw, "integrate_rk4", recording)
         u0, rho0 = _blowup_data()
         with pytest.raises(BlowUpError) as info:
             solve_fw_direct(FWState(u=u0, rho=rho0), 20.0, 1e-2)
         exc = info.value
         assert exc.node == 648
         assert exc.t == pytest.approx(6.48, rel=1e-12)
-        assert exc.states.shape == (648, 2, 64)
-        assert np.all(np.isfinite(exc.states))
-        assert np.array_equal(exc.states[0], np.stack([u0.samples, rho0.samples]))
+        assert len(yielded) == 648
+        assert all(np.all(np.isfinite(y)) for y in yielded)
+        assert np.array_equal(yielded[0], np.stack([u0.samples, rho0.samples]))
+
+    def test_memory_guard_before_allocating(self, grid256):
+        state = FWState(u=_gf(grid256, 0.0), rho=_gf(grid256, 0.0))
+        with pytest.raises(ValueError, match=r"GB but the machine has .* GB; change --dt or --T"):
+            solve_fw_direct(state, LIFESPAN_CAP, 1e-3)
 
     def test_constant_state_stays_put(self, grid256):
         traj = solve_fw_direct(FWState(u=_gf(grid256, 0.8), rho=_gf(grid256, 0.2)), 1.0, 1e-2)
@@ -128,7 +141,6 @@ class TestLifespan:
 
     def test_zero_data_capped(self):
         assert lifespan(0.0, 1.0) == LIFESPAN_CAP
-        assert lifespan(0.0, 1.0, cap=5.0) == 5.0
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -227,6 +239,14 @@ class TestScheme:
                 part256, trace.u_iterates[n + 1] - trace.u_iterates[n],
                 trace.rho_iterates[n + 1] - trace.rho_iterates[n], sm1)
 
+    def test_memory_guard_before_allocating(self, grid256, part256, params322):
+        # P0 ~ 1e-8 puts the lifespan at LIFESPAN_CAP: about 1e9 nodes
+        u0 = GridFunction.from_samples(grid256, 1e-8 * np.sin(grid256.x))
+        rho0 = GridFunction.from_samples(grid256, 1e-8 * np.cos(grid256.x))
+        cfg = SchemeConfig(params=params322, C=1.0, n_max=10, dt=1e-3)
+        with pytest.raises(ValueError, match=r"GB but the machine has .* GB; change --dt or --n-max"):
+            run_scheme(u0, rho0, cfg, part=part256)
+
     def test_contraction_and_direct_agreement(self, grid256, part256, params322):
         u0 = GridFunction.from_samples(grid256, 0.1 * np.sin(grid256.x))
         rho0 = GridFunction.from_samples(grid256, 0.1 * np.cos(grid256.x))
@@ -253,18 +273,46 @@ class TestEmpiricalLifespan:
         assert got == pytest.approx(0.5)
 
     def test_blowup_uses_finite_prefix(self, params322, monkeypatch):
-        calls = []
+        marches = []
+        real = fwlab.fw._march_fw
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return solve_fw_direct(*args, **kwargs)
+        def counting(*args):
+            marches.append(args)
+            return real(*args)
 
-        monkeypatch.setattr(fwlab.fw, "solve_fw_direct", counting)
+        monkeypatch.setattr(fwlab.fw, "_march_fw", counting)
         u0, rho0 = _blowup_data()
         cfg = SchemeConfig(params=params322, dt=1e-2)
         got = empirical_lifespan(u0, rho0, cfg, t_cap=20.0)
-        assert len(calls) == 1
+        assert len(marches) == 1
         assert got == pytest.approx(0.35, rel=1e-12)
+
+    def test_blowup_before_violation_returns_last_finite_node(self, params322,
+                                                               monkeypatch):
+        # with the bound never crossed, the march runs into the blow-up at
+        # node 648 and the last finite node, 647, is the lifespan
+        monkeypatch.setattr(fwlab.fw, "besov_norms_of_samples",
+                            lambda *args: np.zeros(1))
+        u0, rho0 = _blowup_data()
+        cfg = SchemeConfig(params=params322, dt=1e-2)
+        assert empirical_lifespan(u0, rho0, cfg, t_cap=20.0) == pytest.approx(6.47, rel=1e-12)
+
+    def test_march_stops_at_first_violation(self, grid256, monkeypatch):
+        calls = []
+        real = fwlab.fw._fw_rhs
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(fwlab.fw, "_fw_rhs", counting)
+        u0 = GridFunction.from_samples(grid256, 2.0 * np.sin(grid256.x))
+        rho0 = GridFunction.from_samples(grid256, 2.0 * np.cos(grid256.x))
+        cfg = SchemeConfig(params=BesovParams(3.0, 4.0, 2.0), dt=5e-3)
+        got = empirical_lifespan(u0, rho0, cfg, t_cap=20.0)
+        # the first node over 2*P0 is node 32; the march ends there
+        assert got == pytest.approx(31 * 5e-3, rel=1e-12)
+        assert len(calls) == 4 * 32
 
     def test_inflated_initial_norm_names_measure_and_threshold(
             self, grid256, params322, monkeypatch):
@@ -276,6 +324,26 @@ class TestEmpiricalLifespan:
         cfg = SchemeConfig(params=params322, dt=1e-2)
         with pytest.raises(RuntimeError, match=r"t = 0: .* exceeds 2\*P0 = "):
             empirical_lifespan(u0, rho0, cfg, t_cap=0.1)
+
+
+class TestLinearGrowthOracle:
+    """Linearised about rest, mode xi grows at
+    Re lambda+ = |xi| sqrt(3 + 4 xi^2) / (2 (1 + xi^2))."""
+
+    @pytest.mark.parametrize("xi", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("field", ["u", "rho"])
+    def test_fitted_growth_rate(self, xi, field):
+        grid = make_grid(32, 2.0)
+        mode = GridFunction.from_samples(grid, 1e-6 * np.sin(xi * grid.x))
+        zero = _gf(grid, 0.0)
+        state = FWState(u=mode, rho=zero) if field == "u" else FWState(u=zero, rho=mode)
+        traj = solve_fw_direct(state, 12.0, 1e-2)
+        t = traj.time_grid
+        l2 = np.sqrt(np.sum(traj.u**2 + traj.rho**2, axis=-1))
+        late = t >= 6.0
+        rate = np.polyfit(t[late], np.log(l2[late]), 1)[0]
+        expected = xi * np.sqrt(3.0 + 4.0 * xi**2) / (2.0 * (1.0 + xi**2))
+        assert rate == pytest.approx(expected, rel=2e-3)
 
 
 class TestStability:

@@ -1,5 +1,9 @@
+from itertools import islice
+
 import numpy as np
 import pytest
+
+import fwlab.transport
 
 from fwlab import (
     BesovParams,
@@ -10,7 +14,7 @@ from fwlab import (
     solve_transport,
     verify_transport_estimate,
 )
-from fwlab.transport import BlowUpError, make_time_grid
+from fwlab.transport import BlowUpError, integrate_rk4, make_time_grid
 from fwlab.harness import random_transport_problem
 
 from conftest import random_field
@@ -32,6 +36,34 @@ class TestMakeTimeGrid:
     def test_rejects_nondivisor_step(self):
         with pytest.raises(ValueError):
             make_time_grid(1.0, 0.3)
+
+
+class TestIntegrateRK4:
+    @staticmethod
+    def _decay(calls):
+        def rhs(y, i, w):
+            calls.append(i)
+            return -y
+        return rhs
+
+    def test_error_state_unchanged_between_yields(self):
+        before = np.geterr()
+        march = integrate_rk4(self._decay([]), np.ones(4), make_time_grid(1.0, 0.1),
+                              0.1, "decay")
+        next(march)
+        next(march)
+        assert np.geterr() == before
+        march.close()
+
+    def test_stopping_after_k_nodes_costs_k_minus_1_steps(self):
+        calls = []
+        tg = make_time_grid(1.0, 0.01)
+        for k in (1, 2, 7):
+            calls.clear()
+            states = list(islice(integrate_rk4(self._decay(calls), np.ones(4), tg,
+                                               0.01, "decay"), k))
+            assert len(states) == k
+            assert len(calls) == 4 * (k - 1)
 
 
 class TestSolveTransport:
@@ -77,20 +109,28 @@ class TestSolveTransport:
         traj = solve_transport(prob, params322)
         assert traj.states[500, 37] == pytest.approx(0.9353624741856418, rel=1e-12)
 
-    def test_blowup_carries_finite_prefix(self, grid256, params322):
+    def test_blowup_carries_finite_prefix(self, grid256, params322, monkeypatch):
         f0 = GridFunction.from_samples(grid256, np.sin(grid256.x))
         tg = make_time_grid(0.1, 0.01)
         forcing = np.zeros((tg.size, grid256.N))
         forcing[3:] = np.inf  # first reached at the half step of step 2 -> 3
         prob = _constant_problem(grid256, tg, 0.5, forcing, f0)
+        yielded = []
+
+        def recording(*args):
+            for y in integrate_rk4(*args):
+                yielded.append(y)
+                yield y
+
+        monkeypatch.setattr(fwlab.transport, "integrate_rk4", recording)
         with pytest.raises(BlowUpError) as info:
             solve_transport(prob, params322)
         exc = info.value
         assert exc.node == 3
         assert exc.t == pytest.approx(0.03, rel=1e-12)
-        assert exc.states.shape == (3, grid256.N)
-        assert np.all(np.isfinite(exc.states))
-        assert np.array_equal(exc.states[0], f0.samples)
+        assert len(yielded) == 3
+        assert all(np.all(np.isfinite(y)) for y in yielded)
+        assert np.array_equal(yielded[0], f0.samples)
 
     def test_two_row_batch_equals_one_row_solves(self, grid256, params322):
         rng = np.random.default_rng(157)
