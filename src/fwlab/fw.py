@@ -8,9 +8,12 @@ The evolution is
 
 with Lambda = 1 - d^2/dx^2, discretized pseudo-spectrally with 2/3-rule
 dealiasing of products and classical RK4 in time.  One right-hand-side kernel
-acts on the stacked (u, rho) samples; the direct solver integrates it with
+acts on stacked (u, rho) samples, (..., 2, N), so a leading member axis
+steps many solutions in one batched call; the direct march integrates it with
 the RK4 integrator it shares with the transport solver, and fw_rhs wraps it
-for single states.  The constructive scheme
+for single states.  The stability and continuity experiments march each
+family of solutions as one batch and take their distance norms node by node,
+storing no trajectory.  The constructive scheme
 iterates the pair of linear transport problems
 
     u^{n+1}_t + u^n u^{n+1}_x = Lambda^{-1} d/dx (rho^n - u^n)
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -125,14 +129,15 @@ def _fw_symbols(grid: Grid):
 
 
 def _fw_rhs(y, ik, lam, mask):
-    """Time derivative of the stacked (u, rho) samples y, shape (2, N)."""
+    """Time derivative of the stacked (u, rho) samples y, shape (..., 2, N)."""
     y_hat = np.fft.fft(y)
-    u_hat, rho_hat = y_hat
-    ux, rhox = np.fft.ifft(ik * y_hat).real
+    u_hat, rho_hat = y_hat[..., 0, :], y_hat[..., 1, :]
+    yx = np.fft.ifft(ik * y_hat).real
+    ux, rhox = yx[..., 0, :], yx[..., 1, :]
     nonlocal_term = np.fft.ifft(lam * (rho_hat - u_hat)).real
-    u, rho = y
-    adv = np.fft.ifft(mask * np.fft.fft(np.stack([u * ux, u * rhox + rho * ux]))).real
-    return np.stack([-adv[0] + nonlocal_term, -adv[1] - ux])
+    u, rho = y[..., 0, :], y[..., 1, :]
+    adv = np.fft.ifft(mask * np.fft.fft(np.stack([u * ux, u * rhox + rho * ux], axis=-2))).real
+    return np.stack([-adv[..., 0, :] + nonlocal_term, -adv[..., 1, :] - ux], axis=-2)
 
 
 def fw_rhs(state: FWState) -> tuple[GridFunction, GridFunction]:
@@ -167,21 +172,23 @@ def _check_memory(T: float, dt: float, node_bytes: int, flags: str) -> None:
         )
 
 
-def _march_fw(initial: FWState, time_grid: np.ndarray, dt: float):
-    """The direct RK4 march, yielding the stacked (u, rho) state per node."""
-    grid = initial.grid
-    u0 = initial.u.samples
-    bound = 0.5 * grid.dx / max(1.0, float(np.max(np.abs(u0))))
+def _stacked(*states: FWState) -> np.ndarray:
+    """The (len(states), 2, N) samples of states that share one grid."""
+    return np.array([[st.u.samples, st.rho.samples] for st in states])
+
+
+def _march_fw(initial: np.ndarray, grid: Grid, time_grid: np.ndarray, dt: float):
+    """The direct RK4 march of stacked (..., 2, N) (u, rho) samples, yielding
+    the state per node; every member steps in the same batched call."""
+    bound = 0.5 * grid.dx / max(1.0, float(np.max(np.abs(initial[..., 0, :]))))
     if dt > bound:
         raise ValueError(
             f"dt = {dt} violates the stability bound {bound:.3e} "
             "(0.5*dx/max(1, max|u0|))"
         )
     symbols = _fw_symbols(grid)
-    return integrate_rk4(
-        lambda y, i, w: _fw_rhs(y, *symbols),
-        np.stack([u0, initial.rho.samples]), time_grid, dt, "direct solve",
-    )
+    return integrate_rk4(lambda y, i, w: _fw_rhs(y, *symbols), initial,
+                         time_grid, dt, "direct solve")
 
 
 def solve_fw_direct(initial: FWState, T: float, dt: float) -> FWTrajectory:
@@ -192,7 +199,8 @@ def solve_fw_direct(initial: FWState, T: float, dt: float) -> FWTrajectory:
     """
     _check_memory(T, dt, 2 * initial.grid.N * 8, "--dt or --T")
     time_grid = make_time_grid(T, dt)
-    states = np.fromiter(_march_fw(initial, time_grid, dt), count=time_grid.size,
+    march = _march_fw(_stacked(initial)[0], initial.grid, time_grid, dt)
+    states = np.fromiter(march, count=time_grid.size,
                          dtype=np.dtype((float, (2, initial.grid.N))))
     u_states, rho_states = states[:, 0], states[:, 1]
     return FWTrajectory(
@@ -388,8 +396,9 @@ def empirical_lifespan(
     time_grid = make_time_grid(t_cap, cfg.dt)
 
     try:
-        for i, (u, rho) in enumerate(_march_fw(FWState(u=u0, rho=rho0),
-                                               time_grid, cfg.dt)):
+        march = _march_fw(_stacked(FWState(u=u0, rho=rho0))[0], u0.grid,
+                          time_grid, cfg.dt)
+        for i, (u, rho) in enumerate(march):
             # near-blow-up nodes can overflow the L^p sums; inf counts as
             # a violation, and so does NaN
             with np.errstate(over="ignore"):
@@ -423,45 +432,53 @@ class StabilityReport:
         return float(self.norm_curve[0])
 
 
+def _member_distances(members: np.ndarray, grid: Grid, time_grid: np.ndarray,
+                      dt: float, part: LPPartition, params_u: BesovParams,
+                      params_rho: BesovParams):
+    """March the stacked (K+1, 2, N) members as one batch and return, per node,
+    the (M+1, K) norms ||u_k - u_0||_{params_u} and ||rho_k - rho_0||_{params_rho}
+    of members 1..K against member 0; no trajectory is stored."""
+    du = np.empty((time_grid.size, len(members) - 1))
+    drho = np.empty_like(du)
+    for i, y in enumerate(_march_fw(members, grid, time_grid, dt)):
+        d = y[1:] - y[:1]
+        du[i] = besov_norms_of_samples(part, d[:, 0], params_u)
+        drho[i] = besov_norms_of_samples(part, d[:, 1], params_rho)
+    return du, drho
+
+
 def stability_experiment(
     u0: GridFunction,
     rho0: GridFunction,
-    delta_u: GridFunction,
-    delta_rho: GridFunction,
+    perturbations: Sequence[tuple[GridFunction, GridFunction]],
     cfg: SchemeConfig,
     T: float,
     part: LPPartition | None = None,
-) -> StabilityReport:
-    """Perturb the data, solve both problems, and fit the exponential rate
-    of the solution distance D(t) in B^{s-1} x B^{s-2}.
+) -> list[StabilityReport]:
+    """Perturb the data by each (delta_u, delta_rho) pair, march the base and
+    every perturbed problem as one batch, and fit, per pair, the exponential
+    rate of the solution distance D(t) in B^{s-1} x B^{s-2}.
 
-    beta is the least-squares slope of log D(t); the report asserts
-    D(t) <= D(0) * exp(beta * t) * (1 + GRONWALL_SLACK) at every node.
+    beta is the least-squares slope of log D(t) (0 when D(0) = 0); each
+    report asserts D(t) <= D(0) * exp(beta * t) * (1 + GRONWALL_SLACK) at
+    every node.  One report per pair, in order.
     """
     if part is None:
         part = build_partition(u0.grid)
-    sm1 = cfg.params.shift(-1.0)
-    sm2 = cfg.params.shift(-2.0)
-
-    base = solve_fw_direct(FWState(u=u0, rho=rho0), T, cfg.dt)
-    pert = solve_fw_direct(
-        FWState(u=u0 + delta_u, rho=rho0 + delta_rho), T, cfg.dt
-    )
-    D = (besov_norms_of_samples(part, pert.u - base.u, sm1)
-         + besov_norms_of_samples(part, pert.rho - base.rho, sm2))
-
-    if D[0] == 0.0:
-        return StabilityReport(
-            time_grid=base.time_grid, norm_curve=D, beta_fit=0.0,
-            bound_holds=bool(np.all(D == 0.0)),
-        )
-
-    beta = float(np.polyfit(base.time_grid, np.log(D), 1)[0])
-    bound = D[0] * np.exp(beta * base.time_grid) * (1.0 + GRONWALL_SLACK)
-    return StabilityReport(
-        time_grid=base.time_grid, norm_curve=D, beta_fit=beta,
-        bound_holds=bool(np.all(D <= bound)),
-    )
+    time_grid = make_time_grid(T, cfg.dt)
+    members = _stacked(FWState(u=u0, rho=rho0), *(
+        FWState(u=u0 + du, rho=rho0 + drho) for du, drho in perturbations))
+    dw, dv = _member_distances(members, u0.grid, time_grid, cfg.dt, part,
+                               cfg.params.shift(-1.0), cfg.params.shift(-2.0))
+    reports = []
+    for D in (dw + dv).T:
+        beta = float(np.polyfit(time_grid, np.log(D), 1)[0]) if D[0] != 0.0 else 0.0
+        bound = D[0] * np.exp(beta * time_grid) * (1.0 + GRONWALL_SLACK)
+        reports.append(StabilityReport(
+            time_grid=time_grid, norm_curve=D, beta_fit=beta,
+            bound_holds=bool(np.all(D <= bound)),
+        ))
+    return reports
 
 
 @dataclass(frozen=True)
@@ -482,33 +499,33 @@ def continuity_experiment(
     T: float,
     part: LPPartition | None = None,
 ) -> ContinuityReport:
-    """Solve from mollified data of widths 2^{-j} and compare trajectories
-    with the run from unmollified data.
+    """March the run from unmollified data and the runs from mollified data
+    of widths 2^{-j} as one batch, and take the sup-in-time distance of each
+    mollified run to the unmollified one.
 
     Once eps_j drops below the grid spacing the discrete mollifier is the
-    identity and the distance hits the numerical floor.
+    identity and the distance hits the numerical floor.  A blow-up of member
+    j raises RuntimeError naming j; one of the unmollified run re-raises.
     """
     if j_max < 3:
         raise ValueError("j_max must be at least 3")
     if part is None:
         part = build_partition(u0.grid)
 
-    reference = solve_fw_direct(FWState(u=u0, rho=rho0), T, cfg.dt)
     epsilons = 2.0 ** (-np.arange(j_max + 1, dtype=float))
-    errors = np.empty(j_max + 1)
-    for j, eps in enumerate(epsilons):
-        kern = MollifierKernel(epsilon=float(eps))
-        try:
-            traj = solve_fw_direct(
-                FWState(u=mollify(u0, kern), rho=mollify(rho0, kern)),
-                T, cfg.dt,
-            )
-        except BlowUpError as exc:
-            raise RuntimeError(
-                f"continuity family member j = {j} blew up: {exc}"
-            ) from exc
-        errors[j] = _sup_distance(part, traj.u - reference.u,
-                                  traj.rho - reference.rho, cfg.params)
+    kernels = [MollifierKernel(epsilon=float(eps)) for eps in epsilons]
+    members = _stacked(FWState(u=u0, rho=rho0), *(
+        FWState(u=mollify(u0, kern), rho=mollify(rho0, kern)) for kern in kernels))
+    try:
+        du, drho = _member_distances(members, u0.grid, make_time_grid(T, cfg.dt),
+                                     cfg.dt, part, cfg.params, cfg.params.shift(-1.0))
+    except BlowUpError as exc:
+        if 0 in exc.rows:
+            raise
+        raise RuntimeError(
+            f"continuity family member j = {exc.rows[0] - 1} blew up: {exc}"
+        ) from exc
+    errors = du.max(axis=0) + drho.max(axis=0)
 
     nonincreasing = bool(np.all(np.diff(errors) <= 1e-12))
     return ContinuityReport(

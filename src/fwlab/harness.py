@@ -550,14 +550,15 @@ def _run_stability(cfg: RunConfig) -> ExperimentReport:
     shape_u = random_band_limited(grid, rng, k_max=4)
     shape_rho = random_band_limited(grid, rng, k_max=4)
     T = cfg.time["T"]
+    deltas = cfg.experiment["deltas"]
+    reports = stability_experiment(
+        u0, rho0, [(float(d) * shape_u, float(d) * shape_rho) for d in deltas],
+        scheme_cfg, T, part=part,
+    )
     rows = []
     betas = []
     bounds_ok = []
-    for d in cfg.experiment["deltas"]:
-        rep = stability_experiment(
-            u0, rho0, float(d) * shape_u, float(d) * shape_rho,
-            scheme_cfg, T, part=part,
-        )
+    for d, rep in zip(deltas, reports):
         betas.append(rep.beta_fit)
         bounds_ok.append(rep.bound_holds)
         for t, D in zip(rep.time_grid, rep.norm_curve):

@@ -60,12 +60,14 @@ C_CAP = 1e6
 
 
 class BlowUpError(RuntimeError):
-    """NaN/Inf detected mid-run at time node ``node`` (time ``t``)."""
+    """NaN/Inf detected mid-run at time node ``node`` (time ``t``), in the
+    leading-axis ``rows`` of the state (``()`` for a 1-D state)."""
 
-    def __init__(self, message: str, node: int, t: float):
+    def __init__(self, message: str, node: int, t: float, rows: tuple):
         super().__init__(message)
         self.node = node
         self.t = t
+        self.rows = rows
 
 
 def make_time_grid(T: float, dt: float) -> np.ndarray:
@@ -85,8 +87,9 @@ def integrate_rk4(rhs, y0: np.ndarray, time_grid: np.ndarray, dt: float,
     rhs(y, i, w) is the time derivative at state y and time t_i + w*dt for
     w in {0, 1/2, 1}.  A generator: it yields y0, then the state at each
     later node, and stores nothing, so the caller keeps what it needs and
-    may stop early.  A non-finite state raises BlowUpError; blow-up is an
-    expected outcome, so overflow on the way to it is not warned about.
+    may stop early.  A non-finite state raises BlowUpError naming the
+    leading-axis rows that lost finiteness; blow-up is an expected outcome,
+    so overflow on the way to it is not warned about.
     """
     y = y0
     yield y
@@ -99,10 +102,12 @@ def integrate_rk4(rhs, y0: np.ndarray, time_grid: np.ndarray, dt: float,
             k4 = rhs(y + dt * k3, i, 1.0)
             y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(y)):
+            finite_rows = np.isfinite(y).reshape(len(y), -1).all(axis=1)
+            rows = tuple(np.flatnonzero(~finite_rows).tolist()) if y.ndim > 1 else ()
             raise BlowUpError(
                 f"{what} lost finiteness at node {i + 1} "
-                f"(t = {time_grid[i + 1]:.6g})",
-                node=i + 1, t=float(time_grid[i + 1]),
+                f"(t = {time_grid[i + 1]:.6g})" + (f" in rows {rows}" if rows else ""),
+                node=i + 1, t=float(time_grid[i + 1]), rows=rows,
             )
         yield y
 

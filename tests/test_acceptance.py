@@ -262,11 +262,12 @@ def test_11_gronwall_stability(grid256, part256, params322):
     shape_u = GridFunction.from_samples(grid256, np.sin(2 * grid256.x))
     shape_rho = GridFunction.from_samples(grid256, np.cos(3 * grid256.x))
     cfg = SchemeConfig(params=params322, dt=2e-3)
+    reports = stability_experiment(
+        u0, rho0, [(d * shape_u, d * shape_rho) for d in (1e-2, 1e-3, 1e-4)],
+        cfg, T=1.0, part=part256,
+    )
     betas, bounds = [], []
-    for d in (1e-2, 1e-3, 1e-4):
-        rep = stability_experiment(
-            u0, rho0, d * shape_u, d * shape_rho, cfg, T=1.0, part=part256
-        )
+    for rep in reports:
         betas.append(rep.beta_fit)
         bounds.append(rep.bound_holds)
     betas = np.array(betas)

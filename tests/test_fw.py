@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from fwlab import (
 import fwlab.fw
 from fwlab.fw import LIFESPAN_CAP, _sup_distance
 from fwlab.besov import BesovParams, besov_norms_batch, besov_norms_of_samples
-from fwlab.transport import BlowUpError, integrate_rk4, solve_transport
+from fwlab.transport import BlowUpError, integrate_rk4, make_time_grid, solve_transport
 
 from conftest import random_field
 
@@ -352,7 +354,7 @@ class TestStability:
         rho0 = GridFunction.from_samples(grid256, 0.05 * np.cos(grid256.x))
         z = _gf(grid256, 0.0)
         cfg = SchemeConfig(params=params322, dt=5e-3)
-        report = stability_experiment(u0, rho0, z, z, cfg, T=0.5)
+        report = stability_experiment(u0, rho0, [(z, z)], cfg, T=0.5)[0]
         assert report.initial_distance == 0.0
         assert report.bound_holds
 
@@ -362,8 +364,7 @@ class TestStability:
         d1 = GridFunction.from_samples(grid256, 1e-4 * np.sin(2 * grid256.x))
         z = _gf(grid256, 0.0)
         cfg = SchemeConfig(params=params322, dt=5e-3)
-        r1 = stability_experiment(u0, rho0, d1, z, cfg, T=0.5)
-        r2 = stability_experiment(u0, rho0, 2.0 * d1, z, cfg, T=0.5)
+        r1, r2 = stability_experiment(u0, rho0, [(d1, z), (2.0 * d1, z)], cfg, T=0.5)
         assert r2.initial_distance == pytest.approx(2.0 * r1.initial_distance, rel=1e-12)
         ratio = r2.norm_curve[-1] / r1.norm_curve[-1]
         assert ratio == pytest.approx(2.0, rel=1e-2)
@@ -394,3 +395,109 @@ class TestContinuity:
         cfg = SchemeConfig(params=params322, dt=1e-2)
         with pytest.raises(ValueError):
             continuity_experiment(z, z, j_max=2, cfg=cfg, T=0.2)
+
+
+def _sine_cosine(grid, amplitude):
+    return (GridFunction.from_samples(grid, amplitude * np.sin(grid.x)),
+            GridFunction.from_samples(grid, amplitude * np.cos(grid.x)))
+
+
+class TestMemberBatch:
+    """The direct march carries a leading member axis; members step together
+    and independently."""
+
+    def test_rhs_of_stack_equals_single_calls(self, grid256):
+        rng = np.random.default_rng(307)
+        y = np.array([[random_field(grid256, rng, k_max=8).samples,
+                       random_field(grid256, rng, k_max=8).samples] for _ in range(4)])
+        symbols = fwlab.fw._fw_symbols(grid256)
+        singles = np.stack([fwlab.fw._fw_rhs(member, *symbols) for member in y])
+        assert np.array_equal(fwlab.fw._fw_rhs(y, *symbols), singles)
+
+    def test_continuity_family_march_equals_single_marches(self, grid256):
+        u0, rho0 = _sine_cosine(grid256, 0.1)
+        kernels = [MollifierKernel(epsilon=2.0**-j) for j in range(6)]
+        members = fwlab.fw._stacked(FWState(u=u0, rho=rho0), *(
+            FWState(u=mollify(u0, k), rho=mollify(rho0, k)) for k in kernels))
+        tg = make_time_grid(1.0, 2e-3)
+        singles = [fwlab.fw._march_fw(m, grid256, tg, 2e-3) for m in members]
+        nodes = 0
+        for y in fwlab.fw._march_fw(members, grid256, tg, 2e-3):
+            assert np.array_equal(y, np.stack([next(s) for s in singles]))
+            nodes += 1
+        assert nodes == tg.size
+
+    def test_blowup_names_the_member(self):
+        u0, rho0 = _blowup_data()
+        calm = FWState(*_sine_cosine(u0.grid, 0.1))
+        members = fwlab.fw._stacked(calm, FWState(u=u0, rho=rho0), calm)
+        march = fwlab.fw._march_fw(members, u0.grid, make_time_grid(20.0, 1e-2), 1e-2)
+        with pytest.raises(BlowUpError) as info:
+            for _ in march:
+                pass
+        # the node of the single solve in test_blowup_carries_finite_prefix
+        assert info.value.node == 648
+        assert info.value.rows == (1,)
+
+    def test_stability_members_are_independent(self, grid256, params322):
+        u0, rho0 = _sine_cosine(grid256, 0.05)
+        d1 = GridFunction.from_samples(grid256, 1e-4 * np.sin(2 * grid256.x))
+        z = _gf(grid256, 0.0)
+        cfg = SchemeConfig(params=params322, dt=5e-3)
+        zero, pert = stability_experiment(u0, rho0, [(z, z), (d1, z)], cfg, T=0.5)
+        (solo,) = stability_experiment(u0, rho0, [(d1, z)], cfg, T=0.5)
+        assert np.all(zero.norm_curve == 0.0)
+        assert np.array_equal(pert.norm_curve, solo.norm_curve)
+        assert pert.beta_fit == solo.beta_fit
+
+    @pytest.mark.parametrize("experiment", ["stability", "continuity"])
+    def test_one_march_and_no_direct_solve(self, grid256, params322, monkeypatch,
+                                           experiment):
+        marches, solves = [], []
+        real = fwlab.fw._march_fw
+
+        def counting(*args):
+            marches.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(fwlab.fw, "_march_fw", counting)
+        monkeypatch.setattr(fwlab.fw, "solve_fw_direct", lambda *args: solves.append(args))
+        u0, rho0 = _sine_cosine(grid256, 0.05)
+        cfg = SchemeConfig(params=params322, dt=1e-2)
+        if experiment == "stability":
+            d = GridFunction.from_samples(grid256, 1e-4 * np.sin(2 * grid256.x))
+            reports = stability_experiment(u0, rho0, [(d, d), (2.0 * d, d), (3.0 * d, d)],
+                                           cfg, T=0.2)
+            assert len(reports) == 3
+        else:
+            continuity_experiment(u0, rho0, j_max=4, cfg=cfg, T=0.2)
+        assert len(marches) == 1
+        assert solves == []
+
+    @pytest.mark.parametrize("rows, raised", [((3,), RuntimeError), ((0, 3), BlowUpError)])
+    def test_continuity_blowup_names_member(self, grid256, params322, monkeypatch,
+                                            rows, raised):
+        def exploding(*args):
+            raise BlowUpError("direct solve lost finiteness", node=5, t=0.05, rows=rows)
+            yield
+
+        monkeypatch.setattr(fwlab.fw, "_march_fw", exploding)
+        u0, rho0 = _sine_cosine(grid256, 0.05)
+        cfg = SchemeConfig(params=params322, dt=1e-2)
+        with pytest.raises(RuntimeError) as info:
+            continuity_experiment(u0, rho0, j_max=4, cfg=cfg, T=0.2)
+        assert type(info.value) is raised
+        if raised is RuntimeError:
+            assert "continuity family member j = 2 blew up" in str(info.value)
+
+    def test_continuity_stores_no_trajectory(self, grid256, part256, params322):
+        u0, rho0 = _sine_cosine(grid256, 0.1)
+        cfg = SchemeConfig(params=params322, dt=2e-3)
+        tracemalloc.start()
+        try:
+            continuity_experiment(u0, rho0, j_max=5, cfg=cfg, T=1.0, part=part256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # below one stored (M+1, 2, N) trajectory: 501 nodes of 2 x 256 floats
+        assert peak < 501 * 2 * 256 * 8

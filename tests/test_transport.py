@@ -65,6 +65,22 @@ class TestIntegrateRK4:
             assert len(states) == k
             assert len(calls) == 4 * (k - 1)
 
+    @pytest.mark.parametrize("shape, rows", [((4,), ()), ((3, 2, 4), (0, 2))])
+    def test_blowup_names_nonfinite_rows(self, shape, rows):
+        # the rate is infinite in the named rows only
+        rate = np.zeros(shape)
+        if rows:
+            rate[list(rows), 1, 0] = np.inf
+        else:
+            rate[0] = np.inf
+        march = integrate_rk4(lambda y, i, w: rate, np.ones(shape),
+                              make_time_grid(1.0, 0.1), 0.1, "batch")
+        with pytest.raises(BlowUpError) as info:
+            list(march)
+        assert info.value.node == 1
+        assert info.value.rows == rows
+        assert (f"in rows {rows}" in str(info.value)) == bool(rows)
+
 
 class TestSolveTransport:
     def test_zero_velocity_zero_forcing_is_identity(self, grid256, params322):
