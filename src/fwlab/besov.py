@@ -15,6 +15,7 @@ truncation of the l^r sum is exact).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -79,39 +80,50 @@ def phi_profile(xi) -> np.ndarray:
 class LPPartition:
     """Precomputed dyadic frequency masks on one grid.
 
-    phi_masks[q] holds phi(2^{-q} xi) at every grid wavenumber, for
-    q = 0,...,q_max; q_max is the last ring that meets the grid's
-    wavenumber range.
+    masks is the read-only (q_max + 2, N) stack of the block masks at every
+    grid wavenumber, in block order q = -1, 0, ..., q_max: chi(xi), then
+    phi(2^{-q} xi).  q_max is the last ring that meets the grid's wavenumber
+    range.  chi_mask and phi_masks are views of the stack.
     """
 
     grid: Grid
-    chi_mask: np.ndarray = field(repr=False)
-    phi_masks: np.ndarray = field(repr=False)
-    q_max: int
+    masks: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.chi_mask.setflags(write=False)
-        self.phi_masks.setflags(write=False)
+        self.masks.setflags(write=False)
+
+    @property
+    def q_max(self) -> int:
+        return self.masks.shape[0] - 2
+
+    @property
+    def chi_mask(self) -> np.ndarray:
+        return self.masks[0]
+
+    @property
+    def phi_masks(self) -> np.ndarray:
+        return self.masks[1:]
 
     def all_masks(self) -> np.ndarray:
         """Masks stacked in block order q = -1, 0, ..., q_max."""
-        return np.vstack([self.chi_mask[None, :], self.phi_masks])
+        return self.masks
 
     def block_weights(self, s: float) -> np.ndarray:
         """The 2^{s q} weights for q = -1, 0, ..., q_max."""
         return 2.0 ** (s * np.arange(-1, self.q_max + 1))
 
 
+@cache
 def build_partition(grid: Grid) -> LPPartition:
-    """Evaluate the dyadic partition of unity on the grid's wavenumbers."""
+    """Evaluate the dyadic partition of unity on the grid's wavenumbers, once
+    per grid: the grid alone fixes it, so every caller shares it."""
     xi = grid.wavenumbers
-    chi_mask = chi_profile(xi)
     # last ring whose support [3/4 * 2^q, 8/3 * 2^q] meets (0, xi_max]
     q_max = int(np.floor(np.log2(grid.xi_max / _CHI_INNER)))
-    phi_masks = np.vstack(
-        [phi_profile(xi / 2.0**q) for q in range(q_max + 1)]
+    masks = np.vstack(
+        [chi_profile(xi)] + [phi_profile(xi / 2.0**q) for q in range(q_max + 1)]
     )
-    return LPPartition(grid=grid, chi_mask=chi_mask, phi_masks=phi_masks, q_max=q_max)
+    return LPPartition(grid=grid, masks=masks)
 
 
 @dataclass(frozen=True)
@@ -184,7 +196,7 @@ def _block_lp_norms(part: LPPartition, coefficients: np.ndarray, p: float) -> np
     from the coefficients, with no inverse transform.
     """
     grid = part.grid
-    masks = part.all_masks()  # (Q, N)
+    masks = part.masks  # (Q, N)
     batch_masks = masks[(slice(None),) + (None,) * (coefficients.ndim - 1)]
     if p == 2:
         modulus = np.abs(coefficients)
@@ -201,14 +213,15 @@ def _block_lp_norms(part: LPPartition, coefficients: np.ndarray, p: float) -> np
     return lp_norm_samples(samples, grid.dx, p)
 
 
-def _lr_combine(block_norms: np.ndarray, s: float, r: float) -> np.ndarray:
+def _lr_combine(part: LPPartition, block_norms: np.ndarray,
+                params: BesovParams) -> np.ndarray:
     """Weighted l^r sum over the block axis (axis 0)."""
-    weights = 2.0 ** (s * np.arange(-1, block_norms.shape[0] - 1))
+    weights = part.block_weights(params.s)
     w = weights[(slice(None),) + (None,) * (block_norms.ndim - 1)]
     terms = w * block_norms
-    if np.isinf(r):
+    if np.isinf(params.r):
         return terms.max(axis=0)
-    return (np.sum(terms**r, axis=0)) ** (1.0 / r)
+    return (np.sum(terms**params.r, axis=0)) ** (1.0 / params.r)
 
 
 def besov_norm(part: LPPartition, f: GridFunction, params: BesovParams) -> float:
@@ -216,7 +229,7 @@ def besov_norm(part: LPPartition, f: GridFunction, params: BesovParams) -> float
     if f.grid != part.grid:
         raise ValueError("partition and field live on different grids")
     norms = _block_lp_norms(part, f.coefficients, params.p)
-    return float(_lr_combine(norms, params.s, params.r))
+    return float(_lr_combine(part, norms, params))
 
 
 def besov_norms_batch(
@@ -224,7 +237,7 @@ def besov_norms_batch(
 ) -> np.ndarray:
     """Besov norms of a batch of coefficient rows (shape (..., N))."""
     norms = _block_lp_norms(part, np.asarray(coefficients, dtype=complex), params.p)
-    return np.atleast_1d(_lr_combine(norms, params.s, params.r))
+    return np.atleast_1d(_lr_combine(part, norms, params))
 
 
 def besov_norms_of_samples(

@@ -7,11 +7,14 @@ The evolution is
     rho_t + u rho_x + rho u_x + u_x = 0
 
 with Lambda = 1 - d^2/dx^2, discretized pseudo-spectrally with 2/3-rule
-dealiasing of products and classical RK4 in time.  One right-hand-side kernel
-acts on stacked (u, rho) samples, (..., 2, N), so a leading member axis
-steps many solutions in one batched call; the direct march integrates it with
-the RK4 integrator it shares with the transport solver, and fw_rhs wraps it
-for single states.  The stability and continuity experiments march each
+dealiasing of products and classical RK4 in time.  A solution is kept as
+stacked (u, rho) samples, (..., 2, N), from start to end: direct
+trajectories, scheme iterates and their forcing alike.  One right-hand-side
+kernel acts on such stacks, so a leading member axis steps many solutions in
+one batched call; the direct march integrates it with the RK4 integrator it
+shares with the transport solver, and fw_rhs wraps it for single states.
+Every pair is measured one way, in B^s x B^{s-1} by _pair_norms, on the
+partition of its grid.  The stability and continuity experiments march each
 family of solutions as one batch and take their distance norms node by node,
 storing no trajectory.  The constructive scheme
 iterates the pair of linear transport problems
@@ -150,14 +153,22 @@ def fw_rhs(state: FWState) -> tuple[GridFunction, GridFunction]:
 
 @dataclass(frozen=True)
 class FWTrajectory:
-    """Direct-solver output: states at every node plus mean diagnostics."""
+    """Direct-solver output: stacked (u, rho) states at every node plus mean
+    diagnostics; u and rho are views of the states."""
 
     grid: Grid
     time_grid: np.ndarray
-    u: np.ndarray = field(repr=False)  # (M+1, N) samples
-    rho: np.ndarray = field(repr=False)
+    states: np.ndarray = field(repr=False)  # (M+1, 2, N) samples
     mean_u: np.ndarray = field(repr=False)
     mean_rho: np.ndarray = field(repr=False)
+
+    @property
+    def u(self) -> np.ndarray:
+        return self.states[:, 0]
+
+    @property
+    def rho(self) -> np.ndarray:
+        return self.states[:, 1]
 
 
 def _check_memory(T: float, dt: float, node_bytes: int, flags: str) -> None:
@@ -202,10 +213,9 @@ def solve_fw_direct(initial: FWState, T: float, dt: float) -> FWTrajectory:
     march = _march_fw(_stacked(initial)[0], initial.grid, time_grid, dt)
     states = np.fromiter(march, count=time_grid.size,
                          dtype=np.dtype((float, (2, initial.grid.N))))
-    u_states, rho_states = states[:, 0], states[:, 1]
     return FWTrajectory(
-        grid=initial.grid, time_grid=time_grid, u=u_states, rho=rho_states,
-        mean_u=u_states.mean(axis=-1), mean_rho=rho_states.mean(axis=-1),
+        grid=initial.grid, time_grid=time_grid, states=states,
+        mean_u=states[:, 0].mean(axis=-1), mean_rho=states[:, 1].mean(axis=-1),
     )
 
 
@@ -230,21 +240,28 @@ def initial_norm(part: LPPartition, u0: GridFunction, rho0: GridFunction,
     )
 
 
-def _sup_distance(part: LPPartition, du: np.ndarray, drho: np.ndarray,
-                  params: BesovParams) -> float:
-    """sup_t ||du||_{B^s} + sup_t ||drho||_{B^{s-1}} over sample rows."""
-    return float(
-        np.max(besov_norms_of_samples(part, du, params))
-        + np.max(besov_norms_of_samples(part, drho, params.shift(-1.0)))
-    )
+def _pair_norms(part: LPPartition, y: np.ndarray, params: BesovParams):
+    """||u||_{B^s} and ||rho||_{B^{s-1}} of each row of stacked (..., 2, N)
+    (u, rho) samples, with (s, p, r) = params: the norm of the pair space."""
+    return (besov_norms_of_samples(part, y[..., 0, :], params),
+            besov_norms_of_samples(part, y[..., 1, :], params.shift(-1.0)))
+
+
+def _sup_distance(part: LPPartition, d: np.ndarray, params: BesovParams) -> float:
+    """sup_t ||du||_{B^s} + sup_t ||drho||_{B^{s-1}} over the rows of a
+    stacked (..., 2, N) difference d = (du, drho)."""
+    norm_u, norm_rho = _pair_norms(part, d, params)
+    return float(np.max(norm_u) + np.max(norm_rho))
 
 
 @dataclass(frozen=True)
 class IterationTrace:
     """Everything recorded while running the mollified iteration scheme.
 
-    Iterate index n runs 0..n_max; iterate 0 is the zero pair.  Norm arrays
-    have shape (n_max + 1, M + 1).
+    Iterate index n runs 0..n_max; iterate 0 is the zero pair.  The iterates
+    are stacked (u, rho) samples; u_iterates, rho_iterates (n_max + 1, M + 1,
+    N) and norm_u, norm_rho (n_max + 1, M + 1) are views of them and of the
+    stacked norms.
     """
 
     grid: Grid
@@ -253,44 +270,53 @@ class IterationTrace:
     C: float
     P0: float
     T: float
-    u_iterates: np.ndarray = field(repr=False)  # (n_max+1, M+1, N) samples
-    rho_iterates: np.ndarray = field(repr=False)
-    norm_u: np.ndarray = field(repr=False)  # ||u^n(t)||_{B^s}
-    norm_rho: np.ndarray = field(repr=False)  # ||rho^n(t)||_{B^{s-1}}
+    iterates: np.ndarray = field(repr=False)  # (n_max+1, M+1, 2, N) samples
+    norms: np.ndarray = field(repr=False)  # ||u^n(t)||_{B^s}, ||rho^n(t)||_{B^{s-1}}
     d_n: np.ndarray  # successive differences, length n_max
     bound_312: np.ndarray  # per-iterate flags for the sqrt bound
     bound_313: np.ndarray  # per-iterate flags for the 2*P0 bound
 
     @property
     def n_max(self) -> int:
-        return self.u_iterates.shape[0] - 1
+        return self.iterates.shape[0] - 1
+
+    @property
+    def u_iterates(self) -> np.ndarray:
+        return self.iterates[:, :, 0]
+
+    @property
+    def rho_iterates(self) -> np.ndarray:
+        return self.iterates[:, :, 1]
+
+    @property
+    def norm_u(self) -> np.ndarray:
+        return self.norms[..., 0]
+
+    @property
+    def norm_rho(self) -> np.ndarray:
+        return self.norms[..., 1]
 
     def norm_sum(self, n: int) -> np.ndarray:
         return self.norm_u[n] + self.norm_rho[n]
 
 
-def _scheme_forcing(un, rhon, un_hat, rhon_hat, ik, lam, mask):
-    """Forcing of iterate n+1 from iterate n (samples and their FFTs), as
-    stacked (M+1, 2, N) rows: Lambda^{-1} d/dx (rho^n - u^n) for u and
-    -rho^n u^n_x - u^n_x for rho."""
-    unx = np.fft.ifft(ik * un_hat, axis=-1).real
-    forcing_u = np.fft.ifft(lam * (rhon_hat - un_hat), axis=-1).real
-    prod = np.fft.ifft(mask * np.fft.fft(rhon * unx, axis=-1), axis=-1).real
-    return np.stack([forcing_u, -prod - unx], axis=1)
+def _scheme_forcing(y, y_hat, ik, lam, mask):
+    """Forcing of iterate n+1 from the stacked (..., 2, N) samples y of
+    iterate n and their FFTs y_hat, stacked the same way:
+    Lambda^{-1} d/dx (rho^n - u^n) for u and -rho^n u^n_x - u^n_x for rho."""
+    u_hat, rho_hat = y_hat[..., 0, :], y_hat[..., 1, :]
+    ux = np.fft.ifft(ik * u_hat).real
+    forcing_u = np.fft.ifft(lam * (rho_hat - u_hat)).real
+    prod = np.fft.ifft(mask * np.fft.fft(y[..., 1, :] * ux)).real
+    return np.stack([forcing_u, -prod - ux], axis=-2)
 
 
-def run_scheme(
-    u0: GridFunction,
-    rho0: GridFunction,
-    cfg: SchemeConfig,
-    part: LPPartition | None = None,
-) -> IterationTrace:
+def run_scheme(u0: GridFunction, rho0: GridFunction, cfg: SchemeConfig) -> IterationTrace:
     """Run the mollified transport iteration on [0, lifespan(P0, C)]."""
     grid = u0.grid
     if rho0.grid != grid:
         raise ValueError("u0 and rho0 must share one grid")
-    if part is None:
-        part = build_partition(grid)
+    part = build_partition(grid)
     params = cfg.params
     sm1 = params.shift(-1.0)
 
@@ -308,41 +334,34 @@ def run_scheme(
 
     ik, lam, mask = _fw_symbols(grid)
 
-    u_iter = np.zeros((n_it, n_nodes, grid.N))
-    rho_iter = np.zeros((n_it, n_nodes, grid.N))
-    # iterate 0 is the zero pair: zero transforms and zero norms
-    norm_u = np.zeros((n_it, n_nodes))
-    norm_rho = np.zeros((n_it, n_nodes))
+    iterates = np.zeros((n_it, n_nodes, 2, grid.N))
+    # iterate 0 is the zero pair: zero transform and zero norms
+    norms = np.zeros((n_it, n_nodes, 2))
     d_n = np.empty(cfg.n_max)
-    un_hat = np.zeros((n_nodes, grid.N), dtype=complex)
-    rhon_hat = np.zeros((n_nodes, grid.N), dtype=complex)
+    y_hat = np.zeros((n_nodes, 2, grid.N), dtype=complex)
 
     for n in range(cfg.n_max):
         eps = 1.0 / (n + 1)
         kern = MollifierKernel(epsilon=eps)
-        forcing = _scheme_forcing(u_iter[n], rho_iter[n], un_hat, rhon_hat,
-                                  ik, lam, mask)
+        forcing = _scheme_forcing(iterates[n], y_hat, ik, lam, mask)
+        del y_hat  # not live during the solve
         # u^{n+1} and rho^{n+1} share the velocity u^n: one 2-row solve
         prob = TransportProblem.build(
-            grid, time_grid, u_iter[n], forcing,
+            grid, time_grid, iterates[n, :, 0], forcing,
             (mollify(u0, kern), mollify(rho0, kern)),
         )
         try:
-            traj = solve_transport(prob, params, part=part)
+            iterates[n + 1] = solve_transport(prob, params).states
         except (ValueError, BlowUpError) as exc:
             raise RuntimeError(f"transport solve failed at iterate {n + 1}: {exc}") from exc
-        u_iter[n + 1] = traj.states[:, 0]
-        rho_iter[n + 1] = traj.states[:, 1]
-        del traj, prob, forcing
-        d_n[n] = _sup_distance(part, u_iter[n + 1] - u_iter[n],
-                               rho_iter[n + 1] - rho_iter[n], sm1)
+        del prob, forcing
+        d_n[n] = _sup_distance(part, iterates[n + 1] - iterates[n], sm1)
 
-        un_hat = np.fft.fft(u_iter[n + 1], axis=-1)
-        rhon_hat = np.fft.fft(rho_iter[n + 1], axis=-1)
-        norm_u[n + 1] = besov_norms_batch(part, un_hat / grid.N, params)
-        norm_rho[n + 1] = besov_norms_batch(part, rhon_hat / grid.N, sm1)
+        y_hat = np.fft.fft(iterates[n + 1])
+        norms[n + 1, :, 0] = besov_norms_batch(part, y_hat[:, 0] / grid.N, params)
+        norms[n + 1, :, 1] = besov_norms_batch(part, y_hat[:, 1] / grid.N, sm1)
 
-    norm_sum = norm_u + norm_rho
+    norm_sum = norms[..., 0] + norms[..., 1]
     if P0 > 0:
         envelope = P0 / np.sqrt(1.0 - 4.0 * cfg.C * P0**2 * time_grid)
     else:
@@ -353,57 +372,43 @@ def run_scheme(
 
     return IterationTrace(
         grid=grid, time_grid=time_grid, params=params, C=cfg.C, P0=P0, T=T,
-        u_iterates=u_iter, rho_iterates=rho_iter, norm_u=norm_u,
-        norm_rho=norm_rho, d_n=d_n,
+        iterates=iterates, norms=norms, d_n=d_n,
         bound_312=bound_312, bound_313=bound_313,
     )
 
 
-def scheme_direct_distance(
-    trace: IterationTrace,
-    direct: FWTrajectory,
-    part: LPPartition | None = None,
-) -> float:
+def scheme_direct_distance(trace: IterationTrace, direct: FWTrajectory) -> float:
     """sup-in-time distance of the last iterate to a direct solve, measured
     in B^{s-1} x B^{s-2} (the spaces where the iterates converge)."""
-    if part is None:
-        part = build_partition(trace.grid)
     if direct.time_grid.size != trace.time_grid.size:
         raise ValueError("trace and direct trajectory use different time grids")
-    return _sup_distance(part, trace.u_iterates[-1] - direct.u,
-                         trace.rho_iterates[-1] - direct.rho,
+    return _sup_distance(build_partition(trace.grid),
+                         trace.iterates[-1] - direct.states,
                          trace.params.shift(-1.0))
 
 
-def empirical_lifespan(
-    u0: GridFunction,
-    rho0: GridFunction,
-    cfg: SchemeConfig,
-    t_cap: float,
-    part: LPPartition | None = None,
-) -> float:
+def empirical_lifespan(u0: GridFunction, rho0: GridFunction, cfg: SchemeConfig,
+                       t_cap: float) -> float:
     """Largest time node at which ||u|| + ||rho|| still sits under 2*P0.
 
     The nonlinear system is marched directly on [0, t_cap] and the march
     stops at the first node over the bound; a numerical blow-up before that
     ends it at the last finite node.
     """
-    if part is None:
-        part = build_partition(u0.grid)
-    params, sm1 = cfg.params, cfg.params.shift(-1.0)
-    P0 = initial_norm(part, u0, rho0, params)
+    part = build_partition(u0.grid)
+    P0 = initial_norm(part, u0, rho0, cfg.params)
     limit = 2.0 * P0 * (1.0 + 1e-10) + 1e-14
     time_grid = make_time_grid(t_cap, cfg.dt)
 
     try:
         march = _march_fw(_stacked(FWState(u=u0, rho=rho0))[0], u0.grid,
                           time_grid, cfg.dt)
-        for i, (u, rho) in enumerate(march):
+        for i, y in enumerate(march):
             # near-blow-up nodes can overflow the L^p sums; inf counts as
             # a violation, and so does NaN
             with np.errstate(over="ignore"):
-                norm_sum = (besov_norms_of_samples(part, u, params)[0]
-                            + besov_norms_of_samples(part, rho, sm1)[0])
+                norm_u, norm_rho = _pair_norms(part, y, cfg.params)
+                norm_sum = norm_u[0] + norm_rho[0]
             if not norm_sum <= limit:
                 if i == 0:
                     raise RuntimeError(
@@ -433,17 +438,15 @@ class StabilityReport:
 
 
 def _member_distances(members: np.ndarray, grid: Grid, time_grid: np.ndarray,
-                      dt: float, part: LPPartition, params_u: BesovParams,
-                      params_rho: BesovParams):
-    """March the stacked (K+1, 2, N) members as one batch and return, per node,
-    the (M+1, K) norms ||u_k - u_0||_{params_u} and ||rho_k - rho_0||_{params_rho}
-    of members 1..K against member 0; no trajectory is stored."""
+                      dt: float, params: BesovParams):
+    """March the stacked (K+1, 2, N) members as one batch and return the
+    (M+1, K) pair norms (_pair_norms) of members 1..K minus member 0 at every
+    node, ||u_k - u_0|| and ||rho_k - rho_0||; no trajectory is stored."""
+    part = build_partition(grid)
     du = np.empty((time_grid.size, len(members) - 1))
     drho = np.empty_like(du)
     for i, y in enumerate(_march_fw(members, grid, time_grid, dt)):
-        d = y[1:] - y[:1]
-        du[i] = besov_norms_of_samples(part, d[:, 0], params_u)
-        drho[i] = besov_norms_of_samples(part, d[:, 1], params_rho)
+        du[i], drho[i] = _pair_norms(part, y[1:] - y[:1], params)
     return du, drho
 
 
@@ -453,7 +456,6 @@ def stability_experiment(
     perturbations: Sequence[tuple[GridFunction, GridFunction]],
     cfg: SchemeConfig,
     T: float,
-    part: LPPartition | None = None,
 ) -> list[StabilityReport]:
     """Perturb the data by each (delta_u, delta_rho) pair, march the base and
     every perturbed problem as one batch, and fit, per pair, the exponential
@@ -463,13 +465,11 @@ def stability_experiment(
     report asserts D(t) <= D(0) * exp(beta * t) * (1 + GRONWALL_SLACK) at
     every node.  One report per pair, in order.
     """
-    if part is None:
-        part = build_partition(u0.grid)
     time_grid = make_time_grid(T, cfg.dt)
     members = _stacked(FWState(u=u0, rho=rho0), *(
         FWState(u=u0 + du, rho=rho0 + drho) for du, drho in perturbations))
-    dw, dv = _member_distances(members, u0.grid, time_grid, cfg.dt, part,
-                               cfg.params.shift(-1.0), cfg.params.shift(-2.0))
+    dw, dv = _member_distances(members, u0.grid, time_grid, cfg.dt,
+                               cfg.params.shift(-1.0))
     reports = []
     for D in (dw + dv).T:
         beta = float(np.polyfit(time_grid, np.log(D), 1)[0]) if D[0] != 0.0 else 0.0
@@ -497,7 +497,6 @@ def continuity_experiment(
     j_max: int,
     cfg: SchemeConfig,
     T: float,
-    part: LPPartition | None = None,
 ) -> ContinuityReport:
     """March the run from unmollified data and the runs from mollified data
     of widths 2^{-j} as one batch, and take the sup-in-time distance of each
@@ -509,8 +508,6 @@ def continuity_experiment(
     """
     if j_max < 3:
         raise ValueError("j_max must be at least 3")
-    if part is None:
-        part = build_partition(u0.grid)
 
     epsilons = 2.0 ** (-np.arange(j_max + 1, dtype=float))
     kernels = [MollifierKernel(epsilon=float(eps)) for eps in epsilons]
@@ -518,7 +515,7 @@ def continuity_experiment(
         FWState(u=mollify(u0, kern), rho=mollify(rho0, kern)) for kern in kernels))
     try:
         du, drho = _member_distances(members, u0.grid, make_time_grid(T, cfg.dt),
-                                     cfg.dt, part, cfg.params, cfg.params.shift(-1.0))
+                                     cfg.dt, cfg.params)
     except BlowUpError as exc:
         if 0 in exc.rows:
             raise

@@ -20,15 +20,11 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .besov import (
-    BesovParams,
-    besov_norm,
-    besov_norms_of_samples,
-    build_partition,
-)
+from .besov import BesovParams, besov_norm, build_partition
 from .fw import (
     FWState,
     SchemeConfig,
+    _pair_norms,
     empirical_lifespan,
     initial_norm,
     run_scheme,
@@ -133,18 +129,25 @@ def _merge_section(name: str, given: dict | None) -> dict:
     return defaults
 
 
-def _coerce_extended(value):
-    """Allow 'inf' for p and r."""
-    if isinstance(value, str) and value.lower() in ("inf", "infinity"):
-        return np.inf
-    return float(value)
+def _number(key: str, value, whole: bool = False):
+    """A config value as a float ('inf' allowed), or as an int when whole;
+    ValueError names the "section.key" otherwise.  YAML reads 1e-2 (no dot)
+    as a string, so every number goes through here."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"config key {key} must be a number, got {value!r}") from None
+    if whole and not number.is_integer():
+        raise ValueError(f"config key {key} must be a whole number, got {value!r}")
+    return int(number) if whole else number
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse a YAML config document with strict key checking.
 
-    Besov admissibility for scheme-style experiments (s > max(2 + 1/p, 5/2),
-    r finite) is enforced here so a bad sweep fails before any solve.
+    Numbers are converted here, and Besov admissibility for scheme-style
+    experiments (s > max(2 + 1/p, 5/2), r finite) is enforced here, so a bad
+    sweep fails before any solve.
     """
     doc = yaml.safe_load(text)
     if doc is None:
@@ -161,13 +164,24 @@ def parse_config(text: str) -> RunConfig:
     scheme = _merge_section("scheme", doc.get("scheme"))
     experiment = _merge_section("experiment", doc.get("experiment"))
 
-    grid["N"] = int(grid["N"])
-    grid["L"] = float(grid["L"])
+    grid["N"] = _number("grid.N", grid["N"], whole=True)
+    grid["L"] = _number("grid.L", grid["L"])
     make_grid(grid["N"], grid["L"])
 
-    besov["s"] = float(besov["s"])
-    besov["p"] = _coerce_extended(besov["p"])
-    besov["r"] = _coerce_extended(besov["r"])
+    for key in ("s", "p", "r"):
+        besov[key] = _number(f"besov.{key}", besov[key])
+    for key in ("dt", "T", "t_cap"):
+        if time_sec[key] is not None:  # a null t_cap means T
+            time_sec[key] = _number(f"time.{key}", time_sec[key])
+    scheme["C"] = _number("scheme.C", scheme["C"])
+    scheme["n_max"] = _number("scheme.n_max", scheme["n_max"], whole=True)
+    experiment["amplitude"] = _number("experiment.amplitude", experiment["amplitude"])
+    for key in ("j_max", "n_problems"):
+        experiment[key] = _number(f"experiment.{key}", experiment[key], whole=True)
+    for key in ("amplitudes", "deltas"):
+        if not isinstance(experiment[key], list):
+            raise ValueError(f"config key experiment.{key} must be a list of numbers")
+        experiment[key] = [_number(f"experiment.{key}", v) for v in experiment[key]]
 
     kind = experiment["kind"]
     if kind not in EXPERIMENT_KINDS:
@@ -176,6 +190,11 @@ def parse_config(text: str) -> RunConfig:
     params = BesovParams(s=besov["s"], p=besov["p"], r=besov["r"])
     if kind in ("simulate", "iterate", "lifespan-sweep", "stability", "continuity"):
         params.require_admissible()
+    if kind == "iterate" and scheme["n_max"] < 3:
+        raise ValueError(
+            f"iterate needs scheme.n_max >= 3, got {scheme['n_max']}: its "
+            "differences_contract verdict reads the d_n ratios from n = 2"
+        )
 
     return RunConfig(
         grid=grid, time=time_sec, besov=besov, scheme=scheme,
@@ -382,11 +401,8 @@ def _run_norm(cfg: RunConfig) -> ExperimentReport:
     else:
         f, _ = _load_initial_pair(cfg, grid)
     value = besov_norm(part, f, params)
-    masks_rows = []
     xi = grid.wavenumbers
-    order = np.argsort(xi)
-    for i in order:
-        masks_rows.append([xi[i], part.chi_mask[i]] + [part.phi_masks[q][i] for q in range(part.q_max + 1)])
+    masks_rows = [[xi[i], *part.all_masks()[:, i]] for i in np.argsort(xi)]
     header = ["xi", "chi"] + [f"phi_q{q}" for q in range(part.q_max + 1)]
     report = ExperimentReport(kind="norm", config_echo=cfg.echo())
     report.tables["masks"] = (header, masks_rows)
@@ -417,7 +433,6 @@ def _run_partition_check(cfg: RunConfig) -> ExperimentReport:
 def _run_transport(cfg: RunConfig) -> ExperimentReport:
     grid = cfg.make_grid()
     params = cfg.besov_params()
-    part = build_partition(grid)
     T, dt = cfg.time["T"], cfg.time["dt"]
     time_grid = make_time_grid(T, dt)
     n = time_grid.size
@@ -434,25 +449,24 @@ def _run_transport(cfg: RunConfig) -> ExperimentReport:
     prob = TransportProblem.build(
         grid, time_grid, np.tile(v.samples, (n, 1)), np.tile(F.samples, (n, 1)), f0
     )
-    traj = solve_transport(prob, params, part=part)
+    traj = solve_transport(prob, params)
 
     report = ExperimentReport(kind="transport", config_echo=cfg.echo())
     C = cfg.scheme["C"]
     if cfg.experiment["fit_constant"]:
-        n_prob = int(cfg.experiment["n_problems"])
+        n_prob = cfg.experiment["n_problems"]
         family = [random_transport_problem(grid, rng, T, dt) for _ in range(n_prob)]
         held_out = [random_transport_problem(grid, rng, T, dt) for _ in range(n_prob)]
         C = fit_transport_constant(family, params)
         report.summary["C_emp"] = C
         violations = 0
         for p_ in held_out:
-            t_ = solve_transport(p_, params, part=part)
-            rep = verify_transport_estimate(t_, params, C, part=part)
+            rep = verify_transport_estimate(solve_transport(p_, params), params, C)
             violations += int(np.count_nonzero(~rep.holds))
         report.summary["held_out_violations"] = violations
         report.verdicts["held_out_estimate"] = violations == 0
 
-    est = verify_transport_estimate(traj, params, C, part=part)
+    est = verify_transport_estimate(traj, params, C)
     rows = [
         [t, fn, V, lhs, rhs, (lhs / rhs if rhs > 0 else np.inf)]
         for t, fn, V, lhs, rhs in zip(
@@ -468,12 +482,9 @@ def _run_transport(cfg: RunConfig) -> ExperimentReport:
 
 def _run_simulate(cfg: RunConfig) -> ExperimentReport:
     grid = cfg.make_grid()
-    params = cfg.besov_params()
-    part = build_partition(grid)
     u0, rho0 = _load_initial_pair(cfg, grid)
     traj = solve_fw_direct(FWState(u=u0, rho=rho0), cfg.time["T"], cfg.time["dt"])
-    nu = besov_norms_of_samples(part, traj.u, params)
-    nr = besov_norms_of_samples(part, traj.rho, params.shift(-1.0))
+    nu, nr = _pair_norms(build_partition(grid), traj.states, cfg.besov_params())
     rows = [
         [t, a, b, mu, mr]
         for t, a, b, mu, mr in zip(traj.time_grid, nu, nr, traj.mean_u, traj.mean_rho)
@@ -507,9 +518,7 @@ def _run_iterate(cfg: RunConfig) -> ExperimentReport:
     ratios = trace.d_n[1:] / np.where(trace.d_n[:-1] > 0, trace.d_n[:-1], np.inf)
     report.summary["P0"] = trace.P0
     report.summary["T"] = trace.T
-    report.summary["max_d_ratio_from_n2"] = (
-        float(np.max(ratios[1:])) if ratios.size > 1 else np.nan
-    )
+    report.summary["max_d_ratio_from_n2"] = float(np.max(ratios[1:]))
     report.verdicts["differences_contract"] = bool(np.all(ratios[1:] < 1.0))
     return report
 
@@ -522,9 +531,9 @@ def _run_lifespan_sweep(cfg: RunConfig) -> ExperimentReport:
     rows = []
     products = []
     for a in cfg.experiment["amplitudes"]:
-        u0, rho0 = _load_initial_pair(cfg, grid, amplitude=float(a))
+        u0, rho0 = _load_initial_pair(cfg, grid, amplitude=a)
         P0 = initial_norm(part, u0, rho0, scheme_cfg.params)
-        T_emp = empirical_lifespan(u0, rho0, scheme_cfg, t_cap, part=part)
+        T_emp = empirical_lifespan(u0, rho0, scheme_cfg, t_cap)
         product = T_emp * P0**2
         rows.append([a, P0, T_emp, product])
         products.append(product)
@@ -543,17 +552,14 @@ def _run_lifespan_sweep(cfg: RunConfig) -> ExperimentReport:
 
 def _run_stability(cfg: RunConfig) -> ExperimentReport:
     grid = cfg.make_grid()
-    part = build_partition(grid)
     scheme_cfg = cfg.scheme_config()
     u0, rho0 = _load_initial_pair(cfg, grid)
     rng = np.random.default_rng(cfg.seed)
     shape_u = random_band_limited(grid, rng, k_max=4)
     shape_rho = random_band_limited(grid, rng, k_max=4)
-    T = cfg.time["T"]
     deltas = cfg.experiment["deltas"]
     reports = stability_experiment(
-        u0, rho0, [(float(d) * shape_u, float(d) * shape_rho) for d in deltas],
-        scheme_cfg, T, part=part,
+        u0, rho0, [(d * shape_u, d * shape_rho) for d in deltas], scheme_cfg, cfg.time["T"],
     )
     rows = []
     betas = []
@@ -576,11 +582,9 @@ def _run_stability(cfg: RunConfig) -> ExperimentReport:
 
 def _run_continuity(cfg: RunConfig) -> ExperimentReport:
     grid = cfg.make_grid()
-    part = build_partition(grid)
-    scheme_cfg = cfg.scheme_config()
     u0, rho0 = _load_initial_pair(cfg, grid)
     rep = continuity_experiment(
-        u0, rho0, int(cfg.experiment["j_max"]), scheme_cfg, cfg.time["T"], part=part
+        u0, rho0, cfg.experiment["j_max"], cfg.scheme_config(), cfg.time["T"]
     )
     rows = [[j, e, err] for j, (e, err) in enumerate(zip(rep.epsilons, rep.errors))]
     report = ExperimentReport(kind="continuity", config_echo=cfg.echo())

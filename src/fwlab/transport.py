@@ -15,7 +15,8 @@ A problem holds sample arrays only.  It may carry a batch of B rows
 (initial data and forcing) driven by one shared velocity; they are
 integrated together, one FFT per stage for the whole batch.  The mollified
 scheme solves its u and rho transport problems this way.  The V(t) profile
-of a trajectory is computed when first read.
+of a trajectory is computed when first read.  Besov norms use the partition
+of the problem's grid, cached per grid, so no entry point takes one.
 
 The companion checker evaluates, node by node,
 
@@ -34,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .besov import BesovParams, LPPartition, besov_norms_of_samples, build_partition
+from .besov import BesovParams, besov_norms_of_samples, build_partition
 from .spectral import Grid, GridFunction, dealias_mask
 
 __all__ = [
@@ -171,7 +172,6 @@ class TransportTrajectory:
     problem: TransportProblem
     states: np.ndarray = field(repr=False)  # (M+1, N) or (M+1, B, N) samples
     params: BesovParams
-    part: LPPartition | None = field(default=None, repr=False, compare=False)
 
     @property
     def time_grid(self) -> np.ndarray:
@@ -181,12 +181,10 @@ class TransportTrajectory:
     def V_profile(self) -> np.ndarray:
         """V(t) = int_0^t ||v_x||_{B^{s-1}}, one profile for every row."""
         prob = self.problem
-        part = self.part if self.part is not None else build_partition(prob.grid)
         ik = 1j * prob.grid.wavenumbers
         vx = np.fft.ifft(ik * np.fft.fft(prob.velocity, axis=-1), axis=-1).real
-        return _cumtrapz(
-            besov_norms_of_samples(part, vx, self.params.shift(-1.0)), prob.dt
-        )
+        return _cumtrapz(besov_norms_of_samples(
+            build_partition(prob.grid), vx, self.params.shift(-1.0)), prob.dt)
 
 
 def _cumtrapz(values: np.ndarray, dt: float) -> np.ndarray:
@@ -204,19 +202,14 @@ def _check_cfl(grid: Grid, velocity: np.ndarray, dt: float) -> None:
         )
 
 
-def solve_transport(
-    prob: TransportProblem,
-    params: BesovParams,
-    part: LPPartition | None = None,
-) -> TransportTrajectory:
+def solve_transport(prob: TransportProblem, params: BesovParams) -> TransportTrajectory:
     """Integrate the transport problem and record every intermediate state.
 
     A batched problem integrates its B rows together and returns states of
     shape (M+1, B, N); a one-row problem returns (M+1, N).  The Besov
     parameters fix the exponent of the V(t) profile, which uses
-    ||v_x||_{B^{s-1}} as in the a priori estimate; the profile and the
-    partition it needs (``part``, built if omitted) are only used when
-    ``V_profile`` is read.
+    ||v_x||_{B^{s-1}} as in the a priori estimate; the profile is only
+    computed when ``V_profile`` is read.
     """
     grid = prob.grid
     dt = prob.dt
@@ -239,8 +232,7 @@ def solve_transport(
         integrate_rk4(rhs, prob.initial, prob.time_grid, dt, "transport solution"),
         dtype=np.dtype((float, prob.initial.shape)), count=prob.time_grid.size,
     )
-    return TransportTrajectory(problem=prob, states=states, params=params,
-                               part=part)
+    return TransportTrajectory(problem=prob, states=states, params=params)
 
 
 @dataclass(frozen=True)
@@ -270,8 +262,9 @@ def _check_estimate_admissible(params: BesovParams) -> None:
         )
 
 
-def _estimate_profiles(traj: TransportTrajectory, part: LPPartition):
+def _estimate_profiles(traj: TransportTrajectory):
     """Node-wise ||f||, ||F|| in B^s and the V profile, computed once."""
+    part = build_partition(traj.problem.grid)
     f_norms = besov_norms_of_samples(part, traj.states, traj.params)
     F_norms = besov_norms_of_samples(part, traj.problem.forcing, traj.params)
     return f_norms, F_norms, traj.V_profile
@@ -293,7 +286,6 @@ def verify_transport_estimate(
     traj: TransportTrajectory,
     params: BesovParams,
     C: float,
-    part: LPPartition | None = None,
 ) -> TransportEstimateReport:
     """Evaluate both sides of the a priori estimate at every node."""
     if C <= 0:
@@ -304,9 +296,7 @@ def verify_transport_estimate(
             "profile would be inconsistent"
         )
     _check_estimate_admissible(params)
-    if part is None:
-        part = build_partition(traj.problem.grid)
-    f_norms, F_norms, V = _estimate_profiles(traj, part)
+    f_norms, F_norms, V = _estimate_profiles(traj)
     lhs, rhs, holds, max_ratio = _evaluate_estimate(
         C, traj.problem.dt, f_norms, F_norms, V
     )
@@ -330,14 +320,8 @@ def fit_transport_constant(
         raise ValueError("problem family is empty")
     _check_estimate_admissible(params)
 
-    parts: dict[Grid, LPPartition] = {}
-    profiles = []
-    for prob in problems:
-        if prob.grid not in parts:
-            parts[prob.grid] = build_partition(prob.grid)
-        part = parts[prob.grid]
-        traj = solve_transport(prob, params, part=part)
-        profiles.append((prob.dt,) + _estimate_profiles(traj, part))
+    profiles = [(prob.dt,) + _estimate_profiles(solve_transport(prob, params))
+                for prob in problems]
 
     def all_hold(C: float) -> bool:
         return all(

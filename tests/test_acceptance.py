@@ -209,7 +209,7 @@ def test_08_scheme_first_step(grid256, part256, params322):
     u0 = GridFunction.from_samples(grid256, 0.1 * np.sin(grid256.x))
     rho0 = GridFunction.from_samples(grid256, 0.1 * np.cos(grid256.x))
     cfg = SchemeConfig(params=params322, C=1.0, n_max=2, dt=1e-2)
-    trace = run_scheme(u0, rho0, cfg, part=part256)
+    trace = run_scheme(u0, rho0, cfg)
     kern = MollifierKernel(1.0)
     err = max(
         float(np.max(np.abs(trace.u_iterates[1] - mollify(u0, kern).samples[None, :]))),
@@ -222,12 +222,12 @@ def test_09_iteration_convergence(grid256, part256, params322):
     u0 = GridFunction.from_samples(grid256, 0.1 * np.sin(grid256.x))
     rho0 = GridFunction.from_samples(grid256, 0.1 * np.cos(grid256.x))
     cfg = SchemeConfig(params=params322, C=1.0, n_max=10, dt=2e-3)
-    trace = run_scheme(u0, rho0, cfg, part=part256)
+    trace = run_scheme(u0, rho0, cfg)
     ratios = trace.d_n[2:] / trace.d_n[1:-1]
     contracting = bool(np.all(ratios < 1.0))
     dt_actual = float(np.diff(trace.time_grid)[0])
     direct = solve_fw_direct(FWState(u=u0, rho=rho0), trace.T, dt_actual)
-    dist = scheme_direct_distance(trace, direct, part=part256)
+    dist = scheme_direct_distance(trace, direct)
     ok = contracting and dist <= 1e-4
     _verdict(9, "iteration convergence", ok,
              f"max ratio {float(np.max(ratios)):.3f}, distance {dist:.2e}")
@@ -247,7 +247,7 @@ def test_10_lifespan_scaling(grid256, part256, params322):
         P0 = besov_norm(part256, u0, params322) + besov_norm(
             part256, rho0, params322.shift(-1.0)
         )
-        T_emp = empirical_lifespan(u0, rho0, cfg, t_cap=20.0, part=part256)
+        T_emp = empirical_lifespan(u0, rho0, cfg, t_cap=20.0)
         products.append(T_emp * P0**2)
     products = np.array(products)
     geo = float(np.exp(np.mean(np.log(products))))
@@ -264,7 +264,7 @@ def test_11_gronwall_stability(grid256, part256, params322):
     cfg = SchemeConfig(params=params322, dt=2e-3)
     reports = stability_experiment(
         u0, rho0, [(d * shape_u, d * shape_rho) for d in (1e-2, 1e-3, 1e-4)],
-        cfg, T=1.0, part=part256,
+        cfg, T=1.0,
     )
     betas, bounds = [], []
     for rep in reports:
@@ -281,7 +281,7 @@ def test_12_continuity_of_data_to_solution(grid256, part256, params322):
     u0 = GridFunction.from_samples(grid256, 0.1 * np.sin(grid256.x))
     rho0 = GridFunction.from_samples(grid256, 0.1 * np.cos(grid256.x))
     cfg = SchemeConfig(params=params322, dt=2e-3)
-    rep = continuity_experiment(u0, rho0, j_max=5, cfg=cfg, T=1.0, part=part256)
+    rep = continuity_experiment(u0, rho0, j_max=5, cfg=cfg, T=1.0)
     below = rep.epsilons < grid256.dx
     floor = float(np.min(rep.errors[below]))
     ok = rep.nonincreasing and floor <= 1e-5

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import pkgutil
 from pathlib import Path
 
@@ -36,3 +37,13 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [name for name in _imported_names(tree) if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_benchmark_tracer_resolves_every_entry_point():
+    # the benchmark wraps its entry points by name, and Tracer() raises
+    # MissingEntryPoint when one is gone: a rename fails here too
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    tracer.Tracer()

@@ -75,6 +75,30 @@ class TestPartition:
         total = part.all_masks().sum(axis=0)
         assert np.max(np.abs(total - 1.0)) <= 1e-12
 
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(half_n=st.integers(4, 256), L=st.floats(0.05, 100.0))
+    def test_property_masks_sum_to_one(self, half_n, L):
+        part = build_partition(make_grid(2 * half_n, L))
+        assert np.max(np.abs(part.all_masks().sum(axis=0) - 1.0)) <= 1e-12
+
+    def test_masks_are_read_only_views_of_one_stack(self, part256):
+        stack = part256.all_masks()
+        assert stack is part256.all_masks()
+        assert stack.shape == (part256.q_max + 2, part256.grid.N)
+        assert np.shares_memory(part256.chi_mask, stack)
+        assert np.shares_memory(part256.phi_masks, stack)
+        assert not any(m.flags.writeable
+                       for m in (stack, part256.chi_mask, part256.phi_masks))
+
+    def test_grid_inside_the_low_block(self):
+        # xi_max = 0.5 < 3/4: no ring meets the grid, chi alone is one
+        part = build_partition(make_grid(8, 8.0))
+        assert part.q_max == -1
+        assert np.array_equal(part.all_masks(), np.ones((1, 8)))
+
+    def test_built_once_per_grid(self):
+        assert build_partition(make_grid(128, 2.0)) is build_partition(make_grid(128, 2.0))
+
     def test_reconstruction(self, grid256, part256):
         rng = np.random.default_rng(23)
         f = random_field(grid256, rng)
@@ -269,6 +293,24 @@ class TestParsevalBlocks:
         got = besov_norms_batch(part256, c, BesovParams(s, 2.0, r))
         assert np.all(np.abs(got - want) <= 1e-13 * want + weights.sum() * floor)
 
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        # the l^r sum takes unscaled r-th powers, which underflow to 0 far
+        # below unit scale (|lam| ~ 1e-200); that limit is not homogeneity
+        lam=st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3)),
+        p=st.sampled_from([1.0, 2.0, 4.0, np.inf]),
+        s=st.floats(-1.0, 4.0),
+        r=st.sampled_from([1.0, 2.0, np.inf]),
+    )
+    def test_property_homogeneity(self, grid256, part256, seed, lam, p, s, r):
+        rng = np.random.default_rng(seed)
+        c = _random_coefficients(grid256, rng, (3,), k_max=64)
+        params = BesovParams(s, p, r)
+        np.testing.assert_allclose(
+            besov_norms_batch(part256, lam * c, params),
+            abs(lam) * besov_norms_batch(part256, c, params), rtol=1e-12, atol=0.0)
+
     def test_overflowing_row_is_inf(self, grid256, part256, params322):
         # |c|^2 overflows on a huge finite row; the sample path gives inf and
         # so must Parseval, not NaN from 0 * inf outside a block's support
@@ -299,6 +341,15 @@ class TestMollifier:
         rng = np.random.default_rng(67)
         f = random_field(grid256, rng)
         out = mollify(f, MollifierKernel(0.25))
+        assert out.mean() == pytest.approx(f.mean(), abs=1e-13)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), L=st.floats(0.5, 16.0),
+           frac=st.floats(1e-3, 0.999))
+    def test_property_preserves_mean(self, seed, L, frac):
+        grid = make_grid(128, L)
+        f = random_field(grid, np.random.default_rng(seed))
+        out = mollify(f, MollifierKernel(frac * np.pi * L))
         assert out.mean() == pytest.approx(f.mean(), abs=1e-13)
 
     def test_monotone_convergence(self, grid256, part256, params322):

@@ -163,7 +163,7 @@ class TestScheme:
         u0 = GridFunction.from_samples(grid256, 0.1 * np.sin(grid256.x))
         rho0 = GridFunction.from_samples(grid256, 0.1 * np.cos(grid256.x))
         cfg = SchemeConfig(params=params322, C=1.0, n_max=2, dt=1e-2)
-        trace = run_scheme(u0, rho0, cfg, part=part256)
+        trace = run_scheme(u0, rho0, cfg)
         kern = MollifierKernel(1.0)
         ju = mollify(u0, kern).samples
         jrho = mollify(rho0, kern).samples
@@ -174,7 +174,7 @@ class TestScheme:
         u0 = GridFunction.from_samples(grid256, 0.1 * np.sin(grid256.x))
         rho0 = GridFunction.from_samples(grid256, 0.1 * np.cos(grid256.x))
         cfg = SchemeConfig(params=params322, C=1.0, n_max=2, dt=1e-2)
-        trace = run_scheme(u0, rho0, cfg, part=part256)
+        trace = run_scheme(u0, rho0, cfg)
         P0 = besov_norm(part256, u0, params322) + besov_norm(
             part256, rho0, params322.shift(-1.0)
         )
@@ -185,7 +185,7 @@ class TestScheme:
         u0 = GridFunction.from_samples(grid256, 0.1 * np.sin(grid256.x))
         rho0 = GridFunction.from_samples(grid256, 0.1 * np.cos(grid256.x))
         cfg = SchemeConfig(params=params322, C=1.0, n_max=3, dt=1e-2)
-        trace = run_scheme(u0, rho0, cfg, part=part256)
+        trace = run_scheme(u0, rho0, cfg)
         np.testing.assert_allclose(
             trace.d_n, [0.3601685824450574, 0.6264793811114006, 0.4135604873038824],
             rtol=1e-12, atol=0.0,
@@ -203,7 +203,7 @@ class TestScheme:
         u0 = GridFunction.from_samples(grid256, 0.1 * np.sin(grid256.x))
         rho0 = GridFunction.from_samples(grid256, 0.1 * np.cos(grid256.x))
         cfg = SchemeConfig(params=params322, C=1.0, n_max=3, dt=1e-2)
-        run_scheme(u0, rho0, cfg, part=part256)
+        run_scheme(u0, rho0, cfg)
         assert len(trajectories) == cfg.n_max
         # V(t) is computed on first read; the scheme never reads it
         assert all("V_profile" not in vars(t) for t in trajectories)
@@ -221,7 +221,7 @@ class TestScheme:
         u0 = GridFunction.from_samples(grid256, 0.1 * np.sin(grid256.x))
         rho0 = GridFunction.from_samples(grid256, 0.1 * np.cos(grid256.x))
         cfg = SchemeConfig(params=params322, C=1.0, n_max=3, dt=1e-2)
-        run_scheme(u0, rho0, cfg, part=part256)
+        run_scheme(u0, rho0, cfg)
         # only d_n samples-to-norms transforms remain: two per iterate
         assert len(calls) == 2 * cfg.n_max
 
@@ -229,7 +229,7 @@ class TestScheme:
         u0 = GridFunction.from_samples(grid256, 0.1 * np.sin(grid256.x))
         rho0 = GridFunction.from_samples(grid256, 0.1 * np.cos(grid256.x))
         cfg = SchemeConfig(params=params322, C=1.0, n_max=3, dt=1e-2)
-        trace = run_scheme(u0, rho0, cfg, part=part256)
+        trace = run_scheme(u0, rho0, cfg)
         sm1 = params322.shift(-1.0)
         for n in range(cfg.n_max + 1):
             assert np.array_equal(
@@ -238,8 +238,7 @@ class TestScheme:
                 trace.norm_rho[n], besov_norms_of_samples(part256, trace.rho_iterates[n], sm1))
         for n in range(cfg.n_max):
             assert trace.d_n[n] == _sup_distance(
-                part256, trace.u_iterates[n + 1] - trace.u_iterates[n],
-                trace.rho_iterates[n + 1] - trace.rho_iterates[n], sm1)
+                part256, trace.iterates[n + 1] - trace.iterates[n], sm1)
 
     def test_memory_guard_before_allocating(self, grid256, part256, params322):
         # P0 ~ 1e-8 puts the lifespan at LIFESPAN_CAP: about 1e9 nodes
@@ -247,20 +246,20 @@ class TestScheme:
         rho0 = GridFunction.from_samples(grid256, 1e-8 * np.cos(grid256.x))
         cfg = SchemeConfig(params=params322, C=1.0, n_max=10, dt=1e-3)
         with pytest.raises(ValueError, match=r"GB but the machine has .* GB; change --dt or --n-max"):
-            run_scheme(u0, rho0, cfg, part=part256)
+            run_scheme(u0, rho0, cfg)
 
     def test_contraction_and_direct_agreement(self, grid256, part256, params322):
         u0 = GridFunction.from_samples(grid256, 0.1 * np.sin(grid256.x))
         rho0 = GridFunction.from_samples(grid256, 0.1 * np.cos(grid256.x))
         cfg = SchemeConfig(params=params322, C=1.0, n_max=8, dt=2e-3)
-        trace = run_scheme(u0, rho0, cfg, part=part256)
+        trace = run_scheme(u0, rho0, cfg)
         ratios = trace.d_n[1:] / trace.d_n[:-1]
         assert np.all(ratios[1:] < 1.0)
         assert bool(np.all(trace.bound_313))
         direct = solve_fw_direct(
             FWState(u=u0, rho=rho0), trace.T, float(np.diff(trace.time_grid)[0])
         )
-        assert scheme_direct_distance(trace, direct, part=part256) <= 1e-3
+        assert scheme_direct_distance(trace, direct) <= 1e-3
 
 
 class TestEmpiricalLifespan:
@@ -495,7 +494,7 @@ class TestMemberBatch:
         cfg = SchemeConfig(params=params322, dt=2e-3)
         tracemalloc.start()
         try:
-            continuity_experiment(u0, rho0, j_max=5, cfg=cfg, T=1.0, part=part256)
+            continuity_experiment(u0, rho0, j_max=5, cfg=cfg, T=1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -56,6 +56,37 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="experiment kind"):
             parse_config("experiment: {kind: frobnicate}\n")
 
+    def test_exponent_without_dot_is_a_number(self):
+        # YAML reads 1e-2 as a string; the config must hold the float
+        cfg = parse_config("time: {dt: 1e-2, T: 1e0}\n"
+                           "experiment: {amplitude: 5e-2, deltas: [1e-2, 1e-3]}\n")
+        assert cfg.time["dt"] == 0.01 and cfg.time["T"] == 1.0
+        assert cfg.experiment["amplitude"] == 0.05
+        assert cfg.experiment["deltas"] == [0.01, 0.001]
+        assert cfg.scheme_config().dt == 0.01
+
+    def test_whole_numbers_become_ints(self):
+        cfg = parse_config("scheme: {n_max: 4.0}\nexperiment: {j_max: 5.0}\n")
+        assert cfg.scheme["n_max"] == 4 and isinstance(cfg.scheme["n_max"], int)
+        assert cfg.experiment["j_max"] == 5 and isinstance(cfg.experiment["j_max"], int)
+
+    def test_non_integral_n_max_names_key(self):
+        with pytest.raises(ValueError, match=r"scheme\.n_max must be a whole number"):
+            parse_config("scheme: {n_max: 2.5}\n")
+
+    def test_non_numeric_value_names_key(self):
+        with pytest.raises(ValueError, match=r"experiment\.amplitude must be a number"):
+            parse_config("experiment: {amplitude: big}\n")
+        with pytest.raises(ValueError, match=r"time\.t_cap must be a number"):
+            parse_config("time: {t_cap: [1]}\n")
+
+    @pytest.mark.parametrize("n_max", [1, 2])
+    def test_iterate_needs_the_ratio_from_n2(self, n_max):
+        # with n_max <= 2 the differences_contract verdict has no ratio to read
+        with pytest.raises(ValueError, match=r"n_max >= 3.*from n = 2"):
+            parse_config(f"scheme: {{n_max: {n_max}}}\nexperiment: {{kind: iterate}}\n")
+        assert parse_config(f"scheme: {{n_max: {n_max}}}\n").scheme["n_max"] == n_max
+
 
 class TestPresets:
     def test_zero(self, grid256):
