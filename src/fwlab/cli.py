@@ -1,8 +1,9 @@
 """Command-line entry point: `fwlab <subcommand> [--config path] [overrides]`.
 
 Subcommands map onto the experiment kinds of the harness; flag overrides are
-applied on top of the (optional) YAML config.  Exit code is 0 iff every
-verdict of the run passes.
+applied on top of the (optional) YAML config.  The exit code is 0 when every
+verdict of the run passes, 1 when one fails, and 2 for a config error or a
+run that stopped with an error.
 """
 
 from __future__ import annotations
@@ -157,16 +158,15 @@ def _run_verify(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "verify":
-        return _run_verify(args)
-
-    kind = _KIND_BY_COMMAND[args.command]
     try:
-        cfg = _config_from_args(args, kind)
-    except ValueError as exc:
+        if args.command == "verify":
+            return _run_verify(args)
+        cfg = _config_from_args(args, _KIND_BY_COMMAND[args.command])
+        report = run_experiment(cfg)
+    except (ValueError, RuntimeError) as exc:
+        # a bad config or a run that cannot go on is not a failed verdict
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = run_experiment(cfg)
     out = output_dir_for(cfg)
     for key, value in report.summary.items():
         print(f"{key} = {value}")

@@ -28,8 +28,11 @@ iterate n+1, and monitors the per-iterate norm bounds
     ||u^n(t)||_{B^s} + ||rho^n(t)||_{B^{s-1}} <= P0 / sqrt(1 - 4 C P0^2 t)
                                               <= 2 P0
 
-on the guaranteed lifespan T = 3 / (16 C P0^2), transforming each new iterate
-once for its norms and the next forcing.  The empirical lifespan integrates
+on the guaranteed lifespan T = 3 / (16 C P0^2).  Each iterate's (u, rho)
+pair is one 2-row march of the transport solver's private RK4 march, and
+each new iterate is transformed once, for its norms and the next forcing.
+Only the previous and current iterates are live; the trace keeps the first
+and last, every iterate's norms and d_n.  The empirical lifespan integrates
 the nonlinear system directly.
 """
 
@@ -51,13 +54,7 @@ from .besov import (
     mollify,
 )
 from .spectral import Grid, GridFunction, dealias_mask
-from .transport import (
-    BlowUpError,
-    TransportProblem,
-    integrate_rk4,
-    make_time_grid,
-    solve_transport,
-)
+from .transport import BlowUpError, _march_transport, integrate_rk4, make_time_grid
 
 __all__ = [
     "FWState",
@@ -256,12 +253,12 @@ def _sup_distance(part: LPPartition, d: np.ndarray, params: BesovParams) -> floa
 
 @dataclass(frozen=True)
 class IterationTrace:
-    """Everything recorded while running the mollified iteration scheme.
+    """What the mollified iteration scheme records: the iterates it reads,
+    the norms of every iterate, the successive differences and bound flags.
 
-    Iterate index n runs 0..n_max; iterate 0 is the zero pair.  The iterates
-    are stacked (u, rho) samples; u_iterates, rho_iterates (n_max + 1, M + 1,
-    N) and norm_u, norm_rho (n_max + 1, M + 1) are views of them and of the
-    stacked norms.
+    Iterate index n runs 0..n_max; iterate 0 is the zero pair.  first and
+    last are iterates 1 and n_max as stacked (u, rho) samples; norm_u and
+    norm_rho (n_max + 1, M + 1) are views of the stacked norms.
     """
 
     grid: Grid
@@ -270,7 +267,8 @@ class IterationTrace:
     C: float
     P0: float
     T: float
-    iterates: np.ndarray = field(repr=False)  # (n_max+1, M+1, 2, N) samples
+    first: np.ndarray = field(repr=False)  # (M+1, 2, N) samples of iterate 1
+    last: np.ndarray = field(repr=False)  # (M+1, 2, N) samples of iterate n_max
     norms: np.ndarray = field(repr=False)  # ||u^n(t)||_{B^s}, ||rho^n(t)||_{B^{s-1}}
     d_n: np.ndarray  # successive differences, length n_max
     bound_312: np.ndarray  # per-iterate flags for the sqrt bound
@@ -278,15 +276,7 @@ class IterationTrace:
 
     @property
     def n_max(self) -> int:
-        return self.iterates.shape[0] - 1
-
-    @property
-    def u_iterates(self) -> np.ndarray:
-        return self.iterates[:, :, 0]
-
-    @property
-    def rho_iterates(self) -> np.ndarray:
-        return self.iterates[:, :, 1]
+        return self.d_n.size
 
     @property
     def norm_u(self) -> np.ndarray:
@@ -327,37 +317,39 @@ def run_scheme(u0: GridFunction, rho0: GridFunction, cfg: SchemeConfig) -> Itera
         assert 4.0 * cfg.C * P0**2 * T < 1.0
     # the lifespan is an awkward number; refine dt so the nodes land on T
     n_steps = max(1, int(np.ceil(T / cfg.dt - 1e-12)))
-    n_it = cfg.n_max + 1
-    _check_memory(T, cfg.dt, 2 * n_it * grid.N * 8, "--dt or --n-max")
+    # stored per node: the first and last iterates and every iterate's norms
+    _check_memory(T, cfg.dt, (2 * 2 * grid.N + 2 * (cfg.n_max + 1)) * 8,
+                  "--dt or --n-max")
     time_grid = make_time_grid(T, T / n_steps)
     n_nodes = time_grid.size
 
     ik, lam, mask = _fw_symbols(grid)
 
-    iterates = np.zeros((n_it, n_nodes, 2, grid.N))
-    # iterate 0 is the zero pair: zero transform and zero norms
-    norms = np.zeros((n_it, n_nodes, 2))
-    d_n = np.empty(cfg.n_max)
+    # iterate 0 is the zero pair: zero samples, transform and norms
+    prev = np.zeros((n_nodes, 2, grid.N))
     y_hat = np.zeros((n_nodes, 2, grid.N), dtype=complex)
+    norms = np.zeros((cfg.n_max + 1, n_nodes, 2))
+    d_n = np.empty(cfg.n_max)
 
     for n in range(cfg.n_max):
-        eps = 1.0 / (n + 1)
-        kern = MollifierKernel(epsilon=eps)
-        forcing = _scheme_forcing(iterates[n], y_hat, ik, lam, mask)
+        kern = MollifierKernel(epsilon=1.0 / (n + 1))
+        forcing = _scheme_forcing(prev, y_hat, ik, lam, mask)
         del y_hat  # not live during the solve
-        # u^{n+1} and rho^{n+1} share the velocity u^n: one 2-row solve
-        prob = TransportProblem.build(
-            grid, time_grid, iterates[n, :, 0], forcing,
-            (mollify(u0, kern), mollify(rho0, kern)),
-        )
+        # u^{n+1} and rho^{n+1} share the velocity u^n: one 2-row march
+        initial = np.stack([mollify(u0, kern).samples, mollify(rho0, kern).samples])
         try:
-            iterates[n + 1] = solve_transport(prob, params).states
+            march = _march_transport(grid, time_grid, prev[:, 0], forcing, initial)
+            cur = np.fromiter(march, count=n_nodes,
+                              dtype=np.dtype((float, (2, grid.N))))
         except (ValueError, BlowUpError) as exc:
             raise RuntimeError(f"transport solve failed at iterate {n + 1}: {exc}") from exc
-        del prob, forcing
-        d_n[n] = _sup_distance(part, iterates[n + 1] - iterates[n], sm1)
+        del march, forcing
+        d_n[n] = _sup_distance(part, cur - prev, sm1)
+        prev = cur
+        if n == 0:
+            first = cur
 
-        y_hat = np.fft.fft(iterates[n + 1])
+        y_hat = np.fft.fft(cur)
         norms[n + 1, :, 0] = besov_norms_batch(part, y_hat[:, 0] / grid.N, params)
         norms[n + 1, :, 1] = besov_norms_batch(part, y_hat[:, 1] / grid.N, sm1)
 
@@ -372,7 +364,7 @@ def run_scheme(u0: GridFunction, rho0: GridFunction, cfg: SchemeConfig) -> Itera
 
     return IterationTrace(
         grid=grid, time_grid=time_grid, params=params, C=cfg.C, P0=P0, T=T,
-        iterates=iterates, norms=norms, d_n=d_n,
+        first=first, last=prev, norms=norms, d_n=d_n,
         bound_312=bound_312, bound_313=bound_313,
     )
 
@@ -383,7 +375,7 @@ def scheme_direct_distance(trace: IterationTrace, direct: FWTrajectory) -> float
     if direct.time_grid.size != trace.time_grid.size:
         raise ValueError("trace and direct trajectory use different time grids")
     return _sup_distance(build_partition(trace.grid),
-                         trace.iterates[-1] - direct.states,
+                         trace.last - direct.states,
                          trace.params.shift(-1.0))
 
 

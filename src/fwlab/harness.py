@@ -186,6 +186,12 @@ def parse_config(text: str) -> RunConfig:
     kind = experiment["kind"]
     if kind not in EXPERIMENT_KINDS:
         raise ValueError(f"unknown experiment kind {kind!r}; choose from {EXPERIMENT_KINDS}")
+    if experiment["preset"] not in ("sine", "gauss", "zero"):
+        raise ValueError(f"config key experiment.preset must be sine, gauss or zero, "
+                         f"got {experiment['preset']!r}")
+    if not isinstance(experiment["fit_constant"], bool):
+        raise ValueError(f"config key experiment.fit_constant must be true or false, "
+                         f"got {experiment['fit_constant']!r}")
 
     params = BesovParams(s=besov["s"], p=besov["p"], r=besov["r"])
     if kind in ("simulate", "iterate", "lifespan-sweep", "stability", "continuity"):

@@ -11,12 +11,13 @@ dealiased with the 2/3 rule.  The RK4 integrator, integrate_rk4, is shared
 with the direct Fornberg-Whitham solver and owns the blow-up check; it yields
 one state per node and each caller keeps what it needs.
 
-A problem holds sample arrays only.  It may carry a batch of B rows
-(initial data and forcing) driven by one shared velocity; they are
-integrated together, one FFT per stage for the whole batch.  The mollified
-scheme solves its u and rho transport problems this way.  The V(t) profile
-of a trajectory is computed when first read.  Besov norms use the partition
-of the problem's grid, cached per grid, so no entry point takes one.
+A problem holds sample arrays only: one row of initial data and forcing.
+The private march beneath solve_transport steps any (..., N) stack of rows
+that share one velocity, one FFT per stage for the whole stack; the
+mollified scheme marches its stacked (u, rho) iterates through it directly
+and keeps only what it reads.  The V(t) profile of a trajectory is computed
+when first read.  Besov norms use the partition of the problem's grid,
+cached per grid, so no entry point takes one.
 
 The companion checker evaluates, node by node,
 
@@ -127,37 +128,30 @@ def _as_sample_matrix(samples, shape: tuple[int, ...], name: str) -> np.ndarray:
 class TransportProblem:
     """Velocity, forcing and initial data samples on one spatial and time grid.
 
-    ``build`` takes the initial data as one GridFunction, or a tuple of B of
-    them solved as a batch: the rows share the velocity and the forcing has
-    one row each.
+    ``build`` takes the initial data as one GridFunction; velocity and
+    forcing give one field per time node.
     """
 
     grid: Grid
     time_grid: np.ndarray
     velocity: np.ndarray = field(repr=False)  # (M+1, N) samples
-    forcing: np.ndarray = field(repr=False)  # (M+1, N) or (M+1, B, N) samples
-    initial: np.ndarray = field(repr=False)  # (N,) or (B, N) samples
+    forcing: np.ndarray = field(repr=False)  # (M+1, N) samples
+    initial: np.ndarray = field(repr=False)  # (N,) samples
 
     @classmethod
     def build(cls, grid: Grid, time_grid: np.ndarray, velocity, forcing,
-              initial: GridFunction | Sequence[GridFunction]) -> "TransportProblem":
+              initial: GridFunction) -> "TransportProblem":
         time_grid = np.asarray(time_grid, dtype=float)
         n_nodes = time_grid.size
         steps = np.diff(time_grid)
         if n_nodes < 2 or not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
             raise ValueError("time grid must be uniform with at least one step")
-        if isinstance(initial, GridFunction):
-            fields, rows = (initial,), ()
-        else:
-            fields = tuple(initial)
-            rows = (len(fields),)
-        if any(f.grid != grid for f in fields):
+        if initial.grid != grid:
             raise ValueError("initial field grid mismatch")
         v = _as_sample_matrix(velocity, (n_nodes, grid.N), "velocity")
-        F = _as_sample_matrix(forcing, (n_nodes,) + rows + (grid.N,), "forcing")
-        f0 = np.stack([f.samples for f in fields]) if rows else initial.samples
+        F = _as_sample_matrix(forcing, (n_nodes, grid.N), "forcing")
         return cls(grid=grid, time_grid=time_grid, velocity=v, forcing=F,
-                   initial=f0)
+                   initial=initial.samples)
 
     @property
     def dt(self) -> float:
@@ -170,7 +164,7 @@ class TransportTrajectory:
     on first read of ``V_profile``."""
 
     problem: TransportProblem
-    states: np.ndarray = field(repr=False)  # (M+1, N) or (M+1, B, N) samples
+    states: np.ndarray = field(repr=False)  # (M+1, N) samples
     params: BesovParams
 
     @property
@@ -179,7 +173,7 @@ class TransportTrajectory:
 
     @cached_property
     def V_profile(self) -> np.ndarray:
-        """V(t) = int_0^t ||v_x||_{B^{s-1}}, one profile for every row."""
+        """V(t) = int_0^t ||v_x||_{B^{s-1}}."""
         prob = self.problem
         ik = 1j * prob.grid.wavenumbers
         vx = np.fft.ifft(ik * np.fft.fft(prob.velocity, axis=-1), axis=-1).real
@@ -202,22 +196,17 @@ def _check_cfl(grid: Grid, velocity: np.ndarray, dt: float) -> None:
         )
 
 
-def solve_transport(prob: TransportProblem, params: BesovParams) -> TransportTrajectory:
-    """Integrate the transport problem and record every intermediate state.
-
-    A batched problem integrates its B rows together and returns states of
-    shape (M+1, B, N); a one-row problem returns (M+1, N).  The Besov
-    parameters fix the exponent of the V(t) profile, which uses
-    ||v_x||_{B^{s-1}} as in the a priori estimate; the profile is only
-    computed when ``V_profile`` is read.
-    """
-    grid = prob.grid
-    dt = prob.dt
-    _check_cfl(grid, prob.velocity, dt)
+def _march_transport(grid: Grid, time_grid: np.ndarray, velocity: np.ndarray,
+                     forcing: np.ndarray, initial: np.ndarray):
+    """The RK4 march of f_t + v f_x = F from the (..., N) rows of initial,
+    yielding the state per node.  velocity is (M+1, N), shared by every row;
+    forcing is (M+1,) + initial.shape; the step is the time grid's."""
+    dt = float(time_grid[1] - time_grid[0])
+    _check_cfl(grid, velocity, dt)
 
     ik = 1j * grid.wavenumbers
     mask = dealias_mask(grid)
-    v, F = prob.velocity, prob.forcing
+    v, F = velocity, forcing
 
     def rhs(f, i, w):
         if w == 0.5:
@@ -228,10 +217,20 @@ def solve_transport(prob: TransportProblem, params: BesovParams) -> TransportTra
         adv = np.fft.ifft(mask * np.fft.fft(vw * fx)).real
         return -adv + Fw
 
-    states = np.fromiter(
-        integrate_rk4(rhs, prob.initial, prob.time_grid, dt, "transport solution"),
-        dtype=np.dtype((float, prob.initial.shape)), count=prob.time_grid.size,
-    )
+    return integrate_rk4(rhs, initial, time_grid, dt, "transport solution")
+
+
+def solve_transport(prob: TransportProblem, params: BesovParams) -> TransportTrajectory:
+    """Integrate the transport problem and store the (M+1, N) states.
+
+    The Besov parameters fix the exponent of the V(t) profile, which uses
+    ||v_x||_{B^{s-1}} as in the a priori estimate; the profile is only
+    computed when ``V_profile`` is read.
+    """
+    march = _march_transport(prob.grid, prob.time_grid, prob.velocity,
+                             prob.forcing, prob.initial)
+    states = np.fromiter(march, count=prob.time_grid.size,
+                         dtype=np.dtype((float, prob.grid.N)))
     return TransportTrajectory(problem=prob, states=states, params=params)
 
 

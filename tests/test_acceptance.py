@@ -212,8 +212,8 @@ def test_08_scheme_first_step(grid256, part256, params322):
     trace = run_scheme(u0, rho0, cfg)
     kern = MollifierKernel(1.0)
     err = max(
-        float(np.max(np.abs(trace.u_iterates[1] - mollify(u0, kern).samples[None, :]))),
-        float(np.max(np.abs(trace.rho_iterates[1] - mollify(rho0, kern).samples[None, :]))),
+        float(np.max(np.abs(trace.first[:, 0] - mollify(u0, kern).samples[None, :]))),
+        float(np.max(np.abs(trace.first[:, 1] - mollify(rho0, kern).samples[None, :]))),
     )
     _verdict(8, "scheme first-step closed form", err <= 1e-10, f"sup err {err:.2e}")
 

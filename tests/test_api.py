@@ -39,6 +39,35 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name} imports names it never uses: {unused}"
 
 
+def _private_definitions(tree):
+    """Module-level private functions, classes and constants of one module."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        yield from (n for n in names if n.startswith("_") and not n.startswith("__"))
+
+
+def test_no_unreferenced_private_names():
+    # what a deletion leaves behind: a private helper or constant that
+    # nothing in the package reads any more
+    trees = [ast.parse(p.read_text()) for p in Path(fwlab.__file__).parent.glob("*.py")]
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = sorted(name for tree in trees for name in _private_definitions(tree)
+                    if name not in read)
+    assert not unread, f"private names defined but never read in fwlab: {unread}"
+
+
 def test_benchmark_tracer_resolves_every_entry_point():
     # the benchmark wraps its entry points by name, and Tracer() raises
     # MissingEntryPoint when one is gone: a rename fails here too

@@ -21,9 +21,9 @@ from fwlab import (
     stability_experiment,
 )
 import fwlab.fw
-from fwlab.fw import LIFESPAN_CAP, _sup_distance
-from fwlab.besov import BesovParams, besov_norms_batch, besov_norms_of_samples
-from fwlab.transport import BlowUpError, integrate_rk4, make_time_grid, solve_transport
+from fwlab.fw import LIFESPAN_CAP, _pair_norms, _sup_distance
+from fwlab.besov import BesovParams
+from fwlab.transport import BlowUpError, integrate_rk4, make_time_grid
 
 from conftest import random_field
 
@@ -167,8 +167,8 @@ class TestScheme:
         kern = MollifierKernel(1.0)
         ju = mollify(u0, kern).samples
         jrho = mollify(rho0, kern).samples
-        assert np.max(np.abs(trace.u_iterates[1] - ju[None, :])) <= 1e-10
-        assert np.max(np.abs(trace.rho_iterates[1] - jrho[None, :])) <= 1e-10
+        assert np.max(np.abs(trace.first[:, 0] - ju[None, :])) <= 1e-10
+        assert np.max(np.abs(trace.first[:, 1] - jrho[None, :])) <= 1e-10
 
     def test_lifespan_matches_P0(self, grid256, part256, params322):
         u0 = GridFunction.from_samples(grid256, 0.1 * np.sin(grid256.x))
@@ -193,20 +193,19 @@ class TestScheme:
 
     def test_one_transport_solve_per_iterate(self, grid256, part256, params322,
                                              monkeypatch):
-        trajectories = []
+        marches = []
+        real = fwlab.fw._march_transport
 
-        def recording(*args, **kwargs):
-            trajectories.append(solve_transport(*args, **kwargs))
-            return trajectories[-1]
+        def counting(*args):
+            marches.append(args)
+            return real(*args)
 
-        monkeypatch.setattr(fwlab.fw, "solve_transport", recording)
+        monkeypatch.setattr(fwlab.fw, "_march_transport", counting)
         u0 = GridFunction.from_samples(grid256, 0.1 * np.sin(grid256.x))
         rho0 = GridFunction.from_samples(grid256, 0.1 * np.cos(grid256.x))
         cfg = SchemeConfig(params=params322, C=1.0, n_max=3, dt=1e-2)
         run_scheme(u0, rho0, cfg)
-        assert len(trajectories) == cfg.n_max
-        # V(t) is computed on first read; the scheme never reads it
-        assert all("V_profile" not in vars(t) for t in trajectories)
+        assert len(marches) == cfg.n_max
 
     def test_each_iterate_transformed_once(self, grid256, part256, params322,
                                            monkeypatch):
@@ -225,20 +224,35 @@ class TestScheme:
         # only d_n samples-to-norms transforms remain: two per iterate
         assert len(calls) == 2 * cfg.n_max
 
-    def test_norms_and_d_n_match_stored_iterates(self, grid256, part256, params322):
+    def test_prefix_runs_give_every_iterate(self, grid256, part256, params322):
+        # iterates never depend on later ones, so the n_max = k run ends on
+        # iterate k of a longer run: its norms and d_n follow from prefix runs
         u0 = GridFunction.from_samples(grid256, 0.1 * np.sin(grid256.x))
         rho0 = GridFunction.from_samples(grid256, 0.1 * np.cos(grid256.x))
-        cfg = SchemeConfig(params=params322, C=1.0, n_max=3, dt=1e-2)
-        trace = run_scheme(u0, rho0, cfg)
+        runs = {k: run_scheme(u0, rho0, SchemeConfig(params=params322, C=1.0, n_max=k, dt=1e-2))
+                for k in (1, 2, 3)}
+        trace = runs[3]
         sm1 = params322.shift(-1.0)
-        for n in range(cfg.n_max + 1):
-            assert np.array_equal(
-                trace.norm_u[n], besov_norms_of_samples(part256, trace.u_iterates[n], params322))
-            assert np.array_equal(
-                trace.norm_rho[n], besov_norms_of_samples(part256, trace.rho_iterates[n], sm1))
-        for n in range(cfg.n_max):
-            assert trace.d_n[n] == _sup_distance(
-                part256, trace.iterates[n + 1] - trace.iterates[n], sm1)
+        assert np.array_equal(runs[1].last, trace.first)
+        for k, run in runs.items():
+            norm_u, norm_rho = _pair_norms(part256, run.last, params322)
+            assert np.array_equal(trace.norm_u[k], norm_u)
+            assert np.array_equal(trace.norm_rho[k], norm_rho)
+            before = runs[k - 1].last if k > 1 else np.zeros_like(run.last)
+            assert trace.d_n[k - 1] == _sup_distance(part256, run.last - before, sm1)
+
+    def test_peak_memory_below_stored_iterates(self, grid256, params322):
+        u0 = GridFunction.from_samples(grid256, 0.1 * np.sin(grid256.x))
+        rho0 = GridFunction.from_samples(grid256, 0.1 * np.cos(grid256.x))
+        cfg = SchemeConfig(params=params322, C=1.0, n_max=10, dt=1e-2)
+        tracemalloc.start()
+        try:
+            trace = run_scheme(u0, rho0, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # below n_max + 1 stored (M+1, 2, N) iterates
+        assert peak < (cfg.n_max + 1) * trace.time_grid.size * 2 * grid256.N * 8
 
     def test_memory_guard_before_allocating(self, grid256, part256, params322):
         # P0 ~ 1e-8 puts the lifespan at LIFESPAN_CAP: about 1e9 nodes

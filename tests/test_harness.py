@@ -80,6 +80,15 @@ class TestParseConfig:
         with pytest.raises(ValueError, match=r"time\.t_cap must be a number"):
             parse_config("time: {t_cap: [1]}\n")
 
+    def test_unknown_data_preset_names_key(self):
+        with pytest.raises(ValueError, match=r"experiment\.preset must be sine, gauss or zero"):
+            parse_config("experiment: {preset: sinus}\n")
+
+    def test_fit_constant_must_be_boolean(self):
+        with pytest.raises(ValueError, match=r"experiment\.fit_constant must be true or false"):
+            parse_config('experiment: {kind: transport, fit_constant: "no"}\n')
+        assert parse_config("experiment: {fit_constant: no}\n").experiment["fit_constant"] is False
+
     @pytest.mark.parametrize("n_max", [1, 2])
     def test_iterate_needs_the_ratio_from_n2(self, n_max):
         # with n_max <= 2 the differences_contract verdict has no ratio to read
@@ -208,6 +217,16 @@ class TestCli:
         rc = cli_main(["simulate", "--s", "2.0", "--T", "0.1"])
         assert rc == 2
         assert "inadmissible" in capsys.readouterr().err
+
+    def test_run_error_is_reported_not_raised(self, tmp_path, monkeypatch, capsys):
+        # about 1e9 stored nodes: the memory guard stops the run before it starts
+        monkeypatch.setenv("FWLAB_OUT", str(tmp_path / "out"))
+        rc = cli_main(["simulate", "--T", "1000000", "--dt", "1e-3"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ")
+        assert "change --dt or --T" in err
+        assert "Traceback" not in err
 
     def test_config_file_plus_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FWLAB_OUT", str(tmp_path / "out"))

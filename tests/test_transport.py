@@ -156,37 +156,32 @@ class TestSolveTransport:
         f0, g0 = random_field(grid256, rng), random_field(grid256, rng)
         F = np.tile(random_field(grid256, rng, amplitude=0.5).samples, (n, 1))
         G = np.tile(random_field(grid256, rng, amplitude=0.5).samples, (n, 1))
-        batch = TransportProblem.build(grid256, tg, v, np.stack([F, G], axis=1), (f0, g0))
-        traj = solve_transport(batch, params322)
-        assert traj.states.shape == (n, 2, grid256.N)
+        march = fwlab.transport._march_transport(
+            grid256, tg, v, np.stack([F, G], axis=1), np.stack([f0.samples, g0.samples]))
+        states = np.array(list(march))
+        assert states.shape == (n, 2, grid256.N)
         one_f = solve_transport(TransportProblem.build(grid256, tg, v, F, f0), params322)
         one_g = solve_transport(TransportProblem.build(grid256, tg, v, G, g0), params322)
-        assert np.array_equal(traj.states[:, 0], one_f.states)
-        assert np.array_equal(traj.states[:, 1], one_g.states)
-        # one velocity, hence one V profile for the batch
-        assert np.array_equal(traj.V_profile, one_f.V_profile)
+        assert np.array_equal(states[:, 0], one_f.states)
+        assert np.array_equal(states[:, 1], one_g.states)
 
     def test_batch_forcing_shape_checked(self, grid256):
+        # a problem has one row: (M+1, 2, N) forcing is refused, not batched
         f0 = GridFunction.from_samples(grid256, np.sin(grid256.x))
         tg = make_time_grid(0.1, 0.01)
         v = np.zeros((tg.size, grid256.N))
         with pytest.raises(ValueError, match="forcing"):
-            TransportProblem.build(grid256, tg, v, v, (f0, f0))
-        other = GridFunction.from_samples(make_grid(128, 8.0), np.zeros(128))
-        with pytest.raises(ValueError, match="initial"):
-            TransportProblem.build(grid256, tg, v, np.stack([v, v], axis=1), (f0, other))
+            TransportProblem.build(grid256, tg, v, np.stack([v, v], axis=1), f0)
+        with pytest.raises(ValueError, match="velocity"):
+            TransportProblem.build(grid256, tg, v[:-1], v, f0)
 
     def test_problem_holds_initial_samples(self, grid256):
         f0 = GridFunction.from_samples(grid256, np.sin(grid256.x))
-        g0 = GridFunction.from_samples(grid256, np.cos(grid256.x))
         tg = make_time_grid(0.1, 0.01)
         v = np.zeros((tg.size, grid256.N))
         one = TransportProblem.build(grid256, tg, v, v, f0)
         assert one.initial.shape == (grid256.N,)
         assert np.array_equal(one.initial, f0.samples)
-        two = TransportProblem.build(grid256, tg, v, np.stack([v, v], axis=1), (f0, g0))
-        assert two.initial.shape == (2, grid256.N)
-        assert np.array_equal(two.initial, [f0.samples, g0.samples])
         other = GridFunction.from_samples(make_grid(128, 8.0), np.zeros(128))
         with pytest.raises(ValueError, match="initial"):
             TransportProblem.build(grid256, tg, v, v, other)
