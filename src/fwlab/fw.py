@@ -28,11 +28,15 @@ iterate n+1, and monitors the per-iterate norm bounds
     ||u^n(t)||_{B^s} + ||rho^n(t)||_{B^{s-1}} <= P0 / sqrt(1 - 4 C P0^2 t)
                                               <= 2 P0
 
-on the guaranteed lifespan T = 3 / (16 C P0^2).  Each iterate's (u, rho)
-pair is one 2-row march of the transport solver's private RK4 march, and
-each new iterate is transformed once, for its norms and the next forcing.
-Only the previous and current iterates are live; the trace keeps the first
-and last, every iterate's norms and d_n.  The empirical lifespan integrates
+on the guaranteed lifespan T = 3 / (16 C P0^2).  Iterate n+1 reads iterate
+n only at the two nodes of its current step, so every iterate advances in
+one wave march, each one node behind its predecessor: M + n_max - 1 RK4
+steps, each one batched transport-kernel call per stage on the (n_max, 2, N)
+stack, with a velocity and forcing per row.  Each wave's new nodes are
+transformed once, for their norms and their successors' forcing, and a
+velocity node is checked against the advective bound as it is made.  Only
+two nodes per iterate are live; the trace keeps the first and last
+iterates, every iterate's norms and d_n.  The empirical lifespan integrates
 the nonlinear system directly.
 """
 
@@ -54,7 +58,13 @@ from .besov import (
     mollify,
 )
 from .spectral import Grid, GridFunction, dealias_mask
-from .transport import BlowUpError, _march_transport, integrate_rk4, make_time_grid
+from .transport import (
+    BlowUpError,
+    _cfl_violation,
+    _transport_rhs,
+    integrate_rk4,
+    make_time_grid,
+)
 
 __all__ = [
     "FWState",
@@ -168,14 +178,13 @@ class FWTrajectory:
         return self.states[:, 1]
 
 
-def _check_memory(T: float, dt: float, node_bytes: int, flags: str) -> None:
-    """Refuse, before allocating, to store node_bytes at every node of [0, T]
-    with step dt when physical memory cannot hold them."""
-    n_bytes = (T / dt + 1.0) * node_bytes if dt > 0 else 0.0
+def _check_memory(n_bytes: float, flags: str) -> None:
+    """Refuse, before allocating, a run that holds n_bytes when physical
+    memory cannot."""
     present = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if n_bytes > present:
         raise ValueError(
-            f"the stored states need {n_bytes / 1e9:.3g} GB but the machine "
+            f"the run needs {n_bytes / 1e9:.3g} GB but the machine "
             f"has {present / 1e9:.3g} GB; change {flags}"
         )
 
@@ -205,7 +214,8 @@ def solve_fw_direct(initial: FWState, T: float, dt: float) -> FWTrajectory:
     NaN/Inf mid-run raises BlowUpError with the offending node; the theory is
     local in time, so a blow-up is an outcome, not an artifact failure.
     """
-    _check_memory(T, dt, 2 * initial.grid.N * 8, "--dt or --T")
+    _check_memory((T / dt + 1.0) * 2 * initial.grid.N * 8 if dt > 0 else 0.0,
+                  "--dt or --T")
     time_grid = make_time_grid(T, dt)
     march = _march_fw(_stacked(initial)[0], initial.grid, time_grid, dt)
     states = np.fromiter(march, count=time_grid.size,
@@ -301,6 +311,52 @@ def _scheme_forcing(y, y_hat, ik, lam, mask):
     return np.stack([forcing_u, -prod - ux], axis=-2)
 
 
+#: rows per norm call in run_scheme, fixed: p=2 norm bits vary with row count below ~201
+_NORM_BLOCK = 256
+
+
+class _NormBlocks:
+    """Pushed (2, N) pair rows gathered into blocks of _NORM_BLOCK rows, each
+    measured by one measure(block) -> (norm_u, norm_rho) call; sink(keys,
+    norm_u, norm_rho) gets the norms of the pushed rows with their keys.  The
+    last block is padded with zero rows, whose norms are dropped."""
+
+    def __init__(self, N, dtype, sink, measure):
+        self._block = np.zeros((_NORM_BLOCK, 2, N), dtype)
+        self._keys = np.empty(_NORM_BLOCK, dtype=int)
+        self._fill = 0
+        self._sink, self._measure = sink, measure
+
+    def push(self, rows, keys):
+        done = 0
+        while done < len(rows):
+            take = min(len(rows) - done, _NORM_BLOCK - self._fill)
+            self._block[self._fill:self._fill + take] = rows[done:done + take]
+            self._keys[self._fill:self._fill + take] = keys[done:done + take]
+            self._fill += take
+            done += take
+            if self._fill == _NORM_BLOCK:
+                self.flush()
+
+    def flush(self):
+        n = self._fill
+        if n:
+            self._block[n:] = 0
+            norm_u, norm_rho = self._measure(self._block)
+            self._sink(self._keys[:n], norm_u[:n], norm_rho[:n])
+            self._fill = 0
+
+
+def _scheme_bytes(N: int, n_max: int, T: float, dt: float) -> float:
+    """What run_scheme holds at its peak: per node, the first and last
+    iterates and every iterate's norms; besides, the wave march's working
+    set of (n_max, 2, N) stacks and the norm blocks with their transforms."""
+    stored = (T / dt + 1.0) * (2 * 2 * N + 2 * (n_max + 1)) * 8
+    march = 48 * n_max * 2 * N * 8
+    blocks = 8 * _NORM_BLOCK * 2 * N * 8
+    return stored + march + blocks
+
+
 def run_scheme(u0: GridFunction, rho0: GridFunction, cfg: SchemeConfig) -> IterationTrace:
     """Run the mollified transport iteration on [0, lifespan(P0, C)]."""
     grid = u0.grid
@@ -317,41 +373,100 @@ def run_scheme(u0: GridFunction, rho0: GridFunction, cfg: SchemeConfig) -> Itera
         assert 4.0 * cfg.C * P0**2 * T < 1.0
     # the lifespan is an awkward number; refine dt so the nodes land on T
     n_steps = max(1, int(np.ceil(T / cfg.dt - 1e-12)))
-    # stored per node: the first and last iterates and every iterate's norms
-    _check_memory(T, cfg.dt, (2 * 2 * grid.N + 2 * (cfg.n_max + 1)) * 8,
-                  "--dt or --n-max")
+    _check_memory(_scheme_bytes(grid.N, cfg.n_max, T, cfg.dt), "--dt or --n-max")
     time_grid = make_time_grid(T, T / n_steps)
-    n_nodes = time_grid.size
+    dt = float(time_grid[1] - time_grid[0])
+    n_nodes, n_rows, N = time_grid.size, cfg.n_max, grid.N
+    M = n_nodes - 1
 
     ik, lam, mask = _fw_symbols(grid)
+    first = np.empty((n_nodes, 2, N))
+    last = first if n_rows == 1 else np.empty_like(first)
+    # iterate 0 is the zero pair: zero norms
+    norms = np.zeros((n_rows + 1, n_nodes, 2))
+    d_max = np.full((n_rows, 2), -np.inf)
+    flat_norms = norms.reshape(-1, 2)
 
-    # iterate 0 is the zero pair: zero samples, transform and norms
-    prev = np.zeros((n_nodes, 2, grid.N))
-    y_hat = np.zeros((n_nodes, 2, grid.N), dtype=complex)
-    norms = np.zeros((cfg.n_max + 1, n_nodes, 2))
-    d_n = np.empty(cfg.n_max)
+    def store_norms(keys, norm_u, norm_rho):
+        flat_norms[keys, 0], flat_norms[keys, 1] = norm_u, norm_rho
 
-    for n in range(cfg.n_max):
-        kern = MollifierKernel(epsilon=1.0 / (n + 1))
-        forcing = _scheme_forcing(prev, y_hat, ik, lam, mask)
-        del y_hat  # not live during the solve
-        # u^{n+1} and rho^{n+1} share the velocity u^n: one 2-row march
-        initial = np.stack([mollify(u0, kern).samples, mollify(rho0, kern).samples])
-        try:
-            march = _march_transport(grid, time_grid, prev[:, 0], forcing, initial)
-            cur = np.fromiter(march, count=n_nodes,
-                              dtype=np.dtype((float, (2, grid.N))))
-        except (ValueError, BlowUpError) as exc:
-            raise RuntimeError(f"transport solve failed at iterate {n + 1}: {exc}") from exc
-        del march, forcing
-        d_n[n] = _sup_distance(part, cur - prev, sm1)
-        prev = cur
-        if n == 0:
-            first = cur
+    def raise_d_max(keys, norm_u, norm_rho):
+        np.maximum.at(d_max[:, 0], keys, norm_u)
+        np.maximum.at(d_max[:, 1], keys, norm_rho)
 
-        y_hat = np.fft.fft(cur)
-        norms[n + 1, :, 0] = besov_norms_batch(part, y_hat[:, 0] / grid.N, params)
-        norms[n + 1, :, 1] = besov_norms_batch(part, y_hat[:, 1] / grid.N, sm1)
+    # a node's norm row is keyed by its flat (iterate, node) index into
+    # norms, its difference from the previous iterate by iterate - 1
+    norm_blocks = _NormBlocks(N, complex, store_norms, lambda b: (
+        besov_norms_batch(part, b[:, 0], params), besov_norms_batch(part, b[:, 1], sm1)))
+    d_blocks = _NormBlocks(N, float, raise_d_max,
+                           lambda b: _pair_norms(part, b, sm1))
+
+    # Row r of the wave march is iterate r + 1, one node behind row r - 1:
+    # at wave node i it reaches its node i - r, and its step from there reads
+    # iterate r at nodes i - r and i - r + 1, made at wave nodes i - 1 and i.
+    # Rows that do not step get zero velocity and forcing, which holds them
+    # fixed; so does row 0, advected by the zero pair.
+    kernels = [MollifierKernel(epsilon=1.0 / (n + 1)) for n in range(n_rows)]
+    initial = np.array([[mollify(u0, k).samples, mollify(rho0, k).samples]
+                        for k in kernels])
+    vel = np.zeros((3, n_rows, 1, N))  # step inputs at w = 0, 1/2, 1
+    frc = np.zeros((3, n_rows, 2, N))
+    # iterate n at the previous wave node, and its forcing then and now
+    then = np.zeros((n_rows + 1, 2, N))
+    forcing_then, forcing_now = np.zeros_like(then), np.zeros_like(then)
+
+    def rhs(f, i, w):
+        k = int(2 * w)
+        return _transport_rhs(f, vel[k], frc[k], ik, mask)
+
+    march = integrate_rk4(rhs, initial, dt * np.arange(M + n_rows), dt,
+                          "transport solution")
+    try:
+        for i, y in enumerate(march):
+            lo, hi = max(0, i - M), min(n_rows - 1, i)  # rows that reach a node
+            fed = min(hi, n_rows - 2)  # the last of them with a successor
+            rows = np.arange(lo, hi + 1)
+            new = y[lo:hi + 1]
+            if lo == 0:
+                first[i] = y[0]
+            if hi == n_rows - 1:
+                last[i - hi] = y[hi]
+            hit = _cfl_violation(grid, y[lo:fed + 1, 0], dt)
+            if hit:
+                k, reason = hit
+                node = i - lo - k
+                raise RuntimeError(
+                    f"transport solve failed at iterate {lo + k + 2}: velocity "
+                    f"u^{lo + k + 1} at node {node} (t = {time_grid[node]:.6g}): {reason}")
+
+            # one transform of the new nodes: their norms and the forcing
+            # they exert on their successors
+            y_hat = np.fft.fft(new)
+            norm_blocks.push(y_hat / N, (rows + 1) * n_nodes + i - rows)
+            d_blocks.push(new - then[lo:hi + 1], rows)
+            forcing_now[lo + 1:fed + 2] = _scheme_forcing(
+                new[:fed + 1 - lo], y_hat[:fed + 1 - lo], ik, lam, mask)
+
+            a, b = max(1, i - M + 1), min(n_rows - 1, i)  # rows 1.. that step
+            vel.fill(0.0)
+            frc.fill(0.0)
+            vel[0, a:b + 1, 0] = then[a:b + 1, 0]
+            vel[2, a:b + 1, 0] = y[a - 1:b, 0]
+            vel[1] = 0.5 * (vel[0] + vel[2])
+            frc[0, a:b + 1] = forcing_then[a:b + 1]
+            frc[2, a:b + 1] = forcing_now[a:b + 1]
+            frc[1] = 0.5 * (frc[0] + frc[2])
+            then[1:] = y
+            forcing_then, forcing_now = forcing_now, forcing_then
+    except BlowUpError as exc:
+        r = exc.rows[0]
+        node = exc.node - r
+        raise RuntimeError(
+            f"transport solve failed at iterate {r + 1}: transport solution lost "
+            f"finiteness at node {node} (t = {time_grid[node]:.6g})") from exc
+    norm_blocks.flush()
+    d_blocks.flush()
+    d_n = d_max[:, 0] + d_max[:, 1]
 
     norm_sum = norms[..., 0] + norms[..., 1]
     if P0 > 0:
@@ -364,7 +479,7 @@ def run_scheme(u0: GridFunction, rho0: GridFunction, cfg: SchemeConfig) -> Itera
 
     return IterationTrace(
         grid=grid, time_grid=time_grid, params=params, C=cfg.C, P0=P0, T=T,
-        first=first, last=prev, norms=norms, d_n=d_n,
+        first=first, last=last, norms=norms, d_n=d_n,
         bound_312=bound_312, bound_313=bound_313,
     )
 

@@ -12,12 +12,13 @@ with the direct Fornberg-Whitham solver and owns the blow-up check; it yields
 one state per node and each caller keeps what it needs.
 
 A problem holds sample arrays only: one row of initial data and forcing.
-The private march beneath solve_transport steps any (..., N) stack of rows
-that share one velocity, one FFT per stage for the whole stack; the
-mollified scheme marches its stacked (u, rho) iterates through it directly
-and keeps only what it reads.  The V(t) profile of a trajectory is computed
-when first read.  Besov norms use the partition of the problem's grid,
-cached per grid, so no entry point takes one.
+One right-hand-side kernel, _transport_rhs, steps any (..., N) stack of rows
+with velocity and forcing broadcast against them, one FFT per stage for the
+whole stack.  The private march beneath solve_transport feeds it one
+velocity shared by every row; the mollified scheme feeds it a velocity and
+forcing per row, to march all its iterates at once.  The V(t) profile of a
+trajectory is computed when first read.  Besov norms use the partition of
+the problem's grid, cached per grid, so no entry point takes one.
 
 The companion checker evaluates, node by node,
 
@@ -187,13 +188,29 @@ def _cumtrapz(values: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def _check_cfl(grid: Grid, velocity: np.ndarray, dt: float) -> None:
-    vmax = float(np.max(np.abs(velocity)))
-    if vmax > 0 and dt > CFL_FACTOR * grid.dx / vmax:
-        raise ValueError(
-            f"dt = {dt} violates the advective stability bound "
-            f"{CFL_FACTOR * grid.dx / vmax:.3e} (max|v| = {vmax:.3e})"
-        )
+def _cfl_violation(grid: Grid, velocity: np.ndarray, dt: float):
+    """The first of the (K, N) velocity rows whose max|v| puts dt over the
+    advective stability bound, as (row, reason), or None."""
+    vmax = np.max(np.abs(velocity), axis=-1)
+    with np.errstate(divide="ignore"):
+        bound = CFL_FACTOR * grid.dx / vmax
+    bad = np.flatnonzero((vmax > 0) & (dt > bound))
+    if bad.size == 0:
+        return None
+    k = int(bad[0])
+    return k, (f"dt = {dt} violates the advective stability bound "
+               f"{bound[k]:.3e} (max|v| = {vmax[k]:.3e})")
+
+
+def _transport_rhs(f, vw, Fw, ik, mask):
+    """-vw f_x + Fw for the (..., N) rows f, with the velocity vw and forcing
+    Fw broadcast against them; each FFT transforms the whole stack."""
+    f_hat = np.fft.fft(f)
+    f_hat *= ik
+    fx = np.fft.ifft(f_hat).real
+    adv_hat = np.fft.fft(vw * fx)
+    adv_hat *= mask
+    return Fw - np.fft.ifft(adv_hat).real
 
 
 def _march_transport(grid: Grid, time_grid: np.ndarray, velocity: np.ndarray,
@@ -202,7 +219,10 @@ def _march_transport(grid: Grid, time_grid: np.ndarray, velocity: np.ndarray,
     yielding the state per node.  velocity is (M+1, N), shared by every row;
     forcing is (M+1,) + initial.shape; the step is the time grid's."""
     dt = float(time_grid[1] - time_grid[0])
-    _check_cfl(grid, velocity, dt)
+    hit = _cfl_violation(grid, velocity, dt)
+    if hit:
+        node, reason = hit
+        raise ValueError(f"{reason} at node {node} (t = {time_grid[node]:.6g})")
 
     ik = 1j * grid.wavenumbers
     mask = dealias_mask(grid)
@@ -213,9 +233,7 @@ def _march_transport(grid: Grid, time_grid: np.ndarray, velocity: np.ndarray,
             vw, Fw = 0.5 * (v[i] + v[i + 1]), 0.5 * (F[i] + F[i + 1])
         else:
             vw, Fw = v[i + int(w)], F[i + int(w)]
-        fx = np.fft.ifft(ik * np.fft.fft(f)).real
-        adv = np.fft.ifft(mask * np.fft.fft(vw * fx)).real
-        return -adv + Fw
+        return _transport_rhs(f, vw, Fw, ik, mask)
 
     return integrate_rk4(rhs, initial, time_grid, dt, "transport solution")
 

@@ -23,7 +23,13 @@ from fwlab import (
 import fwlab.fw
 from fwlab.fw import LIFESPAN_CAP, _pair_norms, _sup_distance
 from fwlab.besov import BesovParams
-from fwlab.transport import BlowUpError, integrate_rk4, make_time_grid
+from fwlab.transport import (
+    BlowUpError,
+    TransportProblem,
+    integrate_rk4,
+    make_time_grid,
+    solve_transport,
+)
 
 from conftest import random_field
 
@@ -96,6 +102,16 @@ class TestDirectSolve:
         assert all(np.all(np.isfinite(y)) for y in yielded)
         assert np.array_equal(yielded[0], np.stack([u0.samples, rho0.samples]))
 
+    def test_peak_memory_at_scheme_sizes(self, scheme_peak):
+        # below the 35 MB of a march that keeps two whole iterates live
+        trace, peak = scheme_peak
+        assert peak < 20e6
+
+    def test_memory_guard_prices_what_is_live(self, scheme_peak):
+        trace, peak = scheme_peak
+        priced = fwlab.fw._scheme_bytes(trace.grid.N, trace.n_max, trace.T, 2e-3)
+        assert priced >= peak
+
     def test_memory_guard_before_allocating(self, grid256):
         state = FWState(u=_gf(grid256, 0.0), rho=_gf(grid256, 0.0))
         with pytest.raises(ValueError, match=r"GB but the machine has .* GB; change --dt or --T"):
@@ -151,6 +167,22 @@ class TestLifespan:
             lifespan(1.0, 0.0)
 
 
+@pytest.fixture(scope="module")
+def scheme_peak(grid256, params322):
+    """The scheme at the benchmark sizes (N=256, n_max=10, dt=2e-3) and its
+    tracemalloc peak in bytes."""
+    u0 = GridFunction.from_samples(grid256, 0.1 * np.sin(grid256.x))
+    rho0 = GridFunction.from_samples(grid256, 0.1 * np.cos(grid256.x))
+    cfg = SchemeConfig(params=params322, C=1.0, n_max=10, dt=2e-3)
+    tracemalloc.start()
+    try:
+        trace = run_scheme(u0, rho0, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return trace, peak
+
+
 class TestScheme:
     def test_inadmissible_params_rejected(self):
         with pytest.raises(ValueError):
@@ -193,36 +225,126 @@ class TestScheme:
 
     def test_one_transport_solve_per_iterate(self, grid256, part256, params322,
                                              monkeypatch):
-        marches = []
-        real = fwlab.fw._march_transport
+        # every iterate steps in one wave march of M + n_max - 1 RK4 steps,
+        # each one batched call of the transport kernel per stage
+        calls = []
+        real = fwlab.fw._transport_rhs
 
-        def counting(*args):
-            marches.append(args)
-            return real(*args)
+        def counting(f, *args):
+            calls.append(f.shape)
+            return real(f, *args)
 
-        monkeypatch.setattr(fwlab.fw, "_march_transport", counting)
+        monkeypatch.setattr(fwlab.fw, "_transport_rhs", counting)
         u0 = GridFunction.from_samples(grid256, 0.1 * np.sin(grid256.x))
         rho0 = GridFunction.from_samples(grid256, 0.1 * np.cos(grid256.x))
         cfg = SchemeConfig(params=params322, C=1.0, n_max=3, dt=1e-2)
-        run_scheme(u0, rho0, cfg)
-        assert len(marches) == cfg.n_max
+        trace = run_scheme(u0, rho0, cfg)
+        M = trace.time_grid.size - 1
+        assert len(calls) == 4 * (M + cfg.n_max - 1)
+        assert set(calls) == {(cfg.n_max, 2, grid256.N)}
 
     def test_each_iterate_transformed_once(self, grid256, part256, params322,
                                            monkeypatch):
-        calls = []
-        real = fwlab.fw.besov_norms_of_samples
+        # outside the transport kernel, the (u, rho) states are transformed
+        # once per wave, in one batched FFT: one row pair per (iterate, node)
+        state_rows, in_kernel = [], []
+        real_fft, real_kernel = np.fft.fft, fwlab.fw._transport_rhs
 
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
+        def kernel(*args):
+            in_kernel.append(True)
+            try:
+                return real_kernel(*args)
+            finally:
+                in_kernel.pop()
 
-        monkeypatch.setattr(fwlab.fw, "besov_norms_of_samples", counting)
+        def fft(a, *args, **kwargs):
+            if not in_kernel and np.ndim(a) == 3 and np.shape(a)[1:] == (2, grid256.N):
+                state_rows.append(np.shape(a)[0])
+            return real_fft(a, *args, **kwargs)
+
+        monkeypatch.setattr(fwlab.fw, "_transport_rhs", kernel)
+        monkeypatch.setattr(np.fft, "fft", fft)
         u0 = GridFunction.from_samples(grid256, 0.1 * np.sin(grid256.x))
         rho0 = GridFunction.from_samples(grid256, 0.1 * np.cos(grid256.x))
         cfg = SchemeConfig(params=params322, C=1.0, n_max=3, dt=1e-2)
-        run_scheme(u0, rho0, cfg)
-        # only d_n samples-to-norms transforms remain: two per iterate
-        assert len(calls) == 2 * cfg.n_max
+        trace = run_scheme(u0, rho0, cfg)
+        n_nodes = trace.time_grid.size
+        assert len(state_rows) == n_nodes + cfg.n_max - 1
+        assert sum(state_rows) == cfg.n_max * n_nodes
+
+    def test_pipeline_equals_sequential_iterates(self, grid256, part256, params322):
+        # the permanent guard on the wave march: build iterates 1..n_max one
+        # after another, one public transport solve per field with velocity
+        # u^n and the forcing of iterate n, and compare bit for bit
+        u0 = GridFunction.from_samples(grid256, 0.1 * np.sin(grid256.x))
+        rho0 = GridFunction.from_samples(grid256, 0.1 * np.cos(grid256.x))
+        cfg = SchemeConfig(params=params322, C=1.0, n_max=3, dt=1e-2)
+        trace = run_scheme(u0, rho0, cfg)
+        tg = trace.time_grid
+        symbols = fwlab.fw._fw_symbols(grid256)
+        prev = np.zeros((tg.size, 2, grid256.N))
+        iterates, d_n = [], []
+        for n in range(cfg.n_max):
+            kern = MollifierKernel(epsilon=1.0 / (n + 1))
+            forcing = fwlab.fw._scheme_forcing(prev, np.fft.fft(prev), *symbols)
+            cur = np.stack([
+                solve_transport(TransportProblem.build(
+                    grid256, tg, prev[:, 0], forcing[:, k], mollify(f0, kern)),
+                    params322).states
+                for k, f0 in enumerate((u0, rho0))], axis=1)
+            d_n.append(_sup_distance(part256, cur - prev, params322.shift(-1.0)))
+            iterates.append(cur)
+            prev = cur
+        assert np.array_equal(trace.first, iterates[0])
+        assert np.array_equal(trace.last, iterates[-1])
+        for n, cur in enumerate(iterates, start=1):
+            norm_u, norm_rho = _pair_norms(part256, cur, params322)
+            assert np.array_equal(trace.norm_u[n], norm_u)
+            assert np.array_equal(trace.norm_rho[n], norm_rho)
+        assert np.array_equal(trace.d_n, d_n)
+
+    def test_velocity_node_over_cfl_names_iterate_and_node(
+            self, grid256, params322, monkeypatch):
+        # a forcing scaled up 100-fold makes u^2 grow until, at some node,
+        # it breaks the advective bound as the velocity of iterate 3
+        real = fwlab.fw._scheme_forcing
+        monkeypatch.setattr(fwlab.fw, "_scheme_forcing", lambda *a: 100.0 * real(*a))
+        u0 = GridFunction.from_samples(grid256, 0.1 * np.sin(grid256.x))
+        rho0 = GridFunction.from_samples(grid256, 0.1 * np.cos(grid256.x))
+        two = run_scheme(u0, rho0, SchemeConfig(params=params322, C=1.0, n_max=2, dt=1e-2))
+        dt = two.time_grid[1] - two.time_grid[0]
+        vmax = np.max(np.abs(two.last[:, 0]), axis=-1)
+        node = int(np.flatnonzero(dt > 0.5 * grid256.dx / vmax)[0])
+        assert node > 0
+        with pytest.raises(RuntimeError,
+                           match=rf"failed at iterate 3: velocity u\^2 at node {node} "
+                                 r"\(t = .*\): dt = .* violates the advective "
+                                 r"stability bound .* \(max\|v\| = "):
+            run_scheme(u0, rho0, SchemeConfig(params=params322, C=1.0, n_max=3, dt=1e-2))
+
+    def test_blowup_in_wave_march_names_iterate_and_node(
+            self, grid256, params322, monkeypatch):
+        # a NaN in the forcing iterate 1 exerts at its node 5 reaches
+        # iterate 2 at its step to node 5
+        real = fwlab.fw._scheme_forcing
+        waves = []
+
+        def poisoned(y, *args):
+            out = real(y, *args)
+            waves.append(len(y))
+            if len(waves) == 6:  # wave node 5: iterate 1 is the first row
+                out[0, 0, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(fwlab.fw, "_scheme_forcing", poisoned)
+        u0 = GridFunction.from_samples(grid256, 0.1 * np.sin(grid256.x))
+        rho0 = GridFunction.from_samples(grid256, 0.1 * np.cos(grid256.x))
+        cfg = SchemeConfig(params=params322, C=1.0, n_max=3, dt=1e-2)
+        with pytest.raises(RuntimeError,
+                           match=r"failed at iterate 2: transport solution lost "
+                                 r"finiteness at node 5 \(t = ") as info:
+            run_scheme(u0, rho0, cfg)
+        assert isinstance(info.value.__cause__, BlowUpError)
 
     def test_prefix_runs_give_every_iterate(self, grid256, part256, params322):
         # iterates never depend on later ones, so the n_max = k run ends on
