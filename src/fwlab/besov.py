@@ -104,13 +104,10 @@ class LPPartition:
     def phi_masks(self) -> np.ndarray:
         return self.masks[1:]
 
-    def all_masks(self) -> np.ndarray:
-        """Masks stacked in block order q = -1, 0, ..., q_max."""
-        return self.masks
-
-    def block_weights(self, s: float) -> np.ndarray:
-        """The 2^{s q} weights for q = -1, 0, ..., q_max."""
-        return 2.0 ** (s * np.arange(-1, self.q_max + 1))
+    def block_weights(self, s) -> np.ndarray:
+        """The 2^{s q} weights for q = -1, 0, ..., q_max, shape (q_max + 2,)
+        + np.shape(s): one column per smoothness index in s."""
+        return 2.0 ** np.multiply.outer(np.arange(-1, self.q_max + 1), s)
 
 
 @cache
@@ -193,7 +190,8 @@ def _block_lp_norms(part: LPPartition, coefficients: np.ndarray, p: float) -> np
     order q = -1, 0, ..., q_max.
 
     At p = 2, Parseval gives ||Delta_q f||_{L^2}^2 = 2 pi L sum |mask_q c|^2
-    from the coefficients, with no inverse transform.
+    from the coefficients, with no inverse transform.  Every sum runs within
+    one row, so a row's norms are bit-identical however it is batched.
     """
     grid = part.grid
     masks = part.masks  # (Q, N)
@@ -202,7 +200,9 @@ def _block_lp_norms(part: LPPartition, coefficients: np.ndarray, p: float) -> np
         modulus = np.abs(coefficients)
         power = modulus**2
         if np.all(np.isfinite(power)):
-            sums = np.moveaxis(power @ (masks**2).T, -1, 0)
+            # one dot product per (row, block), not a matmul: BLAS picks
+            # its matmul kernel by row count, which moves the last bits
+            sums = np.moveaxis(np.vecdot(power[..., None, :], masks**2), -1, 0)
         else:
             # |c|^2 overflowed: square mask * |c| so that a zero mask gives 0,
             # not 0 * inf = NaN, and the row reads inf like the sample sum
@@ -213,15 +213,29 @@ def _block_lp_norms(part: LPPartition, coefficients: np.ndarray, p: float) -> np
     return lp_norm_samples(samples, grid.dx, p)
 
 
-def _lr_combine(part: LPPartition, block_norms: np.ndarray,
-                params: BesovParams) -> np.ndarray:
-    """Weighted l^r sum over the block axis (axis 0)."""
-    weights = part.block_weights(params.s)
-    w = weights[(slice(None),) + (None,) * (block_norms.ndim - 1)]
-    terms = w * block_norms
-    if np.isinf(params.r):
-        return terms.max(axis=0)
-    return (np.sum(terms**params.r, axis=0)) ** (1.0 / params.r)
+def _lr_combine(part: LPPartition, block_norms: np.ndarray, s, r: float) -> np.ndarray:
+    """Weighted l^r sum over the block axis (axis 0) of block norms shaped
+    (Q, ...), at smoothness s: a scalar, or an array that broadcasts over
+    the trailing axes, one index per entry.
+
+    The terms are divided by the largest before the r-th power and the sum
+    multiplied back, so the powers neither underflow nor overflow; where the
+    largest term is 0, inf or NaN it is the norm.
+    """
+    weights = part.block_weights(s)
+    w = weights.reshape(weights.shape[:1] + (1,) * (block_norms.ndim - weights.ndim)
+                        + weights.shape[1:])
+    # the trailing axis keeps a lone row an array: numpy scalars take powers
+    # with other rounding than arrays do
+    terms = (w * block_norms)[..., None]
+    top = terms.max(axis=0)
+    if np.isinf(r):
+        return top[..., 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # block by block, in order: np.sum would sum a lone row pairwise
+        total = sum((terms / top) ** r)
+        out = top * total ** (1.0 / r)
+    return np.where(np.isfinite(top) & (top > 0), out, top)[..., 0]
 
 
 def besov_norm(part: LPPartition, f: GridFunction, params: BesovParams) -> float:
@@ -229,15 +243,16 @@ def besov_norm(part: LPPartition, f: GridFunction, params: BesovParams) -> float
     if f.grid != part.grid:
         raise ValueError("partition and field live on different grids")
     norms = _block_lp_norms(part, f.coefficients, params.p)
-    return float(_lr_combine(part, norms, params))
+    return float(_lr_combine(part, norms, params.s, params.r))
 
 
 def besov_norms_batch(
     part: LPPartition, coefficients: np.ndarray, params: BesovParams
 ) -> np.ndarray:
-    """Besov norms of a batch of coefficient rows (shape (..., N))."""
+    """Besov norms of a batch of coefficient rows (shape (..., N)); each
+    row's norm is bit-identical however the rows are batched."""
     norms = _block_lp_norms(part, np.asarray(coefficients, dtype=complex), params.p)
-    return np.atleast_1d(_lr_combine(part, norms, params))
+    return np.atleast_1d(_lr_combine(part, norms, params.s, params.r))
 
 
 def besov_norms_of_samples(

@@ -14,10 +14,11 @@ kernel acts on such stacks, so a leading member axis steps many solutions in
 one batched call; the direct march integrates it with the RK4 integrator it
 shares with the transport solver, and fw_rhs wraps it for single states.
 Every pair is measured one way, in B^s x B^{s-1} by _pair_norms, on the
-partition of its grid.  The stability and continuity experiments march each
-family of solutions as one batch and take their distance norms node by node,
-storing no trajectory.  The constructive scheme
-iterates the pair of linear transport problems
+partition of its grid: one transform of the stack and one block-norm
+reduction, whose bits do not depend on how the rows are batched.  The
+stability and continuity experiments march each family of solutions as one
+batch and take their distance norms node by node, storing no trajectory.
+The constructive scheme iterates the pair of linear transport problems
 
     u^{n+1}_t + u^n u^{n+1}_x = Lambda^{-1} d/dx (rho^n - u^n)
     rho^{n+1}_t + u^n rho^{n+1}_x = -rho^n u^n_x - u^n_x
@@ -32,12 +33,13 @@ on the guaranteed lifespan T = 3 / (16 C P0^2).  Iterate n+1 reads iterate
 n only at the two nodes of its current step, so every iterate advances in
 one wave march, each one node behind its predecessor: M + n_max - 1 RK4
 steps, each one batched transport-kernel call per stage on the (n_max, 2, N)
-stack, with a velocity and forcing per row.  Each wave's new nodes are
-transformed once, for their norms and their successors' forcing, and a
-velocity node is checked against the advective bound as it is made.  Only
-two nodes per iterate are live; the trace keeps the first and last
-iterates, every iterate's norms and d_n.  The empirical lifespan integrates
-the nonlinear system directly.
+stack, with a velocity and forcing per row.  Each wave's new nodes and
+their differences from the previous iterate are transformed once, together;
+that transform gives their norms, d_n as a running maximum, and the new
+nodes' forcing of their successors, and a velocity node is checked against
+the advective bound as it is made.  Only two nodes per iterate are live; the
+trace keeps the first and last iterates, every iterate's norms and d_n.  The
+empirical lifespan integrates the nonlinear system directly.
 """
 
 from __future__ import annotations
@@ -52,8 +54,9 @@ from .besov import (
     BesovParams,
     LPPartition,
     MollifierKernel,
+    _block_lp_norms,
+    _lr_combine,
     besov_norms_batch,
-    besov_norms_of_samples,
     build_partition,
     mollify,
 )
@@ -247,11 +250,19 @@ def initial_norm(part: LPPartition, u0: GridFunction, rho0: GridFunction,
     )
 
 
+def _pair_smoothness(params: BesovParams) -> np.ndarray:
+    """The smoothness indices (s, s-1) of the pair space B^s x B^{s-1}."""
+    return np.array([params.s, params.shift(-1.0).s])
+
+
 def _pair_norms(part: LPPartition, y: np.ndarray, params: BesovParams):
     """||u||_{B^s} and ||rho||_{B^{s-1}} of each row of stacked (..., 2, N)
-    (u, rho) samples, with (s, p, r) = params: the norm of the pair space."""
-    return (besov_norms_of_samples(part, y[..., 0, :], params),
-            besov_norms_of_samples(part, y[..., 1, :], params.shift(-1.0)))
+    (u, rho) samples, with (s, p, r) = params: the norm of the pair space,
+    from one transform of the stack and one block-norm reduction."""
+    y_hat = np.fft.fft(y) / part.grid.N
+    norms = _lr_combine(part, _block_lp_norms(part, y_hat, params.p),
+                        _pair_smoothness(params), params.r)
+    return norms[..., 0], norms[..., 1]
 
 
 def _sup_distance(part: LPPartition, d: np.ndarray, params: BesovParams) -> float:
@@ -311,50 +322,13 @@ def _scheme_forcing(y, y_hat, ik, lam, mask):
     return np.stack([forcing_u, -prod - ux], axis=-2)
 
 
-#: rows per norm call in run_scheme, fixed: p=2 norm bits vary with row count below ~201
-_NORM_BLOCK = 256
-
-
-class _NormBlocks:
-    """Pushed (2, N) pair rows gathered into blocks of _NORM_BLOCK rows, each
-    measured by one measure(block) -> (norm_u, norm_rho) call; sink(keys,
-    norm_u, norm_rho) gets the norms of the pushed rows with their keys.  The
-    last block is padded with zero rows, whose norms are dropped."""
-
-    def __init__(self, N, dtype, sink, measure):
-        self._block = np.zeros((_NORM_BLOCK, 2, N), dtype)
-        self._keys = np.empty(_NORM_BLOCK, dtype=int)
-        self._fill = 0
-        self._sink, self._measure = sink, measure
-
-    def push(self, rows, keys):
-        done = 0
-        while done < len(rows):
-            take = min(len(rows) - done, _NORM_BLOCK - self._fill)
-            self._block[self._fill:self._fill + take] = rows[done:done + take]
-            self._keys[self._fill:self._fill + take] = keys[done:done + take]
-            self._fill += take
-            done += take
-            if self._fill == _NORM_BLOCK:
-                self.flush()
-
-    def flush(self):
-        n = self._fill
-        if n:
-            self._block[n:] = 0
-            norm_u, norm_rho = self._measure(self._block)
-            self._sink(self._keys[:n], norm_u[:n], norm_rho[:n])
-            self._fill = 0
-
-
 def _scheme_bytes(N: int, n_max: int, T: float, dt: float) -> float:
     """What run_scheme holds at its peak: per node, the first and last
     iterates and every iterate's norms; besides, the wave march's working
-    set of (n_max, 2, N) stacks and the norm blocks with their transforms."""
+    set of (n_max, 2, N) stacks, which includes each wave's transform."""
     stored = (T / dt + 1.0) * (2 * 2 * N + 2 * (n_max + 1)) * 8
     march = 48 * n_max * 2 * N * 8
-    blocks = 8 * _NORM_BLOCK * 2 * N * 8
-    return stored + march + blocks
+    return stored + march
 
 
 def run_scheme(u0: GridFunction, rho0: GridFunction, cfg: SchemeConfig) -> IterationTrace:
@@ -364,7 +338,10 @@ def run_scheme(u0: GridFunction, rho0: GridFunction, cfg: SchemeConfig) -> Itera
         raise ValueError("u0 and rho0 must share one grid")
     part = build_partition(grid)
     params = cfg.params
-    sm1 = params.shift(-1.0)
+    # a wave's new nodes in B^s x B^{s-1}, their differences from the
+    # previous iterate in B^{s-1} x B^{s-2}
+    smoothness = np.stack([_pair_smoothness(params),
+                           _pair_smoothness(params.shift(-1.0))])[:, None]
 
     P0 = initial_norm(part, u0, rho0, params)
     T = lifespan(P0, cfg.C)
@@ -385,21 +362,6 @@ def run_scheme(u0: GridFunction, rho0: GridFunction, cfg: SchemeConfig) -> Itera
     # iterate 0 is the zero pair: zero norms
     norms = np.zeros((n_rows + 1, n_nodes, 2))
     d_max = np.full((n_rows, 2), -np.inf)
-    flat_norms = norms.reshape(-1, 2)
-
-    def store_norms(keys, norm_u, norm_rho):
-        flat_norms[keys, 0], flat_norms[keys, 1] = norm_u, norm_rho
-
-    def raise_d_max(keys, norm_u, norm_rho):
-        np.maximum.at(d_max[:, 0], keys, norm_u)
-        np.maximum.at(d_max[:, 1], keys, norm_rho)
-
-    # a node's norm row is keyed by its flat (iterate, node) index into
-    # norms, its difference from the previous iterate by iterate - 1
-    norm_blocks = _NormBlocks(N, complex, store_norms, lambda b: (
-        besov_norms_batch(part, b[:, 0], params), besov_norms_batch(part, b[:, 1], sm1)))
-    d_blocks = _NormBlocks(N, float, raise_d_max,
-                           lambda b: _pair_norms(part, b, sm1))
 
     # Row r of the wave march is iterate r + 1, one node behind row r - 1:
     # at wave node i it reaches its node i - r, and its step from there reads
@@ -439,13 +401,16 @@ def run_scheme(u0: GridFunction, rho0: GridFunction, cfg: SchemeConfig) -> Itera
                     f"transport solve failed at iterate {lo + k + 2}: velocity "
                     f"u^{lo + k + 1} at node {node} (t = {time_grid[node]:.6g}): {reason}")
 
-            # one transform of the new nodes: their norms and the forcing
-            # they exert on their successors
-            y_hat = np.fft.fft(new)
-            norm_blocks.push(y_hat / N, (rows + 1) * n_nodes + i - rows)
-            d_blocks.push(new - then[lo:hi + 1], rows)
+            # one transform of the new nodes and their differences from the
+            # previous iterate: their norms, and the forcing the new nodes
+            # exert on their successors
+            y_hat = np.fft.fft(np.stack([new, new - then[lo:hi + 1]]))
+            wave = _lr_combine(part, _block_lp_norms(part, y_hat / N, params.p),
+                               smoothness, params.r)
+            norms[rows + 1, i - rows] = wave[0]
+            np.maximum(d_max[lo:hi + 1], wave[1], out=d_max[lo:hi + 1])
             forcing_now[lo + 1:fed + 2] = _scheme_forcing(
-                new[:fed + 1 - lo], y_hat[:fed + 1 - lo], ik, lam, mask)
+                new[:fed + 1 - lo], y_hat[0, :fed + 1 - lo], ik, lam, mask)
 
             a, b = max(1, i - M + 1), min(n_rows - 1, i)  # rows 1.. that step
             vel.fill(0.0)
@@ -464,8 +429,6 @@ def run_scheme(u0: GridFunction, rho0: GridFunction, cfg: SchemeConfig) -> Itera
         raise RuntimeError(
             f"transport solve failed at iterate {r + 1}: transport solution lost "
             f"finiteness at node {node} (t = {time_grid[node]:.6g})") from exc
-    norm_blocks.flush()
-    d_blocks.flush()
     d_n = d_max[:, 0] + d_max[:, 1]
 
     norm_sum = norms[..., 0] + norms[..., 1]
@@ -515,7 +478,7 @@ def empirical_lifespan(u0: GridFunction, rho0: GridFunction, cfg: SchemeConfig,
             # a violation, and so does NaN
             with np.errstate(over="ignore"):
                 norm_u, norm_rho = _pair_norms(part, y, cfg.params)
-                norm_sum = norm_u[0] + norm_rho[0]
+                norm_sum = float(norm_u + norm_rho)
             if not norm_sum <= limit:
                 if i == 0:
                     raise RuntimeError(

@@ -408,7 +408,7 @@ def _run_norm(cfg: RunConfig) -> ExperimentReport:
         f, _ = _load_initial_pair(cfg, grid)
     value = besov_norm(part, f, params)
     xi = grid.wavenumbers
-    masks_rows = [[xi[i], *part.all_masks()[:, i]] for i in np.argsort(xi)]
+    masks_rows = [[xi[i], *part.masks[:, i]] for i in np.argsort(xi)]
     header = ["xi", "chi"] + [f"phi_q{q}" for q in range(part.q_max + 1)]
     report = ExperimentReport(kind="norm", config_echo=cfg.echo())
     report.tables["masks"] = (header, masks_rows)

@@ -47,7 +47,7 @@ def test_01_partition_identity():
     for N in (128, 256, 1024):
         for L in (1.0, 8.0):
             part = build_partition(make_grid(N, L))
-            residual = np.max(np.abs(part.all_masks().sum(axis=0) - 1.0))
+            residual = np.max(np.abs(part.masks.sum(axis=0) - 1.0))
             worst = max(worst, float(residual))
     _verdict(1, "partition identity", worst <= 1e-12, f"max residual {worst:.2e}")
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fwlab import (
     BesovParams,
@@ -72,18 +72,18 @@ class TestPartition:
     @pytest.mark.parametrize("L", [1.0, 8.0])
     def test_masks_sum_to_one(self, N, L):
         part = build_partition(make_grid(N, L))
-        total = part.all_masks().sum(axis=0)
+        total = part.masks.sum(axis=0)
         assert np.max(np.abs(total - 1.0)) <= 1e-12
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(half_n=st.integers(4, 256), L=st.floats(0.05, 100.0))
     def test_property_masks_sum_to_one(self, half_n, L):
         part = build_partition(make_grid(2 * half_n, L))
-        assert np.max(np.abs(part.all_masks().sum(axis=0) - 1.0)) <= 1e-12
+        assert np.max(np.abs(part.masks.sum(axis=0) - 1.0)) <= 1e-12
 
     def test_masks_are_read_only_views_of_one_stack(self, part256):
-        stack = part256.all_masks()
-        assert stack is part256.all_masks()
+        stack = part256.masks
+        assert stack.flags.owndata
         assert stack.shape == (part256.q_max + 2, part256.grid.N)
         assert np.shares_memory(part256.chi_mask, stack)
         assert np.shares_memory(part256.phi_masks, stack)
@@ -94,7 +94,7 @@ class TestPartition:
         # xi_max = 0.5 < 3/4: no ring meets the grid, chi alone is one
         part = build_partition(make_grid(8, 8.0))
         assert part.q_max == -1
-        assert np.array_equal(part.all_masks(), np.ones((1, 8)))
+        assert np.array_equal(part.masks, np.ones((1, 8)))
 
     def test_built_once_per_grid(self):
         assert build_partition(make_grid(128, 2.0)) is build_partition(make_grid(128, 2.0))
@@ -245,7 +245,7 @@ class TestBesovNorm:
 
 def _sample_block_norms(part, coefficients, p):
     """Block L^p norms by definition: masked coefficients -> ifft -> L^p."""
-    masks = part.all_masks()[(slice(None),) + (None,) * (coefficients.ndim - 1)]
+    masks = part.masks[(slice(None),) + (None,) * (coefficients.ndim - 1)]
     samples = np.fft.ifft(masks * coefficients[None] * part.grid.N, axis=-1).real
     return lp_norm_samples(samples, part.grid.dx, p)
 
@@ -296,8 +296,9 @@ class TestParsevalBlocks:
     @settings(max_examples=60, deadline=None, database=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        # the l^r sum takes unscaled r-th powers, which underflow to 0 far
-        # below unit scale (|lam| ~ 1e-200); that limit is not homogeneity
+        # the p = 2 Parseval sums and the L^p sums of finite p take unscaled
+        # powers, which underflow to 0 far below unit scale; the wide range
+        # is tested at p in {1, inf} below
         lam=st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3)),
         p=st.sampled_from([1.0, 2.0, 4.0, np.inf]),
         s=st.floats(-1.0, 4.0),
@@ -310,6 +311,55 @@ class TestParsevalBlocks:
         np.testing.assert_allclose(
             besov_norms_batch(part256, lam * c, params),
             abs(lam) * besov_norms_batch(part256, c, params), rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        log_lam=st.floats(-250.0, 250.0),
+        sign=st.sampled_from([1.0, -1.0]),
+        p=st.sampled_from([1.0, np.inf]),
+        s=st.floats(-1.0, 4.0),
+        r=st.sampled_from([1.0, 2.0, np.inf]),
+    )
+    @example(seed=0, log_lam=np.log10(1.24e-205), sign=1.0, p=1.0, s=3.0, r=2.0)
+    @example(seed=0, log_lam=250.0, sign=1.0, p=1.0, s=3.0, r=2.0)
+    def test_property_homogeneity_far_from_unit_scale(self, grid256, part256, seed,
+                                                       log_lam, sign, p, s, r):
+        # the l^r sum scales by its largest term, so its powers neither
+        # underflow nor overflow
+        rng = np.random.default_rng(seed)
+        c = _random_coefficients(grid256, rng, (3,), k_max=64)
+        lam = sign * 10.0**log_lam
+        params = BesovParams(s, p, r)
+        np.testing.assert_allclose(
+            besov_norms_batch(part256, lam * c, params),
+            abs(lam) * besov_norms_batch(part256, c, params), rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_rows=st.integers(1, 40),
+        cuts=st.lists(st.integers(1, 39), max_size=6),
+        L=st.sampled_from([1.0, 8.0]),
+        p=st.sampled_from([1.0, 2.0, 4.0, np.inf]),
+        s=st.floats(-1.0, 4.0),
+        r=st.sampled_from([1.0, 1.5, 2.0, np.inf]),
+    )
+    def test_property_norms_independent_of_batching(self, seed, n_rows, cuts, L,
+                                                     p, s, r):
+        # any split of a batch gives each row the whole batch's norm bit for
+        # bit, a lone (N,) row included; L = 1 has 9 blocks, L = 8 has 6
+        grid = make_grid(256, L)
+        part = build_partition(grid)
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-3.0, 3.0, (n_rows, 1))
+        c = scale * _random_coefficients(grid, rng, (n_rows,), k_max=127)
+        params = BesovParams(s, p, r)
+        whole = besov_norms_batch(part, c, params)
+        bounds = [0] + sorted({k for k in cuts if k < n_rows}) + [n_rows]
+        for a, b in zip(bounds, bounds[1:]):
+            assert np.array_equal(besov_norms_batch(part, c[a:b], params), whole[a:b])
+        assert np.array_equal(besov_norms_batch(part, c[0], params), whole[:1])
 
     def test_overflowing_row_is_inf(self, grid256, part256, params322):
         # |c|^2 overflows on a huge finite row; the sample path gives inf and

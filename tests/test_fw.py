@@ -105,7 +105,7 @@ class TestDirectSolve:
     def test_peak_memory_at_scheme_sizes(self, scheme_peak):
         # below the 35 MB of a march that keeps two whole iterates live
         trace, peak = scheme_peak
-        assert peak < 20e6
+        assert peak < 12e6
 
     def test_memory_guard_prices_what_is_live(self, scheme_peak):
         trace, peak = scheme_peak
@@ -246,7 +246,8 @@ class TestScheme:
     def test_each_iterate_transformed_once(self, grid256, part256, params322,
                                            monkeypatch):
         # outside the transport kernel, the (u, rho) states are transformed
-        # once per wave, in one batched FFT: one row pair per (iterate, node)
+        # once per wave, in one batched FFT of the new nodes stacked on their
+        # differences: two row pairs per (iterate, node)
         state_rows, in_kernel = [], []
         real_fft, real_kernel = np.fft.fft, fwlab.fw._transport_rhs
 
@@ -258,8 +259,10 @@ class TestScheme:
                 in_kernel.pop()
 
         def fft(a, *args, **kwargs):
-            if not in_kernel and np.ndim(a) == 3 and np.shape(a)[1:] == (2, grid256.N):
-                state_rows.append(np.shape(a)[0])
+            shape = np.shape(a)
+            if not in_kernel and len(shape) == 4 and shape[0] == shape[2] == 2 \
+                    and shape[3] == grid256.N:
+                state_rows.append(shape[0] * shape[1])
             return real_fft(a, *args, **kwargs)
 
         monkeypatch.setattr(fwlab.fw, "_transport_rhs", kernel)
@@ -270,7 +273,7 @@ class TestScheme:
         trace = run_scheme(u0, rho0, cfg)
         n_nodes = trace.time_grid.size
         assert len(state_rows) == n_nodes + cfg.n_max - 1
-        assert sum(state_rows) == cfg.n_max * n_nodes
+        assert sum(state_rows) == 2 * cfg.n_max * n_nodes
 
     def test_pipeline_equals_sequential_iterates(self, grid256, part256, params322):
         # the permanent guard on the wave march: build iterates 1..n_max one
@@ -428,8 +431,8 @@ class TestEmpiricalLifespan:
                                                                monkeypatch):
         # with the bound never crossed, the march runs into the blow-up at
         # node 648 and the last finite node, 647, is the lifespan
-        monkeypatch.setattr(fwlab.fw, "besov_norms_of_samples",
-                            lambda *args: np.zeros(1))
+        monkeypatch.setattr(fwlab.fw, "_pair_norms",
+                            lambda *args: (np.zeros(()), np.zeros(())))
         u0, rho0 = _blowup_data()
         cfg = SchemeConfig(params=params322, dt=1e-2)
         assert empirical_lifespan(u0, rho0, cfg, t_cap=20.0) == pytest.approx(6.47, rel=1e-12)
@@ -455,9 +458,9 @@ class TestEmpiricalLifespan:
             self, grid256, params322, monkeypatch):
         u0 = GridFunction.from_samples(grid256, 0.1 * np.sin(grid256.x))
         rho0 = GridFunction.from_samples(grid256, 0.1 * np.cos(grid256.x))
-        real = fwlab.fw.besov_norms_of_samples
-        monkeypatch.setattr(fwlab.fw, "besov_norms_of_samples",
-                            lambda *args: 3.0 * real(*args))
+        real = fwlab.fw._pair_norms
+        monkeypatch.setattr(fwlab.fw, "_pair_norms",
+                            lambda *args: tuple(3.0 * n for n in real(*args)))
         cfg = SchemeConfig(params=params322, dt=1e-2)
         with pytest.raises(RuntimeError, match=r"t = 0: .* exceeds 2\*P0 = "):
             empirical_lifespan(u0, rho0, cfg, t_cap=0.1)
