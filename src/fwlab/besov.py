@@ -45,6 +45,9 @@ __all__ = [
 
 _CHI_INNER = 0.75  # chi == 1 inside this radius
 _CHI_OUTER = 4.0 / 3.0  # chi == 0 outside this radius
+#: leading-axis entries normed per transform by _norms_of_samples: at p != 2
+#: the block temporaries are about 38 times the bytes of the rows they norm
+_NORM_CHUNK = 256
 
 
 def _glue(x: np.ndarray) -> np.ndarray:
@@ -255,12 +258,31 @@ def besov_norms_batch(
     return np.atleast_1d(_lr_combine(part, norms, params.s, params.r))
 
 
+def _norms_of_samples(part: LPPartition, samples, params: BesovParams, s) -> np.ndarray:
+    """Besov norms of real sample rows (..., N), with p and r from params and
+    smoothness s: a scalar, or an array over the trailing axes of the result.
+    One transform and one block reduction per chunk of _NORM_CHUNK entries
+    of the leading axis, so a long batch needs bounded temporaries; a row's
+    norm does not depend on its chunk."""
+    samples = np.asarray(samples, dtype=float)
+
+    def norms(rows):
+        coefficients = np.fft.fft(rows) / part.grid.N
+        return _lr_combine(part, _block_lp_norms(part, coefficients, params.p),
+                           s, params.r)
+
+    if samples.ndim == 1 or len(samples) <= _NORM_CHUNK:
+        return norms(samples)
+    return np.concatenate([norms(samples[i:i + _NORM_CHUNK])
+                           for i in range(0, len(samples), _NORM_CHUNK)])
+
+
 def besov_norms_of_samples(
     part: LPPartition, samples: np.ndarray, params: BesovParams
 ) -> np.ndarray:
-    """Besov norms of a batch of real sample rows (shape (..., N))."""
-    coefficients = np.fft.fft(samples, axis=-1) / part.grid.N
-    return besov_norms_batch(part, coefficients, params)
+    """Besov norms of a batch of real sample rows (shape (..., N)), taken in
+    bounded chunks of the leading axis."""
+    return np.atleast_1d(_norms_of_samples(part, samples, params, params.s))
 
 
 @dataclass(frozen=True)

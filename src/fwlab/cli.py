@@ -1,55 +1,44 @@
 """Command-line entry point: `fwlab <subcommand> [--config path] [overrides]`.
 
-Subcommands map onto the experiment kinds of the harness; flag overrides are
-applied on top of the (optional) YAML config.  The exit code is 0 when every
-verdict of the run passes, 1 when one fails, and 2 for a config error or a
-run that stopped with an error.
+Subcommands map onto the experiment kinds of the harness.  Argparse is the
+one table of overrides: each flag's dest is the dotted config key it sets
+(`--N` sets `grid.N`, `--out` sets `output_dir`), and each subcommand sets
+`experiment.kind` by default, so a flag or kind is declared once.  Set flags
+are applied on top of the (optional) YAML config and validated with it by
+`parse_config`.  The exit code is 0 when every verdict of the run passes, 1
+when one fails, and 2 for a config error or a run that stopped with an error.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
 import yaml
 
-from .harness import (
-    RunConfig,
-    output_dir_for,
-    parse_config,
-    run_experiment,
-)
-
-_KIND_BY_COMMAND = {
-    "norm": "norm",
-    "transport": "transport",
-    "simulate": "simulate",
-    "iterate": "iterate",
-    "lifespan": "lifespan-sweep",
-    "stability": "stability",
-    "continuity": "continuity",
-}
+from .harness import RunConfig, output_dir_for, parse_config, run_experiment
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", type=str, default=None, help="YAML config file")
-    p.add_argument("--N", type=int, default=None, help="grid points")
-    p.add_argument("--L", type=float, default=None, help="torus scale (domain 2*pi*L)")
-    p.add_argument("--dt", type=float, default=None, help="time step")
-    p.add_argument("--T", type=float, default=None, help="final time")
-    p.add_argument("--t-cap", type=float, default=None, help="lifespan search cap")
-    p.add_argument("--s", type=float, default=None, help="Besov regularity index")
-    p.add_argument("--p", type=str, default=None, help="Besov integrability (or 'inf')")
-    p.add_argument("--r", type=str, default=None, help="Besov summability (or 'inf')")
-    p.add_argument("--C", type=float, default=None, help="lifespan constant")
-    p.add_argument("--n-max", type=int, default=None, help="iteration count")
-    p.add_argument("--seed", type=int, default=None, help="random seed")
-    p.add_argument("--out", type=str, default=None, help="output directory")
-    p.add_argument("--preset", type=str, default=None,
+    # flags left unset read None, the argparse default
+    p.add_argument("--config", help="YAML config file")
+    p.add_argument("--N", dest="grid.N", type=int, help="grid points")
+    p.add_argument("--L", dest="grid.L", type=float, help="torus scale (domain 2*pi*L)")
+    p.add_argument("--dt", dest="time.dt", type=float, help="time step")
+    p.add_argument("--T", dest="time.T", type=float, help="final time")
+    p.add_argument("--t-cap", dest="time.t_cap", type=float, help="lifespan search cap")
+    p.add_argument("--s", dest="besov.s", type=float, help="Besov regularity index")
+    p.add_argument("--p", dest="besov.p", help="Besov integrability (or 'inf')")
+    p.add_argument("--r", dest="besov.r", help="Besov summability (or 'inf')")
+    p.add_argument("--C", dest="scheme.C", type=float, help="lifespan constant")
+    p.add_argument("--n-max", dest="scheme.n_max", type=int, help="iteration count")
+    p.add_argument("--seed", dest="seed", type=int, help="random seed")
+    p.add_argument("--out", dest="output_dir", help="output directory")
+    p.add_argument("--preset", dest="experiment.preset",
                    help="data preset: sine | gauss | zero")
-    p.add_argument("--amplitude", type=float, default=None, help="data amplitude")
+    p.add_argument("--amplitude", dest="experiment.amplitude", type=float,
+                   help="data amplitude")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -60,81 +49,52 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("norm", help="Besov norm of a field (CSV or preset)")
-    _add_common_flags(p)
-    p.add_argument("--field", type=str, default=None,
+    def command(name: str, kind: str | None, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(**{"experiment.kind": kind})
+        _add_common_flags(p)
+        return p
+
+    p = command("norm", "norm", "Besov norm of a field (CSV or preset)")
+    p.add_argument("--field", dest="experiment.field_csv",
                    help="CSV file with columns x,value")
 
-    p = sub.add_parser("transport", help="linear transport run and estimate check")
-    _add_common_flags(p)
-    p.add_argument("--velocity", type=str, default=None,
+    p = command("transport", "transport", "linear transport run and estimate check")
+    p.add_argument("--velocity", dest="experiment.velocity",
                    help="preset name or CSV path")
-    p.add_argument("--forcing", type=str, default=None,
+    p.add_argument("--forcing", dest="experiment.forcing",
                    help="preset name or CSV path")
-    p.add_argument("--fit-constant", action="store_true",
+    p.add_argument("--fit-constant", dest="experiment.fit_constant",
+                   action="store_true", default=None,
                    help="calibrate the estimate constant on a random family")
 
-    p = sub.add_parser("simulate", help="direct nonlinear solve with diagnostics")
-    _add_common_flags(p)
+    command("simulate", "simulate", "direct nonlinear solve with diagnostics")
+    command("iterate", "iterate", "run the mollified iteration scheme")
 
-    p = sub.add_parser("iterate", help="run the mollified iteration scheme")
-    _add_common_flags(p)
+    p = command("lifespan", "lifespan-sweep",
+                "amplitude sweep of the empirical lifespan")
+    p.add_argument("--amplitudes", dest="experiment.amplitudes", type=float, nargs="+")
 
-    p = sub.add_parser("lifespan", help="amplitude sweep of the empirical lifespan")
-    _add_common_flags(p)
-    p.add_argument("--amplitudes", type=float, nargs="+", default=None)
+    p = command("stability", "stability", "perturbation growth experiment")
+    p.add_argument("--deltas", dest="experiment.deltas", type=float, nargs="+")
 
-    p = sub.add_parser("stability", help="perturbation growth experiment")
-    _add_common_flags(p)
-    p.add_argument("--deltas", type=float, nargs="+", default=None)
+    p = command("continuity", "continuity", "mollified-family continuity experiment")
+    p.add_argument("--j-max", dest="experiment.j_max", type=int)
 
-    p = sub.add_parser("continuity", help="mollified-family continuity experiment")
-    _add_common_flags(p)
-    p.add_argument("--j-max", type=int, default=None)
-
-    p = sub.add_parser("verify", help="fast built-in verification suite")
-    _add_common_flags(p)
-
+    command("verify", None, "fast built-in verification suite")
     return parser
 
 
-#: (argparse dest, config section or None for top level, config key) of
-#: every flag that overrides the config; unset flags are None or False
-_OVERRIDES = (
-    ("N", "grid", "N"),
-    ("L", "grid", "L"),
-    ("dt", "time", "dt"),
-    ("T", "time", "T"),
-    ("t_cap", "time", "t_cap"),
-    ("s", "besov", "s"),
-    ("p", "besov", "p"),
-    ("r", "besov", "r"),
-    ("C", "scheme", "C"),
-    ("n_max", "scheme", "n_max"),
-    ("seed", None, "seed"),
-    ("out", None, "output_dir"),
-    ("preset", "experiment", "preset"),
-    ("amplitude", "experiment", "amplitude"),
-    ("field", "experiment", "field_csv"),
-    ("velocity", "experiment", "velocity"),
-    ("forcing", "experiment", "forcing"),
-    ("fit_constant", "experiment", "fit_constant"),
-    ("amplitudes", "experiment", "amplitudes"),
-    ("deltas", "experiment", "deltas"),
-    ("j_max", "experiment", "j_max"),
-)
-
-
-def _config_from_args(args: argparse.Namespace, kind: str) -> RunConfig:
-    if args.config:
-        doc = yaml.safe_load(Path(args.config).read_text()) or {}
-    else:
-        doc = {}
-    doc.setdefault("experiment", {})["kind"] = kind
-    for dest, section, key in _OVERRIDES:
-        value = getattr(args, dest, None)
-        if value is not None and value is not False:
-            target = doc if section is None else doc.setdefault(section, {})
+def _config_from_args(args: argparse.Namespace, **overrides) -> RunConfig:
+    """The config file, if any, under every set flag and then the dotted
+    `section.key` overrides; unset flags are None."""
+    doc = (yaml.safe_load(Path(args.config).read_text()) or {}) if args.config else {}
+    for dest, value in {**vars(args), **overrides}.items():
+        if value is not None and dest not in ("command", "config"):
+            *sections, key = dest.split(".")
+            target = doc
+            for section in sections:
+                target = target.setdefault(section, {})
             target[key] = value
     return parse_config(yaml.safe_dump(doc))
 
@@ -144,11 +104,10 @@ def _run_verify(args: argparse.Namespace) -> int:
     ok = True
     for kind, overrides in (
         ("partition-check", {}),
-        ("transport", {"velocity": "zero", "forcing": "sine"}),
-        ("simulate", {"preset": "sine", "amplitude": 0.01}),
+        ("transport", {"experiment.velocity": "zero", "experiment.forcing": "sine"}),
+        ("simulate", {"experiment.preset": "sine", "experiment.amplitude": 0.01}),
     ):
-        cfg = _config_from_args(args, kind)
-        cfg = dataclasses.replace(cfg, experiment={**cfg.experiment, **overrides})
+        cfg = _config_from_args(args, **{"experiment.kind": kind}, **overrides)
         report = run_experiment(cfg, write=False)
         for name, verdict in report.verdicts.items():
             print(f"verify {kind}/{name}: {'pass' if verdict else 'FAIL'}")
@@ -161,7 +120,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "verify":
             return _run_verify(args)
-        cfg = _config_from_args(args, _KIND_BY_COMMAND[args.command])
+        cfg = _config_from_args(args)
         report = run_experiment(cfg)
     except (ValueError, RuntimeError) as exc:
         # a bad config or a run that cannot go on is not a failed verdict

@@ -14,10 +14,11 @@ kernel acts on such stacks, so a leading member axis steps many solutions in
 one batched call; the direct march integrates it with the RK4 integrator it
 shares with the transport solver, and fw_rhs wraps it for single states.
 Every pair is measured one way, in B^s x B^{s-1} by _pair_norms, on the
-partition of its grid: one transform of the stack and one block-norm
-reduction, whose bits do not depend on how the rows are batched.  The
-stability and continuity experiments march each family of solutions as one
-batch and take their distance norms node by node, storing no trajectory.
+partition of its grid: one transform and one block-norm reduction per
+bounded chunk of the stack, whose bits do not depend on how the rows are
+batched.  The stability and continuity experiments march each family of
+solutions as one batch and take their distance norms node by node, storing
+no trajectory.
 The constructive scheme iterates the pair of linear transport problems
 
     u^{n+1}_t + u^n u^{n+1}_x = Lambda^{-1} d/dx (rho^n - u^n)
@@ -29,17 +30,19 @@ iterate n+1, and monitors the per-iterate norm bounds
     ||u^n(t)||_{B^s} + ||rho^n(t)||_{B^{s-1}} <= P0 / sqrt(1 - 4 C P0^2 t)
                                               <= 2 P0
 
-on the guaranteed lifespan T = 3 / (16 C P0^2).  Iterate n+1 reads iterate
-n only at the two nodes of its current step, so every iterate advances in
-one wave march, each one node behind its predecessor: M + n_max - 1 RK4
-steps, each one batched transport-kernel call per stage on the (n_max, 2, N)
-stack, with a velocity and forcing per row.  Each wave's new nodes and
-their differences from the previous iterate are transformed once, together;
-that transform gives their norms, d_n as a running maximum, and the new
-nodes' forcing of their successors, and a velocity node is checked against
-the advective bound as it is made.  Only two nodes per iterate are live; the
-trace keeps the first and last iterates, every iterate's norms and d_n.  The
-empirical lifespan integrates the nonlinear system directly.
+on the guaranteed lifespan T = 3 / (16 C P0^2).  Iterate 1 is advected by
+the zero pair, so it is its mollified data at every node.  Iterate n+1
+reads iterate n only at the two nodes of its current step, so iterates
+2..n_max advance in one wave march, each one node behind its predecessor:
+M + n_max - 1 RK4 steps, each one batched transport-kernel call per stage on
+the (n_max - 1, 2, N) stack, with a velocity and forcing per row.  Each
+wave's new nodes and their differences from the previous iterate are
+transformed once, together; that transform gives their norms, d_n as a
+running maximum, and the new nodes' forcing of their successors, and a
+velocity node is checked against the advective bound as it is made.  Only
+two nodes per iterate are live; the trace keeps the first and last
+iterates, every iterate's norms and d_n.  The empirical lifespan integrates
+the nonlinear system directly.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ from .besov import (
     MollifierKernel,
     _block_lp_norms,
     _lr_combine,
+    _norms_of_samples,
     besov_norms_batch,
     build_partition,
     mollify,
@@ -258,10 +262,8 @@ def _pair_smoothness(params: BesovParams) -> np.ndarray:
 def _pair_norms(part: LPPartition, y: np.ndarray, params: BesovParams):
     """||u||_{B^s} and ||rho||_{B^{s-1}} of each row of stacked (..., 2, N)
     (u, rho) samples, with (s, p, r) = params: the norm of the pair space,
-    from one transform of the stack and one block-norm reduction."""
-    y_hat = np.fft.fft(y) / part.grid.N
-    norms = _lr_combine(part, _block_lp_norms(part, y_hat, params.p),
-                        _pair_smoothness(params), params.r)
+    from one transform and one block-norm reduction per bounded chunk."""
+    norms = _norms_of_samples(part, y, params, _pair_smoothness(params))
     return norms[..., 0], norms[..., 1]
 
 
@@ -278,8 +280,9 @@ class IterationTrace:
     the norms of every iterate, the successive differences and bound flags.
 
     Iterate index n runs 0..n_max; iterate 0 is the zero pair.  first and
-    last are iterates 1 and n_max as stacked (u, rho) samples; norm_u and
-    norm_rho (n_max + 1, M + 1) are views of the stacked norms.
+    last are iterates 1 and n_max as stacked (u, rho) samples; first, which
+    is constant in time, is a read-only view of iterate 1's data.  norm_u
+    and norm_rho (n_max + 1, M + 1) are views of the stacked norms.
     """
 
     grid: Grid
@@ -323,10 +326,11 @@ def _scheme_forcing(y, y_hat, ik, lam, mask):
 
 
 def _scheme_bytes(N: int, n_max: int, T: float, dt: float) -> float:
-    """What run_scheme holds at its peak: per node, the first and last
-    iterates and every iterate's norms; besides, the wave march's working
-    set of (n_max, 2, N) stacks, which includes each wave's transform."""
-    stored = (T / dt + 1.0) * (2 * 2 * N + 2 * (n_max + 1)) * 8
+    """What run_scheme holds at its peak: per node, the last iterate and
+    every iterate's norms (the first is a view of its data); besides, the
+    wave march's working set of (n_max, 2, N) stacks, which includes each
+    wave's transform."""
+    stored = (T / dt + 1.0) * (2 * N + 2 * (n_max + 1)) * 8
     march = 48 * n_max * 2 * N * 8
     return stored + march
 
@@ -357,20 +361,21 @@ def run_scheme(u0: GridFunction, rho0: GridFunction, cfg: SchemeConfig) -> Itera
     M = n_nodes - 1
 
     ik, lam, mask = _fw_symbols(grid)
-    first = np.empty((n_nodes, 2, N))
-    last = first if n_rows == 1 else np.empty_like(first)
+    last = np.empty((n_nodes, 2, N))
     # iterate 0 is the zero pair: zero norms
     norms = np.zeros((n_rows + 1, n_nodes, 2))
     d_max = np.full((n_rows, 2), -np.inf)
 
-    # Row r of the wave march is iterate r + 1, one node behind row r - 1:
-    # at wave node i it reaches its node i - r, and its step from there reads
+    # Row r of the wave is iterate r + 1, one node behind row r - 1: at wave
+    # node i it reaches its node i - r, and its step from there reads
     # iterate r at nodes i - r and i - r + 1, made at wave nodes i - 1 and i.
     # Rows that do not step get zero velocity and forcing, which holds them
-    # fixed; so does row 0, advected by the zero pair.
+    # fixed.  Row 0, advected by the zero pair, is its data at every node,
+    # so only rows 1.. march.
     kernels = [MollifierKernel(epsilon=1.0 / (n + 1)) for n in range(n_rows)]
     initial = np.array([[mollify(u0, k).samples, mollify(rho0, k).samples]
                         for k in kernels])
+    first = np.broadcast_to(initial[0], (n_nodes, 2, N))
     vel = np.zeros((3, n_rows, 1, N))  # step inputs at w = 0, 1/2, 1
     frc = np.zeros((3, n_rows, 2, N))
     # iterate n at the previous wave node, and its forcing then and now
@@ -379,18 +384,17 @@ def run_scheme(u0: GridFunction, rho0: GridFunction, cfg: SchemeConfig) -> Itera
 
     def rhs(f, i, w):
         k = int(2 * w)
-        return _transport_rhs(f, vel[k], frc[k], ik, mask)
+        return _transport_rhs(f, vel[k, 1:], frc[k, 1:], ik, mask)
 
-    march = integrate_rk4(rhs, initial, dt * np.arange(M + n_rows), dt,
+    march = integrate_rk4(rhs, initial[1:], dt * np.arange(M + n_rows), dt,
                           "transport solution")
     try:
-        for i, y in enumerate(march):
+        for i, marched in enumerate(march):
+            y = np.concatenate([initial[:1], marched])
             lo, hi = max(0, i - M), min(n_rows - 1, i)  # rows that reach a node
             fed = min(hi, n_rows - 2)  # the last of them with a successor
             rows = np.arange(lo, hi + 1)
             new = y[lo:hi + 1]
-            if lo == 0:
-                first[i] = y[0]
             if hi == n_rows - 1:
                 last[i - hi] = y[hi]
             hit = _cfl_violation(grid, y[lo:fed + 1, 0], dt)
@@ -424,7 +428,7 @@ def run_scheme(u0: GridFunction, rho0: GridFunction, cfg: SchemeConfig) -> Itera
             then[1:] = y
             forcing_then, forcing_now = forcing_now, forcing_then
     except BlowUpError as exc:
-        r = exc.rows[0]
+        r = exc.rows[0] + 1
         node = exc.node - r
         raise RuntimeError(
             f"transport solve failed at iterate {r + 1}: transport solution lost "

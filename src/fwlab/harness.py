@@ -53,17 +53,6 @@ __all__ = [
     "random_transport_problem",
 ]
 
-EXPERIMENT_KINDS = (
-    "norm",
-    "partition-check",
-    "transport",
-    "simulate",
-    "iterate",
-    "lifespan-sweep",
-    "stability",
-    "continuity",
-)
-
 _DEFAULTS: dict[str, dict[str, Any]] = {
     "grid": {"N": 256, "L": 8.0},
     "time": {"dt": 1e-3, "T": 1.0, "t_cap": None},
@@ -137,9 +126,12 @@ def _number(key: str, value, whole: bool = False):
         number = float(value)
     except (TypeError, ValueError):
         raise ValueError(f"config key {key} must be a number, got {value!r}") from None
-    if whole and not number.is_integer():
+    if not whole:
+        return number
+    if not number.is_integer():
         raise ValueError(f"config key {key} must be a whole number, got {value!r}")
-    return int(number) if whole else number
+    # an int keeps every digit: a float holds 53 bits, a seed may hold more
+    return int(value) if isinstance(value, int) else int(number)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -206,7 +198,7 @@ def parse_config(text: str) -> RunConfig:
         grid=grid, time=time_sec, besov=besov, scheme=scheme,
         experiment=experiment,
         output_dir=str(doc.get("output_dir", "fwlab_out")),
-        seed=int(doc.get("seed", 0)),
+        seed=_number("seed", doc.get("seed", 0), whole=True),
     )
 
 
@@ -367,14 +359,16 @@ def output_dir_for(cfg: RunConfig) -> str:
 
 
 def run_experiment(cfg: RunConfig, write: bool = True) -> ExperimentReport:
-    """Execute the configured experiment, optionally writing CSVs + summary."""
+    """Execute the configured experiment: its kind's runner fills a fresh
+    report, which is optionally written as CSVs + summary."""
     kind = cfg.experiment["kind"]
     runner = _RUNNERS.get(kind)
     if runner is None:
         raise ValueError(f"unknown experiment kind {kind!r}")
+    report = ExperimentReport(kind=kind, config_echo=cfg.echo())
     start = time.perf_counter()
     try:
-        report = runner(cfg)
+        runner(cfg, report)
     except Exception as exc:
         raise RuntimeError(f"experiment {kind!r} failed: {exc}") from exc
     report.wall_time = time.perf_counter() - start
@@ -397,7 +391,7 @@ def _load_initial_pair(cfg: RunConfig, grid: Grid, amplitude: float | None = Non
     raise ValueError(f"unknown data preset {preset!r}")
 
 
-def _run_norm(cfg: RunConfig) -> ExperimentReport:
+def _run_norm(cfg: RunConfig, report: ExperimentReport) -> None:
     grid = cfg.make_grid()
     params = cfg.besov_params()
     part = build_partition(grid)
@@ -410,16 +404,13 @@ def _run_norm(cfg: RunConfig) -> ExperimentReport:
     xi = grid.wavenumbers
     masks_rows = [[xi[i], *part.masks[:, i]] for i in np.argsort(xi)]
     header = ["xi", "chi"] + [f"phi_q{q}" for q in range(part.q_max + 1)]
-    report = ExperimentReport(kind="norm", config_echo=cfg.echo())
     report.tables["masks"] = (header, masks_rows)
     report.summary["besov_norm"] = value
     report.summary["q_max"] = part.q_max
     report.verdicts["norm_finite"] = bool(np.isfinite(value))
-    return report
 
 
-def _run_partition_check(cfg: RunConfig) -> ExperimentReport:
-    report = ExperimentReport(kind="partition-check", config_echo=cfg.echo())
+def _run_partition_check(cfg: RunConfig, report: ExperimentReport) -> None:
     rows = []
     worst = 0.0
     for N in (128, 256, 1024):
@@ -433,10 +424,9 @@ def _run_partition_check(cfg: RunConfig) -> ExperimentReport:
     report.tables["partition"] = (["N", "L", "q_max", "max_residual"], rows)
     report.summary["max_residual"] = worst
     report.verdicts["telescoping_identity"] = worst <= 1e-12
-    return report
 
 
-def _run_transport(cfg: RunConfig) -> ExperimentReport:
+def _run_transport(cfg: RunConfig, report: ExperimentReport) -> None:
     grid = cfg.make_grid()
     params = cfg.besov_params()
     T, dt = cfg.time["T"], cfg.time["dt"]
@@ -457,7 +447,6 @@ def _run_transport(cfg: RunConfig) -> ExperimentReport:
     )
     traj = solve_transport(prob, params)
 
-    report = ExperimentReport(kind="transport", config_echo=cfg.echo())
     C = cfg.scheme["C"]
     if cfg.experiment["fit_constant"]:
         n_prob = cfg.experiment["n_problems"]
@@ -483,10 +472,9 @@ def _run_transport(cfg: RunConfig) -> ExperimentReport:
     report.summary["C"] = C
     report.summary["max_violation_ratio"] = est.max_violation_ratio
     report.verdicts["estimate_holds"] = bool(np.all(est.holds))
-    return report
 
 
-def _run_simulate(cfg: RunConfig) -> ExperimentReport:
+def _run_simulate(cfg: RunConfig, report: ExperimentReport) -> None:
     grid = cfg.make_grid()
     u0, rho0 = _load_initial_pair(cfg, grid)
     traj = solve_fw_direct(FWState(u=u0, rho=rho0), cfg.time["T"], cfg.time["dt"])
@@ -495,7 +483,6 @@ def _run_simulate(cfg: RunConfig) -> ExperimentReport:
         [t, a, b, mu, mr]
         for t, a, b, mu, mr in zip(traj.time_grid, nu, nr, traj.mean_u, traj.mean_rho)
     ]
-    report = ExperimentReport(kind="simulate", config_echo=cfg.echo())
     report.tables["trajectory"] = (
         ["t", "norm_u_Bs", "norm_rho_Bsm1", "mean_u", "mean_rho"], rows
     )
@@ -504,10 +491,9 @@ def _run_simulate(cfg: RunConfig) -> ExperimentReport:
     report.summary["mean_u_drift"] = drift_u
     report.summary["mean_rho_drift"] = drift_rho
     report.verdicts["means_conserved"] = max(drift_u, drift_rho) <= 1e-10
-    return report
 
 
-def _run_iterate(cfg: RunConfig) -> ExperimentReport:
+def _run_iterate(cfg: RunConfig, report: ExperimentReport) -> None:
     grid = cfg.make_grid()
     u0, rho0 = _load_initial_pair(cfg, grid)
     trace = run_scheme(u0, rho0, cfg.scheme_config())
@@ -517,7 +503,6 @@ def _run_iterate(cfg: RunConfig) -> ExperimentReport:
         dn = trace.d_n[n - 1] if n >= 1 else np.nan
         for i, t in enumerate(trace.time_grid):
             rows.append([n, t, ns[i], trace.bound_312[n], trace.bound_313[n], dn])
-    report = ExperimentReport(kind="iterate", config_echo=cfg.echo())
     report.tables["scheme"] = (
         ["n", "t", "norm_sum", "bound_312", "bound_313", "d_n"], rows
     )
@@ -526,10 +511,9 @@ def _run_iterate(cfg: RunConfig) -> ExperimentReport:
     report.summary["T"] = trace.T
     report.summary["max_d_ratio_from_n2"] = float(np.max(ratios[1:]))
     report.verdicts["differences_contract"] = bool(np.all(ratios[1:] < 1.0))
-    return report
 
 
-def _run_lifespan_sweep(cfg: RunConfig) -> ExperimentReport:
+def _run_lifespan_sweep(cfg: RunConfig, report: ExperimentReport) -> None:
     grid = cfg.make_grid()
     part = build_partition(grid)
     scheme_cfg = cfg.scheme_config()
@@ -543,7 +527,6 @@ def _run_lifespan_sweep(cfg: RunConfig) -> ExperimentReport:
         product = T_emp * P0**2
         rows.append([a, P0, T_emp, product])
         products.append(product)
-    report = ExperimentReport(kind="lifespan-sweep", config_echo=cfg.echo())
     report.tables["lifespan"] = (["a", "P0", "T_emp", "product"], rows)
     products = np.array(products)
     geo = float(np.exp(np.mean(np.log(products)))) if np.all(products > 0) else 0.0
@@ -553,10 +536,9 @@ def _run_lifespan_sweep(cfg: RunConfig) -> ExperimentReport:
         float(np.max(np.abs(products / geo - 1.0))) if geo > 0 else np.inf
     )
     report.verdicts["product_within_30pct"] = within
-    return report
 
 
-def _run_stability(cfg: RunConfig) -> ExperimentReport:
+def _run_stability(cfg: RunConfig, report: ExperimentReport) -> None:
     grid = cfg.make_grid()
     scheme_cfg = cfg.scheme_config()
     u0, rho0 = _load_initial_pair(cfg, grid)
@@ -575,7 +557,6 @@ def _run_stability(cfg: RunConfig) -> ExperimentReport:
         bounds_ok.append(rep.bound_holds)
         for t, D in zip(rep.time_grid, rep.norm_curve):
             rows.append([d, t, D, rep.beta_fit])
-    report = ExperimentReport(kind="stability", config_echo=cfg.echo())
     report.tables["stability"] = (["delta", "t", "D", "beta_fit"], rows)
     betas = np.array(betas)
     spread = float(np.max(np.abs(betas / betas.mean() - 1.0))) if betas.mean() != 0 else np.inf
@@ -583,17 +564,15 @@ def _run_stability(cfg: RunConfig) -> ExperimentReport:
     report.summary["beta_spread"] = spread
     report.verdicts["gronwall_bound"] = all(bounds_ok)
     report.verdicts["beta_agreement_10pct"] = spread <= 0.10
-    return report
 
 
-def _run_continuity(cfg: RunConfig) -> ExperimentReport:
+def _run_continuity(cfg: RunConfig, report: ExperimentReport) -> None:
     grid = cfg.make_grid()
     u0, rho0 = _load_initial_pair(cfg, grid)
     rep = continuity_experiment(
         u0, rho0, cfg.experiment["j_max"], cfg.scheme_config(), cfg.time["T"]
     )
     rows = [[j, e, err] for j, (e, err) in enumerate(zip(rep.epsilons, rep.errors))]
-    report = ExperimentReport(kind="continuity", config_echo=cfg.echo())
     report.tables["continuity"] = (["j", "epsilon", "error"], rows)
     report.summary["final_error"] = rep.final_error
     dx = grid.dx
@@ -602,7 +581,6 @@ def _run_continuity(cfg: RunConfig) -> ExperimentReport:
     report.summary["floor_error"] = floor_err
     report.verdicts["errors_nonincreasing"] = rep.nonincreasing
     report.verdicts["floor_reached"] = floor_err <= 1e-5
-    return report
 
 
 _RUNNERS = {
@@ -615,3 +593,4 @@ _RUNNERS = {
     "stability": _run_stability,
     "continuity": _run_continuity,
 }
+EXPERIMENT_KINDS = tuple(_RUNNERS)

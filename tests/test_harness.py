@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fwlab import GridFunction, make_grid
-from fwlab.cli import _KIND_BY_COMMAND, _build_parser, _config_from_args, main as cli_main
+from fwlab.cli import _build_parser, _config_from_args, main as cli_main
 from fwlab.harness import (
     emit_field_csv,
     make_preset,
@@ -79,6 +79,14 @@ class TestParseConfig:
             parse_config("experiment: {amplitude: big}\n")
         with pytest.raises(ValueError, match=r"time\.t_cap must be a number"):
             parse_config("time: {t_cap: [1]}\n")
+
+    @pytest.mark.parametrize("seed", ["1.5", "abc", "[1]"])
+    def test_seed_must_be_whole_number(self, seed):
+        with pytest.raises(ValueError, match=r"config key seed must be a"):
+            parse_config(f"seed: {seed}\n")
+
+    def test_large_seed_keeps_every_digit(self):
+        assert parse_config("seed: 12345678901234567891\n").seed == 12345678901234567891
 
     def test_unknown_data_preset_names_key(self):
         with pytest.raises(ValueError, match=r"experiment\.preset must be sine, gauss or zero"):
@@ -228,6 +236,17 @@ class TestCli:
         assert "change --dt or --T" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("seed", ["1.5", "abc", "[1]"])
+    def test_bad_seed_is_one_error_line(self, tmp_path, monkeypatch, capsys, seed):
+        monkeypatch.setenv("FWLAB_OUT", str(tmp_path / "out"))
+        cfg_path = tmp_path / "run.yaml"
+        cfg_path.write_text(f"seed: {seed}\n")
+        rc = cli_main(["norm", "--config", str(cfg_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: config key seed must be a")
+        assert err.count("\n") == 1
+
     def test_config_file_plus_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FWLAB_OUT", str(tmp_path / "out"))
         cfg_path = tmp_path / "run.yaml"
@@ -262,9 +281,16 @@ class TestCli:
         ("lifespan", ["--amplitudes", "0.1", "0.2"], "experiment", "amplitudes", [0.1, 0.2]),
         ("stability", ["--deltas", "1e-3"], "experiment", "deltas", [1e-3]),
         ("continuity", ["--j-max", "4"], "experiment", "j_max", 4),
+        ("norm", [], "experiment", "kind", "norm"),
+        ("transport", [], "experiment", "kind", "transport"),
+        ("simulate", [], "experiment", "kind", "simulate"),
+        ("iterate", [], "experiment", "kind", "iterate"),
+        ("lifespan", [], "experiment", "kind", "lifespan-sweep"),
+        ("stability", [], "experiment", "kind", "stability"),
+        ("continuity", [], "experiment", "kind", "continuity"),
     ])
     def test_flag_lands_in_config_key(self, command, argv, section, key, expected):
         args = _build_parser().parse_args([command] + argv)
-        cfg = _config_from_args(args, _KIND_BY_COMMAND[command])
+        cfg = _config_from_args(args)
         got = getattr(cfg, key) if section is None else getattr(cfg, section)[key]
         assert got == expected
