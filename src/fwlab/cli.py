@@ -3,10 +3,11 @@
 Subcommands map onto the experiment kinds of the harness.  Argparse is the
 one table of overrides: each flag's dest is the dotted config key it sets
 (`--N` sets `grid.N`, `--out` sets `output_dir`), and each subcommand sets
-`experiment.kind` by default, so a flag or kind is declared once.  Set flags
-are applied on top of the (optional) YAML config and validated with it by
-`parse_config`.  The exit code is 0 when every verdict of the run passes, 1
-when one fails, and 2 for a config error or a run that stopped with an error.
+`experiment.kind` by default, so a flag or kind is declared once.  The set
+flags reach `parse_config` as dotted overrides of the (optional) YAML config.
+The exit code is 0 when every verdict passes, 1 when one fails, and 2, with
+one `error:` line on stderr, for a bad or unreadable config, an unwritable
+output or a run that stopped with an error.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-
-import yaml
 
 from .harness import RunConfig, output_dir_for, parse_config, run_experiment
 
@@ -88,15 +87,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args: argparse.Namespace, **overrides) -> RunConfig:
     """The config file, if any, under every set flag and then the dotted
     `section.key` overrides; unset flags are None."""
-    doc = (yaml.safe_load(Path(args.config).read_text()) or {}) if args.config else {}
-    for dest, value in {**vars(args), **overrides}.items():
-        if value is not None and dest not in ("command", "config"):
-            *sections, key = dest.split(".")
-            target = doc
-            for section in sections:
-                target = target.setdefault(section, {})
-            target[key] = value
-    return parse_config(yaml.safe_dump(doc))
+    text = Path(args.config).read_text() if args.config else ""
+    return parse_config(text, {
+        dest: value for dest, value in {**vars(args), **overrides}.items()
+        if value is not None and dest not in ("command", "config")})
 
 
 def _run_verify(args: argparse.Namespace) -> int:
@@ -122,8 +116,8 @@ def main(argv: list[str] | None = None) -> int:
             return _run_verify(args)
         cfg = _config_from_args(args)
         report = run_experiment(cfg)
-    except (ValueError, RuntimeError) as exc:
-        # a bad config or a run that cannot go on is not a failed verdict
+    except (ValueError, RuntimeError, OSError) as exc:
+        # a bad or unreadable config, a stopped run or an unwritable output is no verdict
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out = output_dir_for(cfg)

@@ -1,9 +1,10 @@
 """Run configuration, dataset presets, CSV emission and experiment dispatch.
 
 Configs are YAML mappings with strict key checking (unknown keys are fatal:
-silent typos corrupt sweeps).  Every experiment writes per-node CSV tables
-plus a plain-text summary whose scalars are all traceable to a CSV column,
-and returns an in-memory report carrying pass/fail verdicts.
+silent typos corrupt sweeps); `_KEYS` declares each key's default and
+conversion once.  Every experiment writes per-node CSV tables plus a
+plain-text summary whose scalars are all traceable to a CSV column, and
+returns an in-memory report carrying pass/fail verdicts.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ import io
 import os
 import time
 from dataclasses import dataclass, field, asdict
+from functools import partial
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 import yaml
@@ -53,28 +55,6 @@ __all__ = [
     "random_transport_problem",
 ]
 
-_DEFAULTS: dict[str, dict[str, Any]] = {
-    "grid": {"N": 256, "L": 8.0},
-    "time": {"dt": 1e-3, "T": 1.0, "t_cap": None},
-    "besov": {"s": 3.0, "p": 2.0, "r": 2.0},
-    "scheme": {"C": 1.0, "n_max": 10},
-    "experiment": {
-        "kind": "simulate",
-        "preset": "sine",
-        "amplitude": 0.1,
-        "amplitudes": [0.25, 0.5, 1.0, 2.0],
-        "deltas": [1e-2, 1e-3, 1e-4],
-        "j_max": 6,
-        "n_problems": 10,
-        "velocity": "sine",
-        "forcing": "zero",
-        "fit_constant": False,
-        "field_csv": None,
-    },
-}
-_TOP_KEYS = ("grid", "time", "besov", "scheme", "experiment", "output_dir", "seed")
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Validated, default-filled configuration for one experiment run."""
@@ -84,8 +64,8 @@ class RunConfig:
     besov: dict
     scheme: dict
     experiment: dict
-    output_dir: str = "fwlab_out"
-    seed: int = 0
+    output_dir: str
+    seed: int
 
     def make_grid(self) -> Grid:
         return make_grid(self.grid["N"], self.grid["L"])
@@ -105,19 +85,6 @@ class RunConfig:
         return asdict(self)
 
 
-def _merge_section(name: str, given: dict | None) -> dict:
-    defaults = dict(_DEFAULTS[name])
-    if given is None:
-        return defaults
-    if not isinstance(given, dict):
-        raise ValueError(f"config section {name!r} must be a mapping")
-    unknown = set(given) - set(defaults)
-    if unknown:
-        raise ValueError(f"unknown keys in config section {name!r}: {sorted(unknown)}")
-    defaults.update(given)
-    return defaults
-
-
 def _number(key: str, value, whole: bool = False):
     """A config value as a float ('inf' allowed), or as an int when whole;
     ValueError names the "section.key" otherwise.  YAML reads 1e-2 (no dot)
@@ -134,72 +101,101 @@ def _number(key: str, value, whole: bool = False):
     return int(value) if isinstance(value, int) else int(number)
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse a YAML config document with strict key checking.
+def _numbers(key: str, value) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"config key {key} must be a list of numbers")
+    return [_number(key, v) for v in value]
 
-    Numbers are converted here, and Besov admissibility for scheme-style
+
+def _checked(test: Callable[[Any], bool], wanted: str):
+    """The conversion that keeps a value passing test and names the key otherwise."""
+    def convert(key: str, value):
+        if not test(value):
+            raise ValueError(f"config key {key} must be {wanted}, got {value!r}")
+        return value
+    return convert
+
+
+_whole = partial(_number, whole=True)
+_text = _checked(lambda v: isinstance(v, str), "a string")
+_preset = _checked(lambda v: v in ("sine", "gauss", "zero"), "sine, gauss or zero")
+_flag = _checked(lambda v: isinstance(v, bool), "true or false")
+
+#: every config key, "section.key" or top-level, as (default, conversion);
+#: a key whose default is null may be null (a null t_cap means T)
+_KEYS: dict[str, tuple[Any, Callable[[str, Any], Any]]] = {
+    "grid.N": (256, _whole), "grid.L": (8.0, _number),
+    "time.dt": (1e-3, _number), "time.T": (1.0, _number), "time.t_cap": (None, _number),
+    "besov.s": (3.0, _number), "besov.p": (2.0, _number), "besov.r": (2.0, _number),
+    "scheme.C": (1.0, _number), "scheme.n_max": (10, _whole),
+    "experiment.kind": ("simulate", _text), "experiment.preset": ("sine", _preset),
+    "experiment.amplitude": (0.1, _number),
+    "experiment.amplitudes": ([0.25, 0.5, 1.0, 2.0], _numbers),
+    "experiment.deltas": ([1e-2, 1e-3, 1e-4], _numbers),
+    "experiment.j_max": (6, _whole), "experiment.n_problems": (10, _whole),
+    "experiment.velocity": ("sine", _text), "experiment.forcing": ("zero", _text),
+    "experiment.fit_constant": (False, _flag), "experiment.field_csv": (None, _text),
+    "output_dir": ("fwlab_out", lambda key, value: str(value)), "seed": (0, _whole),
+}
+
+
+def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
+    """Parse a YAML config document under the dotted `section.key`
+    overrides (the CLI's set flags), with strict key checking.
+
+    `_KEYS` converts each key; Besov admissibility for scheme-style
     experiments (s > max(2 + 1/p, 5/2), r finite) is enforced here, so a bad
-    sweep fails before any solve.
+    sweep fails before any solve.  Every error is a one-line ValueError.
     """
-    doc = yaml.safe_load(text)
-    if doc is None:
-        doc = {}
+    try:
+        doc = yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)  # a reader error has none
+        why = (f"{exc.problem} at line {mark.line + 1}, column {mark.column + 1}"
+               if mark else str(exc))
+        raise ValueError("config is not valid YAML: " + " ".join(why.split())) from None
+    doc = {} if doc is None else doc
     if not isinstance(doc, dict):
         raise ValueError("config must be a mapping")
-    unknown = set(doc) - set(_TOP_KEYS)
+    unknown = sorted(set(doc) - {key.split(".")[0] for key in _KEYS}, key=str)
     if unknown:
-        raise ValueError(f"unknown top-level config keys: {sorted(unknown)}")
+        raise ValueError(f"unknown top-level config keys: {unknown}")
 
-    grid = _merge_section("grid", doc.get("grid"))
-    time_sec = _merge_section("time", doc.get("time"))
-    besov = _merge_section("besov", doc.get("besov"))
-    scheme = _merge_section("scheme", doc.get("scheme"))
-    experiment = _merge_section("experiment", doc.get("experiment"))
+    given = {}  # by "section.key"
+    for name, value in doc.items():
+        if name in _KEYS:
+            given[name] = value
+        elif value is not None:  # a null section takes its defaults
+            if not isinstance(value, dict):
+                raise ValueError(f"config section {name!r} must be a mapping")
+            unknown = sorted((key for key in value if f"{name}.{key}" not in _KEYS), key=str)
+            if unknown:
+                raise ValueError(f"unknown keys in config section {name!r}: {unknown}")
+            given.update((f"{name}.{key}", v) for key, v in value.items())
+    given.update(overrides or {})
+    if not given.keys() <= _KEYS.keys():  # only an override can miss
+        raise ValueError(f"unknown config overrides: {sorted(given.keys() - _KEYS.keys())}")
 
-    grid["N"] = _number("grid.N", grid["N"], whole=True)
-    grid["L"] = _number("grid.L", grid["L"])
-    make_grid(grid["N"], grid["L"])
-
-    for key in ("s", "p", "r"):
-        besov[key] = _number(f"besov.{key}", besov[key])
-    for key in ("dt", "T", "t_cap"):
-        if time_sec[key] is not None:  # a null t_cap means T
-            time_sec[key] = _number(f"time.{key}", time_sec[key])
-    scheme["C"] = _number("scheme.C", scheme["C"])
-    scheme["n_max"] = _number("scheme.n_max", scheme["n_max"], whole=True)
-    experiment["amplitude"] = _number("experiment.amplitude", experiment["amplitude"])
-    for key in ("j_max", "n_problems"):
-        experiment[key] = _number(f"experiment.{key}", experiment[key], whole=True)
-    for key in ("amplitudes", "deltas"):
-        if not isinstance(experiment[key], list):
-            raise ValueError(f"config key experiment.{key} must be a list of numbers")
-        experiment[key] = [_number(f"experiment.{key}", v) for v in experiment[key]]
-
-    kind = experiment["kind"]
+    fields: dict[str, Any] = {}
+    for key, (default, convert) in _KEYS.items():
+        value = given.get(key, default)
+        if value is not None or default is not None:
+            value = convert(key, value)
+        section, _, name = key.rpartition(".")
+        (fields.setdefault(section, {}) if section else fields)[name] = value
+    cfg = RunConfig(**fields)
+    cfg.make_grid()
+    kind = cfg.experiment["kind"]
     if kind not in EXPERIMENT_KINDS:
         raise ValueError(f"unknown experiment kind {kind!r}; choose from {EXPERIMENT_KINDS}")
-    if experiment["preset"] not in ("sine", "gauss", "zero"):
-        raise ValueError(f"config key experiment.preset must be sine, gauss or zero, "
-                         f"got {experiment['preset']!r}")
-    if not isinstance(experiment["fit_constant"], bool):
-        raise ValueError(f"config key experiment.fit_constant must be true or false, "
-                         f"got {experiment['fit_constant']!r}")
-
-    params = BesovParams(s=besov["s"], p=besov["p"], r=besov["r"])
     if kind in ("simulate", "iterate", "lifespan-sweep", "stability", "continuity"):
-        params.require_admissible()
-    if kind == "iterate" and scheme["n_max"] < 3:
+        cfg.besov_params().require_admissible()
+    if kind == "iterate" and cfg.scheme["n_max"] < 3:
         raise ValueError(
-            f"iterate needs scheme.n_max >= 3, got {scheme['n_max']}: its "
+            f"iterate needs scheme.n_max >= 3, got {cfg.scheme['n_max']}: its "
             "differences_contract verdict reads the d_n ratios from n = 2"
         )
-
-    return RunConfig(
-        grid=grid, time=time_sec, besov=besov, scheme=scheme,
-        experiment=experiment,
-        output_dir=str(doc.get("output_dir", "fwlab_out")),
-        seed=_number("seed", doc.get("seed", 0), whole=True),
-    )
+    return cfg
 
 
 # ---------------------------------------------------------------------------

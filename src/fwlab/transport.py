@@ -14,11 +14,11 @@ one state per node and each caller keeps what it needs.
 A problem holds sample arrays only: one row of initial data and forcing.
 One right-hand-side kernel, _transport_rhs, steps any (..., N) stack of rows
 with velocity and forcing broadcast against them, one FFT per stage for the
-whole stack.  The private march beneath solve_transport feeds it one
-velocity shared by every row; the mollified scheme feeds it a velocity and
-forcing per row, to march all its iterates at once.  The V(t) profile of a
-trajectory is computed when first read.  Besov norms use the partition of
-the problem's grid, cached per grid, so no entry point takes one.
+whole stack.  solve_transport feeds it the problem's one row; the mollified
+scheme feeds it a velocity and forcing per row, to march all its iterates at
+once.  The V(t) profile of a trajectory is computed when first read.  Besov
+norms use the partition of the problem's grid, cached per grid, so no entry
+point takes one.
 
 The companion checker evaluates, node by node,
 
@@ -213,20 +213,20 @@ def _transport_rhs(f, vw, Fw, ik, mask):
     return Fw - np.fft.ifft(adv_hat).real
 
 
-def _march_transport(grid: Grid, time_grid: np.ndarray, velocity: np.ndarray,
-                     forcing: np.ndarray, initial: np.ndarray):
-    """The RK4 march of f_t + v f_x = F from the (..., N) rows of initial,
-    yielding the state per node.  velocity is (M+1, N), shared by every row;
-    forcing is (M+1,) + initial.shape; the step is the time grid's."""
-    dt = float(time_grid[1] - time_grid[0])
-    hit = _cfl_violation(grid, velocity, dt)
+def solve_transport(prob: TransportProblem, params: BesovParams) -> TransportTrajectory:
+    """Integrate the transport problem and store the (M+1, N) states.
+
+    The Besov parameters fix the exponent of the V(t) profile, which uses
+    ||v_x||_{B^{s-1}} as in the a priori estimate; the profile is only
+    computed when ``V_profile`` is read.
+    """
+    grid, time_grid, v, F = prob.grid, prob.time_grid, prob.velocity, prob.forcing
+    hit = _cfl_violation(grid, v, prob.dt)
     if hit:
         node, reason = hit
         raise ValueError(f"{reason} at node {node} (t = {time_grid[node]:.6g})")
-
     ik = 1j * grid.wavenumbers
     mask = dealias_mask(grid)
-    v, F = velocity, forcing
 
     def rhs(f, i, w):
         if w == 0.5:
@@ -235,20 +235,8 @@ def _march_transport(grid: Grid, time_grid: np.ndarray, velocity: np.ndarray,
             vw, Fw = v[i + int(w)], F[i + int(w)]
         return _transport_rhs(f, vw, Fw, ik, mask)
 
-    return integrate_rk4(rhs, initial, time_grid, dt, "transport solution")
-
-
-def solve_transport(prob: TransportProblem, params: BesovParams) -> TransportTrajectory:
-    """Integrate the transport problem and store the (M+1, N) states.
-
-    The Besov parameters fix the exponent of the V(t) profile, which uses
-    ||v_x||_{B^{s-1}} as in the a priori estimate; the profile is only
-    computed when ``V_profile`` is read.
-    """
-    march = _march_transport(prob.grid, prob.time_grid, prob.velocity,
-                             prob.forcing, prob.initial)
-    states = np.fromiter(march, count=prob.time_grid.size,
-                         dtype=np.dtype((float, prob.grid.N)))
+    march = integrate_rk4(rhs, prob.initial, time_grid, prob.dt, "transport solution")
+    states = np.fromiter(march, count=time_grid.size, dtype=np.dtype((float, grid.N)))
     return TransportTrajectory(problem=prob, states=states, params=params)
 
 

@@ -79,6 +79,28 @@ class TestParseConfig:
             parse_config("experiment: {amplitude: big}\n")
         with pytest.raises(ValueError, match=r"time\.t_cap must be a number"):
             parse_config("time: {t_cap: [1]}\n")
+        # text keys are checked here, not where the run first uses them
+        with pytest.raises(ValueError, match=r"experiment\.velocity must be a string, got 5"):
+            parse_config("experiment: {kind: transport, velocity: 5}\n")
+        with pytest.raises(ValueError, match=r"experiment\.forcing must be a string"):
+            parse_config("experiment: {forcing: [sine]}\n")
+        with pytest.raises(ValueError, match=r"experiment\.field_csv must be a string"):
+            parse_config("experiment: {field_csv: 5}\n")
+        assert parse_config("experiment: {field_csv: null}\n").experiment["field_csv"] is None
+
+    def test_invalid_yaml_is_one_line_value_error(self):
+        with pytest.raises(ValueError, match="config is not valid YAML") as info:
+            parse_config("a: [")
+        assert "\n" not in str(info.value)
+
+    def test_overrides_apply_over_document(self):
+        cfg = parse_config("grid: {N: 128}\nseed: 1\n", {"grid.N": 64, "seed": 3})
+        assert cfg.grid == {"N": 64, "L": 8.0}
+        assert cfg.seed == 3
+        with pytest.raises(ValueError, match="section 'grid' must be a mapping"):
+            parse_config("grid: 5\n", {"grid.N": 64})
+        with pytest.raises(ValueError, match=r"unknown config overrides: \['grid\.M'\]"):
+            parse_config("", {"grid.M": 64})
 
     @pytest.mark.parametrize("seed", ["1.5", "abc", "[1]"])
     def test_seed_must_be_whole_number(self, seed):
@@ -236,16 +258,37 @@ class TestCli:
         assert "change --dt or --T" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("seed", ["1.5", "abc", "[1]"])
-    def test_bad_seed_is_one_error_line(self, tmp_path, monkeypatch, capsys, seed):
-        monkeypatch.setenv("FWLAB_OUT", str(tmp_path / "out"))
-        cfg_path = tmp_path / "run.yaml"
-        cfg_path.write_text(f"seed: {seed}\n")
-        rc = cli_main(["norm", "--config", str(cfg_path)])
+    @pytest.mark.parametrize("text, argv, out, message", [
+        pytest.param(f"seed: {seed}\n", ["--config", "run.yaml"], "out",
+                     "config key seed must be a", id=seed)
+        for seed in ("1.5", "abc", "[1]")
+    ] + [
+        pytest.param(None, ["--config", "missing.yaml"], "out",
+                     "[Errno 2] No such file", id="missing-config"),
+        pytest.param(None, ["--config", "."], "out", "[Errno 21] Is a directory",
+                     id="directory-config"),
+        pytest.param("a: [\n", ["--config", "run.yaml"], "out",
+                     "config is not valid YAML", id="invalid-yaml"),
+        pytest.param("- 1\n", ["--config", "run.yaml"], "out",
+                     "config must be a mapping", id="list-config"),
+        pytest.param("grid: 5\n", ["--config", "run.yaml", "--N", "64"], "out",
+                     "config section 'grid' must be a mapping", id="section-under-flag"),
+        # FWLAB_OUT names an existing file, so the output cannot be written
+        pytest.param("", ["--N", "64"], "run.yaml", "[Errno 17] File exists",
+                     id="output-is-file"),
+    ])
+    def test_bad_seed_is_one_error_line(self, tmp_path, monkeypatch, capsys,
+                                        text, argv, out, message):
+        # every bad input, not only a bad seed, is one error line with exit 2
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("FWLAB_OUT", out)
+        if text is not None:
+            (tmp_path / "run.yaml").write_text(text)
+        rc = cli_main(["norm"] + argv)
         err = capsys.readouterr().err
         assert rc == 2
-        assert err.startswith("error: config key seed must be a")
-        assert err.count("\n") == 1
+        assert err.startswith("error: " + message)
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_config_file_plus_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FWLAB_OUT", str(tmp_path / "out"))

@@ -148,23 +148,6 @@ class TestSolveTransport:
         assert all(np.all(np.isfinite(y)) for y in yielded)
         assert np.array_equal(yielded[0], f0.samples)
 
-    def test_two_row_batch_equals_one_row_solves(self, grid256, params322):
-        rng = np.random.default_rng(157)
-        tg = make_time_grid(0.2, 2e-3)
-        n = tg.size
-        v = np.tile(random_field(grid256, rng, k_max=4, amplitude=0.3).samples, (n, 1))
-        f0, g0 = random_field(grid256, rng), random_field(grid256, rng)
-        F = np.tile(random_field(grid256, rng, amplitude=0.5).samples, (n, 1))
-        G = np.tile(random_field(grid256, rng, amplitude=0.5).samples, (n, 1))
-        march = fwlab.transport._march_transport(
-            grid256, tg, v, np.stack([F, G], axis=1), np.stack([f0.samples, g0.samples]))
-        states = np.array(list(march))
-        assert states.shape == (n, 2, grid256.N)
-        one_f = solve_transport(TransportProblem.build(grid256, tg, v, F, f0), params322)
-        one_g = solve_transport(TransportProblem.build(grid256, tg, v, G, g0), params322)
-        assert np.array_equal(states[:, 0], one_f.states)
-        assert np.array_equal(states[:, 1], one_g.states)
-
     def test_batch_forcing_shape_checked(self, grid256):
         # a problem has one row: (M+1, 2, N) forcing is refused, not batched
         f0 = GridFunction.from_samples(grid256, np.sin(grid256.x))
