@@ -66,6 +66,7 @@ from .besov import (
 )
 from .spectral import Grid, GridFunction, dealias_mask
 from .transport import (
+    CFL_FACTOR,
     BlowUpError,
     _cfl_violation,
     _transport_rhs,
@@ -204,11 +205,11 @@ def _stacked(*states: FWState) -> np.ndarray:
 def _march_fw(initial: np.ndarray, grid: Grid, time_grid: np.ndarray, dt: float):
     """The direct RK4 march of stacked (..., 2, N) (u, rho) samples, yielding
     the state per node; every member steps in the same batched call."""
-    bound = 0.5 * grid.dx / max(1.0, float(np.max(np.abs(initial[..., 0, :]))))
+    bound = CFL_FACTOR * grid.dx / max(1.0, float(np.max(np.abs(initial[..., 0, :]))))
     if dt > bound:
         raise ValueError(
             f"dt = {dt} violates the stability bound {bound:.3e} "
-            "(0.5*dx/max(1, max|u0|))"
+            f"({CFL_FACTOR:g}*dx/max(1, max|u0|))"
         )
     symbols = _fw_symbols(grid)
     return integrate_rk4(lambda y, i, w: _fw_rhs(y, *symbols), initial,
@@ -243,6 +244,11 @@ def lifespan(P0: float, C: float) -> float:
     if P0 == 0.0:
         return LIFESPAN_CAP
     return min(3.0 / (16.0 * C * P0**2), LIFESPAN_CAP)
+
+
+def _within(norm_sum, bound):
+    """norm_sum <= bound up to rounding (relative 1e-10, absolute 1e-14); NaN fails."""
+    return norm_sum <= bound * (1.0 + 1e-10) + 1e-14
 
 
 def initial_norm(part: LPPartition, u0: GridFunction, rho0: GridFunction,
@@ -440,9 +446,8 @@ def run_scheme(u0: GridFunction, rho0: GridFunction, cfg: SchemeConfig) -> Itera
         envelope = P0 / np.sqrt(1.0 - 4.0 * cfg.C * P0**2 * time_grid)
     else:
         envelope = np.zeros(n_nodes)
-    slack = 1.0 + 1e-10
-    bound_312 = np.all(norm_sum <= envelope[None, :] * slack + 1e-14, axis=1)
-    bound_313 = np.all(norm_sum <= 2.0 * P0 * slack + 1e-14, axis=1)
+    bound_312 = np.all(_within(norm_sum, envelope[None, :]), axis=1)
+    bound_313 = np.all(_within(norm_sum, 2.0 * P0), axis=1)
 
     return IterationTrace(
         grid=grid, time_grid=time_grid, params=params, C=cfg.C, P0=P0, T=T,
@@ -471,7 +476,6 @@ def empirical_lifespan(u0: GridFunction, rho0: GridFunction, cfg: SchemeConfig,
     """
     part = build_partition(u0.grid)
     P0 = initial_norm(part, u0, rho0, cfg.params)
-    limit = 2.0 * P0 * (1.0 + 1e-10) + 1e-14
     time_grid = make_time_grid(t_cap, cfg.dt)
 
     try:
@@ -483,7 +487,7 @@ def empirical_lifespan(u0: GridFunction, rho0: GridFunction, cfg: SchemeConfig,
             with np.errstate(over="ignore"):
                 norm_u, norm_rho = _pair_norms(part, y, cfg.params)
                 norm_sum = float(norm_u + norm_rho)
-            if not norm_sum <= limit:
+            if not _within(norm_sum, 2.0 * P0):
                 if i == 0:
                     raise RuntimeError(
                         f"norm bound violated at t = 0: ||u|| + ||rho|| = "

@@ -90,6 +90,8 @@ def _number(key: str, value, whole: bool = False):
     ValueError names the "section.key" otherwise.  YAML reads 1e-2 (no dot)
     as a string, so every number goes through here."""
     try:
+        if isinstance(value, bool):  # float(True) is 1.0, yet no number
+            raise TypeError
         number = float(value)
     except (TypeError, ValueError):
         raise ValueError(f"config key {key} must be a number, got {value!r}") from None
@@ -139,6 +141,20 @@ _KEYS: dict[str, tuple[Any, Callable[[str, Any], Any]]] = {
 }
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """SafeLoader that refuses a mapping key given twice (PyYAML keeps the last)."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key, _ in node.value:  # a non-scalar key node is only itself
+            name = (key.tag, key.value) if isinstance(key, yaml.ScalarNode) else key
+            if name in seen:
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"found duplicate key {key.value!r}", key.start_mark)
+            seen.add(name)
+        return super().construct_mapping(node, deep=deep)
+
+
 def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     """Parse a YAML config document under the dotted `section.key`
     overrides (the CLI's set flags), with strict key checking.
@@ -148,7 +164,7 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     sweep fails before any solve.  Every error is a one-line ValueError.
     """
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)  # a reader error has none
         why = (f"{exc.problem} at line {mark.line + 1}, column {mark.column + 1}"
@@ -250,11 +266,7 @@ def random_transport_problem(
     v = random_band_limited(grid, rng, k_max=k_max, amplitude=0.5)
     F = random_band_limited(grid, rng, k_max=k_max, amplitude=0.5)
     f0 = random_band_limited(grid, rng, k_max=k_max, amplitude=1.0)
-    n = time_grid.size
-    return TransportProblem.build(
-        grid, time_grid,
-        np.tile(v.samples, (n, 1)), np.tile(F.samples, (n, 1)), f0,
-    )
+    return TransportProblem.build(grid, time_grid, v.samples, F.samples, f0)
 
 
 def _fmt(x) -> str:
@@ -427,7 +439,6 @@ def _run_transport(cfg: RunConfig, report: ExperimentReport) -> None:
     params = cfg.besov_params()
     T, dt = cfg.time["T"], cfg.time["dt"]
     time_grid = make_time_grid(T, dt)
-    n = time_grid.size
 
     def field_from_spec(spec: str, default_amp: float) -> GridFunction:
         if spec.endswith(".csv"):
@@ -438,10 +449,8 @@ def _run_transport(cfg: RunConfig, report: ExperimentReport) -> None:
     F = field_from_spec(cfg.experiment["forcing"], 0.5)
     rng = np.random.default_rng(cfg.seed)
     f0 = random_band_limited(grid, rng, k_max=6)
-    prob = TransportProblem.build(
-        grid, time_grid, np.tile(v.samples, (n, 1)), np.tile(F.samples, (n, 1)), f0
-    )
-    traj = solve_transport(prob, params)
+    traj = solve_transport(
+        TransportProblem.build(grid, time_grid, v.samples, F.samples, f0))
 
     C = cfg.scheme["C"]
     if cfg.experiment["fit_constant"]:
@@ -452,7 +461,7 @@ def _run_transport(cfg: RunConfig, report: ExperimentReport) -> None:
         report.summary["C_emp"] = C
         violations = 0
         for p_ in held_out:
-            rep = verify_transport_estimate(solve_transport(p_, params), params, C)
+            rep = verify_transport_estimate(solve_transport(p_), params, C)
             violations += int(np.count_nonzero(~rep.holds))
         report.summary["held_out_violations"] = violations
         report.verdicts["held_out_estimate"] = violations == 0

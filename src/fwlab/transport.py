@@ -11,14 +11,14 @@ dealiased with the 2/3 rule.  The RK4 integrator, integrate_rk4, is shared
 with the direct Fornberg-Whitham solver and owns the blow-up check; it yields
 one state per node and each caller keeps what it needs.
 
-A problem holds sample arrays only: one row of initial data and forcing.
-One right-hand-side kernel, _transport_rhs, steps any (..., N) stack of rows
-with velocity and forcing broadcast against them, one FFT per stage for the
-whole stack.  solve_transport feeds it the problem's one row; the mollified
-scheme feeds it a velocity and forcing per row, to march all its iterates at
-once.  The V(t) profile of a trajectory is computed when first read.  Besov
-norms use the partition of the problem's grid, cached per grid, so no entry
-point takes one.
+A problem holds sample arrays only: velocity and forcing per time node (a
+field constant in time is one row, viewed read-only over the nodes) and one
+row of initial data.  One right-hand-side kernel, _transport_rhs, steps any
+(..., N) stack of rows with velocity and forcing broadcast against them, one
+FFT per stage for the whole stack.  solve_transport feeds it the problem's
+one row; the mollified scheme feeds it a velocity and forcing per row, to
+march all its iterates at once.  Only the estimate takes Besov parameters;
+its norms use the partition of the problem's grid, cached per grid.
 
 The companion checker evaluates, node by node,
 
@@ -32,7 +32,6 @@ a family of problems.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -116,11 +115,14 @@ def integrate_rk4(rhs, y0: np.ndarray, time_grid: np.ndarray, dt: float,
 
 
 def _as_sample_matrix(samples, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """The (M+1, N) samples; an (N,) row is viewed read-only over the nodes."""
     arr = np.asarray(samples, dtype=float)
+    if arr.shape == shape[1:]:
+        return np.broadcast_to(arr, shape)
     if arr.shape != shape:
         raise ValueError(
-            f"{name} must provide one field per time node: expected "
-            f"{shape}, got {arr.shape}"
+            f"{name} must provide one field per time node or one for all: "
+            f"expected {shape} or {shape[1:]}, got {arr.shape}"
         )
     return arr
 
@@ -130,13 +132,13 @@ class TransportProblem:
     """Velocity, forcing and initial data samples on one spatial and time grid.
 
     ``build`` takes the initial data as one GridFunction; velocity and
-    forcing give one field per time node.
+    forcing give one field per time node, (M+1, N), or one (N,) row for all.
     """
 
     grid: Grid
     time_grid: np.ndarray
-    velocity: np.ndarray = field(repr=False)  # (M+1, N) samples
-    forcing: np.ndarray = field(repr=False)  # (M+1, N) samples
+    velocity: np.ndarray = field(repr=False)  # (M+1, N) samples or view
+    forcing: np.ndarray = field(repr=False)  # (M+1, N) samples or view
     initial: np.ndarray = field(repr=False)  # (N,) samples
 
     @classmethod
@@ -161,25 +163,14 @@ class TransportProblem:
 
 @dataclass(frozen=True)
 class TransportTrajectory:
-    """Solution states at every node; the running V(t) integral is computed
-    on first read of ``V_profile``."""
+    """Solution states at every node."""
 
     problem: TransportProblem
     states: np.ndarray = field(repr=False)  # (M+1, N) samples
-    params: BesovParams
 
     @property
     def time_grid(self) -> np.ndarray:
         return self.problem.time_grid
-
-    @cached_property
-    def V_profile(self) -> np.ndarray:
-        """V(t) = int_0^t ||v_x||_{B^{s-1}}."""
-        prob = self.problem
-        ik = 1j * prob.grid.wavenumbers
-        vx = np.fft.ifft(ik * np.fft.fft(prob.velocity, axis=-1), axis=-1).real
-        return _cumtrapz(besov_norms_of_samples(
-            build_partition(prob.grid), vx, self.params.shift(-1.0)), prob.dt)
 
 
 def _cumtrapz(values: np.ndarray, dt: float) -> np.ndarray:
@@ -213,13 +204,8 @@ def _transport_rhs(f, vw, Fw, ik, mask):
     return Fw - np.fft.ifft(adv_hat).real
 
 
-def solve_transport(prob: TransportProblem, params: BesovParams) -> TransportTrajectory:
-    """Integrate the transport problem and store the (M+1, N) states.
-
-    The Besov parameters fix the exponent of the V(t) profile, which uses
-    ||v_x||_{B^{s-1}} as in the a priori estimate; the profile is only
-    computed when ``V_profile`` is read.
-    """
+def solve_transport(prob: TransportProblem) -> TransportTrajectory:
+    """Integrate the transport problem and store the (M+1, N) states."""
     grid, time_grid, v, F = prob.grid, prob.time_grid, prob.velocity, prob.forcing
     hit = _cfl_violation(grid, v, prob.dt)
     if hit:
@@ -237,7 +223,7 @@ def solve_transport(prob: TransportProblem, params: BesovParams) -> TransportTra
 
     march = integrate_rk4(rhs, prob.initial, time_grid, prob.dt, "transport solution")
     states = np.fromiter(march, count=time_grid.size, dtype=np.dtype((float, grid.N)))
-    return TransportTrajectory(problem=prob, states=states, params=params)
+    return TransportTrajectory(problem=prob, states=states)
 
 
 @dataclass(frozen=True)
@@ -267,12 +253,16 @@ def _check_estimate_admissible(params: BesovParams) -> None:
         )
 
 
-def _estimate_profiles(traj: TransportTrajectory):
-    """Node-wise ||f||, ||F|| in B^s and the V profile, computed once."""
-    part = build_partition(traj.problem.grid)
-    f_norms = besov_norms_of_samples(part, traj.states, traj.params)
-    F_norms = besov_norms_of_samples(part, traj.problem.forcing, traj.params)
-    return f_norms, F_norms, traj.V_profile
+def _estimate_profiles(traj: TransportTrajectory, params: BesovParams):
+    """Node-wise ||f||, ||F|| in B^s and V(t) = int_0^t ||v_x||_{B^{s-1}}."""
+    prob = traj.problem
+    part = build_partition(prob.grid)
+    ik = 1j * prob.grid.wavenumbers
+    vx = np.fft.ifft(ik * np.fft.fft(prob.velocity, axis=-1), axis=-1).real
+    V = _cumtrapz(besov_norms_of_samples(part, vx, params.shift(-1.0)), prob.dt)
+    f_norms = besov_norms_of_samples(part, traj.states, params)
+    F_norms = besov_norms_of_samples(part, prob.forcing, params)
+    return f_norms, F_norms, V
 
 
 def _evaluate_estimate(C: float, dt: float, f_norms, F_norms, V):
@@ -295,13 +285,8 @@ def verify_transport_estimate(
     """Evaluate both sides of the a priori estimate at every node."""
     if C <= 0:
         raise ValueError("C must be positive")
-    if params != traj.params:
-        raise ValueError(
-            "trajectory was solved with different Besov parameters; its V "
-            "profile would be inconsistent"
-        )
     _check_estimate_admissible(params)
-    f_norms, F_norms, V = _estimate_profiles(traj)
+    f_norms, F_norms, V = _estimate_profiles(traj, params)
     lhs, rhs, holds, max_ratio = _evaluate_estimate(
         C, traj.problem.dt, f_norms, F_norms, V
     )
@@ -325,7 +310,7 @@ def fit_transport_constant(
         raise ValueError("problem family is empty")
     _check_estimate_admissible(params)
 
-    profiles = [(prob.dt,) + _estimate_profiles(solve_transport(prob, params))
+    profiles = [(prob.dt,) + _estimate_profiles(solve_transport(prob), params)
                 for prob in problems]
 
     def all_hold(C: float) -> bool:

@@ -138,7 +138,7 @@ def test_05_transport_exactness(params322):
         prob = TransportProblem.build(
             grid, tg, np.full((n, grid.N), c), np.zeros((n, grid.N)), f0
         )
-        return solve_transport(prob, params322).states[-1]
+        return solve_transport(prob).states[-1]
 
     def exact(T):
         return np.sin(3 * (grid.x - c * T)) + 0.2 * np.cos(5 * (grid.x - c * T))
@@ -162,7 +162,7 @@ def test_06_transport_estimate(grid256, params322):
     prob = TransportProblem.build(
         grid256, tg, np.zeros((n, grid256.N)), np.tile(F.samples, (n, 1)), f0
     )
-    traj = solve_transport(prob, params322)
+    traj = solve_transport(prob)
     degenerate_ok = bool(np.all(verify_transport_estimate(traj, params322, 1.0).holds))
 
     train = [random_transport_problem(grid256, rng, T=1.0, dt=5e-3) for _ in range(10)]
@@ -170,7 +170,7 @@ def test_06_transport_estimate(grid256, params322):
     held_out = [random_transport_problem(grid256, rng, T=1.0, dt=5e-3) for _ in range(10)]
     violations = 0
     for p in held_out:
-        t = solve_transport(p, params322)
+        t = solve_transport(p)
         rep = verify_transport_estimate(t, params322, C_emp)
         violations += int(not np.all(rep.holds))
     ok = degenerate_ok and np.isfinite(C_emp) and violations == 0

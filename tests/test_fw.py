@@ -294,8 +294,7 @@ class TestScheme:
             forcing = fwlab.fw._scheme_forcing(prev, np.fft.fft(prev), *symbols)
             cur = np.stack([
                 solve_transport(TransportProblem.build(
-                    grid256, tg, prev[:, 0], forcing[:, k], mollify(f0, kern)),
-                    params322).states
+                    grid256, tg, prev[:, 0], forcing[:, k], mollify(f0, kern))).states
                 for k, f0 in enumerate((u0, rho0))], axis=1)
             d_n.append(_sup_distance(part256, cur - prev, params322.shift(-1.0)))
             iterates.append(cur)

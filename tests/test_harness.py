@@ -87,11 +87,24 @@ class TestParseConfig:
         with pytest.raises(ValueError, match=r"experiment\.field_csv must be a string"):
             parse_config("experiment: {field_csv: 5}\n")
         assert parse_config("experiment: {field_csv: null}\n").experiment["field_csv"] is None
+        # float(True) is 1.0, but a YAML boolean is not a number
+        for text, key, value in [("besov: {p: true}", r"besov\.p", True),
+                                 ("experiment: {amplitude: true}", r"experiment\.amplitude", True),
+                                 ("grid: {L: true}", r"grid\.L", True),
+                                 ("seed: false", "seed", False)]:
+            with pytest.raises(ValueError, match=f"{key} must be a number, got {value}"):
+                parse_config(text + "\n")
 
     def test_invalid_yaml_is_one_line_value_error(self):
         with pytest.raises(ValueError, match="config is not valid YAML") as info:
             parse_config("a: [")
         assert "\n" not in str(info.value)
+        # a repeated key is refused, where PyYAML would keep the last value
+        for text, key, line in [("grid: {N: 64, N: 128}\n", "N", 1),
+                                ("grid: {N: 64}\ngrid: {N: 128}\n", "grid", 2)]:
+            with pytest.raises(ValueError, match=f"config is not valid YAML: found "
+                                                 f"duplicate key '{key}' at line {line}, column"):
+                parse_config(text)
 
     def test_overrides_apply_over_document(self):
         cfg = parse_config("grid: {N: 128}\nseed: 1\n", {"grid.N": 64, "seed": 3})
@@ -205,6 +218,18 @@ class TestRunExperiment:
             assert report.passed
         assert outputs[0] == outputs[1]
 
+    def test_transport_fit_constant_runs(self):
+        cfg = parse_config(
+            "experiment: {kind: transport, fit_constant: true, n_problems: 2}\n"
+            "grid: {N: 64}\ntime: {T: 0.2, dt: 1e-2}\n"
+        )
+        report = run_experiment(cfg, write=False)
+        assert report.summary["C_emp"] > 0
+        assert isinstance(report.summary["held_out_violations"], int)
+        header, rows = report.tables["transport"]
+        rhs = header.index("rhs")
+        assert all(row[rhs] >= 0 for row in rows)
+
     def test_env_var_overrides_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FWLAB_OUT", str(tmp_path / "env_out"))
         cfg = parse_config(
@@ -269,6 +294,8 @@ class TestCli:
                      id="directory-config"),
         pytest.param("a: [\n", ["--config", "run.yaml"], "out",
                      "config is not valid YAML", id="invalid-yaml"),
+        pytest.param("grid: {N: 64, N: 128}\n", ["--config", "run.yaml"], "out",
+                     "config is not valid YAML: found duplicate key 'N'", id="duplicate-key"),
         pytest.param("- 1\n", ["--config", "run.yaml"], "out",
                      "config must be a mapping", id="list-config"),
         pytest.param("grid: 5\n", ["--config", "run.yaml", "--N", "64"], "out",
