@@ -10,6 +10,9 @@ telescopes exactly on any bounded set of wavenumbers, rings two or more
 octaves apart have disjoint supports, and on a fixed grid only finitely many
 rings are nonzero (blocks above the Nyquist ring vanish identically, so the
 truncation of the l^r sum is exact).
+
+Every Besov norm here comes from one reduction, and a row's norm depends only
+on the row: not on its batch, its memory layout or its scale.
 """
 
 from __future__ import annotations
@@ -185,91 +188,86 @@ def low_cutoff(part: LPPartition, f: GridFunction, q: int) -> GridFunction:
     return GridFunction.from_coefficients(f.grid, mask * f.coefficients)
 
 
-def _block_lp_norms(part: LPPartition, coefficients: np.ndarray, p: float) -> np.ndarray:
-    """L^p norms of every dyadic block for a batch of coefficient rows.
+def _block_lp_norms(part: LPPartition, coefficients: np.ndarray, p: float):
+    """L^p norms of every dyadic block for a batch of coefficient rows, each
+    divided by its largest modulus before any power.
 
     coefficients: (..., N) complex in FFT order under the amplitude
-    normalization.  Returns an array of shape (q_max + 2, ...), blocks in
-    order q = -1, 0, ..., q_max.
-
-    At p = 2, Parseval gives ||Delta_q f||_{L^2}^2 = 2 pi L sum |mask_q c|^2
-    from the coefficients, with no inverse transform.  Every sum runs within
-    one row, so a row's norms are bit-identical however it is batched.
+    normalization.  Returns the block norms of the divided rows, shape
+    (q_max + 2, ...) in block order q = -1, 0, ..., q_max, and each row's
+    largest modulus, shape (...); a row whose largest modulus is 0, inf or
+    NaN has NaN block norms.  At p = 2, Parseval gives ||Delta_q f||_{L^2}^2
+    = 2 pi L sum |mask_q c|^2 from the coefficients, with no inverse
+    transform.
     """
     grid = part.grid
     masks = part.masks  # (Q, N)
-    batch_masks = masks[(slice(None),) + (None,) * (coefficients.ndim - 1)]
-    if p == 2:
-        modulus = np.abs(coefficients)
-        power = modulus**2
-        if np.all(np.isfinite(power)):
+    modulus = np.abs(coefficients)
+    top = modulus.max(axis=-1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if p == 2:
             # one dot product per (row, block), not a matmul: BLAS picks
             # its matmul kernel by row count, which moves the last bits
+            power = (modulus * (1.0 / top)) ** 2
             sums = np.moveaxis(np.vecdot(power[..., None, :], masks**2), -1, 0)
-        else:
-            # |c|^2 overflowed: square mask * |c| so that a zero mask gives 0,
-            # not 0 * inf = NaN, and the row reads inf like the sample sum
-            sums = np.sum((batch_masks * modulus) ** 2, axis=-1)
-        return np.sqrt(2.0 * np.pi * grid.L * sums)
-    blocks = batch_masks * coefficients[None]
-    samples = np.fft.ifft(blocks * grid.N, axis=-1).real
-    return lp_norm_samples(samples, grid.dx, p)
+            return np.sqrt(2.0 * np.pi * grid.L * sums), top[..., 0]
+        scaled = coefficients * (grid.N / top)
+        blocks = masks[(slice(None),) + (None,) * (coefficients.ndim - 1)] * scaled
+        samples = np.fft.ifft(blocks, axis=-1).real
+        return lp_norm_samples(samples, grid.dx, p), top[..., 0]
 
 
-def _lr_combine(part: LPPartition, block_norms: np.ndarray, s, r: float) -> np.ndarray:
-    """Weighted l^r sum over the block axis (axis 0) of block norms shaped
-    (Q, ...), at smoothness s: a scalar, or an array that broadcasts over
-    the trailing axes, one index per entry.
+def _norms(part: LPPartition, coefficients, params: BesovParams, s) -> np.ndarray:
+    """Besov norms of coefficient rows (..., N), with p and r from params and
+    smoothness s: a scalar, or an array that broadcasts over the trailing
+    axes of the result, one index per entry.
 
-    The terms are divided by the largest before the r-th power and the sum
-    multiplied back, so the powers neither underflow nor overflow; where the
-    largest term is 0, inf or NaN it is the norm.
+    The rows are made C-contiguous, every sum runs within one row in a fixed
+    order, and each row is divided by its largest modulus (and its l^r sum
+    by its largest term) before any power and multiplied back after, so a
+    row's norm depends only on the row: not on its batch, its memory layout
+    or its scale.  A row whose largest modulus is 0, inf or NaN reads that.
     """
+    blocks, top = _block_lp_norms(
+        part, np.ascontiguousarray(coefficients, dtype=complex), params.p)
     weights = part.block_weights(s)
-    w = weights.reshape(weights.shape[:1] + (1,) * (block_norms.ndim - weights.ndim)
+    w = weights.reshape(weights.shape[:1] + (1,) * (blocks.ndim - weights.ndim)
                         + weights.shape[1:])
     # the trailing axis keeps a lone row an array: numpy scalars take powers
     # with other rounding than arrays do
-    terms = (w * block_norms)[..., None]
-    top = terms.max(axis=0)
-    if np.isinf(r):
-        return top[..., 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    terms = (w * blocks)[..., None]
+    out = terms.max(axis=0)
+    if not np.isinf(params.r):
         # block by block, in order: np.sum would sum a lone row pairwise
-        total = sum((terms / top) ** r)
-        out = top * total ** (1.0 / r)
-    return np.where(np.isfinite(top) & (top > 0), out, top)[..., 0]
+        out = out * sum((terms / out) ** params.r) ** (1.0 / params.r)
+    top = top[..., None]
+    return np.where(np.isfinite(top) & (top > 0), top * out, top)[..., 0]
 
 
 def besov_norm(part: LPPartition, f: GridFunction, params: BesovParams) -> float:
     """The Besov norm ( sum_q (2^{sq} ||Delta_q f||_{L^p})^r )^{1/r}."""
     if f.grid != part.grid:
         raise ValueError("partition and field live on different grids")
-    norms = _block_lp_norms(part, f.coefficients, params.p)
-    return float(_lr_combine(part, norms, params.s, params.r))
+    return float(_norms(part, f.coefficients, params, params.s))
 
 
 def besov_norms_batch(
     part: LPPartition, coefficients: np.ndarray, params: BesovParams
 ) -> np.ndarray:
-    """Besov norms of a batch of coefficient rows (shape (..., N)); each
-    row's norm is bit-identical however the rows are batched."""
-    norms = _block_lp_norms(part, np.asarray(coefficients, dtype=complex), params.p)
-    return np.atleast_1d(_lr_combine(part, norms, params.s, params.r))
+    """Besov norms of a batch of coefficient rows (shape (..., N)); a row's
+    norm depends only on the row, not on its batch, layout or scale."""
+    return np.atleast_1d(_norms(part, coefficients, params, params.s))
 
 
 def _norms_of_samples(part: LPPartition, samples, params: BesovParams, s) -> np.ndarray:
     """Besov norms of real sample rows (..., N), with p and r from params and
-    smoothness s: a scalar, or an array over the trailing axes of the result.
-    One transform and one block reduction per chunk of _NORM_CHUNK entries
-    of the leading axis, so a long batch needs bounded temporaries; a row's
-    norm does not depend on its chunk."""
+    smoothness s as in _norms.  One transform and one reduction per chunk of
+    _NORM_CHUNK entries of the leading axis, so a long batch needs bounded
+    temporaries; a row's norm does not depend on its chunk."""
     samples = np.asarray(samples, dtype=float)
 
     def norms(rows):
-        coefficients = np.fft.fft(rows) / part.grid.N
-        return _lr_combine(part, _block_lp_norms(part, coefficients, params.p),
-                           s, params.r)
+        return _norms(part, np.fft.fft(rows) / part.grid.N, params, s)
 
     if samples.ndim == 1 or len(samples) <= _NORM_CHUNK:
         return norms(samples)

@@ -16,7 +16,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .harness import RunConfig, output_dir_for, parse_config, run_experiment
+from .harness import RunConfig, parse_config, run_experiment
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
@@ -120,12 +120,11 @@ def main(argv: list[str] | None = None) -> int:
         # a bad or unreadable config, a stopped run or an unwritable output is no verdict
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out = output_dir_for(cfg)
     for key, value in report.summary.items():
         print(f"{key} = {value}")
     for name, verdict in report.verdicts.items():
         print(f"{name}: {'pass' if verdict else 'FAIL'}")
-    print(f"wrote {out}/")
+    print(f"wrote {cfg.output_dir}/")
     return 0 if report.passed else 1
 
 

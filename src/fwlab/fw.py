@@ -57,8 +57,7 @@ from .besov import (
     BesovParams,
     LPPartition,
     MollifierKernel,
-    _block_lp_norms,
-    _lr_combine,
+    _norms,
     _norms_of_samples,
     besov_norms_batch,
     build_partition,
@@ -415,8 +414,7 @@ def run_scheme(u0: GridFunction, rho0: GridFunction, cfg: SchemeConfig) -> Itera
             # previous iterate: their norms, and the forcing the new nodes
             # exert on their successors
             y_hat = np.fft.fft(np.stack([new, new - then[lo:hi + 1]]))
-            wave = _lr_combine(part, _block_lp_norms(part, y_hat / N, params.p),
-                               smoothness, params.r)
+            wave = _norms(part, y_hat / N, params, smoothness)
             norms[rows + 1, i - rows] = wave[0]
             np.maximum(d_max[lo:hi + 1], wave[1], out=d_max[lo:hi + 1])
             forcing_now[lo + 1:fed + 2] = _scheme_forcing(
@@ -482,8 +480,8 @@ def empirical_lifespan(u0: GridFunction, rho0: GridFunction, cfg: SchemeConfig,
         march = _march_fw(_stacked(FWState(u=u0, rho=rho0))[0], u0.grid,
                           time_grid, cfg.dt)
         for i, y in enumerate(march):
-            # near-blow-up nodes can overflow the L^p sums; inf counts as
-            # a violation, and so does NaN
+            # a node near blow-up can overflow its norm; inf counts as a
+            # violation, and so does NaN
             with np.errstate(over="ignore"):
                 norm_u, norm_rho = _pair_norms(part, y, cfg.params)
                 norm_sum = float(norm_u + norm_rho)

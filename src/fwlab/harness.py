@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import os
 import time
 from dataclasses import dataclass, field, asdict
 from functools import partial
@@ -358,10 +357,6 @@ class ExperimentReport:
         return out
 
 
-def output_dir_for(cfg: RunConfig) -> str:
-    return os.environ.get("FWLAB_OUT", cfg.output_dir)
-
-
 # ---------------------------------------------------------------------------
 # experiment dispatch
 
@@ -381,7 +376,7 @@ def run_experiment(cfg: RunConfig, write: bool = True) -> ExperimentReport:
         raise RuntimeError(f"experiment {kind!r} failed: {exc}") from exc
     report.wall_time = time.perf_counter() - start
     if write:
-        report.write(output_dir_for(cfg))
+        report.write(cfg.output_dir)
     return report
 
 

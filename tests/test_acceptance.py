@@ -289,8 +289,7 @@ def test_12_continuity_of_data_to_solution(grid256, part256, params322):
              f"floor {floor:.2e}, nonincreasing {rep.nonincreasing}")
 
 
-def test_13_determinism(tmp_path, monkeypatch):
-    monkeypatch.delenv("FWLAB_OUT", raising=False)
+def test_13_determinism(tmp_path):
     configs = [
         "experiment: {kind: norm}\nseed: 5\n",
         "experiment: {kind: partition-check}\nseed: 5\n",

@@ -39,6 +39,22 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name} imports names it never uses: {unused}"
 
 
+def test_block_norms_named_only_in_besov():
+    # the Besov reduction is assembled in one place, besov._norms: no other
+    # module takes the block norms and combines them itself
+    def names(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+        yield from _imported_names(tree)
+
+    naming = [p.name for p in SOURCES if p.name != "besov.py"
+              and "_block_lp_norms" in names(ast.parse(p.read_text()))]
+    assert not naming, f"modules naming besov._block_lp_norms: {naming}"
+
+
 def _private_definitions(tree):
     """Module-level private functions, classes and constants of one module."""
     for node in tree.body:

@@ -265,7 +265,8 @@ class TestParsevalBlocks:
     def test_matches_sample_definition(self, grid256, part256, shape):
         rng = np.random.default_rng(211)
         c = _random_coefficients(grid256, rng, shape, k_max=grid256.N // 2 - 1)
-        got = _block_lp_norms(part256, c, 2.0)
+        blocks, top = _block_lp_norms(part256, c, 2.0)
+        got = top * blocks
         want = _sample_block_norms(part256, c, 2.0)
         assert got.shape == want.shape == (part256.q_max + 2,) + shape
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
@@ -285,7 +286,8 @@ class TestParsevalBlocks:
         # blocks the rows barely reach; the weights 2^{sq} magnify it
         row = np.fft.ifft(c * grid256.N, axis=-1).real
         floor = 1e-14 * lp_norm_samples(row, grid256.dx, 2.0)
-        got_blocks = _block_lp_norms(part256, c, 2.0)
+        blocks, top = _block_lp_norms(part256, c, 2.0)
+        got_blocks = top * blocks
         assert np.all(np.abs(got_blocks - want_blocks) <= 1e-13 * want_blocks + floor)
         weights = part256.block_weights(s)
         terms = weights[:, None] * want_blocks
@@ -296,9 +298,6 @@ class TestParsevalBlocks:
     @settings(max_examples=60, deadline=None, database=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        # the p = 2 Parseval sums and the L^p sums of finite p take unscaled
-        # powers, which underflow to 0 far below unit scale; the wide range
-        # is tested at p in {1, inf} below
         lam=st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3)),
         p=st.sampled_from([1.0, 2.0, 4.0, np.inf]),
         s=st.floats(-1.0, 4.0),
@@ -317,16 +316,21 @@ class TestParsevalBlocks:
         seed=st.integers(0, 2**32 - 1),
         log_lam=st.floats(-250.0, 250.0),
         sign=st.sampled_from([1.0, -1.0]),
-        p=st.sampled_from([1.0, np.inf]),
+        p=st.sampled_from([1.0, 2.0, 4.0, np.inf]),
         s=st.floats(-1.0, 4.0),
         r=st.sampled_from([1.0, 2.0, np.inf]),
     )
     @example(seed=0, log_lam=np.log10(1.24e-205), sign=1.0, p=1.0, s=3.0, r=2.0)
     @example(seed=0, log_lam=250.0, sign=1.0, p=1.0, s=3.0, r=2.0)
+    @example(seed=0, log_lam=-160.0, sign=1.0, p=2.0, s=3.0, r=2.0)
+    @example(seed=0, log_lam=-80.0, sign=1.0, p=4.0, s=3.0, r=2.0)
+    @example(seed=0, log_lam=-160.0, sign=1.0, p=4.0, s=3.0, r=2.0)
+    @example(seed=0, log_lam=200.0, sign=1.0, p=2.0, s=3.0, r=2.0)
+    @example(seed=0, log_lam=200.0, sign=1.0, p=4.0, s=3.0, r=2.0)
     def test_property_homogeneity_far_from_unit_scale(self, grid256, part256, seed,
                                                        log_lam, sign, p, s, r):
-        # the l^r sum scales by its largest term, so its powers neither
-        # underflow nor overflow
+        # each row is divided by its largest modulus before any power, and
+        # the l^r sum by its largest term, so no power underflows or overflows
         rng = np.random.default_rng(seed)
         c = _random_coefficients(grid256, rng, (3,), k_max=64)
         lam = sign * 10.0**log_lam
@@ -361,13 +365,57 @@ class TestParsevalBlocks:
             assert np.array_equal(besov_norms_batch(part, c[a:b], params), whole[a:b])
         assert np.array_equal(besov_norms_batch(part, c[0], params), whole[:1])
 
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_rows=st.integers(1, 12),
+        p=st.sampled_from([1.0, 2.0, 4.0, np.inf]),
+        s=st.floats(-1.0, 4.0),
+        r=st.sampled_from([1.0, 1.5, 2.0, np.inf]),
+    )
+    def test_property_norms_independent_of_layout(self, grid256, part256, seed,
+                                                   n_rows, p, s, r):
+        # a row's norm depends only on the row: Fortran-ordered, reversed
+        # and broadcast copies of a batch give the C-ordered batch's bits
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-3.0, 3.0, (n_rows, 1))
+        c = scale * _random_coefficients(grid256, rng, (n_rows,), k_max=127)
+        params = BesovParams(s, p, r)
+        want = besov_norms_batch(part256, c, params)
+        assert np.array_equal(besov_norms_batch(part256, np.asfortranarray(c), params),
+                              want)
+        assert np.array_equal(besov_norms_batch(part256, c[::-1], params)[::-1], want)
+        wide = np.broadcast_to(c, (3,) + c.shape)
+        assert np.array_equal(besov_norms_batch(part256, wide, params),
+                              np.broadcast_to(want, (3, n_rows)))
+        # one row viewed over many nodes, as a constant transport field is
+        tall = np.broadcast_to(c[:1].T, (grid256.N, n_rows)).T
+        assert np.array_equal(besov_norms_batch(part256, tall, params),
+                              np.full(n_rows, want[0]))
+
     def test_overflowing_row_is_inf(self, grid256, part256, params322):
-        # |c|^2 overflows on a huge finite row; the sample path gives inf and
-        # so must Parseval, not NaN from 0 * inf outside a block's support
-        row = 1e200 * np.sin(grid256.x)
-        with np.errstate(over="ignore"):
-            got = besov_norms_of_samples(part256, row, params322)
-        assert np.array_equal(got, [np.inf])
+        # |c|^2 would overflow on 1e200 sin x unscaled; it reads its norm
+        row = np.sin(grid256.x)
+        got = besov_norms_of_samples(part256, 1e200 * row, params322)
+        want = 1e200 * besov_norms_of_samples(part256, row, params322)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        assert got[0] == pytest.approx(1.4239785866369687e200, rel=1e-12)
+        # empirical_lifespan counts a node whose norm is not finite as over
+        # its bound: a coefficient that overflowed reads inf, a NaN reads NaN,
+        # and samples holding either read neither finite
+        c = np.fft.fft(row) / grid256.N
+        for p in (1.0, 2.0, 4.0, np.inf):
+            params = BesovParams(3.0, p, 2.0)
+            for bad, reads in ((np.inf, np.inf), (np.nan, np.nan)):
+                coefficients = c.copy()
+                coefficients[3] = bad
+                got = besov_norms_batch(part256, coefficients, params)
+                assert np.array_equal(got, [reads], equal_nan=True), (p, bad)
+                samples = row.copy()
+                samples[7] = bad
+                with np.errstate(invalid="ignore"):
+                    got = besov_norms_of_samples(part256, samples, params)
+                assert not np.isfinite(got[0]), (p, bad)
 
 
 class TestMollifier:

@@ -204,8 +204,7 @@ class TestRunExperiment:
         assert "masks" in report.tables
         assert report.passed
 
-    def test_simulate_writes_deterministic_csv(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("FWLAB_OUT", raising=False)
+    def test_simulate_writes_deterministic_csv(self, tmp_path):
         text = (
             "experiment: {kind: simulate, amplitude: 0.05}\n"
             "time: {T: 0.1, dt: 0.005}\n"
@@ -230,18 +229,7 @@ class TestRunExperiment:
         rhs = header.index("rhs")
         assert all(row[rhs] >= 0 for row in rows)
 
-    def test_env_var_overrides_output_dir(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FWLAB_OUT", str(tmp_path / "env_out"))
-        cfg = parse_config(
-            "experiment: {kind: partition-check}\n"
-            f"output_dir: {tmp_path / 'ignored'}\n"
-        )
-        run_experiment(cfg)
-        assert (tmp_path / "env_out" / "summary.txt").exists()
-        assert not (tmp_path / "ignored").exists()
-
-    def test_summary_echoes_config(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("FWLAB_OUT", raising=False)
+    def test_summary_echoes_config(self, tmp_path):
         cfg = parse_config(
             "experiment: {kind: partition-check}\n"
             "seed: 42\n"
@@ -254,29 +242,28 @@ class TestRunExperiment:
 
 
 class TestCli:
-    def test_verify_exit_code(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("FWLAB_OUT", str(tmp_path / "out"))
+    def test_verify_exit_code(self, capsys):
         rc = cli_main(["verify"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "pass" in out.lower()
 
-    def test_norm_command(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FWLAB_OUT", str(tmp_path / "out"))
-        rc = cli_main(["norm", "--N", "128", "--preset", "sine"])
+    def test_norm_command(self, tmp_path):
+        rc = cli_main(["norm", "--N", "128", "--preset", "sine",
+                       "--out", str(tmp_path / "out")])
         assert rc == 0
         assert (tmp_path / "out" / "summary.txt").exists()
 
-    def test_bad_config_value_fails(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("FWLAB_OUT", str(tmp_path / "out"))
-        rc = cli_main(["simulate", "--s", "2.0", "--T", "0.1"])
+    def test_bad_config_value_fails(self, tmp_path, capsys):
+        rc = cli_main(["simulate", "--s", "2.0", "--T", "0.1",
+                       "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "inadmissible" in capsys.readouterr().err
 
-    def test_run_error_is_reported_not_raised(self, tmp_path, monkeypatch, capsys):
+    def test_run_error_is_reported_not_raised(self, tmp_path, capsys):
         # about 1e9 stored nodes: the memory guard stops the run before it starts
-        monkeypatch.setenv("FWLAB_OUT", str(tmp_path / "out"))
-        rc = cli_main(["simulate", "--T", "1000000", "--dt", "1e-3"])
+        rc = cli_main(["simulate", "--T", "1000000", "--dt", "1e-3",
+                       "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: ")
@@ -300,7 +287,7 @@ class TestCli:
                      "config must be a mapping", id="list-config"),
         pytest.param("grid: 5\n", ["--config", "run.yaml", "--N", "64"], "out",
                      "config section 'grid' must be a mapping", id="section-under-flag"),
-        # FWLAB_OUT names an existing file, so the output cannot be written
+        # --out names an existing file, so the output cannot be written
         pytest.param("", ["--N", "64"], "run.yaml", "[Errno 17] File exists",
                      id="output-is-file"),
     ])
@@ -308,21 +295,20 @@ class TestCli:
                                         text, argv, out, message):
         # every bad input, not only a bad seed, is one error line with exit 2
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setenv("FWLAB_OUT", out)
         if text is not None:
             (tmp_path / "run.yaml").write_text(text)
-        rc = cli_main(["norm"] + argv)
+        rc = cli_main(["norm"] + argv + ["--out", out])
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: " + message)
         assert err.count("\n") == 1 and "Traceback" not in err
 
-    def test_config_file_plus_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FWLAB_OUT", str(tmp_path / "out"))
+    def test_config_file_plus_override(self, tmp_path):
         cfg_path = tmp_path / "run.yaml"
         cfg_path.write_text("grid: {N: 128}\ntime: {T: 0.1, dt: 0.005}\n")
         rc = cli_main([
             "simulate", "--config", str(cfg_path), "--amplitude", "0.05",
+            "--out", str(tmp_path / "out"),
         ])
         assert rc == 0
         summary = (tmp_path / "out" / "summary.txt").read_text()

@@ -162,8 +162,9 @@ class TestSolveTransport:
         with pytest.raises(ValueError, match="forcing"):
             TransportProblem.build(grid256, tg, v, v[0, :-1], f0)
 
-    def test_rows_given_once_equal_tiled_fields(self, grid256, params322):
-        rng = np.random.default_rng(157)
+    @pytest.mark.parametrize("seed", list(range(12)) + [157])
+    def test_rows_given_once_equal_tiled_fields(self, grid256, params322, seed):
+        rng = np.random.default_rng(seed)
         v = random_field(grid256, rng, k_max=4, amplitude=0.3)
         F = random_field(grid256, rng, amplitude=0.5)
         f0 = random_field(grid256, rng)
