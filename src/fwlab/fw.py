@@ -11,8 +11,10 @@ dealiasing of products and classical RK4 in time.  A solution is kept as
 stacked (u, rho) samples, (..., 2, N), from start to end: direct
 trajectories, scheme iterates and their forcing alike.  One right-hand-side
 kernel acts on such stacks, so a leading member axis steps many solutions in
-one batched call; the direct march integrates it with the RK4 integrator it
-shares with the transport solver, and fw_rhs wraps it for single states.
+one batched call; it differentiates and dealiases on real half spectra
+(rfft, then irfft of the N//2 + 1 modes) and returns samples.  The direct
+march integrates it with the RK4 integrator it shares with the transport
+solver, and fw_rhs wraps it for single states.
 Every pair is measured one way, in B^s x B^{s-1} by _pair_norms, on the
 partition of its grid: one transform and one block-norm reduction per
 bounded chunk of the stack, whose bits do not depend on how the rows are
@@ -38,11 +40,11 @@ M + n_max - 1 RK4 steps, each one batched transport-kernel call per stage on
 the (n_max - 1, 2, N) stack, with a velocity and forcing per row.  Each
 wave's new nodes and their differences from the previous iterate are
 transformed once, together; that transform gives their norms, d_n as a
-running maximum, and the new nodes' forcing of their successors, and a
-velocity node is checked against the advective bound as it is made.  Only
-two nodes per iterate are live; the trace keeps the first and last
-iterates, every iterate's norms and d_n.  The empirical lifespan integrates
-the nonlinear system directly.
+running maximum, and, through its first N//2 + 1 modes, the new nodes'
+forcing of their successors, and a velocity node is checked against the
+advective bound as it is made.  Only two nodes per iterate are live; the
+trace keeps the first and last iterates, every iterate's norms and d_n.
+The empirical lifespan integrates the nonlinear system directly.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ from .besov import (
     build_partition,
     mollify,
 )
-from .spectral import Grid, GridFunction, dealias_mask
+from .spectral import Grid, GridFunction, _half_symbols as _fw_symbols
 from .transport import (
     CFL_FACTOR,
     BlowUpError,
@@ -138,22 +140,17 @@ class SchemeConfig:
             raise ValueError("dt must be positive")
 
 
-def _fw_symbols(grid: Grid):
-    """The d/dx and Lambda^{-1} d/dx symbols and the 2/3-rule mask."""
-    xi = grid.wavenumbers
-    ik = 1j * xi
-    return ik, ik / (1.0 + xi**2), dealias_mask(grid)
-
-
 def _fw_rhs(y, ik, lam, mask):
-    """Time derivative of the stacked (u, rho) samples y, shape (..., 2, N)."""
-    y_hat = np.fft.fft(y)
+    """Time derivative of the stacked (u, rho) samples y, shape (..., 2, N),
+    stepped on real half spectra with the symbols of _fw_symbols."""
+    N = y.shape[-1]
+    y_hat = np.fft.rfft(y)
     u_hat, rho_hat = y_hat[..., 0, :], y_hat[..., 1, :]
-    yx = np.fft.ifft(ik * y_hat).real
+    yx = np.fft.irfft(ik * y_hat, N)
     ux, rhox = yx[..., 0, :], yx[..., 1, :]
-    nonlocal_term = np.fft.ifft(lam * (rho_hat - u_hat)).real
+    nonlocal_term = np.fft.irfft(lam * (rho_hat - u_hat), N)
     u, rho = y[..., 0, :], y[..., 1, :]
-    adv = np.fft.ifft(mask * np.fft.fft(np.stack([u * ux, u * rhox + rho * ux], axis=-2))).real
+    adv = np.fft.irfft(mask * np.fft.rfft(np.stack([u * ux, u * rhox + rho * ux], axis=-2)), N)
     return np.stack([-adv[..., 0, :] + nonlocal_term, -adv[..., 1, :] - ux], axis=-2)
 
 
@@ -321,12 +318,16 @@ class IterationTrace:
 
 def _scheme_forcing(y, y_hat, ik, lam, mask):
     """Forcing of iterate n+1 from the stacked (..., 2, N) samples y of
-    iterate n and their FFTs y_hat, stacked the same way:
-    Lambda^{-1} d/dx (rho^n - u^n) for u and -rho^n u^n_x - u^n_x for rho."""
+    iterate n and their full FFTs y_hat, stacked the same way:
+    Lambda^{-1} d/dx (rho^n - u^n) for u and -rho^n u^n_x - u^n_x for rho.
+    It steps on the half spectra y_hat[..., :N//2+1] with the symbols of
+    _fw_symbols."""
+    N = y.shape[-1]
+    y_hat = y_hat[..., :N // 2 + 1]
     u_hat, rho_hat = y_hat[..., 0, :], y_hat[..., 1, :]
-    ux = np.fft.ifft(ik * u_hat).real
-    forcing_u = np.fft.ifft(lam * (rho_hat - u_hat)).real
-    prod = np.fft.ifft(mask * np.fft.fft(y[..., 1, :] * ux)).real
+    ux = np.fft.irfft(ik * u_hat, N)
+    forcing_u = np.fft.irfft(lam * (rho_hat - u_hat), N)
+    prod = np.fft.irfft(mask * np.fft.rfft(y[..., 1, :] * ux), N)
     return np.stack([forcing_u, -prod - ux], axis=-2)
 
 

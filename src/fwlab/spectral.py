@@ -18,6 +18,7 @@ xi = +-1 and the Parseval identity reads
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -230,6 +231,22 @@ def lambda_inv_dx(f: GridFunction) -> GridFunction:
 def dealias_mask(grid: Grid) -> np.ndarray:
     """Boolean 2/3-rule mask: True on modes with |k| <= N/3."""
     return np.abs(grid.k) <= grid.N / 3.0
+
+
+@cache
+def _half_symbols(grid: Grid):
+    """The d/dx and Lambda^{-1} d/dx symbols and the 2/3-rule mask on the
+    N//2 + 1 modes of a real transform (rfft), read-only, once per grid.
+    The odd symbols are not Hermitian at the Nyquist mode; irfft reads only
+    its real part, so their output there is zero, as apply_multiplier's
+    re-symmetrization makes it."""
+    half = grid.N // 2 + 1
+    xi = grid.wavenumbers[:half]
+    ik = 1j * xi
+    symbols = (ik, ik / (1.0 + xi**2), dealias_mask(grid)[:half])
+    for a in symbols:
+        a.setflags(write=False)
+    return symbols
 
 
 def dealias(f: GridFunction) -> GridFunction:

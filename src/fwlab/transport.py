@@ -14,11 +14,14 @@ one state per node and each caller keeps what it needs.
 A problem holds sample arrays only: velocity and forcing per time node (a
 field constant in time is one row, viewed read-only over the nodes) and one
 row of initial data.  One right-hand-side kernel, _transport_rhs, steps any
-(..., N) stack of rows with velocity and forcing broadcast against them, one
-FFT per stage for the whole stack.  solve_transport feeds it the problem's
+(..., N) stack of rows with velocity and forcing broadcast against them.
+The state stays as samples; each stage steps on real half spectra (rfft,
+then irfft of the N//2 + 1 modes), each transform taking the whole stack,
+with symbols built once per grid.  solve_transport feeds it the problem's
 one row; the mollified scheme feeds it a velocity and forcing per row, to
 march all its iterates at once.  Only the estimate takes Besov parameters;
-its norms use the partition of the problem's grid, cached per grid.
+its norms use the partition of the problem's grid, cached per grid, and a
+field given once is differentiated and normed once.
 
 The companion checker evaluates, node by node,
 
@@ -37,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .besov import BesovParams, besov_norms_of_samples, build_partition
-from .spectral import Grid, GridFunction, dealias_mask
+from .spectral import Grid, GridFunction, _half_symbols
 
 __all__ = [
     "TransportProblem",
@@ -195,13 +198,15 @@ def _cfl_violation(grid: Grid, velocity: np.ndarray, dt: float):
 
 def _transport_rhs(f, vw, Fw, ik, mask):
     """-vw f_x + Fw for the (..., N) rows f, with the velocity vw and forcing
-    Fw broadcast against them; each FFT transforms the whole stack."""
-    f_hat = np.fft.fft(f)
+    Fw broadcast against them; each real transform takes the whole stack,
+    and ik and mask are half-spectrum symbols (_half_symbols)."""
+    N = f.shape[-1]
+    f_hat = np.fft.rfft(f)
     f_hat *= ik
-    fx = np.fft.ifft(f_hat).real
-    adv_hat = np.fft.fft(vw * fx)
+    fx = np.fft.irfft(f_hat, N)
+    adv_hat = np.fft.rfft(vw * fx)
     adv_hat *= mask
-    return Fw - np.fft.ifft(adv_hat).real
+    return Fw - np.fft.irfft(adv_hat, N)
 
 
 def solve_transport(prob: TransportProblem) -> TransportTrajectory:
@@ -211,8 +216,7 @@ def solve_transport(prob: TransportProblem) -> TransportTrajectory:
     if hit:
         node, reason = hit
         raise ValueError(f"{reason} at node {node} (t = {time_grid[node]:.6g})")
-    ik = 1j * grid.wavenumbers
-    mask = dealias_mask(grid)
+    ik, _, mask = _half_symbols(grid)
 
     def rhs(f, i, w):
         if w == 0.5:
@@ -253,15 +257,28 @@ def _check_estimate_admissible(params: BesovParams) -> None:
         )
 
 
+def _per_node(fn, samples: np.ndarray) -> np.ndarray:
+    """fn of the (M+1, N) samples, one value per node.  A field given once,
+    a view of one row over the nodes, is computed on that row and repeated:
+    fn acts row by row, so the values are those of the tiled field."""
+    if samples.strides[0] == 0:
+        return np.repeat(fn(samples[:1]), len(samples))
+    return fn(samples)
+
+
 def _estimate_profiles(traj: TransportTrajectory, params: BesovParams):
     """Node-wise ||f||, ||F|| in B^s and V(t) = int_0^t ||v_x||_{B^{s-1}}."""
     prob = traj.problem
     part = build_partition(prob.grid)
-    ik = 1j * prob.grid.wavenumbers
-    vx = np.fft.ifft(ik * np.fft.fft(prob.velocity, axis=-1), axis=-1).real
-    V = _cumtrapz(besov_norms_of_samples(part, vx, params.shift(-1.0)), prob.dt)
+    ik = _half_symbols(prob.grid)[0]
+
+    def vx_norms(v):
+        vx = np.fft.irfft(ik * np.fft.rfft(v), prob.grid.N)
+        return besov_norms_of_samples(part, vx, params.shift(-1.0))
+
+    V = _cumtrapz(_per_node(vx_norms, prob.velocity), prob.dt)
     f_norms = besov_norms_of_samples(part, traj.states, params)
-    F_norms = besov_norms_of_samples(part, prob.forcing, params)
+    F_norms = _per_node(lambda F: besov_norms_of_samples(part, F, params), prob.forcing)
     return f_norms, F_norms, V
 
 

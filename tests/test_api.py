@@ -55,6 +55,16 @@ def test_block_norms_named_only_in_besov():
     assert not naming, f"modules naming besov._block_lp_norms: {naming}"
 
 
+@pytest.mark.parametrize("name", ["fw.py", "transport.py"])
+def test_kernels_invert_real_fields_with_irfft(name):
+    # the solvers' fields are real: each inverse transform there is an irfft
+    # of a half spectrum, never a full-spectrum ifft(...).real
+    tree = ast.parse((Path(fwlab.__file__).parent / name).read_text())
+    names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert "ifft" not in names | set(_imported_names(tree)), f"{name} calls ifft"
+
+
 def _private_definitions(tree):
     """Module-level private functions, classes and constants of one module."""
     for node in tree.body:

@@ -23,6 +23,7 @@ from fwlab import (
 import fwlab.fw
 from fwlab.fw import LIFESPAN_CAP, _pair_norms, _sup_distance
 from fwlab.besov import BesovParams
+from fwlab.spectral import dealias_mask
 from fwlab.transport import (
     BlowUpError,
     TransportProblem,
@@ -60,6 +61,29 @@ class TestRhs:
         expected_du = -np.sin(grid.x) * np.cos(grid.x) - 0.5 * np.cos(grid.x)
         assert np.max(np.abs(du.samples - expected_du)) <= 1e-12
         assert np.max(np.abs(drho.samples + np.cos(grid.x))) <= 1e-12
+
+    @pytest.mark.parametrize("members", [1, 4, 7])
+    def test_half_spectrum_rhs_equals_full_spectrum(self, grid256, members):
+        # the full-spectrum formula, complex transforms and ifft(...).real
+        def full_rhs(y):
+            xi = grid256.wavenumbers
+            ik, mask = 1j * xi, dealias_mask(grid256)
+            y_hat = np.fft.fft(y)
+            u_hat, rho_hat = y_hat[..., 0, :], y_hat[..., 1, :]
+            yx = np.fft.ifft(ik * y_hat).real
+            ux, rhox = yx[..., 0, :], yx[..., 1, :]
+            nonlocal_term = np.fft.ifft(ik / (1.0 + xi**2) * (rho_hat - u_hat)).real
+            u, rho = y[..., 0, :], y[..., 1, :]
+            prods = np.stack([u * ux, u * rhox + rho * ux], axis=-2)
+            adv = np.fft.ifft(mask * np.fft.fft(prods)).real
+            return np.stack([-adv[..., 0, :] + nonlocal_term, -adv[..., 1, :] - ux],
+                            axis=-2)
+
+        rng = np.random.default_rng(311 + members)
+        y = np.array([[random_field(grid256, rng, k_max=k_max).samples
+                       for k_max in (8, grid256.N // 2 - 1)] for _ in range(members)])
+        got = fwlab.fw._fw_rhs(y, *fwlab.fw._fw_symbols(grid256))
+        assert np.max(np.abs(got - full_rhs(y))) <= 1e-13
 
     def test_grid_mismatch_rejected(self, grid256):
         other = make_grid(128, 8.0)

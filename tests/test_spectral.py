@@ -11,7 +11,7 @@ from fwlab import (
     lp_norm,
     make_grid,
 )
-from fwlab.spectral import dx_symbol, lambda_inv_dx_symbol
+from fwlab.spectral import _half_symbols, dealias_mask, dx_symbol, lambda_inv_dx_symbol
 
 from conftest import random_field
 
@@ -152,6 +152,21 @@ class TestDealias:
         rng = np.random.default_rng(2)
         f = GridFunction.from_samples(g, rng.standard_normal(g.N))
         assert lp_norm(dealias(f), 2) <= lp_norm(f, 2) * (1 + 1e-12)
+
+
+class TestHalfSymbols:
+    def test_first_half_of_the_full_symbols(self):
+        g = make_grid(64, 2.0)
+        ik, lam, mask = _half_symbols(g)
+        half = g.N // 2 + 1
+        assert np.array_equal(ik, dx_symbol().evaluate(g)[:half])
+        assert np.array_equal(lam, lambda_inv_dx_symbol().evaluate(g)[:half])
+        assert np.array_equal(mask, dealias_mask(g)[:half])
+
+    def test_built_once_per_grid_and_read_only(self):
+        symbols = _half_symbols(make_grid(64, 2.0))
+        assert _half_symbols(make_grid(64, 2.0)) is symbols
+        assert not any(a.flags.writeable for a in symbols)
 
 
 class TestLpNorm:

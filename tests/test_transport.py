@@ -15,6 +15,7 @@ from fwlab import (
     solve_transport,
     verify_transport_estimate,
 )
+from fwlab.spectral import _half_symbols
 from fwlab.transport import BlowUpError, integrate_rk4, make_time_grid
 from fwlab.harness import random_transport_problem
 
@@ -78,6 +79,39 @@ class TestIntegrateRK4:
         assert info.value.node == 1
         assert info.value.rows == rows
         assert (f"in rows {rows}" in str(info.value)) == bool(rows)
+
+
+class TestKernel:
+    @pytest.mark.parametrize("m", [1, 5, 40, 64, 85])
+    def test_advected_mode_oracle(self, grid256, m):
+        # -c d/dx sin(m x / L) = -c (m / L) cos(m x / L) on every mode the
+        # 2/3 rule keeps; the phase is reduced exactly, mod 2 pi
+        ik, _, mask = _half_symbols(grid256)
+        theta = 2.0 * np.pi * ((m * np.arange(grid256.N)) % grid256.N) / grid256.N
+        c = 0.7
+        got = fwlab.transport._transport_rhs(np.sin(theta), c, 0.0, ik, mask)
+        assert np.max(np.abs(got + c * (m / grid256.L) * np.cos(theta))) <= 1e-12
+
+    def test_nyquist_mode_has_zero_derivative(self, grid256):
+        ik, _, mask = _half_symbols(grid256)
+        f = (-1.0) ** np.arange(grid256.N)
+        assert np.all(fwlab.transport._transport_rhs(f, 0.7, 0.0, ik, mask) == 0.0)
+
+    def test_rhs_of_stack_equals_single_calls(self, grid256):
+        # the scheme's (K, 2, N) stack, with a velocity and forcing per row,
+        # steps as its (N,) rows do one at a time in solve_transport
+        rng = np.random.default_rng(331)
+
+        def fields(*shape):
+            return np.array([random_field(grid256, rng, k_max=8).samples
+                             for _ in range(int(np.prod(shape)))]).reshape(shape + (-1,))
+
+        f, v, F = fields(4, 2), 0.3 * fields(4, 1), fields(4, 2)
+        ik, _, mask = _half_symbols(grid256)
+        singles = np.array([[fwlab.transport._transport_rhs(f[k, c], v[k, 0], F[k, c],
+                                                            ik, mask)
+                             for c in range(2)] for k in range(4)])
+        assert np.array_equal(fwlab.transport._transport_rhs(f, v, F, ik, mask), singles)
 
 
 class TestSolveTransport:
@@ -181,6 +215,25 @@ class TestSolveTransport:
         rb = verify_transport_estimate(b, params322, C=1.0)
         for name in ("f_norms", "F_norms", "V_profile", "rhs", "holds"):
             assert np.array_equal(getattr(ra, name), getattr(rb, name)), name
+
+    def test_row_given_once_is_normed_once(self, grid256, params322, monkeypatch):
+        rows = []
+        real = fwlab.transport.besov_norms_of_samples
+
+        def recording(part, samples, params):
+            rows.append(len(samples))
+            return real(part, samples, params)
+
+        monkeypatch.setattr(fwlab.transport, "besov_norms_of_samples", recording)
+        rng = np.random.default_rng(163)
+        tg = make_time_grid(0.5, 5e-3)
+        prob = TransportProblem.build(
+            grid256, tg, random_field(grid256, rng, k_max=4, amplitude=0.3).samples,
+            random_field(grid256, rng).samples, random_field(grid256, rng))
+        report = verify_transport_estimate(solve_transport(prob), params322, C=1.0)
+        # v_x and F once each; the states at every node
+        assert sorted(rows) == [1, 1, tg.size]
+        assert report.F_norms.shape == report.V_profile.shape == (tg.size,)
 
     def test_row_given_once_is_not_copied_per_node(self, grid256):
         # two (M+1, N) copies at 100,001 nodes would take about 410 MB
