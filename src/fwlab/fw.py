@@ -44,7 +44,11 @@ running maximum, and, through its first N//2 + 1 modes, the new nodes'
 forcing of their successors, and a velocity node is checked against the
 advective bound as it is made.  Only two nodes per iterate are live; the
 trace keeps the first and last iterates, every iterate's norms and d_n.
-The empirical lifespan integrates the nonlinear system directly.
+The empirical lifespan integrates the nonlinear system directly: the
+lifespan sweep marches all its data as one member stack, norms the live
+members in one call per node and drops each member at its verdict, its
+first node over 2*P0 or its blow-up; empirical_lifespan is the one-member
+case of that march.
 """
 
 from __future__ import annotations
@@ -465,39 +469,74 @@ def scheme_direct_distance(trace: IterationTrace, direct: FWTrajectory) -> float
                          trace.params.shift(-1.0))
 
 
+def _lifespans(pairs: Sequence[tuple[GridFunction, GridFunction]],
+               cfg: SchemeConfig, t_cap: float) -> tuple[np.ndarray, np.ndarray]:
+    """P0 and the empirical lifespan of each (u0, rho0) pair, which share
+    one grid: one march of their (K, 2, N) stack, one norm call per node.
+
+    A member's lifespan is the node before its first node over 2*P0, where
+    it leaves the stack; a member that loses finiteness first gets the node
+    before that.  The survivors march on from the node they reached, through
+    integrate_rk4 rather than _march_fw, whose dt check reads the current
+    max|u|.  Members step and are normed row by row, so dropping one leaves
+    the others' bits as a march of their own would make them.
+    """
+    grid = pairs[0][0].grid
+    part = build_partition(grid)
+    P0 = np.array([initial_norm(part, u0, rho0, cfg.params) for u0, rho0 in pairs])
+    time_grid = make_time_grid(t_cap, cfg.dt)
+    T_emp = np.full(len(pairs), time_grid[-1])
+    symbols = _fw_symbols(grid)
+    live = np.arange(len(pairs))  # the pair of each member of the stack
+    y = _stacked(*(FWState(u=u0, rho=rho0) for u0, rho0 in pairs))
+    march = enumerate(_march_fw(y, grid, time_grid, cfg.dt))
+    base = 0  # the node the march started from
+    while live.size:
+        try:
+            for i, y in march:
+                # a node near blow-up can overflow its norm; inf counts as
+                # a violation, and so does NaN
+                with np.errstate(over="ignore"):
+                    norm_u, norm_rho = _pair_norms(part, y, cfg.params)
+                    norm_sum = norm_u + norm_rho
+                over = ~_within(norm_sum, 2.0 * P0[live])
+                if np.any(over):
+                    if i == 0:
+                        k = int(np.argmax(over))
+                        raise RuntimeError(
+                            f"norm bound violated by member {live[k]} at t = 0: "
+                            f"||u|| + ||rho|| = {norm_sum[k]:.6g} "
+                            f"exceeds 2*P0 = {2.0 * P0[live[k]]:.6g}"
+                        )
+                    T_emp[live[over]] = time_grid[i - 1]
+                    live, y, base = live[~over], y[~over], i
+                    break
+            else:
+                break  # the live members reached t_cap
+        except BlowUpError as exc:
+            node = base + exc.node
+            if node <= 1:
+                raise
+            lost = np.isin(np.arange(live.size), exc.rows)
+            T_emp[live[lost]] = time_grid[node - 1]
+            # y is the last state yielded, at node - 1
+            live, y, base = live[~lost], y[~lost], node - 1
+        march = enumerate(integrate_rk4(lambda state, i, w: _fw_rhs(state, *symbols),
+                                        y, time_grid[base:], cfg.dt, "direct solve"), base)
+        next(march)  # y itself, normed already
+    return P0, T_emp
+
+
 def empirical_lifespan(u0: GridFunction, rho0: GridFunction, cfg: SchemeConfig,
                        t_cap: float) -> float:
     """Largest time node at which ||u|| + ||rho|| still sits under 2*P0.
 
     The nonlinear system is marched directly on [0, t_cap] and the march
     stops at the first node over the bound; a numerical blow-up before that
-    ends it at the last finite node.
+    ends it at the last finite node.  The one-member case of the lifespan
+    sweep's march (_lifespans).
     """
-    part = build_partition(u0.grid)
-    P0 = initial_norm(part, u0, rho0, cfg.params)
-    time_grid = make_time_grid(t_cap, cfg.dt)
-
-    try:
-        march = _march_fw(_stacked(FWState(u=u0, rho=rho0))[0], u0.grid,
-                          time_grid, cfg.dt)
-        for i, y in enumerate(march):
-            # a node near blow-up can overflow its norm; inf counts as a
-            # violation, and so does NaN
-            with np.errstate(over="ignore"):
-                norm_u, norm_rho = _pair_norms(part, y, cfg.params)
-                norm_sum = float(norm_u + norm_rho)
-            if not _within(norm_sum, 2.0 * P0):
-                if i == 0:
-                    raise RuntimeError(
-                        f"norm bound violated at t = 0: ||u|| + ||rho|| = "
-                        f"{norm_sum:.6g} exceeds 2*P0 = {2.0 * P0:.6g}"
-                    )
-                return float(time_grid[i - 1])
-    except BlowUpError as exc:
-        if exc.node <= 1:
-            raise
-        return float(time_grid[exc.node - 1])
-    return float(time_grid[-1])
+    return float(_lifespans([(u0, rho0)], cfg, t_cap)[1][0])
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,9 @@ from fwlab import (
     stability_experiment,
 )
 import fwlab.fw
-from fwlab.fw import LIFESPAN_CAP, _pair_norms, _sup_distance
-from fwlab.besov import BesovParams
+from fwlab.fw import LIFESPAN_CAP, _pair_norms, _sup_distance, initial_norm
+from fwlab.besov import BesovParams, build_partition
+from fwlab.harness import parse_config, run_experiment
 from fwlab.spectral import dealias_mask
 from fwlab.transport import (
     BlowUpError,
@@ -489,6 +490,62 @@ class TestEmpiricalLifespan:
         cfg = SchemeConfig(params=params322, dt=1e-2)
         with pytest.raises(RuntimeError, match=r"t = 0: .* exceeds 2\*P0 = "):
             empirical_lifespan(u0, rho0, cfg, t_cap=0.1)
+
+    @pytest.mark.parametrize("norms_zeroed, blowup_lifespan", [(False, 0.35), (True, 6.47)])
+    def test_stacked_lifespans_equal_single_marches(self, params322, monkeypatch,
+                                                    norms_zeroed, blowup_lifespan):
+        # with the real norms each member leaves the stack at its first node
+        # over 2*P0 and the others march on; with the norms zeroed the blow-up
+        # member leaves at node 648 and the others re-step from node 647.
+        # The suite turns any RuntimeWarning into an error.
+        if norms_zeroed:
+            monkeypatch.setattr(fwlab.fw, "_pair_norms", lambda part, y, params: (
+                np.zeros(y.shape[:-2]), np.zeros(y.shape[:-2])))
+        blowup = _blowup_data()
+        grid = blowup[0].grid
+        pairs = [blowup, (_gf(grid, 0.0), _gf(grid, 0.0)), _sine_cosine(grid, 0.5)]
+        cfg = SchemeConfig(params=params322, dt=1e-2)
+        P0, T_emp = fwlab.fw._lifespans(pairs, cfg, t_cap=8.0)
+        singles = [empirical_lifespan(u0, rho0, cfg, t_cap=8.0) for u0, rho0 in pairs]
+        assert np.array_equal(T_emp, singles)
+        assert np.array_equal(P0, [initial_norm(build_partition(grid), u0, rho0, params322)
+                                   for u0, rho0 in pairs])
+        assert T_emp[0] == pytest.approx(blowup_lifespan, rel=1e-12)
+        assert T_emp[1] == 8.0  # zero data survives to t_cap
+
+    def test_sweep_is_one_march_that_drops_members(self, monkeypatch):
+        calls = {"_march_fw": 0, "_fw_rhs": 0, "_pair_norms": 0}
+        for name in calls:
+            def counting(*args, real=getattr(fwlab.fw, name), name=name):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(fwlab.fw, name, counting)
+        # the lifespan-p4 benchmark workload
+        cfg = parse_config("experiment: {kind: lifespan-sweep, amplitudes: [0.25, 0.5, 1, 2]}\n"
+                           "time: {dt: 5e-3, t_cap: 20.0}\nbesov: {p: 4.0}\n")
+        report = run_experiment(cfg, write=False)
+        # the members leave after 352, 210, 74 and 32 nodes; the stack steps
+        # until the last of them leaves
+        T_emp = [row[2] for row in report.tables["lifespan"][1]]
+        assert T_emp == pytest.approx(5e-3 * np.array([351, 209, 73, 31]), rel=1e-12)
+        # one norm call per node, 0..352
+        assert calls == {"_march_fw": 1, "_fw_rhs": 4 * 352, "_pair_norms": 353}
+        # T_emp over T = 3/(16 C P0^2) at C = 1: below 1 at a = 0.25
+        P0 = [row[1] for row in report.tables["lifespan"][1]]
+        ratios = [float(q) for q in report.summary["T_emp_over_T_guaranteed"].split()]
+        assert ratios == [t / lifespan(p, 1.0) for t, p in zip(T_emp, P0)]
+        assert ratios == pytest.approx([0.9426, 2.2451, 3.1367, 5.3281], rel=1e-4)
+        assert report.summary["min_T_emp_over_T_guaranteed"] == ratios[0]
+
+    def test_violation_at_t0_names_the_member(self, grid256, params322, monkeypatch):
+        real = fwlab.fw._pair_norms
+        inflate = np.array([1.0, 3.0, 1.0])
+        monkeypatch.setattr(fwlab.fw, "_pair_norms",
+                            lambda *args: tuple(inflate * n for n in real(*args)))
+        pairs = [_sine_cosine(grid256, a) for a in (0.1, 0.2, 0.3)]
+        cfg = SchemeConfig(params=params322, dt=1e-2)
+        with pytest.raises(RuntimeError, match=r"member 1 at t = 0: .* exceeds 2\*P0 = "):
+            fwlab.fw._lifespans(pairs, cfg, t_cap=0.1)
 
 
 class TestLinearGrowthOracle:

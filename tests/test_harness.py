@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from fwlab import GridFunction, make_grid
+from fwlab import FWState, GridFunction, build_partition, make_grid, solve_fw_direct
 from fwlab.cli import _build_parser, _config_from_args, main as cli_main
 from fwlab.harness import (
     emit_field_csv,
@@ -10,6 +12,8 @@ from fwlab.harness import (
     read_field_csv,
     run_experiment,
 )
+import fwlab.harness
+from fwlab.fw import _pair_norms
 
 from conftest import random_field
 
@@ -87,6 +91,10 @@ class TestParseConfig:
         with pytest.raises(ValueError, match=r"experiment\.field_csv must be a string"):
             parse_config("experiment: {field_csv: 5}\n")
         assert parse_config("experiment: {field_csv: null}\n").experiment["field_csv"] is None
+        # as on the CLI (nargs='+'), a list of numbers needs at least one
+        for key in ("amplitudes", "deltas"):
+            with pytest.raises(ValueError, match=rf"experiment\.{key} must be a non-empty list"):
+                parse_config(f"experiment: {{{key}: []}}\n")
         # float(True) is 1.0, but a YAML boolean is not a number
         for text, key, value in [("besov: {p: true}", r"besov\.p", True),
                                  ("experiment: {amplitude: true}", r"experiment\.amplitude", True),
@@ -217,6 +225,32 @@ class TestRunExperiment:
             assert report.passed
         assert outputs[0] == outputs[1]
 
+    def test_simulate_table_equals_stored_trajectory(self):
+        # 501 nodes: the norms and means are taken over two chunks of nodes
+        cfg = parse_config("experiment: {kind: simulate}\ntime: {T: 0.5, dt: 1e-3}\n")
+        header, rows = run_experiment(cfg, write=False).tables["trajectory"]
+        grid = cfg.make_grid()
+        initial = FWState(u=make_preset(grid, "sine", 0.1), rho=make_preset(grid, "cosine", 0.1))
+        traj = solve_fw_direct(initial, 0.5, 1e-3)
+        norms = _pair_norms(build_partition(traj.grid), traj.states, cfg.besov_params())
+        expected = np.column_stack([traj.time_grid, *norms, traj.mean_u, traj.mean_rho])
+        assert np.array_equal(np.array(rows), expected)
+
+    def test_simulate_stores_no_trajectory(self, monkeypatch):
+        # smaller chunks keep the norms' temporaries well below the
+        # trajectory at a test's size, so what grows with the nodes shows
+        monkeypatch.setattr(fwlab.harness, "_NORM_CHUNK", 16)
+        cfg = parse_config("time: {T: 0.5, dt: 1e-3}\n")
+        tracemalloc.start()
+        try:
+            report = run_experiment(cfg, write=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        # below one stored (M+1, 2, N) trajectory: 501 nodes of 2 x 256 floats
+        assert peak < 501 * 2 * 256 * 8
+
     def test_transport_fit_constant_runs(self):
         cfg = parse_config(
             "experiment: {kind: transport, fit_constant: true, n_problems: 2}\n"
@@ -287,6 +321,12 @@ class TestCli:
                      "config must be a mapping", id="list-config"),
         pytest.param("grid: 5\n", ["--config", "run.yaml", "--N", "64"], "out",
                      "config section 'grid' must be a mapping", id="section-under-flag"),
+        pytest.param("experiment: {amplitudes: []}\n", ["--config", "run.yaml"], "out",
+                     "config key experiment.amplitudes must be a non-empty list",
+                     id="empty-amplitudes"),
+        pytest.param("experiment: {deltas: []}\n", ["--config", "run.yaml"], "out",
+                     "config key experiment.deltas must be a non-empty list",
+                     id="empty-deltas"),
         # --out names an existing file, so the output cannot be written
         pytest.param("", ["--N", "64"], "run.yaml", "[Errno 17] File exists",
                      id="output-is-file"),
