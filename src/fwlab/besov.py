@@ -12,7 +12,12 @@ rings are nonzero (blocks above the Nyquist ring vanish identically, so the
 truncation of the l^r sum is exact).
 
 Every Besov norm here comes from one reduction, and a row's norm depends only
-on the row: not on its batch, its memory layout or its scale.
+on the row: not on its batch, its memory layout or its scale.  Every field is
+real and every block mask is even in xi, so the reduction reads the N//2 + 1
+modes of a real transform (rfft): at p = 2 by Parseval, counting each mode
+strictly between 0 and Nyquist twice, and otherwise from one irfft of the
+masked blocks.  The public entry points take full coefficient rows and slice
+them once.
 """
 
 from __future__ import annotations
@@ -48,8 +53,8 @@ __all__ = [
 
 _CHI_INNER = 0.75  # chi == 1 inside this radius
 _CHI_OUTER = 4.0 / 3.0  # chi == 0 outside this radius
-#: leading-axis entries normed per transform by _norms_of_samples: at p != 2
-#: the block temporaries are about 38 times the bytes of the rows they norm
+#: rows normed per transform by _norms_of_samples, and per chunk of nodes by
+#: simulate: at p != 2 the block temporaries are many times the rows' bytes
 _NORM_CHUNK = 256
 
 
@@ -188,39 +193,44 @@ def low_cutoff(part: LPPartition, f: GridFunction, q: int) -> GridFunction:
     return GridFunction.from_coefficients(f.grid, mask * f.coefficients)
 
 
-def _block_lp_norms(part: LPPartition, coefficients: np.ndarray, p: float):
-    """L^p norms of every dyadic block for a batch of coefficient rows, each
+def _block_lp_norms(part: LPPartition, half: np.ndarray, p: float):
+    """L^p norms of every dyadic block for a batch of half-spectrum rows, each
     divided by its largest modulus before any power.
 
-    coefficients: (..., N) complex in FFT order under the amplitude
-    normalization.  Returns the block norms of the divided rows, shape
-    (q_max + 2, ...) in block order q = -1, 0, ..., q_max, and each row's
-    largest modulus, shape (...); a row whose largest modulus is 0, inf or
-    NaN has NaN block norms.  At p = 2, Parseval gives ||Delta_q f||_{L^2}^2
-    = 2 pi L sum |mask_q c|^2 from the coefficients, with no inverse
-    transform.
+    half: (..., N//2 + 1) complex, the rfft of real sample rows under the
+    amplitude normalization (divided by N).  Returns the block norms of the
+    divided rows, shape (q_max + 2, ...) in block order q = -1, 0, ..., q_max,
+    and each row's largest modulus, shape (...); a row whose largest modulus
+    is 0, inf or NaN has NaN block norms.  At p = 2, Parseval gives
+    ||Delta_q f||_{L^2}^2 = 2 pi L sum_k w_k |mask_q c_k|^2 with weights
+    (1, 2, ..., 2, 1): each mode strictly between 0 and Nyquist stands for
+    itself and its conjugate.  Otherwise one irfft of the masked blocks gives
+    their samples.
     """
     grid = part.grid
-    masks = part.masks  # (Q, N)
-    modulus = np.abs(coefficients)
+    # (Q, 1, ..., 1, N//2 + 1), one mask per block against the rows; N is even
+    masks = part.masks[(slice(None),) + (None,) * (half.ndim - 1)
+                       + (slice(None, half.shape[-1]),)]
+    modulus = np.abs(half)
     top = modulus.max(axis=-1, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
         if p == 2:
-            # one dot product per (row, block), not a matmul: BLAS picks
+            weighted = 2.0 * masks**2
+            weighted[..., [0, -1]] *= 0.5
+            # one dot product per (block, row), not a matmul: BLAS picks
             # its matmul kernel by row count, which moves the last bits
             power = (modulus * (1.0 / top)) ** 2
-            sums = np.moveaxis(np.vecdot(power[..., None, :], masks**2), -1, 0)
+            sums = np.vecdot(weighted, power)
             return np.sqrt(2.0 * np.pi * grid.L * sums), top[..., 0]
-        scaled = coefficients * (grid.N / top)
-        blocks = masks[(slice(None),) + (None,) * (coefficients.ndim - 1)] * scaled
-        samples = np.fft.ifft(blocks, axis=-1).real
+        samples = np.fft.irfft(masks * (half * (grid.N / top)), grid.N)
         return lp_norm_samples(samples, grid.dx, p), top[..., 0]
 
 
-def _norms(part: LPPartition, coefficients, params: BesovParams, s) -> np.ndarray:
-    """Besov norms of coefficient rows (..., N), with p and r from params and
-    smoothness s: a scalar, or an array that broadcasts over the trailing
-    axes of the result, one index per entry.
+def _norms(part: LPPartition, half, params: BesovParams, s) -> np.ndarray:
+    """Besov norms of half-spectrum rows (..., N//2 + 1), amplitude-normalized
+    rfft of real samples, with p and r from params and smoothness s: a
+    scalar, or an array that broadcasts over the trailing axes of the result,
+    one index per entry.
 
     The rows are made C-contiguous, every sum runs within one row in a fixed
     order, and each row is divided by its largest modulus (and its l^r sum
@@ -229,7 +239,7 @@ def _norms(part: LPPartition, coefficients, params: BesovParams, s) -> np.ndarra
     or its scale.  A row whose largest modulus is 0, inf or NaN reads that.
     """
     blocks, top = _block_lp_norms(
-        part, np.ascontiguousarray(coefficients, dtype=complex), params.p)
+        part, np.ascontiguousarray(half, dtype=complex), params.p)
     weights = part.block_weights(s)
     w = weights.reshape(weights.shape[:1] + (1,) * (blocks.ndim - weights.ndim)
                         + weights.shape[1:])
@@ -248,31 +258,40 @@ def besov_norm(part: LPPartition, f: GridFunction, params: BesovParams) -> float
     """The Besov norm ( sum_q (2^{sq} ||Delta_q f||_{L^p})^r )^{1/r}."""
     if f.grid != part.grid:
         raise ValueError("partition and field live on different grids")
-    return float(_norms(part, f.coefficients, params, params.s))
+    return float(_norms(part, _half(part, f.coefficients), params, params.s))
+
+
+def _half(part: LPPartition, coefficients) -> np.ndarray:
+    """The first N//2 + 1 modes of full coefficient rows (..., N) of real
+    fields, which are Hermitian: all the reduction reads."""
+    return np.asarray(coefficients)[..., :part.grid.N // 2 + 1]
 
 
 def besov_norms_batch(
     part: LPPartition, coefficients: np.ndarray, params: BesovParams
 ) -> np.ndarray:
-    """Besov norms of a batch of coefficient rows (shape (..., N)); a row's
-    norm depends only on the row, not on its batch, layout or scale."""
-    return np.atleast_1d(_norms(part, coefficients, params, params.s))
+    """Besov norms of a batch of coefficient rows of real fields (shape
+    (..., N), Hermitian like GridFunction.coefficients); a row's norm depends
+    only on the row, not on its batch, layout or scale."""
+    return np.atleast_1d(_norms(part, _half(part, coefficients), params, params.s))
 
 
 def _norms_of_samples(part: LPPartition, samples, params: BesovParams, s) -> np.ndarray:
     """Besov norms of real sample rows (..., N), with p and r from params and
-    smoothness s as in _norms.  One transform and one reduction per chunk of
-    _NORM_CHUNK entries of the leading axis, so a long batch needs bounded
-    temporaries; a row's norm does not depend on its chunk."""
+    smoothness s as in _norms.  One rfft and one reduction per chunk of the
+    leading axis that holds at most _NORM_CHUNK rows (a (K, 2, N) stack has
+    two per entry), so a long batch needs bounded temporaries; a row's norm
+    does not depend on its chunk."""
     samples = np.asarray(samples, dtype=float)
+    step = max(1, _NORM_CHUNK // int(np.prod(samples.shape[1:-1])))
 
     def norms(rows):
-        return _norms(part, np.fft.fft(rows) / part.grid.N, params, s)
+        return _norms(part, np.fft.rfft(rows) / part.grid.N, params, s)
 
-    if samples.ndim == 1 or len(samples) <= _NORM_CHUNK:
+    if samples.ndim == 1 or len(samples) <= step:
         return norms(samples)
-    return np.concatenate([norms(samples[i:i + _NORM_CHUNK])
-                           for i in range(0, len(samples), _NORM_CHUNK)])
+    return np.concatenate([norms(samples[i:i + step])
+                           for i in range(0, len(samples), step)])
 
 
 def besov_norms_of_samples(

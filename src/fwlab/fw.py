@@ -7,20 +7,21 @@ The evolution is
     rho_t + u rho_x + rho u_x + u_x = 0
 
 with Lambda = 1 - d^2/dx^2, discretized pseudo-spectrally with 2/3-rule
-dealiasing of products and classical RK4 in time.  A solution is kept as
-stacked (u, rho) samples, (..., 2, N), from start to end: direct
-trajectories, scheme iterates and their forcing alike.  One right-hand-side
-kernel acts on such stacks, so a leading member axis steps many solutions in
-one batched call; it differentiates and dealiases on real half spectra
-(rfft, then irfft of the N//2 + 1 modes) and returns samples.  The direct
-march integrates it with the RK4 integrator it shares with the transport
-solver, and fw_rhs wraps it for single states.
-Every pair is measured one way, in B^s x B^{s-1} by _pair_norms, on the
-partition of its grid: one transform and one block-norm reduction per
-bounded chunk of the stack, whose bits do not depend on how the rows are
-batched.  The stability and continuity experiments march each family of
-solutions as one batch and take their distance norms node by node, storing
-no trajectory.
+dealiasing of products and classical RK4 in time.  A pair is stacked
+(u, rho), (..., 2, ...), so a leading member axis steps or norms many
+solutions in one batched call.  The direct march carries real half spectra,
+the (..., 2, N//2 + 1) rfft of the samples, from start to end: its one
+right-hand-side kernel makes one irfft of (u, rho, u_x, rho_x) and one rfft
+of the two products per stage, and keeps the linear terms spectral.  It is
+integrated with the RK4 integrator the transport solver shares, and fw_rhs
+wraps it for single states.  Only readers that need samples invert a node:
+solve_fw_direct stores samples, and its node 0 is the given data.
+A march state is measured one way, in B^s x B^{s-1} by _pair_norms, on the
+partition of its grid: one block-norm reduction of its half spectra, whose
+bits do not depend on how the rows are batched.  The stability and
+continuity experiments march each family of solutions as one batch and take
+their distance norms node by node, from differences of half spectra,
+storing no trajectory.
 The constructive scheme iterates the pair of linear transport problems
 
     u^{n+1}_t + u^n u^{n+1}_x = Lambda^{-1} d/dx (rho^n - u^n)
@@ -33,17 +34,18 @@ iterate n+1, and monitors the per-iterate norm bounds
                                               <= 2 P0
 
 on the guaranteed lifespan T = 3 / (16 C P0^2).  Iterate 1 is advected by
-the zero pair, so it is its mollified data at every node.  Iterate n+1
+the zero pair, so it is its mollified data at every node.  The scheme's
+iterates and their forcing are kept as (..., 2, N) samples.  Iterate n+1
 reads iterate n only at the two nodes of its current step, so iterates
 2..n_max advance in one wave march, each one node behind its predecessor:
 M + n_max - 1 RK4 steps, each one batched transport-kernel call per stage on
 the (n_max - 1, 2, N) stack, with a velocity and forcing per row.  Each
 wave's new nodes and their differences from the previous iterate are
-transformed once, together; that transform gives their norms, d_n as a
-running maximum, and, through its first N//2 + 1 modes, the new nodes'
-forcing of their successors, and a velocity node is checked against the
-advective bound as it is made.  Only two nodes per iterate are live; the
-trace keeps the first and last iterates, every iterate's norms and d_n.
+transformed once, together, by one rfft; that gives their norms, d_n as a
+running maximum, and the new nodes' forcing of their successors, and a
+velocity node is checked against the advective bound as it is made.  Only
+two nodes per iterate are live; the trace keeps the first and last
+iterates, every iterate's norms and d_n.
 The empirical lifespan integrates the nonlinear system directly: the
 lifespan sweep marches all its data as one member stack, norms the live
 members in one call per node and drops each member at its verdict, its
@@ -55,6 +57,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -145,23 +148,34 @@ class SchemeConfig:
 
 
 def _fw_rhs(y, ik, lam, mask):
-    """Time derivative of the stacked (u, rho) samples y, shape (..., 2, N),
-    stepped on real half spectra with the symbols of _fw_symbols."""
-    N = y.shape[-1]
-    y_hat = np.fft.rfft(y)
-    u_hat, rho_hat = y_hat[..., 0, :], y_hat[..., 1, :]
-    yx = np.fft.irfft(ik * y_hat, N)
-    ux, rhox = yx[..., 0, :], yx[..., 1, :]
-    nonlocal_term = np.fft.irfft(lam * (rho_hat - u_hat), N)
-    u, rho = y[..., 0, :], y[..., 1, :]
-    adv = np.fft.irfft(mask * np.fft.rfft(np.stack([u * ux, u * rhox + rho * ux], axis=-2)), N)
-    return np.stack([-adv[..., 0, :] + nonlocal_term, -adv[..., 1, :] - ux], axis=-2)
+    """Time derivative of the stacked (u, rho) half spectra y, the rfft of
+    (..., 2, N) samples, shape (..., 2, N//2 + 1), with the symbols of
+    _fw_symbols: one irfft of (u, rho, u_x, rho_x), one rfft of the two
+    dealiased products; Lambda^{-1} d/dx (rho - u) and -u_x stay spectral.
+
+    The odd symbols' output at the Nyquist mode is imaginary, which irfft
+    drops; the derivative is zero there too, so the state's Nyquist mode
+    stays real and fixed, as it does for a march of samples.
+    """
+    N = 2 * (y.shape[-1] - 1)
+    yx = ik * y
+    z = np.fft.irfft(np.concatenate([y, yx], axis=-2), N)
+    u, rho, ux = z[..., 0, :], z[..., 1, :], z[..., 2, :]
+    prods = z[..., 2:, :] * u[..., None, :]  # u u_x, u rho_x
+    prods[..., 1, :] += rho * ux
+    # minus the derivative: the dealiased advection, less the linear terms
+    adv = np.fft.rfft(prods)
+    adv *= mask
+    adv[..., 0, :] -= lam * (y[..., 1, :] - y[..., 0, :])
+    adv[..., 1, :] += yx[..., 0, :]
+    adv[..., -1] = 0.0
+    return np.negative(adv, out=adv)
 
 
 def fw_rhs(state: FWState) -> tuple[GridFunction, GridFunction]:
     """Right-hand side of the system: (du/dt, drho/dt)."""
-    y = np.stack([state.u.samples, state.rho.samples])
-    du, drho = _fw_rhs(y, *_fw_symbols(state.grid))
+    y = np.fft.rfft(np.stack([state.u.samples, state.rho.samples]))
+    du, drho = np.fft.irfft(_fw_rhs(y, *_fw_symbols(state.grid)), state.grid.N)
     return (GridFunction.from_samples(state.grid, du),
             GridFunction.from_samples(state.grid, drho))
 
@@ -203,8 +217,9 @@ def _stacked(*states: FWState) -> np.ndarray:
 
 
 def _march_fw(initial: np.ndarray, grid: Grid, time_grid: np.ndarray, dt: float):
-    """The direct RK4 march of stacked (..., 2, N) (u, rho) samples, yielding
-    the state per node; every member steps in the same batched call."""
+    """The direct RK4 march from stacked (..., 2, N) (u, rho) samples,
+    yielding the state per node as (..., 2, N//2 + 1) half spectra, the rfft
+    of the samples; every member steps in the same batched call."""
     bound = CFL_FACTOR * grid.dx / max(1.0, float(np.max(np.abs(initial[..., 0, :]))))
     if dt > bound:
         raise ValueError(
@@ -212,7 +227,7 @@ def _march_fw(initial: np.ndarray, grid: Grid, time_grid: np.ndarray, dt: float)
             f"({CFL_FACTOR:g}*dx/max(1, max|u0|))"
         )
     symbols = _fw_symbols(grid)
-    return integrate_rk4(lambda y, i, w: _fw_rhs(y, *symbols), initial,
+    return integrate_rk4(lambda y, i, w: _fw_rhs(y, *symbols), np.fft.rfft(initial),
                          time_grid, dt, "direct solve")
 
 
@@ -225,9 +240,12 @@ def solve_fw_direct(initial: FWState, T: float, dt: float) -> FWTrajectory:
     _check_memory((T / dt + 1.0) * 2 * initial.grid.N * 8 if dt > 0 else 0.0,
                   "--dt or --T")
     time_grid = make_time_grid(T, dt)
-    march = _march_fw(_stacked(initial)[0], initial.grid, time_grid, dt)
-    states = np.fromiter(march, count=time_grid.size,
-                         dtype=np.dtype((float, (2, initial.grid.N))))
+    N = initial.grid.N
+    y0 = _stacked(initial)[0]
+    march = _march_fw(y0, initial.grid, time_grid, dt)
+    next(march)  # node 0 is stored as given, not as irfft(rfft(y0))
+    states = np.fromiter(chain([y0], (np.fft.irfft(y, N) for y in march)),
+                         count=time_grid.size, dtype=np.dtype((float, (2, N))))
     return FWTrajectory(
         grid=initial.grid, time_grid=time_grid, states=states,
         mean_u=states[:, 0].mean(axis=-1), mean_rho=states[:, 1].mean(axis=-1),
@@ -266,18 +284,20 @@ def _pair_smoothness(params: BesovParams) -> np.ndarray:
 
 
 def _pair_norms(part: LPPartition, y: np.ndarray, params: BesovParams):
-    """||u||_{B^s} and ||rho||_{B^{s-1}} of each row of stacked (..., 2, N)
-    (u, rho) samples, with (s, p, r) = params: the norm of the pair space,
-    from one transform and one block-norm reduction per bounded chunk."""
-    norms = _norms_of_samples(part, y, params, _pair_smoothness(params))
+    """||u||_{B^s} and ||rho||_{B^{s-1}} of each row of a direct march state,
+    stacked (..., 2, N//2 + 1) half spectra (the rfft of the samples), with
+    (s, p, r) = params: the norm of the pair space, from one block-norm
+    reduction.  Its callers bound the rows they pass."""
+    norms = _norms(part, y / part.grid.N, params, _pair_smoothness(params))
     return norms[..., 0], norms[..., 1]
 
 
 def _sup_distance(part: LPPartition, d: np.ndarray, params: BesovParams) -> float:
     """sup_t ||du||_{B^s} + sup_t ||drho||_{B^{s-1}} over the rows of a
-    stacked (..., 2, N) difference d = (du, drho)."""
-    norm_u, norm_rho = _pair_norms(part, d, params)
-    return float(np.max(norm_u) + np.max(norm_rho))
+    stacked (..., 2, N) sample difference d = (du, drho), normed in bounded
+    chunks."""
+    norms = _norms_of_samples(part, d, params, _pair_smoothness(params))
+    return float(np.max(norms[..., 0]) + np.max(norms[..., 1]))
 
 
 @dataclass(frozen=True)
@@ -322,12 +342,10 @@ class IterationTrace:
 
 def _scheme_forcing(y, y_hat, ik, lam, mask):
     """Forcing of iterate n+1 from the stacked (..., 2, N) samples y of
-    iterate n and their full FFTs y_hat, stacked the same way:
-    Lambda^{-1} d/dx (rho^n - u^n) for u and -rho^n u^n_x - u^n_x for rho.
-    It steps on the half spectra y_hat[..., :N//2+1] with the symbols of
-    _fw_symbols."""
+    iterate n and their half spectra y_hat = rfft(y), stacked the same way:
+    Lambda^{-1} d/dx (rho^n - u^n) for u and -rho^n u^n_x - u^n_x for rho,
+    with the symbols of _fw_symbols."""
     N = y.shape[-1]
-    y_hat = y_hat[..., :N // 2 + 1]
     u_hat, rho_hat = y_hat[..., 0, :], y_hat[..., 1, :]
     ux = np.fft.irfft(ik * u_hat, N)
     forcing_u = np.fft.irfft(lam * (rho_hat - u_hat), N)
@@ -418,7 +436,7 @@ def run_scheme(u0: GridFunction, rho0: GridFunction, cfg: SchemeConfig) -> Itera
             # one transform of the new nodes and their differences from the
             # previous iterate: their norms, and the forcing the new nodes
             # exert on their successors
-            y_hat = np.fft.fft(np.stack([new, new - then[lo:hi + 1]]))
+            y_hat = np.fft.rfft(np.stack([new, new - then[lo:hi + 1]]))
             wave = _norms(part, y_hat / N, params, smoothness)
             norms[rows + 1, i - rows] = wave[0]
             np.maximum(d_max[lo:hi + 1], wave[1], out=d_max[lo:hi + 1])
@@ -557,7 +575,8 @@ def _member_distances(members: np.ndarray, grid: Grid, time_grid: np.ndarray,
                       dt: float, params: BesovParams):
     """March the stacked (K+1, 2, N) members as one batch and return the
     (M+1, K) pair norms (_pair_norms) of members 1..K minus member 0 at every
-    node, ||u_k - u_0|| and ||rho_k - rho_0||; no trajectory is stored."""
+    node, ||u_k - u_0|| and ||rho_k - rho_0||, from differences of their
+    half spectra; no trajectory is stored."""
     part = build_partition(grid)
     du = np.empty((time_grid.size, len(members) - 1))
     drho = np.empty_like(du)

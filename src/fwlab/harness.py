@@ -277,6 +277,26 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+#: rows that table_csv formats at once, so the formatted cells it holds
+#: stay below the CSV text it writes
+_CSV_BLOCK = 4096
+
+
+def _fmt_column(cells) -> list[str]:
+    """_fmt of every cell of one table column, each distinct value formatted
+    once when the cells are all floats (told apart by their bits, so -0.0 is
+    not 0.0) or all integers and bools; a mixed column goes cell by cell."""
+    floats = all(issubclass(k, (float, np.floating)) for k in {type(c) for c in cells})
+    values = np.array(cells, dtype=float if floats else None)
+    if not (floats or values.dtype.kind in "biu"):
+        return list(map(_fmt, cells))
+    _, first, inverse = np.unique(values.view(np.int64) if floats else values,
+                                  return_index=True, return_inverse=True)
+    distinct = values[first].tolist()
+    texts = map("{:.17g}".format, distinct) if floats else map(str, map(int, distinct))
+    return np.array(list(texts), dtype=object)[inverse].tolist()
+
+
 def emit_field_csv(f: GridFunction, path: str | Path) -> None:
     """Write a field as CSV with columns (x, value) at full precision."""
     with open(path, "w", newline="") as fh:
@@ -333,8 +353,8 @@ class ExperimentReport:
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(c) for c in row])
+        for i in range(0, len(rows), _CSV_BLOCK):
+            w.writerows(zip(*map(_fmt_column, zip(*rows[i:i + _CSV_BLOCK]))))
         return buf.getvalue()
 
     def write(self, out_dir: str | Path) -> Path:
@@ -488,12 +508,14 @@ def _run_simulate(cfg: RunConfig, report: ExperimentReport) -> None:
     time_grid = make_time_grid(T, dt)
     part, params = build_partition(grid), cfg.besov_params()
     march = _march_fw(np.stack([u0.samples, rho0.samples]), grid, time_grid, dt)
-    # the norms and means of bounded chunks of nodes, as they are made: no
-    # trajectory is stored
+    # the norms and means of chunks of at most _NORM_CHUNK rows, two per
+    # node, as they are made: no trajectory is stored.  A node's mean is its
+    # mode 0 over N.
     columns = []
-    while chunk := list(islice(march, _NORM_CHUNK)):
+    while chunk := list(islice(march, _NORM_CHUNK // 2)):
         y = np.array(chunk)
-        columns.append(np.column_stack([*_pair_norms(part, y, params), y.mean(axis=-1)]))
+        columns.append(np.column_stack([*_pair_norms(part, y, params),
+                                        y[..., 0].real / grid.N]))
     nu, nr, mean_u, mean_rho = np.concatenate(columns).T
     rows = [
         [t, a, b, mu, mr]

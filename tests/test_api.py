@@ -55,14 +55,22 @@ def test_block_norms_named_only_in_besov():
     assert not naming, f"modules naming besov._block_lp_norms: {naming}"
 
 
-@pytest.mark.parametrize("name", ["fw.py", "transport.py"])
+@pytest.mark.parametrize("name", ["besov.py", "fw.py", "transport.py"])
 def test_kernels_invert_real_fields_with_irfft(name):
-    # the solvers' fields are real: each inverse transform there is an irfft
-    # of a half spectrum, never a full-spectrum ifft(...).real
+    # the solvers' and the norms' fields are real: each inverse transform
+    # there is an irfft of a half spectrum, never a full-spectrum
+    # ifft(...).real; and the direct march and the scheme take no full
+    # forward transform either
     tree = ast.parse((Path(fwlab.__file__).parent / name).read_text())
     names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    assert "ifft" not in names | set(_imported_names(tree)), f"{name} calls ifft"
+    imported = set(_imported_names(tree))
+    assert "ifft" not in names | imported, f"{name} calls ifft"
+    if name == "fw.py":
+        full = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                and node.attr == "fft" and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "fft"]
+        assert not full and "fft" not in imported, f"fw.py calls np.fft.fft on lines {full}"
 
 
 def _private_definitions(tree):

@@ -14,6 +14,7 @@ from fwlab import (
 )
 from fwlab.besov import (
     _block_lp_norms,
+    _norms,
     besov_norms_batch,
     besov_norms_of_samples,
     chi_profile,
@@ -258,14 +259,19 @@ def _random_coefficients(grid, rng, shape, k_max):
     return rows.reshape(shape + (grid.N,))
 
 
+def _half(c):
+    """The rfft half of full coefficient rows: the modes 0..N/2."""
+    return c[..., :c.shape[-1] // 2 + 1]
+
+
 class TestParsevalBlocks:
-    """At p = 2 the block norms come from the coefficients (Parseval)."""
+    """At p = 2 the block norms come from the half spectra (Parseval)."""
 
     @pytest.mark.parametrize("shape", [(), (3,), (2, 3)])
     def test_matches_sample_definition(self, grid256, part256, shape):
         rng = np.random.default_rng(211)
         c = _random_coefficients(grid256, rng, shape, k_max=grid256.N // 2 - 1)
-        blocks, top = _block_lp_norms(part256, c, 2.0)
+        blocks, top = _block_lp_norms(part256, _half(c), 2.0)
         got = top * blocks
         want = _sample_block_norms(part256, c, 2.0)
         assert got.shape == want.shape == (part256.q_max + 2,) + shape
@@ -286,7 +292,7 @@ class TestParsevalBlocks:
         # blocks the rows barely reach; the weights 2^{sq} magnify it
         row = np.fft.ifft(c * grid256.N, axis=-1).real
         floor = 1e-14 * lp_norm_samples(row, grid256.dx, 2.0)
-        blocks, top = _block_lp_norms(part256, c, 2.0)
+        blocks, top = _block_lp_norms(part256, _half(c), 2.0)
         got_blocks = top * blocks
         assert np.all(np.abs(got_blocks - want_blocks) <= 1e-13 * want_blocks + floor)
         weights = part256.block_weights(s)
@@ -416,6 +422,76 @@ class TestParsevalBlocks:
                 with np.errstate(invalid="ignore"):
                     got = besov_norms_of_samples(part256, samples, params)
                 assert not np.isfinite(got[0]), (p, bad)
+
+
+def _full_spectrum_norms(part, c, params):
+    """The reduction on full coefficient rows (..., N): Parseval over all N
+    modes at p = 2, ifft(...).real of the masked blocks otherwise."""
+    if params.p == 2:
+        sums = np.sum(np.abs(part.masks[:, None, :] * c[None]) ** 2, axis=-1)
+        blocks = np.sqrt(2.0 * np.pi * part.grid.L * sums)
+    else:
+        blocks = _sample_block_norms(part, c, params.p)
+    terms = part.block_weights(params.s)[:, None] * blocks
+    if np.isinf(params.r):
+        return terms.max(axis=0)
+    return np.sum(terms**params.r, axis=0) ** (1.0 / params.r)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 4.0, np.inf])
+class TestHalfSpectrumOracles:
+    """The reduction reads the N//2 + 1 modes of an rfft: modes 0 and N/2
+    stand for themselves, every other mode for itself and its conjugate."""
+
+    def test_constant_row(self, grid256, part256, p):
+        # only the low-pass block meets xi = 0, where chi = 1
+        half = np.zeros(grid256.N // 2 + 1, dtype=complex)
+        half[0] = -0.7
+        params = BesovParams(3.0, p, 2.0)
+        want = 2.0**-3.0 * 0.7 * (2.0 * np.pi * grid256.L) ** (1.0 / p)
+        assert _norms(part256, half, params, params.s) == pytest.approx(want, rel=1e-14)
+
+    def test_nyquist_row(self, grid256, part256, p):
+        # a (-1)^j: the Nyquist mode is its own conjugate; each block is
+        # its mask value there times the row
+        a, N = 1.3, grid256.N
+        half = np.zeros(N // 2 + 1, dtype=complex)
+        half[-1] = a
+        np.testing.assert_allclose(np.fft.irfft(half * N, N), a * (-1.0) ** np.arange(N),
+                                   rtol=0.0, atol=1e-15)
+        for r in (1.0, 2.0, np.inf):
+            params = BesovParams(3.0, p, r)
+            terms = (part256.block_weights(3.0) * part256.masks[:, N // 2]
+                     * a * (2.0 * np.pi * grid256.L) ** (1.0 / p))
+            want = terms.max() if np.isinf(r) else np.sum(terms**r) ** (1.0 / r)
+            assert _norms(part256, half, params, 3.0) == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("m", [1, 5, 21, 40, 127])
+    def test_single_mode(self, grid256, part256, p, m):
+        # a cos(m x / L) has the half-spectrum mode a/2 at m; each block is
+        # its mask value at xi_m times the row, normed by definition
+        a = 0.9
+        half = np.zeros(grid256.N // 2 + 1, dtype=complex)
+        half[m] = a / 2
+        row = a * np.cos(m * grid256.x / grid256.L)
+        blocks = np.array([lp_norm_samples(mq * row, grid256.dx, p)
+                           for mq in part256.masks[:, m]])
+        if p == 2:
+            np.testing.assert_allclose(blocks, a * part256.masks[:, m]
+                                       * np.sqrt(np.pi * grid256.L), rtol=1e-13)
+        params = BesovParams(3.0, p, 2.0)
+        want = np.sqrt(np.sum((part256.block_weights(3.0) * blocks) ** 2))
+        assert _norms(part256, half, params, 3.0) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("r", [1.0, 2.0, np.inf])
+    def test_random_rows_match_full_spectrum_formula(self, grid256, part256, p, r):
+        rng = np.random.default_rng(523)
+        c = _random_coefficients(grid256, rng, (6,), k_max=grid256.N // 2 - 1)
+        params = BesovParams(3.0, p, r)
+        got = besov_norms_batch(part256, c, params)
+        np.testing.assert_allclose(got, _full_spectrum_norms(part256, c, params),
+                                   rtol=1e-14, atol=0.0)
+        assert np.array_equal(_norms(part256, _half(c), params, 3.0), got)
 
 
 class TestMollifier:

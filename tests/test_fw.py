@@ -20,9 +20,10 @@ from fwlab import (
     solve_fw_direct,
     stability_experiment,
 )
+import fwlab.besov
 import fwlab.fw
 from fwlab.fw import LIFESPAN_CAP, _pair_norms, _sup_distance, initial_norm
-from fwlab.besov import BesovParams, build_partition
+from fwlab.besov import BesovParams, _norms_of_samples, build_partition
 from fwlab.harness import parse_config, run_experiment
 from fwlab.spectral import dealias_mask
 from fwlab.transport import (
@@ -83,7 +84,8 @@ class TestRhs:
         rng = np.random.default_rng(311 + members)
         y = np.array([[random_field(grid256, rng, k_max=k_max).samples
                        for k_max in (8, grid256.N // 2 - 1)] for _ in range(members)])
-        got = fwlab.fw._fw_rhs(y, *fwlab.fw._fw_symbols(grid256))
+        got = np.fft.irfft(fwlab.fw._fw_rhs(np.fft.rfft(y), *fwlab.fw._fw_symbols(grid256)),
+                           grid256.N)
         assert np.max(np.abs(got - full_rhs(y))) <= 1e-13
 
     def test_grid_mismatch_rejected(self, grid256):
@@ -125,7 +127,7 @@ class TestDirectSolve:
         assert exc.t == pytest.approx(6.48, rel=1e-12)
         assert len(yielded) == 648
         assert all(np.all(np.isfinite(y)) for y in yielded)
-        assert np.array_equal(yielded[0], np.stack([u0.samples, rho0.samples]))
+        assert np.array_equal(yielded[0], np.fft.rfft(np.stack([u0.samples, rho0.samples])))
 
     def test_peak_memory_at_scheme_sizes(self, scheme_peak):
         # below the 35 MB of a march that keeps two whole iterates live, and
@@ -273,10 +275,10 @@ class TestScheme:
     def test_each_iterate_transformed_once(self, grid256, part256, params322,
                                            monkeypatch):
         # outside the transport kernel, the (u, rho) states are transformed
-        # once per wave, in one batched FFT of the new nodes stacked on their
+        # once per wave, in one batched rfft of the new nodes stacked on their
         # differences: two row pairs per (iterate, node)
         state_rows, in_kernel = [], []
-        real_fft, real_kernel = np.fft.fft, fwlab.fw._transport_rhs
+        real_fft, real_kernel = np.fft.rfft, fwlab.fw._transport_rhs
 
         def kernel(*args):
             in_kernel.append(True)
@@ -293,7 +295,7 @@ class TestScheme:
             return real_fft(a, *args, **kwargs)
 
         monkeypatch.setattr(fwlab.fw, "_transport_rhs", kernel)
-        monkeypatch.setattr(np.fft, "fft", fft)
+        monkeypatch.setattr(np.fft, "rfft", fft)
         u0 = GridFunction.from_samples(grid256, 0.1 * np.sin(grid256.x))
         rho0 = GridFunction.from_samples(grid256, 0.1 * np.cos(grid256.x))
         cfg = SchemeConfig(params=params322, C=1.0, n_max=3, dt=1e-2)
@@ -316,7 +318,7 @@ class TestScheme:
         iterates, d_n = [], []
         for n in range(cfg.n_max):
             kern = MollifierKernel(epsilon=1.0 / (n + 1))
-            forcing = fwlab.fw._scheme_forcing(prev, np.fft.fft(prev), *symbols)
+            forcing = fwlab.fw._scheme_forcing(prev, np.fft.rfft(prev), *symbols)
             cur = np.stack([
                 solve_transport(TransportProblem.build(
                     grid256, tg, prev[:, 0], forcing[:, k], mollify(f0, kern))).states
@@ -327,7 +329,7 @@ class TestScheme:
         assert np.array_equal(trace.first, iterates[0])
         assert np.array_equal(trace.last, iterates[-1])
         for n, cur in enumerate(iterates, start=1):
-            norm_u, norm_rho = _pair_norms(part256, cur, params322)
+            norm_u, norm_rho = _pair_norms(part256, np.fft.rfft(cur), params322)
             assert np.array_equal(trace.norm_u[n], norm_u)
             assert np.array_equal(trace.norm_rho[n], norm_rho)
         assert np.array_equal(trace.d_n, d_n)
@@ -386,7 +388,7 @@ class TestScheme:
         sm1 = params322.shift(-1.0)
         assert np.array_equal(runs[1].last, trace.first)
         for k, run in runs.items():
-            norm_u, norm_rho = _pair_norms(part256, run.last, params322)
+            norm_u, norm_rho = _pair_norms(part256, np.fft.rfft(run.last), params322)
             assert np.array_equal(trace.norm_u[k], norm_u)
             assert np.array_equal(trace.norm_rho[k], norm_rho)
             before = runs[k - 1].last if k > 1 else np.zeros_like(run.last)
@@ -628,8 +630,8 @@ class TestMemberBatch:
 
     def test_rhs_of_stack_equals_single_calls(self, grid256):
         rng = np.random.default_rng(307)
-        y = np.array([[random_field(grid256, rng, k_max=8).samples,
-                       random_field(grid256, rng, k_max=8).samples] for _ in range(4)])
+        y = np.fft.rfft([[random_field(grid256, rng, k_max=8).samples,
+                          random_field(grid256, rng, k_max=8).samples] for _ in range(4)])
         symbols = fwlab.fw._fw_symbols(grid256)
         singles = np.stack([fwlab.fw._fw_rhs(member, *symbols) for member in y])
         assert np.array_equal(fwlab.fw._fw_rhs(y, *symbols), singles)
@@ -724,20 +726,54 @@ class TestMemberBatch:
 
 
 class TestPairNorms:
+    def test_each_reduction_bounds_its_rows(self, grid256, part256, params322,
+                                            monkeypatch):
+        # _NORM_CHUNK counts rows: a (K, 2, N) pair stack has two per entry,
+        # and simulate's chunks of nodes have two per node
+        rows = []
+        real = fwlab.besov._norms
+
+        def counting(part, half, *args):
+            rows.append(int(np.prod(np.shape(half)[:-1])))
+            return real(part, half, *args)
+
+        monkeypatch.setattr(fwlab.besov, "_norms", counting)
+        monkeypatch.setattr(fwlab.fw, "_norms", counting)
+        rng = np.random.default_rng(409)
+        _sup_distance(part256, rng.standard_normal((601, 2, grid256.N)), params322)
+        _norms_of_samples(part256, rng.standard_normal((601, grid256.N)), params322, 3.0)
+        run_experiment(parse_config("time: {T: 0.5, dt: 1e-3}\n"), write=False)
+        assert sum(rows) == 2 * 601 + 601 + 2 * 501
+        assert max(rows) <= fwlab.besov._NORM_CHUNK
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 4.0, np.inf])
+    def test_march_state_norms_equal_sample_norms(self, grid256, part256, p):
+        rng = np.random.default_rng(419)
+        members = np.array([[random_field(grid256, rng, k_max=40, amplitude=0.1).samples
+                             for _ in range(2)] for _ in range(3)])
+        y = np.array(list(fwlab.fw._march_fw(members, grid256,
+                                             make_time_grid(0.5, 5e-3), 5e-3)))
+        params = BesovParams(3.0, p, 2.0)
+        norm_u, norm_rho = _pair_norms(part256, y, params)
+        want = _norms_of_samples(part256, np.fft.irfft(y, grid256.N), params, [3.0, 2.0])
+        np.testing.assert_allclose(norm_u, want[..., 0], rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(norm_rho, want[..., 1], rtol=1e-13, atol=0.0)
+
     def test_long_stack_normed_in_bounded_chunks(self, grid256, part256):
-        # at p = 4 the block temporaries of one whole-stack reduction are
-        # about 38 times the stack's 8.2 MB
+        # a long stack of pair samples, as _sup_distance norms it: at p = 4
+        # the block temporaries of one whole-stack reduction are many times
+        # the stack's 8.2 MB
         rng = np.random.default_rng(401)
         y = rng.standard_normal((2001, 2, grid256.N))
         params = BesovParams(3.0, 4.0, 2.0)
+        smoothness = fwlab.fw._pair_smoothness(params)
         tracemalloc.start()
         try:
-            norm_u, norm_rho = _pair_norms(part256, y, params)
+            norms = _norms_of_samples(part256, y, params, smoothness)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 64e6
-        halves = [_pair_norms(part256, y[:1000], params),
-                  _pair_norms(part256, y[1000:], params)]
-        assert np.array_equal(norm_u, np.concatenate([h[0] for h in halves]))
-        assert np.array_equal(norm_rho, np.concatenate([h[1] for h in halves]))
+        halves = [_norms_of_samples(part256, y[:1000], params, smoothness),
+                  _norms_of_samples(part256, y[1000:], params, smoothness)]
+        assert np.array_equal(norms, np.concatenate(halves))

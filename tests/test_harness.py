@@ -1,3 +1,5 @@
+import csv
+import io
 import tracemalloc
 
 import numpy as np
@@ -13,7 +15,8 @@ from fwlab.harness import (
     run_experiment,
 )
 import fwlab.harness
-from fwlab.fw import _pair_norms
+from fwlab.besov import _norms_of_samples
+from fwlab.fw import _march_fw, _pair_norms
 
 from conftest import random_field
 
@@ -226,15 +229,23 @@ class TestRunExperiment:
         assert outputs[0] == outputs[1]
 
     def test_simulate_table_equals_stored_trajectory(self):
-        # 501 nodes: the norms and means are taken over two chunks of nodes
+        # 501 nodes: the norms and means are taken over four chunks of nodes,
+        # and equal those of the whole march at once; the march's half
+        # spectra are the stored samples' rfft to rounding
         cfg = parse_config("experiment: {kind: simulate}\ntime: {T: 0.5, dt: 1e-3}\n")
         header, rows = run_experiment(cfg, write=False).tables["trajectory"]
         grid = cfg.make_grid()
+        part, params = build_partition(grid), cfg.besov_params()
         initial = FWState(u=make_preset(grid, "sine", 0.1), rho=make_preset(grid, "cosine", 0.1))
         traj = solve_fw_direct(initial, 0.5, 1e-3)
-        norms = _pair_norms(build_partition(traj.grid), traj.states, cfg.besov_params())
-        expected = np.column_stack([traj.time_grid, *norms, traj.mean_u, traj.mean_rho])
+        y = np.array(list(_march_fw(traj.states[0], grid, traj.time_grid, 1e-3)))
+        expected = np.column_stack([traj.time_grid, *_pair_norms(part, y, params),
+                                    y[..., 0].real / grid.N])
         assert np.array_equal(np.array(rows), expected)
+        stored = _norms_of_samples(part, traj.states, params, [params.s, params.s - 1.0])
+        np.testing.assert_allclose(expected[:, 1:3], stored, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(expected[:, 3:], np.column_stack([traj.mean_u, traj.mean_rho]),
+                                   rtol=0.0, atol=1e-16)
 
     def test_simulate_stores_no_trajectory(self, monkeypatch):
         # smaller chunks keep the norms' temporaries well below the
@@ -273,6 +284,61 @@ class TestRunExperiment:
         text = (tmp_path / "out" / "summary.txt").read_text()
         assert "seed: 42" in text
         assert "[verdicts]" in text
+
+
+def _cell_by_cell_csv(report, name):
+    """A table's CSV formatted one cell at a time, the reference for the
+    column-wise writer."""
+    header, rows = report.tables[name]
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(header)
+    for row in rows:
+        w.writerow([fwlab.harness._fmt(c) for c in row])
+    return buf.getvalue()
+
+
+class TestTableCsv:
+    """table_csv formats column by column, byte for byte as cell by cell."""
+
+    @pytest.mark.parametrize("doc", [
+        "experiment: {kind: norm}\ngrid: {N: 64}\n",
+        "experiment: {kind: partition-check}\n",
+        "experiment: {kind: transport}\ngrid: {N: 64}\ntime: {T: 0.2, dt: 1e-2}\n",
+        "experiment: {kind: simulate}\ngrid: {N: 64}\ntime: {T: 0.2, dt: 1e-2}\n",
+        "experiment: {kind: iterate}\ngrid: {N: 64}\ntime: {dt: 2e-2}\nscheme: {n_max: 3}\n",
+        "experiment: {kind: lifespan-sweep, amplitudes: [0.5, 2]}\ngrid: {N: 64}\n"
+        "time: {dt: 1e-2, t_cap: 2.0}\n",
+        "experiment: {kind: stability}\ngrid: {N: 64}\ntime: {T: 0.2, dt: 1e-2}\n",
+        "experiment: {kind: continuity}\ngrid: {N: 64}\ntime: {T: 0.2, dt: 1e-2}\n",
+    ], ids=lambda doc: doc.split("kind: ")[1].split("}")[0].split(",")[0])
+    def test_every_kind_equals_cell_by_cell(self, doc):
+        report = run_experiment(parse_config(doc), write=False)
+        assert report.tables
+        for name in report.tables:
+            assert report.table_csv(name) == _cell_by_cell_csv(report, name)
+
+    def test_special_cells_equal_cell_by_cell(self):
+        columns = [
+            [True, False, np.True_, np.False_],
+            [3, -7, np.int64(2**62), 10**30],
+            [0.0, -0.0, np.float64(-0.0), np.nan],
+            [np.inf, -np.inf, np.float64(np.inf), 1e-320],
+            [np.float32(0.1), 0.1, np.float64(0.1), 1.0 / 3.0],
+            [1, 2.5, True, np.nan],  # mixed kinds
+            [np.uint64(2**63), -1, 0, np.int8(-5)],  # no common integer dtype
+        ]
+        report = fwlab.harness.ExperimentReport(kind="simulate", config_echo={})
+        report.tables["cells"] = ([f"c{i}" for i in range(len(columns))],
+                                  [list(row) for row in zip(*columns)])
+        assert report.table_csv("cells") == _cell_by_cell_csv(report, "cells")
+        assert report.table_csv("cells").splitlines()[1:] == [
+            "1,3,0,inf,0.10000000149011612,1,9223372036854775808",
+            "0,-7,-0,-inf,0.10000000000000001,2.5,-1",
+            "1,4611686018427387904,-0,inf,0.10000000000000001,1,0",
+            "0,1000000000000000000000000000000,nan,9.9998886718268301e-321,"
+            "0.33333333333333331,nan,-5",
+        ]
 
 
 class TestCli:
