@@ -53,8 +53,8 @@ __all__ = [
 
 _CHI_INNER = 0.75  # chi == 1 inside this radius
 _CHI_OUTER = 4.0 / 3.0  # chi == 0 outside this radius
-#: rows normed per transform by _norms_of_samples, and per chunk of nodes by
-#: simulate: at p != 2 the block temporaries are many times the rows' bytes
+#: rows normed per transform by besov_norms_of_samples, and per chunk of nodes
+#: by simulate: at p != 2 the block temporaries are many times the rows' bytes
 _NORM_CHUNK = 256
 
 
@@ -276,30 +276,23 @@ def besov_norms_batch(
     return np.atleast_1d(_norms(part, _half(part, coefficients), params, params.s))
 
 
-def _norms_of_samples(part: LPPartition, samples, params: BesovParams, s) -> np.ndarray:
-    """Besov norms of real sample rows (..., N), with p and r from params and
-    smoothness s as in _norms.  One rfft and one reduction per chunk of the
-    leading axis that holds at most _NORM_CHUNK rows (a (K, 2, N) stack has
-    two per entry), so a long batch needs bounded temporaries; a row's norm
-    does not depend on its chunk."""
+def besov_norms_of_samples(
+    part: LPPartition, samples: np.ndarray, params: BesovParams
+) -> np.ndarray:
+    """Besov norms of a batch of real sample rows (shape (..., N)).  One rfft
+    and one reduction per chunk of the leading axis that holds at most
+    _NORM_CHUNK rows (a (K, 2, N) stack has two per entry), so a long batch
+    needs bounded temporaries; a row's norm does not depend on its chunk."""
     samples = np.asarray(samples, dtype=float)
     step = max(1, _NORM_CHUNK // int(np.prod(samples.shape[1:-1])))
 
     def norms(rows):
-        return _norms(part, np.fft.rfft(rows) / part.grid.N, params, s)
+        return _norms(part, np.fft.rfft(rows) / part.grid.N, params, params.s)
 
     if samples.ndim == 1 or len(samples) <= step:
-        return norms(samples)
+        return np.atleast_1d(norms(samples))
     return np.concatenate([norms(samples[i:i + step])
                            for i in range(0, len(samples), step)])
-
-
-def besov_norms_of_samples(
-    part: LPPartition, samples: np.ndarray, params: BesovParams
-) -> np.ndarray:
-    """Besov norms of a batch of real sample rows (shape (..., N)), taken in
-    bounded chunks of the leading axis."""
-    return np.atleast_1d(_norms_of_samples(part, samples, params, params.s))
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,11 @@ wraps it for single states.  Only readers that need samples invert a node:
 solve_fw_direct stores samples, and its node 0 is the given data.
 A march state is measured one way, in B^s x B^{s-1} by _pair_norms, on the
 partition of its grid: one block-norm reduction of its half spectra, whose
-bits do not depend on how the rows are batched.  The stability and
-continuity experiments march each family of solutions as one batch and take
-their distance norms node by node, from differences of half spectra,
-storing no trajectory.
+bits do not depend on how the rows are batched.  The size of the data, P0,
+is that measure of the data's rfft, so it is a march's node-0 norm sum.
+The stability and continuity experiments march each family of solutions as
+one batch and take their distance norms node by node, from differences of
+half spectra, storing no trajectory.
 The constructive scheme iterates the pair of linear transport problems
 
     u^{n+1}_t + u^n u^{n+1}_x = Lambda^{-1} d/dx (rho^n - u^n)
@@ -48,9 +49,9 @@ two nodes per iterate are live; the trace keeps the first and last
 iterates, every iterate's norms and d_n.
 The empirical lifespan integrates the nonlinear system directly: the
 lifespan sweep marches all its data as one member stack, norms the live
-members in one call per node and drops each member at its verdict, its
-first node over 2*P0 or its blow-up; empirical_lifespan is the one-member
-case of that march.
+members in one call per node, the first of which gives each member's P0,
+and drops each member at its verdict, its first node over 2*P0 or its
+blow-up; empirical_lifespan is the one-member case of that march.
 """
 
 from __future__ import annotations
@@ -67,8 +68,7 @@ from .besov import (
     LPPartition,
     MollifierKernel,
     _norms,
-    _norms_of_samples,
-    besov_norms_batch,
+    besov_norms_of_samples,
     build_partition,
     mollify,
 )
@@ -271,11 +271,12 @@ def _within(norm_sum, bound):
 
 def initial_norm(part: LPPartition, u0: GridFunction, rho0: GridFunction,
                  params: BesovParams) -> float:
-    """The size of the data, P0 = ||u0||_{B^s} + ||rho0||_{B^{s-1}}."""
-    return float(
-        besov_norms_batch(part, u0.coefficients, params)[0]
-        + besov_norms_batch(part, rho0.coefficients, params.shift(-1.0))[0]
-    )
+    """The size of the data, P0 = ||u0||_{B^s} + ||rho0||_{B^{s-1}}, measured
+    as a march measures its nodes (_pair_norms of the half spectra), so it is
+    a lifespan march's node-0 norm sum to the bit."""
+    norm_u, norm_rho = _pair_norms(
+        part, np.fft.rfft(np.stack([u0.samples, rho0.samples])), params)
+    return float(norm_u + norm_rho)
 
 
 def _pair_smoothness(params: BesovParams) -> np.ndarray:
@@ -294,10 +295,10 @@ def _pair_norms(part: LPPartition, y: np.ndarray, params: BesovParams):
 
 def _sup_distance(part: LPPartition, d: np.ndarray, params: BesovParams) -> float:
     """sup_t ||du||_{B^s} + sup_t ||drho||_{B^{s-1}} over the rows of a
-    stacked (..., 2, N) sample difference d = (du, drho), normed in bounded
-    chunks."""
-    norms = _norms_of_samples(part, d, params, _pair_smoothness(params))
-    return float(np.max(norms[..., 0]) + np.max(norms[..., 1]))
+    stacked (..., 2, N) sample difference d = (du, drho), each field normed
+    in bounded chunks."""
+    return float(np.max(besov_norms_of_samples(part, d[..., 0, :], params))
+                 + np.max(besov_norms_of_samples(part, d[..., 1, :], params.shift(-1.0))))
 
 
 @dataclass(frozen=True)
@@ -491,6 +492,8 @@ def _lifespans(pairs: Sequence[tuple[GridFunction, GridFunction]],
                cfg: SchemeConfig, t_cap: float) -> tuple[np.ndarray, np.ndarray]:
     """P0 and the empirical lifespan of each (u0, rho0) pair, which share
     one grid: one march of their (K, 2, N) stack, one norm call per node.
+    P0 is the norm sum at node 0, the measure of every later node, so node 0
+    is never over 2*P0.
 
     A member's lifespan is the node before its first node over 2*P0, where
     it leaves the stack; a member that loses finiteness first gets the node
@@ -501,7 +504,6 @@ def _lifespans(pairs: Sequence[tuple[GridFunction, GridFunction]],
     """
     grid = pairs[0][0].grid
     part = build_partition(grid)
-    P0 = np.array([initial_norm(part, u0, rho0, cfg.params) for u0, rho0 in pairs])
     time_grid = make_time_grid(t_cap, cfg.dt)
     T_emp = np.full(len(pairs), time_grid[-1])
     symbols = _fw_symbols(grid)
@@ -517,15 +519,10 @@ def _lifespans(pairs: Sequence[tuple[GridFunction, GridFunction]],
                 with np.errstate(over="ignore"):
                     norm_u, norm_rho = _pair_norms(part, y, cfg.params)
                     norm_sum = norm_u + norm_rho
+                if i == 0:
+                    P0 = norm_sum
                 over = ~_within(norm_sum, 2.0 * P0[live])
                 if np.any(over):
-                    if i == 0:
-                        k = int(np.argmax(over))
-                        raise RuntimeError(
-                            f"norm bound violated by member {live[k]} at t = 0: "
-                            f"||u|| + ||rho|| = {norm_sum[k]:.6g} "
-                            f"exceeds 2*P0 = {2.0 * P0[live[k]]:.6g}"
-                        )
                     T_emp[live[over]] = time_grid[i - 1]
                     live, y, base = live[~over], y[~over], i
                     break
@@ -551,8 +548,9 @@ def empirical_lifespan(u0: GridFunction, rho0: GridFunction, cfg: SchemeConfig,
 
     The nonlinear system is marched directly on [0, t_cap] and the march
     stops at the first node over the bound; a numerical blow-up before that
-    ends it at the last finite node.  The one-member case of the lifespan
-    sweep's march (_lifespans).
+    ends it at the last finite node, and one on the first step raises
+    BlowUpError.  P0 is the norm sum at node 0, as initial_norm measures
+    it.  The one-member case of the lifespan sweep's march (_lifespans).
     """
     return float(_lifespans([(u0, rho0)], cfg, t_cap)[1][0])
 

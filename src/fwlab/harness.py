@@ -103,6 +103,13 @@ def _number(key: str, value, whole: bool = False):
     return int(value) if isinstance(value, int) else int(number)
 
 
+def _positive(key: str, value) -> float:
+    number = _number(key, value)
+    if not number > 0:
+        raise ValueError(f"config key {key} must be positive, got {value!r}")
+    return number
+
+
 def _numbers(key: str, value) -> list:
     if not isinstance(value, list) or not value:
         raise ValueError(f"config key {key} must be a non-empty list of numbers")
@@ -127,7 +134,7 @@ _flag = _checked(lambda v: isinstance(v, bool), "true or false")
 #: a key whose default is null may be null (a null t_cap means T)
 _KEYS: dict[str, tuple[Any, Callable[[str, Any], Any]]] = {
     "grid.N": (256, _whole), "grid.L": (8.0, _number),
-    "time.dt": (1e-3, _number), "time.T": (1.0, _number), "time.t_cap": (None, _number),
+    "time.dt": (1e-3, _number), "time.T": (1.0, _number), "time.t_cap": (None, _positive),
     "besov.s": (3.0, _number), "besov.p": (2.0, _number), "besov.r": (2.0, _number),
     "scheme.C": (1.0, _number), "scheme.n_max": (10, _whole),
     "experiment.kind": ("simulate", _text), "experiment.preset": ("sine", _preset),
@@ -554,7 +561,7 @@ def _run_iterate(cfg: RunConfig, report: ExperimentReport) -> None:
 def _run_lifespan_sweep(cfg: RunConfig, report: ExperimentReport) -> None:
     grid = cfg.make_grid()
     scheme_cfg = cfg.scheme_config()
-    t_cap = cfg.time["t_cap"] or cfg.time["T"]
+    t_cap = cfg.time["T"] if cfg.time["t_cap"] is None else cfg.time["t_cap"]
     amplitudes = cfg.experiment["amplitudes"]
     P0, T_emp = _lifespans([_load_initial_pair(cfg, grid, amplitude=a) for a in amplitudes],
                            scheme_cfg, t_cap)

@@ -39,20 +39,31 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name} imports names it never uses: {unused}"
 
 
+def _names(tree):
+    """Every name a module reads, imports or takes as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+    yield from _imported_names(tree)
+
+
 def test_block_norms_named_only_in_besov():
     # the Besov reduction is assembled in one place, besov._norms: no other
     # module takes the block norms and combines them itself
-    def names(tree):
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                yield node.id
-            elif isinstance(node, ast.Attribute):
-                yield node.attr
-        yield from _imported_names(tree)
-
     naming = [p.name for p in SOURCES if p.name != "besov.py"
-              and "_block_lp_norms" in names(ast.parse(p.read_text()))]
+              and "_block_lp_norms" in _names(ast.parse(p.read_text()))]
     assert not naming, f"modules naming besov._block_lp_norms: {naming}"
+
+
+def test_fw_measures_pairs_only_through_pair_norms():
+    # a pair of the direct system, P0 included, is measured in B^s x B^{s-1}
+    # by fw._pair_norms, the measure of every march node, and not by a
+    # full-spectrum entry point of besov
+    tree = ast.parse((Path(fwlab.__file__).parent / "fw.py").read_text())
+    named = sorted({"besov_norms_batch", "besov_norm"} & set(_names(tree)))
+    assert not named, f"fw.py names {named}"
 
 
 @pytest.mark.parametrize("name", ["besov.py", "fw.py", "transport.py"])

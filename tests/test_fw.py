@@ -23,7 +23,7 @@ from fwlab import (
 import fwlab.besov
 import fwlab.fw
 from fwlab.fw import LIFESPAN_CAP, _pair_norms, _sup_distance, initial_norm
-from fwlab.besov import BesovParams, _norms_of_samples, build_partition
+from fwlab.besov import BesovParams, besov_norms_of_samples, build_partition
 from fwlab.harness import parse_config, run_experiment
 from fwlab.spectral import dealias_mask
 from fwlab.transport import (
@@ -459,8 +459,8 @@ class TestEmpiricalLifespan:
                                                                monkeypatch):
         # with the bound never crossed, the march runs into the blow-up at
         # node 648 and the last finite node, 647, is the lifespan
-        monkeypatch.setattr(fwlab.fw, "_pair_norms",
-                            lambda *args: (np.zeros(()), np.zeros(())))
+        monkeypatch.setattr(fwlab.fw, "_pair_norms", lambda part, y, params: (
+            np.zeros(y.shape[:-2]), np.zeros(y.shape[:-2])))
         u0, rho0 = _blowup_data()
         cfg = SchemeConfig(params=params322, dt=1e-2)
         assert empirical_lifespan(u0, rho0, cfg, t_cap=20.0) == pytest.approx(6.47, rel=1e-12)
@@ -482,16 +482,15 @@ class TestEmpiricalLifespan:
         assert got == pytest.approx(31 * 5e-3, rel=1e-12)
         assert len(calls) == 4 * 32
 
-    def test_inflated_initial_norm_names_measure_and_threshold(
-            self, grid256, params322, monkeypatch):
-        u0 = GridFunction.from_samples(grid256, 0.1 * np.sin(grid256.x))
-        rho0 = GridFunction.from_samples(grid256, 0.1 * np.cos(grid256.x))
-        real = fwlab.fw._pair_norms
-        monkeypatch.setattr(fwlab.fw, "_pair_norms",
-                            lambda *args: tuple(3.0 * n for n in real(*args)))
+    def test_first_step_blowup_raises(self, grid256, params322, monkeypatch):
+        # a march that loses finiteness on its first step has no finite node
+        # after t = 0 to give as its lifespan
+        monkeypatch.setattr(fwlab.fw, "_fw_rhs", lambda y, *symbols: np.full_like(y, np.inf))
+        u0, rho0 = _sine_cosine(grid256, 0.1)
         cfg = SchemeConfig(params=params322, dt=1e-2)
-        with pytest.raises(RuntimeError, match=r"t = 0: .* exceeds 2\*P0 = "):
+        with pytest.raises(BlowUpError) as info:
             empirical_lifespan(u0, rho0, cfg, t_cap=0.1)
+        assert info.value.node == 1
 
     @pytest.mark.parametrize("norms_zeroed, blowup_lifespan", [(False, 0.35), (True, 6.47)])
     def test_stacked_lifespans_equal_single_marches(self, params322, monkeypatch,
@@ -538,16 +537,6 @@ class TestEmpiricalLifespan:
         assert ratios == [t / lifespan(p, 1.0) for t, p in zip(T_emp, P0)]
         assert ratios == pytest.approx([0.9426, 2.2451, 3.1367, 5.3281], rel=1e-4)
         assert report.summary["min_T_emp_over_T_guaranteed"] == ratios[0]
-
-    def test_violation_at_t0_names_the_member(self, grid256, params322, monkeypatch):
-        real = fwlab.fw._pair_norms
-        inflate = np.array([1.0, 3.0, 1.0])
-        monkeypatch.setattr(fwlab.fw, "_pair_norms",
-                            lambda *args: tuple(inflate * n for n in real(*args)))
-        pairs = [_sine_cosine(grid256, a) for a in (0.1, 0.2, 0.3)]
-        cfg = SchemeConfig(params=params322, dt=1e-2)
-        with pytest.raises(RuntimeError, match=r"member 1 at t = 0: .* exceeds 2\*P0 = "):
-            fwlab.fw._lifespans(pairs, cfg, t_cap=0.1)
 
 
 class TestLinearGrowthOracle:
@@ -741,7 +730,7 @@ class TestPairNorms:
         monkeypatch.setattr(fwlab.fw, "_norms", counting)
         rng = np.random.default_rng(409)
         _sup_distance(part256, rng.standard_normal((601, 2, grid256.N)), params322)
-        _norms_of_samples(part256, rng.standard_normal((601, grid256.N)), params322, 3.0)
+        besov_norms_of_samples(part256, rng.standard_normal((601, grid256.N)), params322)
         run_experiment(parse_config("time: {T: 0.5, dt: 1e-3}\n"), write=False)
         assert sum(rows) == 2 * 601 + 601 + 2 * 501
         assert max(rows) <= fwlab.besov._NORM_CHUNK
@@ -755,25 +744,42 @@ class TestPairNorms:
                                              make_time_grid(0.5, 5e-3), 5e-3)))
         params = BesovParams(3.0, p, 2.0)
         norm_u, norm_rho = _pair_norms(part256, y, params)
-        want = _norms_of_samples(part256, np.fft.irfft(y, grid256.N), params, [3.0, 2.0])
-        np.testing.assert_allclose(norm_u, want[..., 0], rtol=1e-13, atol=0.0)
-        np.testing.assert_allclose(norm_rho, want[..., 1], rtol=1e-13, atol=0.0)
+        samples = np.fft.irfft(y, grid256.N)
+        want_u = besov_norms_of_samples(part256, samples[..., 0, :], params)
+        want_rho = besov_norms_of_samples(part256, samples[..., 1, :], params.shift(-1.0))
+        np.testing.assert_allclose(norm_u, want_u, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(norm_rho, want_rho, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 4.0, np.inf])
+    def test_initial_norm_is_the_node0_pair_norm(self, grid256, part256, p):
+        # P0 is measured as the lifespan sweep measures its node 0: one
+        # _pair_norms call on the half spectra of the stacked data
+        rng = np.random.default_rng(433)
+        pairs = [(random_field(grid256, rng, k_max=40, amplitude=a),
+                  random_field(grid256, rng, k_max=40, amplitude=a))
+                 for a in rng.uniform(0.05, 2.0, size=20)]
+        params = BesovParams(3.0, p, 2.0)
+        y = np.fft.rfft(fwlab.fw._stacked(*(FWState(u=u0, rho=rho0) for u0, rho0 in pairs)))
+        norm_u, norm_rho = _pair_norms(part256, y, params)
+        P0 = [initial_norm(part256, u0, rho0, params) for u0, rho0 in pairs]
+        assert np.array_equal(P0, norm_u + norm_rho)
 
     def test_long_stack_normed_in_bounded_chunks(self, grid256, part256):
-        # a long stack of pair samples, as _sup_distance norms it: at p = 4
-        # the block temporaries of one whole-stack reduction are many times
-        # the stack's 8.2 MB
+        # a long stack of pair samples, as _sup_distance norms it, one field
+        # at a time: at p = 4 the block temporaries of one whole-stack
+        # reduction are many times the stack's 8.2 MB
         rng = np.random.default_rng(401)
         y = rng.standard_normal((2001, 2, grid256.N))
         params = BesovParams(3.0, 4.0, 2.0)
-        smoothness = fwlab.fw._pair_smoothness(params)
+        spaces = [params, params.shift(-1.0)]
         tracemalloc.start()
         try:
-            norms = _norms_of_samples(part256, y, params, smoothness)
+            norms = [besov_norms_of_samples(part256, y[:, k], q) for k, q in enumerate(spaces)]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 64e6
-        halves = [_norms_of_samples(part256, y[:1000], params, smoothness),
-                  _norms_of_samples(part256, y[1000:], params, smoothness)]
-        assert np.array_equal(norms, np.concatenate(halves))
+        for k, q in enumerate(spaces):
+            halves = [besov_norms_of_samples(part256, y[:1000, k], q),
+                      besov_norms_of_samples(part256, y[1000:, k], q)]
+            assert np.array_equal(norms[k], np.concatenate(halves))

@@ -15,7 +15,7 @@ from fwlab.harness import (
     run_experiment,
 )
 import fwlab.harness
-from fwlab.besov import _norms_of_samples
+from fwlab.besov import besov_norms_of_samples
 from fwlab.fw import _march_fw, _pair_norms
 
 from conftest import random_field
@@ -242,7 +242,8 @@ class TestRunExperiment:
         expected = np.column_stack([traj.time_grid, *_pair_norms(part, y, params),
                                     y[..., 0].real / grid.N])
         assert np.array_equal(np.array(rows), expected)
-        stored = _norms_of_samples(part, traj.states, params, [params.s, params.s - 1.0])
+        stored = np.column_stack([besov_norms_of_samples(part, traj.u, params),
+                                  besov_norms_of_samples(part, traj.rho, params.shift(-1.0))])
         np.testing.assert_allclose(expected[:, 1:3], stored, rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(expected[:, 3:], np.column_stack([traj.mean_u, traj.mean_rho]),
                                    rtol=0.0, atol=1e-16)
@@ -396,6 +397,10 @@ class TestCli:
         # --out names an existing file, so the output cannot be written
         pytest.param("", ["--N", "64"], "run.yaml", "[Errno 17] File exists",
                      id="output-is-file"),
+    ] + [
+        pytest.param(f"time: {{t_cap: {t_cap}}}\n", ["--config", "run.yaml"], "out",
+                     "config key time.t_cap must be positive", id=f"t_cap-{t_cap}")
+        for t_cap in ("0", "-1.0")
     ])
     def test_bad_seed_is_one_error_line(self, tmp_path, monkeypatch, capsys,
                                         text, argv, out, message):
