@@ -35,18 +35,19 @@ iterate n+1, and monitors the per-iterate norm bounds
                                               <= 2 P0
 
 on the guaranteed lifespan T = 3 / (16 C P0^2).  Iterate 1 is advected by
-the zero pair, so it is its mollified data at every node.  The scheme's
-iterates and their forcing are kept as (..., 2, N) samples.  Iterate n+1
+the zero pair, so it is its mollified data at every node.  Iterate n+1
 reads iterate n only at the two nodes of its current step, so iterates
 2..n_max advance in one wave march, each one node behind its predecessor:
 M + n_max - 1 RK4 steps, each one batched transport-kernel call per stage on
-the (n_max - 1, 2, N) stack, with a velocity and forcing per row.  Each
-wave's new nodes and their differences from the previous iterate are
-transformed once, together, by one rfft; that gives their norms, d_n as a
-running maximum, and the new nodes' forcing of their successors, and a
-velocity node is checked against the advective bound as it is made.  Only
-two nodes per iterate are live; the trace keeps the first and last
-iterates, every iterate's norms and d_n.
+the (n_max - 1, 2, N//2 + 1) half spectra, with a sample velocity and a
+half-spectrum forcing per row.  Each wave's new nodes are inverted once, by
+one irfft of their (u, rho, u_x): that gives their successors' velocity,
+checked against the advective bound as it is made, the last iterate's
+samples, and the samples of the one product their forcing transforms.
+Their norms and their differences from the previous iterate, d_n as a
+running maximum, are read from the half spectra.  Only two nodes per
+iterate are live; the trace keeps the first and last iterates as samples,
+every iterate's norms and d_n.
 The empirical lifespan integrates the nonlinear system directly: the
 lifespan sweep marches all its data as one member stack, norms the live
 members in one call per node, the first of which gives each member's P0,
@@ -341,26 +342,28 @@ class IterationTrace:
         return self.norm_u[n] + self.norm_rho[n]
 
 
-def _scheme_forcing(y, y_hat, ik, lam, mask):
-    """Forcing of iterate n+1 from the stacked (..., 2, N) samples y of
-    iterate n and their half spectra y_hat = rfft(y), stacked the same way:
-    Lambda^{-1} d/dx (rho^n - u^n) for u and -rho^n u^n_x - u^n_x for rho,
-    with the symbols of _fw_symbols."""
-    N = y.shape[-1]
+def _scheme_forcing(y_hat, z, ik, lam, mask):
+    """Forcing of iterate n+1, as half spectra, from the stacked
+    (..., 2, N//2 + 1) half spectra y_hat of iterate n and z, the irfft of
+    (u^n, rho^n, u^n_x) stacked (..., 3, N): Lambda^{-1} d/dx (rho^n - u^n)
+    for u and -rho^n u^n_x - u^n_x for rho, with the symbols of _fw_symbols.
+    Only the dealiased product is transformed; the Nyquist mode is zero, as
+    the derivative of _fw_rhs is there."""
     u_hat, rho_hat = y_hat[..., 0, :], y_hat[..., 1, :]
-    ux = np.fft.irfft(ik * u_hat, N)
-    forcing_u = np.fft.irfft(lam * (rho_hat - u_hat), N)
-    prod = np.fft.irfft(mask * np.fft.rfft(y[..., 1, :] * ux), N)
-    return np.stack([forcing_u, -prod - ux], axis=-2)
+    prod = np.fft.rfft(z[..., 1, :] * z[..., 2, :])
+    prod *= mask
+    out = np.stack([lam * (rho_hat - u_hat), -prod - ik * u_hat], axis=-2)
+    out[..., -1] = 0.0
+    return out
 
 
 def _scheme_bytes(N: int, n_max: int, T: float, dt: float) -> float:
     """What run_scheme holds at its peak: per node, the last iterate and
     every iterate's norms (the first is a view of its data); besides, the
-    wave march's working set of (n_max, 2, N) stacks, which includes each
-    wave's transform."""
+    wave march's working set of complex (n_max, 2, N//2 + 1) stacks, which
+    includes each wave's samples and norms."""
     stored = (T / dt + 1.0) * (2 * N + 2 * (n_max + 1)) * 8
-    march = 48 * n_max * 2 * N * 8
+    march = 48 * n_max * 2 * (N // 2 + 1) * 16
     return stored + march
 
 
@@ -400,33 +403,41 @@ def run_scheme(u0: GridFunction, rho0: GridFunction, cfg: SchemeConfig) -> Itera
     # iterate r at nodes i - r and i - r + 1, made at wave nodes i - 1 and i.
     # Rows that do not step get zero velocity and forcing, which holds them
     # fixed.  Row 0, advected by the zero pair, is its data at every node,
-    # so only rows 1.. march.
+    # so only rows 1.. march.  The march carries half spectra; the velocity
+    # is given as samples, the forcing as half spectra.
     kernels = [MollifierKernel(epsilon=1.0 / (n + 1)) for n in range(n_rows)]
     initial = np.array([[mollify(u0, k).samples, mollify(rho0, k).samples]
                         for k in kernels])
     first = np.broadcast_to(initial[0], (n_nodes, 2, N))
     vel = np.zeros((3, n_rows, 1, N))  # step inputs at w = 0, 1/2, 1
-    frc = np.zeros((3, n_rows, 2, N))
-    # iterate n at the previous wave node, and its forcing then and now
-    then = np.zeros((n_rows + 1, 2, N))
+    frc = np.zeros((3, n_rows, 2, N // 2 + 1), dtype=complex)
+    # iterate n at the previous wave node, its velocity then, and its
+    # forcing then and now
+    then = np.zeros((n_rows + 1, 2, N // 2 + 1), dtype=complex)
+    u_then = np.zeros((n_rows, N))
     forcing_then, forcing_now = np.zeros_like(then), np.zeros_like(then)
 
     def rhs(f, i, w):
         k = int(2 * w)
         return _transport_rhs(f, vel[k, 1:], frc[k, 1:], ik, mask)
 
-    march = integrate_rk4(rhs, initial[1:], dt * np.arange(M + n_rows), dt,
+    initial_hat = np.fft.rfft(initial)
+    march = integrate_rk4(rhs, initial_hat[1:], dt * np.arange(M + n_rows), dt,
                           "transport solution")
     try:
         for i, marched in enumerate(march):
-            y = np.concatenate([initial[:1], marched])
+            y = np.concatenate([initial_hat[:1], marched])
             lo, hi = max(0, i - M), min(n_rows - 1, i)  # rows that reach a node
             fed = min(hi, n_rows - 2)  # the last of them with a successor
             rows = np.arange(lo, hi + 1)
             new = y[lo:hi + 1]
+            # one inverse transform of the new nodes' (u, rho, u_x): the
+            # velocity of their successors, the last iterate and the
+            # samples of the forcing's product
+            z = np.fft.irfft(np.concatenate([new, ik * new[:, :1]], axis=-2), N)
             if hi == n_rows - 1:
-                last[i - hi] = y[hi]
-            hit = _cfl_violation(grid, y[lo:fed + 1, 0], dt)
+                last[i - hi] = z[-1, :2] if hi else initial[0]
+            hit = _cfl_violation(grid, z[:fed + 1 - lo, 0], dt)
             if hit:
                 k, reason = hit
                 node = i - lo - k
@@ -434,26 +445,26 @@ def run_scheme(u0: GridFunction, rho0: GridFunction, cfg: SchemeConfig) -> Itera
                     f"transport solve failed at iterate {lo + k + 2}: velocity "
                     f"u^{lo + k + 1} at node {node} (t = {time_grid[node]:.6g}): {reason}")
 
-            # one transform of the new nodes and their differences from the
-            # previous iterate: their norms, and the forcing the new nodes
-            # exert on their successors
-            y_hat = np.fft.rfft(np.stack([new, new - then[lo:hi + 1]]))
-            wave = _norms(part, y_hat / N, params, smoothness)
+            # the new nodes' norms and their differences from the previous
+            # iterate, and the forcing they exert on their successors
+            wave = _norms(part, np.stack([new, new - then[lo:hi + 1]]) / N, params,
+                          smoothness)
             norms[rows + 1, i - rows] = wave[0]
             np.maximum(d_max[lo:hi + 1], wave[1], out=d_max[lo:hi + 1])
             forcing_now[lo + 1:fed + 2] = _scheme_forcing(
-                new[:fed + 1 - lo], y_hat[0, :fed + 1 - lo], ik, lam, mask)
+                new[:fed + 1 - lo], z[:fed + 1 - lo], ik, lam, mask)
 
             a, b = max(1, i - M + 1), min(n_rows - 1, i)  # rows 1.. that step
             vel.fill(0.0)
             frc.fill(0.0)
-            vel[0, a:b + 1, 0] = then[a:b + 1, 0]
-            vel[2, a:b + 1, 0] = y[a - 1:b, 0]
+            vel[0, a:b + 1, 0] = u_then[a - 1:b]
+            vel[2, a:b + 1, 0] = z[a - 1 - lo:b - lo, 0]
             vel[1] = 0.5 * (vel[0] + vel[2])
             frc[0, a:b + 1] = forcing_then[a:b + 1]
             frc[2, a:b + 1] = forcing_now[a:b + 1]
             frc[1] = 0.5 * (frc[0] + frc[2])
             then[1:] = y
+            u_then[lo:hi + 1] = z[:, 0]
             forcing_then, forcing_now = forcing_now, forcing_then
     except BlowUpError as exc:
         r = exc.rows[0] + 1
@@ -504,6 +515,7 @@ def _lifespans(pairs: Sequence[tuple[GridFunction, GridFunction]],
     """
     grid = pairs[0][0].grid
     part = build_partition(grid)
+    _check_memory((t_cap / cfg.dt + 1.0) * 8, "--dt or --t-cap")
     time_grid = make_time_grid(t_cap, cfg.dt)
     T_emp = np.full(len(pairs), time_grid[-1])
     symbols = _fw_symbols(grid)

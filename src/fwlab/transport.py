@@ -13,13 +13,17 @@ one state per node and each caller keeps what it needs.
 
 A problem holds sample arrays only: velocity and forcing per time node (a
 field constant in time is one row, viewed read-only over the nodes) and one
-row of initial data.  One right-hand-side kernel, _transport_rhs, steps any
-(..., N) stack of rows with velocity and forcing broadcast against them.
-The state stays as samples; each stage steps on real half spectra (rfft,
-then irfft of the N//2 + 1 modes), each transform taking the whole stack,
-with symbols built once per grid.  solve_transport feeds it the problem's
-one row; the mollified scheme feeds it a velocity and forcing per row, to
-march all its iterates at once.  Only the estimate takes Besov parameters;
+row of initial data.  The march carries real half spectra, the
+(..., N//2 + 1) rfft of the samples, from start to end.  One right-hand-side
+kernel, _transport_rhs, steps any stack of half-spectrum rows with a sample
+velocity and a half-spectrum forcing broadcast against them: one irfft of
+the derivative and one rfft of the dealiased product per stage, each
+transform taking the whole stack, with symbols built once per grid.
+_march_transport marches one problem's data; solve_transport transforms its
+data and forcing once (a forcing given once, on its one row) and inverts one
+node at a time, storing the given data as node 0.  The mollified scheme
+feeds the kernel a velocity and forcing per row, to march all its iterates
+at once.  Only the estimate takes Besov parameters;
 its norms use the partition of the problem's grid, cached per grid, and a
 field given once is differentiated and normed once.
 
@@ -35,6 +39,7 @@ a family of problems.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -196,27 +201,29 @@ def _cfl_violation(grid: Grid, velocity: np.ndarray, dt: float):
                f"{bound[k]:.3e} (max|v| = {vmax[k]:.3e})")
 
 
-def _transport_rhs(f, vw, Fw, ik, mask):
-    """-vw f_x + Fw for the (..., N) rows f, with the velocity vw and forcing
-    Fw broadcast against them; each real transform takes the whole stack,
-    and ik and mask are half-spectrum symbols (_half_symbols)."""
-    N = f.shape[-1]
-    f_hat = np.fft.rfft(f)
-    f_hat *= ik
-    fx = np.fft.irfft(f_hat, N)
-    adv_hat = np.fft.rfft(vw * fx)
-    adv_hat *= mask
-    return Fw - np.fft.irfft(adv_hat, N)
+def _transport_rhs(f_hat, vw, Fw_hat, ik, mask):
+    """-vw f_x + Fw for the (..., N//2 + 1) half-spectrum rows f_hat, the
+    rfft of the samples, as half spectra: Fw_hat - mask rfft(vw irfft(ik
+    f_hat)), with the sample velocity vw and the half-spectrum forcing Fw_hat
+    broadcast against the rows; each real transform takes the whole stack,
+    and ik and mask are half-spectrum symbols (_half_symbols).
+
+    The dealiased advection is zero at the Nyquist mode, so the state's
+    Nyquist mode moves with the forcing's alone.
+    """
+    N = 2 * (f_hat.shape[-1] - 1)
+    adv = np.fft.rfft(vw * np.fft.irfft(ik * f_hat, N))
+    adv *= mask
+    return Fw_hat - adv
 
 
-def solve_transport(prob: TransportProblem) -> TransportTrajectory:
-    """Integrate the transport problem and store the (M+1, N) states."""
-    grid, time_grid, v, F = prob.grid, prob.time_grid, prob.velocity, prob.forcing
-    hit = _cfl_violation(grid, v, prob.dt)
-    if hit:
-        node, reason = hit
-        raise ValueError(f"{reason} at node {node} (t = {time_grid[node]:.6g})")
+def _march_transport(grid: Grid, time_grid: np.ndarray, velocity: np.ndarray,
+                     forcing_hat: np.ndarray, f_hat: np.ndarray):
+    """The RK4 march of the half spectra f_hat with the (M+1, N) velocity
+    samples and the (M+1, N//2 + 1) forcing half spectra, both linearly
+    interpolated at half steps; it yields the half spectra at every node."""
     ik, _, mask = _half_symbols(grid)
+    v, F = velocity, forcing_hat
 
     def rhs(f, i, w):
         if w == 0.5:
@@ -225,8 +232,26 @@ def solve_transport(prob: TransportProblem) -> TransportTrajectory:
             vw, Fw = v[i + int(w)], F[i + int(w)]
         return _transport_rhs(f, vw, Fw, ik, mask)
 
-    march = integrate_rk4(rhs, prob.initial, time_grid, prob.dt, "transport solution")
-    states = np.fromiter(march, count=time_grid.size, dtype=np.dtype((float, grid.N)))
+    return integrate_rk4(rhs, f_hat, time_grid, float(time_grid[1] - time_grid[0]),
+                         "transport solution")
+
+
+def solve_transport(prob: TransportProblem) -> TransportTrajectory:
+    """Integrate the transport problem and store the (M+1, N) states."""
+    grid, time_grid = prob.grid, prob.time_grid
+    hit = _cfl_violation(grid, prob.velocity, prob.dt)
+    if hit:
+        node, reason = hit
+        raise ValueError(f"{reason} at node {node} (t = {time_grid[node]:.6g})")
+    # a non-finite forcing is reported by the march, as a blow-up at the
+    # node it is first reached
+    with np.errstate(invalid="ignore"):
+        forcing_hat = _per_node(np.fft.rfft, prob.forcing)
+    march = _march_transport(grid, time_grid, prob.velocity, forcing_hat,
+                             np.fft.rfft(prob.initial))
+    next(march)  # node 0 is stored as given, not as irfft(rfft(initial))
+    states = np.fromiter(chain([prob.initial], (np.fft.irfft(y, grid.N) for y in march)),
+                         count=time_grid.size, dtype=np.dtype((float, grid.N)))
     return TransportTrajectory(problem=prob, states=states)
 
 
@@ -258,11 +283,12 @@ def _check_estimate_admissible(params: BesovParams) -> None:
 
 
 def _per_node(fn, samples: np.ndarray) -> np.ndarray:
-    """fn of the (M+1, N) samples, one value per node.  A field given once,
-    a view of one row over the nodes, is computed on that row and repeated:
-    fn acts row by row, so the values are those of the tiled field."""
+    """fn of the (M+1, N) samples, one result per node.  A field given once,
+    a view of one row over the nodes, is computed on that row and viewed the
+    same way: fn acts row by row, so the values are those of the tiled field."""
     if samples.strides[0] == 0:
-        return np.repeat(fn(samples[:1]), len(samples))
+        one = fn(samples[:1])
+        return np.broadcast_to(one, (len(samples),) + one.shape[1:])
     return fn(samples)
 
 

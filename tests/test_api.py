@@ -71,7 +71,7 @@ def test_kernels_invert_real_fields_with_irfft(name):
     # the solvers' and the norms' fields are real: each inverse transform
     # there is an irfft of a half spectrum, never a full-spectrum
     # ifft(...).real; and the direct march and the scheme take no full
-    # forward transform either
+    # forward transform either, nor the scheme an rfft of its march
     tree = ast.parse((Path(fwlab.__file__).parent / name).read_text())
     names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
@@ -82,6 +82,14 @@ def test_kernels_invert_real_fields_with_irfft(name):
                 and node.attr == "fft" and isinstance(node.value, ast.Attribute)
                 and node.value.attr == "fft"]
         assert not full and "fft" not in imported, f"fw.py calls np.fft.fft on lines {full}"
+        # the scheme's wave march carries half spectra: its loop transforms
+        # no march state back to spectra
+        scheme = next(node for node in tree.body
+                      if isinstance(node, ast.FunctionDef) and node.name == "run_scheme")
+        loops = [node for node in ast.walk(scheme) if isinstance(node, ast.For)]
+        back = [node.lineno for loop in loops for node in ast.walk(loop)
+                if isinstance(node, ast.Attribute) and node.attr == "rfft"]
+        assert loops and not back, f"run_scheme's wave loop calls rfft on lines {back}"
 
 
 def _private_definitions(tree):

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from fwlab.spectral import dealias_mask
 from fwlab.transport import (
     BlowUpError,
     TransportProblem,
+    _march_transport,
     integrate_rk4,
     make_time_grid,
     solve_transport,
@@ -270,15 +272,18 @@ class TestScheme:
         trace = run_scheme(u0, rho0, cfg)
         M = trace.time_grid.size - 1
         assert len(calls) == 4 * (M + cfg.n_max - 1)
-        assert set(calls) == {(cfg.n_max - 1, 2, grid256.N)}
+        assert set(calls) == {(cfg.n_max - 1, 2, grid256.N // 2 + 1)}
 
     def test_each_iterate_transformed_once(self, grid256, part256, params322,
                                            monkeypatch):
-        # outside the transport kernel, the (u, rho) states are transformed
-        # once per wave, in one batched rfft of the new nodes stacked on their
-        # differences: two row pairs per (iterate, node)
-        state_rows, in_kernel = [], []
-        real_fft, real_kernel = np.fft.rfft, fwlab.fw._transport_rhs
+        # a wave step makes 8 real transforms in the transport kernel, an
+        # irfft and an rfft per stage, and 2 outside it: one irfft of the new
+        # nodes' (u, rho, u_x) and one rfft of the forcing's product; the
+        # march state is never transformed back.  Besides, one rfft of the
+        # data and one of P0's pair.
+        counts = {"kernel": Counter(), "wave": Counter()}
+        in_kernel = []
+        real_kernel = fwlab.fw._transport_rhs
 
         def kernel(*args):
             in_kernel.append(True)
@@ -287,52 +292,101 @@ class TestScheme:
             finally:
                 in_kernel.pop()
 
-        def fft(a, *args, **kwargs):
-            shape = np.shape(a)
-            if not in_kernel and len(shape) == 4 and shape[0] == shape[2] == 2 \
-                    and shape[3] == grid256.N:
-                state_rows.append(shape[0] * shape[1])
-            return real_fft(a, *args, **kwargs)
+        def counting(name):
+            real = getattr(np.fft, name)
+
+            def transform(*args, **kwargs):
+                counts["kernel" if in_kernel else "wave"][name] += 1
+                return real(*args, **kwargs)
+            return transform
 
         monkeypatch.setattr(fwlab.fw, "_transport_rhs", kernel)
-        monkeypatch.setattr(np.fft, "rfft", fft)
+        for name in ("rfft", "irfft"):
+            monkeypatch.setattr(np.fft, name, counting(name))
         u0 = GridFunction.from_samples(grid256, 0.1 * np.sin(grid256.x))
         rho0 = GridFunction.from_samples(grid256, 0.1 * np.cos(grid256.x))
         cfg = SchemeConfig(params=params322, C=1.0, n_max=3, dt=1e-2)
         trace = run_scheme(u0, rho0, cfg)
-        n_nodes = trace.time_grid.size
-        assert len(state_rows) == n_nodes + cfg.n_max - 1
-        assert sum(state_rows) == 2 * cfg.n_max * n_nodes
+        steps = trace.time_grid.size + cfg.n_max - 2  # M + n_max - 1
+        assert counts["kernel"] == {"rfft": 4 * steps, "irfft": 4 * steps}
+        assert counts["wave"] == {"rfft": steps + 3, "irfft": steps + 1}
+
+    def test_forcing_is_the_sample_formula(self, grid256):
+        # the spectral forcing is the rfft of Lambda^{-1} d/dx (rho - u) and
+        # -rho u_x - u_x formed from samples, with the product dealiased; at
+        # the Nyquist mode, where the odd symbols' output is imaginary, it
+        # is zero, so an iterate's Nyquist mode stays real
+        rng = np.random.default_rng(353)
+        N = grid256.N
+        ik, lam, mask = fwlab.fw._fw_symbols(grid256)
+        y = np.array([[random_field(grid256, rng, k_max=8).samples for _ in range(2)]
+                      for _ in range(3)]) + 0.1 * (-1.0) ** np.arange(N)
+        y_hat = np.fft.rfft(y)
+        z = np.fft.irfft(np.concatenate([y_hat, ik * y_hat[:, :1]], axis=-2), N)
+        got = fwlab.fw._scheme_forcing(y_hat, z, ik, lam, mask)
+        u, rho, ux = z[:, 0], z[:, 1], z[:, 2]
+        prod = np.fft.irfft(mask * np.fft.rfft(rho * ux), N)
+        want = np.stack([np.fft.irfft(lam * (y_hat[:, 1] - y_hat[:, 0]), N),
+                         -prod - ux], axis=1)
+        assert np.all(got[..., -1] == 0.0)
+        np.testing.assert_allclose(np.fft.irfft(got, N), want, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(got, np.fft.rfft(want), rtol=0.0, atol=1e-12)
 
     def test_pipeline_equals_sequential_iterates(self, grid256, part256, params322):
         # the permanent guard on the wave march: build iterates 1..n_max one
-        # after another, one public transport solve per field with velocity
-        # u^n and the forcing of iterate n, and compare bit for bit
+        # after another, one run of the transport march per field from the
+        # half spectra of its data, with the velocity u^n and the forcing
+        # of iterate n, and compare bit for bit
         u0 = GridFunction.from_samples(grid256, 0.1 * np.sin(grid256.x))
         rho0 = GridFunction.from_samples(grid256, 0.1 * np.cos(grid256.x))
         cfg = SchemeConfig(params=params322, C=1.0, n_max=3, dt=1e-2)
         trace = run_scheme(u0, rho0, cfg)
-        tg = trace.time_grid
-        symbols = fwlab.fw._fw_symbols(grid256)
-        prev = np.zeros((tg.size, 2, grid256.N))
-        iterates, d_n = [], []
+        tg, N = trace.time_grid, grid256.N
+        ik, lam, mask = fwlab.fw._fw_symbols(grid256)
+        prev = np.zeros((tg.size, 2, N // 2 + 1), dtype=complex)
+        data, iterates, d_n = [], [], []
         for n in range(cfg.n_max):
             kern = MollifierKernel(epsilon=1.0 / (n + 1))
-            forcing = fwlab.fw._scheme_forcing(prev, np.fft.rfft(prev), *symbols)
+            data.append(np.stack([mollify(u0, kern).samples, mollify(rho0, kern).samples]))
+            z = np.fft.irfft(np.concatenate([prev, ik * prev[:, :1]], axis=-2), N)
+            forcing = fwlab.fw._scheme_forcing(prev, z, ik, lam, mask)
             cur = np.stack([
-                solve_transport(TransportProblem.build(
-                    grid256, tg, prev[:, 0], forcing[:, k], mollify(f0, kern))).states
-                for k, f0 in enumerate((u0, rho0))], axis=1)
-            d_n.append(_sup_distance(part256, cur - prev, params322.shift(-1.0)))
+                np.array(list(_march_transport(grid256, tg, z[:, 0], forcing[:, k],
+                                               np.fft.rfft(data[n][k]))))
+                for k in range(2)], axis=1)
+            du, drho = _pair_norms(part256, cur - prev, params322.shift(-1.0))
+            d_n.append(du.max() + drho.max())
             iterates.append(cur)
             prev = cur
-        assert np.array_equal(trace.first, iterates[0])
-        assert np.array_equal(trace.last, iterates[-1])
+        assert np.array_equal(trace.first, np.broadcast_to(data[0], trace.first.shape))
+        assert np.array_equal(trace.last, np.fft.irfft(iterates[-1], N))
         for n, cur in enumerate(iterates, start=1):
-            norm_u, norm_rho = _pair_norms(part256, np.fft.rfft(cur), params322)
+            norm_u, norm_rho = _pair_norms(part256, cur, params322)
             assert np.array_equal(trace.norm_u[n], norm_u)
             assert np.array_equal(trace.norm_rho[n], norm_rho)
         assert np.array_equal(trace.d_n, d_n)
+
+    def test_sequential_public_solves_match_last(self, grid256, params322):
+        # the same iterates from public transport solves, each given the
+        # sample velocity u^n and the samples of the forcing of iterate n:
+        # they differ from the wave march only by rfft(irfft(c)) != c
+        u0 = GridFunction.from_samples(grid256, 0.1 * np.sin(grid256.x))
+        rho0 = GridFunction.from_samples(grid256, 0.1 * np.cos(grid256.x))
+        cfg = SchemeConfig(params=params322, C=1.0, n_max=3, dt=1e-2)
+        trace = run_scheme(u0, rho0, cfg)
+        tg, N = trace.time_grid, grid256.N
+        ik, lam, mask = fwlab.fw._fw_symbols(grid256)
+        prev = np.zeros((tg.size, 2, N))
+        for n in range(cfg.n_max):
+            kern = MollifierKernel(epsilon=1.0 / (n + 1))
+            prev_hat = np.fft.rfft(prev)
+            z = np.fft.irfft(np.concatenate([prev_hat, ik * prev_hat[:, :1]], axis=-2), N)
+            forcing = np.fft.irfft(fwlab.fw._scheme_forcing(prev_hat, z, ik, lam, mask), N)
+            prev = np.stack([
+                solve_transport(TransportProblem.build(
+                    grid256, tg, prev[:, 0], forcing[:, k], mollify(f0, kern))).states
+                for k, f0 in enumerate((u0, rho0))], axis=1)
+        np.testing.assert_allclose(trace.last, prev, rtol=0.0, atol=1e-13)
 
     def test_velocity_node_over_cfl_names_iterate_and_node(
             self, grid256, params322, monkeypatch):
@@ -378,8 +432,10 @@ class TestScheme:
         assert isinstance(info.value.__cause__, BlowUpError)
 
     def test_prefix_runs_give_every_iterate(self, grid256, part256, params322):
-        # iterates never depend on later ones, so the n_max = k run ends on
-        # iterate k of a longer run: its norms and d_n follow from prefix runs
+        # iterates never depend on later ones, so the n_max = k run is the
+        # first k iterates of a longer run: its norms and d_n bit for bit,
+        # and its last iterate is iterate k, whose samples give its norms
+        # and d_n to rounding
         u0 = GridFunction.from_samples(grid256, 0.1 * np.sin(grid256.x))
         rho0 = GridFunction.from_samples(grid256, 0.1 * np.cos(grid256.x))
         runs = {k: run_scheme(u0, rho0, SchemeConfig(params=params322, C=1.0, n_max=k, dt=1e-2))
@@ -388,11 +444,17 @@ class TestScheme:
         sm1 = params322.shift(-1.0)
         assert np.array_equal(runs[1].last, trace.first)
         for k, run in runs.items():
-            norm_u, norm_rho = _pair_norms(part256, np.fft.rfft(run.last), params322)
-            assert np.array_equal(trace.norm_u[k], norm_u)
-            assert np.array_equal(trace.norm_rho[k], norm_rho)
+            assert np.array_equal(trace.norms[:k + 1], run.norms)
+            assert np.array_equal(trace.d_n[:k], run.d_n)
+            np.testing.assert_allclose(
+                trace.norm_u[k], besov_norms_of_samples(part256, run.last[:, 0], params322),
+                rtol=1e-13)
+            np.testing.assert_allclose(
+                trace.norm_rho[k], besov_norms_of_samples(part256, run.last[:, 1], sm1),
+                rtol=1e-13)
             before = runs[k - 1].last if k > 1 else np.zeros_like(run.last)
-            assert trace.d_n[k - 1] == _sup_distance(part256, run.last - before, sm1)
+            assert trace.d_n[k - 1] == pytest.approx(
+                _sup_distance(part256, run.last - before, sm1), rel=1e-12)
 
     def test_peak_memory_below_stored_iterates(self, grid256, params322):
         u0 = GridFunction.from_samples(grid256, 0.1 * np.sin(grid256.x))

@@ -372,35 +372,46 @@ class TestCli:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("text, argv, out, message", [
-        pytest.param(f"seed: {seed}\n", ["--config", "run.yaml"], "out",
+        pytest.param(f"seed: {seed}\n", ["norm", "--config", "run.yaml"], "out",
                      "config key seed must be a", id=seed)
         for seed in ("1.5", "abc", "[1]")
     ] + [
-        pytest.param(None, ["--config", "missing.yaml"], "out",
+        pytest.param(None, ["norm", "--config", "missing.yaml"], "out",
                      "[Errno 2] No such file", id="missing-config"),
-        pytest.param(None, ["--config", "."], "out", "[Errno 21] Is a directory",
+        pytest.param(None, ["norm", "--config", "."], "out", "[Errno 21] Is a directory",
                      id="directory-config"),
-        pytest.param("a: [\n", ["--config", "run.yaml"], "out",
+        pytest.param("a: [\n", ["norm", "--config", "run.yaml"], "out",
                      "config is not valid YAML", id="invalid-yaml"),
-        pytest.param("grid: {N: 64, N: 128}\n", ["--config", "run.yaml"], "out",
+        pytest.param("grid: {N: 64, N: 128}\n", ["norm", "--config", "run.yaml"], "out",
                      "config is not valid YAML: found duplicate key 'N'", id="duplicate-key"),
-        pytest.param("- 1\n", ["--config", "run.yaml"], "out",
+        pytest.param("- 1\n", ["norm", "--config", "run.yaml"], "out",
                      "config must be a mapping", id="list-config"),
-        pytest.param("grid: 5\n", ["--config", "run.yaml", "--N", "64"], "out",
+        pytest.param("grid: 5\n", ["norm", "--config", "run.yaml", "--N", "64"], "out",
                      "config section 'grid' must be a mapping", id="section-under-flag"),
-        pytest.param("experiment: {amplitudes: []}\n", ["--config", "run.yaml"], "out",
+        pytest.param("experiment: {amplitudes: []}\n", ["norm", "--config", "run.yaml"], "out",
                      "config key experiment.amplitudes must be a non-empty list",
                      id="empty-amplitudes"),
-        pytest.param("experiment: {deltas: []}\n", ["--config", "run.yaml"], "out",
+        pytest.param("experiment: {deltas: []}\n", ["norm", "--config", "run.yaml"], "out",
                      "config key experiment.deltas must be a non-empty list",
                      id="empty-deltas"),
         # --out names an existing file, so the output cannot be written
-        pytest.param("", ["--N", "64"], "run.yaml", "[Errno 17] File exists",
+        pytest.param("", ["norm", "--N", "64"], "run.yaml", "[Errno 17] File exists",
                      id="output-is-file"),
     ] + [
-        pytest.param(f"time: {{t_cap: {t_cap}}}\n", ["--config", "run.yaml"], "out",
+        pytest.param(f"time: {{t_cap: {t_cap}}}\n", ["norm", "--config", "run.yaml"], "out",
                      "config key time.t_cap must be positive", id=f"t_cap-{t_cap}")
-        for t_cap in ("0", "-1.0")
+        for t_cap in ("0", "-1.0", "inf")
+    ] + [
+        # a time or step the run cannot count nodes of is refused as config
+        pytest.param(None, ["simulate", flag, value], "out",
+                     f"config key {key} must be positive and finite", id=f"{key}-{value}")
+        for flag, key, value in (("--dt", "time.dt", "0"), ("--dt", "time.dt", "-0.001"),
+                                 ("--T", "time.T", "0"), ("--T", "time.T", "inf"),
+                                 ("--t-cap", "time.t_cap", "inf"))
+    ] + [
+        # a t_cap the run can count is priced before its time grid is built
+        pytest.param(None, ["lifespan", "--t-cap", "1e300", "--dt", "1e-2"], "out",
+                     "experiment 'lifespan-sweep' failed: the run needs", id="t_cap-1e300"),
     ])
     def test_bad_seed_is_one_error_line(self, tmp_path, monkeypatch, capsys,
                                         text, argv, out, message):
@@ -408,7 +419,7 @@ class TestCli:
         monkeypatch.chdir(tmp_path)
         if text is not None:
             (tmp_path / "run.yaml").write_text(text)
-        rc = cli_main(["norm"] + argv + ["--out", out])
+        rc = cli_main(argv + ["--out", out])
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: " + message)

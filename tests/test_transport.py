@@ -81,37 +81,96 @@ class TestIntegrateRK4:
         assert (f"in rows {rows}" in str(info.value)) == bool(rows)
 
 
+def _sine_half_spectrum(grid, m):
+    """The rfft of sin(m x / L): -i N/2 at mode m."""
+    f_hat = np.zeros(grid.N // 2 + 1, dtype=complex)
+    f_hat[m] = -0.5j * grid.N
+    return f_hat
+
+
 class TestKernel:
     @pytest.mark.parametrize("m", [1, 5, 40, 64, 85])
     def test_advected_mode_oracle(self, grid256, m):
         # -c d/dx sin(m x / L) = -c (m / L) cos(m x / L) on every mode the
-        # 2/3 rule keeps; the phase is reduced exactly, mod 2 pi
+        # 2/3 rule keeps: its half spectrum is -c (m / L) N/2 at mode m
         ik, _, mask = _half_symbols(grid256)
-        theta = 2.0 * np.pi * ((m * np.arange(grid256.N)) % grid256.N) / grid256.N
-        c = 0.7
-        got = fwlab.transport._transport_rhs(np.sin(theta), c, 0.0, ik, mask)
-        assert np.max(np.abs(got + c * (m / grid256.L) * np.cos(theta))) <= 1e-12
+        c, N = 0.7, grid256.N
+        F_hat = np.zeros(N // 2 + 1, dtype=complex)
+        got = fwlab.transport._transport_rhs(_sine_half_spectrum(grid256, m), c, F_hat,
+                                             ik, mask)
+        want = np.zeros_like(got)
+        want[m] = -c * (m / grid256.L) * 0.5 * N
+        assert np.max(np.abs(got - want)) <= 1e-12 * 0.5 * N
+
+    @pytest.mark.parametrize("m", [1, 5, 40, 64, 85])
+    def test_advected_mode_march_oracle(self, grid256, m):
+        # at constant velocity c the mode m evolves as f' = lam f with
+        # lam = -i c m / L, so RK4 multiplies it by
+        # R = 1 + z + z^2/2 + z^3/6 + z^4/24, z = lam dt, at every step
+        c, N = 0.7, grid256.N
+        tg = make_time_grid(0.2, 1e-3)
+        dt = float(tg[1] - tg[0])
+        f_hat = _sine_half_spectrum(grid256, m)
+        states = np.array(list(fwlab.transport._march_transport(
+            grid256, tg, np.full((tg.size, N), c), np.zeros((tg.size, N // 2 + 1), complex),
+            f_hat)))
+        z = -1j * c * (m / grid256.L) * dt
+        R = 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
+        want = np.zeros_like(states)
+        want[:, m] = f_hat[m] * R ** np.arange(tg.size)
+        assert np.max(np.abs(states - want)) <= 1e-12 * 0.5 * N
 
     def test_nyquist_mode_has_zero_derivative(self, grid256):
+        # the dealiased advection is zero at the Nyquist mode, and the
+        # derivative's imaginary output there is dropped by irfft
+        rng = np.random.default_rng(337)
+        N = grid256.N
         ik, _, mask = _half_symbols(grid256)
-        f = (-1.0) ** np.arange(grid256.N)
-        assert np.all(fwlab.transport._transport_rhs(f, 0.7, 0.0, ik, mask) == 0.0)
+        nyquist = np.zeros(N // 2 + 1, dtype=complex)
+        nyquist[-1] = 0.3 * N
+        v = 0.3 * random_field(grid256, rng, k_max=8).samples
+        assert np.all(fwlab.transport._transport_rhs(nyquist, v, 0.0, ik, mask) == 0.0)
+        tg = make_time_grid(0.1, 0.01)
+        f_hat = np.fft.rfft(random_field(grid256, rng).samples) + nyquist
+        states = list(fwlab.transport._march_transport(
+            grid256, tg, np.broadcast_to(v, (tg.size, N)),
+            np.zeros((tg.size, N // 2 + 1), complex), f_hat))
+        assert all(y[-1] == f_hat[-1] and y[-1].imag == 0.0 for y in states)
+        assert not np.array_equal(states[-1], states[0])
 
     def test_rhs_of_stack_equals_single_calls(self, grid256):
-        # the scheme's (K, 2, N) stack, with a velocity and forcing per row,
-        # steps as its (N,) rows do one at a time in solve_transport
+        # the scheme's (K, 2, N//2 + 1) stack, with a velocity and forcing
+        # per row, steps as its rows do one at a time in solve_transport
         rng = np.random.default_rng(331)
 
         def fields(*shape):
             return np.array([random_field(grid256, rng, k_max=8).samples
                              for _ in range(int(np.prod(shape)))]).reshape(shape + (-1,))
 
-        f, v, F = fields(4, 2), 0.3 * fields(4, 1), fields(4, 2)
+        f, v, F = np.fft.rfft(fields(4, 2)), 0.3 * fields(4, 1), np.fft.rfft(fields(4, 2))
         ik, _, mask = _half_symbols(grid256)
         singles = np.array([[fwlab.transport._transport_rhs(f[k, c], v[k, 0], F[k, c],
                                                             ik, mask)
                              for c in range(2)] for k in range(4)])
         assert np.array_equal(fwlab.transport._transport_rhs(f, v, F, ik, mask), singles)
+
+    def test_blowup_carries_finite_prefix(self, grid256):
+        # an infinite forcing from node 3 on is first reached at the half
+        # step of step 2 -> 3; the march yields the finite nodes before it
+        N = grid256.N
+        tg = make_time_grid(0.1, 0.01)
+        F_hat = np.zeros((tg.size, N // 2 + 1), dtype=complex)
+        F_hat[3:, 1] = np.inf
+        f_hat = np.fft.rfft(np.sin(grid256.x))
+        yielded = []
+        with pytest.raises(BlowUpError) as info:
+            for y in fwlab.transport._march_transport(grid256, tg, np.full((tg.size, N), 0.5),
+                                                      F_hat, f_hat):
+                yielded.append(y)
+        assert info.value.node == 3
+        assert len(yielded) == 3
+        assert all(np.all(np.isfinite(y)) for y in yielded)
+        assert np.array_equal(yielded[0], f_hat)
 
 
 class TestSolveTransport:
@@ -179,7 +238,26 @@ class TestSolveTransport:
         assert exc.t == pytest.approx(0.03, rel=1e-12)
         assert len(yielded) == 3
         assert all(np.all(np.isfinite(y)) for y in yielded)
-        assert np.array_equal(yielded[0], f0.samples)
+        assert np.array_equal(yielded[0], np.fft.rfft(f0.samples))
+
+    @pytest.mark.parametrize("given_once", [False, True])
+    def test_states_are_the_march_inverted(self, grid256, given_once):
+        # solve_transport stores its data as node 0 and the irfft of the
+        # march of its half spectra at every later node
+        rng = np.random.default_rng(347)
+        tg = make_time_grid(0.2, 5e-3)
+        n, N = tg.size, grid256.N
+        v = 0.3 * np.array([random_field(grid256, rng, k_max=4).samples for _ in range(n)])
+        F = (random_field(grid256, rng).samples if given_once else
+             np.array([random_field(grid256, rng).samples for _ in range(n)]))
+        f0 = random_field(grid256, rng)
+        prob = TransportProblem.build(grid256, tg, v, F, f0)
+        states = solve_transport(prob).states
+        F_hat = np.fft.rfft(np.broadcast_to(F, (n, N)))
+        march = np.array(list(fwlab.transport._march_transport(
+            grid256, tg, v, F_hat, np.fft.rfft(f0.samples))))
+        assert np.array_equal(states[0], f0.samples)
+        assert np.array_equal(states[1:], np.fft.irfft(march[1:], N))
 
     def test_batch_forcing_shape_checked(self, grid256):
         # a problem has one row: (M+1, 2, N) forcing is refused, not batched
