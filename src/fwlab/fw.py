@@ -40,14 +40,18 @@ reads iterate n only at the two nodes of its current step, so iterates
 2..n_max advance in one wave march, each one node behind its predecessor:
 M + n_max - 1 RK4 steps, each one batched transport-kernel call per stage on
 the (n_max - 1, 2, N//2 + 1) half spectra, with a sample velocity and a
-half-spectrum forcing per row.  Each wave's new nodes are inverted once, by
-one irfft of their (u, rho, u_x): that gives their successors' velocity,
-checked against the advective bound as it is made, the last iterate's
-samples, and the samples of the one product their forcing transforms.
-Their norms and their differences from the previous iterate, d_n as a
-running maximum, are read from the half spectra.  Only two nodes per
-iterate are live; the trace keeps the first and last iterates as samples,
-every iterate's norms and d_n.
+half-spectrum forcing per row.  At wave node i, iterate r + 1 sits at node
+clip(i - r, 0, M): one that has not started waits at its data and one that
+has finished holds its last node, both under zero velocity and forcing, so
+the same code runs on every iterate at every wave node.  Each wave is
+inverted once, by one irfft of its (u, rho, u_x): that gives the
+successors' velocity, checked against the advective bound, the last
+iterate's samples, and the samples of the one product the forcing
+transforms.  Its norms and its differences from the previous iterate, d_n
+as a running maximum, are read from the half spectra; a waiting or held
+iterate repeats bits it has already produced.  Only two nodes per iterate
+are live; the trace keeps the first and last iterates as samples, every
+iterate's norms and d_n.
 The empirical lifespan integrates the nonlinear system directly: the
 lifespan sweep marches all its data as one member stack, norms the live
 members in one call per node, the first of which gives each member's P0,
@@ -140,8 +144,8 @@ class SchemeConfig:
 
     def __post_init__(self):
         self.params.require_admissible()
-        if self.C <= 0:
-            raise ValueError("C must be positive")
+        if not 0 < self.C < np.inf:
+            raise ValueError("C must be positive and finite")
         if self.n_max < 1:
             raise ValueError("n_max must be at least 1")
         if self.dt <= 0:
@@ -374,8 +378,8 @@ def run_scheme(u0: GridFunction, rho0: GridFunction, cfg: SchemeConfig) -> Itera
         raise ValueError("u0 and rho0 must share one grid")
     part = build_partition(grid)
     params = cfg.params
-    # a wave's new nodes in B^s x B^{s-1}, their differences from the
-    # previous iterate in B^{s-1} x B^{s-2}
+    # a wave in B^s x B^{s-1}, its differences from the previous iterate
+    # in B^{s-1} x B^{s-2}
     smoothness = np.stack([_pair_smoothness(params),
                            _pair_smoothness(params.shift(-1.0))])[:, None]
 
@@ -399,73 +403,63 @@ def run_scheme(u0: GridFunction, rho0: GridFunction, cfg: SchemeConfig) -> Itera
     d_max = np.full((n_rows, 2), -np.inf)
 
     # Row r of the wave is iterate r + 1, one node behind row r - 1: at wave
-    # node i it reaches its node i - r, and its step from there reads
-    # iterate r at nodes i - r and i - r + 1, made at wave nodes i - 1 and i.
-    # Rows that do not step get zero velocity and forcing, which holds them
-    # fixed.  Row 0, advected by the zero pair, is its data at every node,
-    # so only rows 1.. march.  The march carries half spectra; the velocity
-    # is given as samples, the forcing as half spectra.
+    # node i it sits at node clip(i - r, 0, M), and it steps on while
+    # 0 <= i - r < M, reading iterate r at nodes i - r and i - r + 1, which
+    # row r - 1 reached at wave nodes i - 1 and i.  The same code runs on
+    # every row at every wave node: a row that does not step gets zero
+    # velocity and forcing, which holds its bits, and a row's norms depend
+    # only on the row, so a held row repeats what it has already produced.
+    # Row 0, advected by the zero pair, is its data at every node, so only
+    # rows 1.. march.  The march carries half spectra; the velocity is given
+    # as samples, the forcing as half spectra.
     kernels = [MollifierKernel(epsilon=1.0 / (n + 1)) for n in range(n_rows)]
     initial = np.array([[mollify(u0, k).samples, mollify(rho0, k).samples]
                         for k in kernels])
     first = np.broadcast_to(initial[0], (n_nodes, 2, N))
-    vel = np.zeros((3, n_rows, 1, N))  # step inputs at w = 0, 1/2, 1
-    frc = np.zeros((3, n_rows, 2, N // 2 + 1), dtype=complex)
-    # iterate n at the previous wave node, its velocity then, and its
-    # forcing then and now
-    then = np.zeros((n_rows + 1, 2, N // 2 + 1), dtype=complex)
-    u_then = np.zeros((n_rows, N))
-    forcing_then, forcing_now = np.zeros_like(then), np.zeros_like(then)
+    initial_hat = np.fft.rfft(initial)
+    rows = np.arange(n_rows)
+    # iterate n at the previous wave node (a row that has not started is
+    # compared with its predecessor's data), and the velocity and forcing
+    # each row exerted on its successor there; no row steps from wave node 0
+    then = np.concatenate([np.zeros_like(initial_hat[:1]), initial_hat[:-1]])
+    u_then = f_then = 0.0
 
     def rhs(f, i, w):
-        k = int(2 * w)
-        return _transport_rhs(f, vel[k, 1:], frc[k, 1:], ik, mask)
+        k = int(2 * w)  # step inputs at w = 0, 1/2, 1
+        return _transport_rhs(f, vel[k], frc[k], ik, mask)
 
-    initial_hat = np.fft.rfft(initial)
     march = integrate_rk4(rhs, initial_hat[1:], dt * np.arange(M + n_rows), dt,
                           "transport solution")
     try:
         for i, marched in enumerate(march):
             y = np.concatenate([initial_hat[:1], marched])
-            lo, hi = max(0, i - M), min(n_rows - 1, i)  # rows that reach a node
-            fed = min(hi, n_rows - 2)  # the last of them with a successor
-            rows = np.arange(lo, hi + 1)
-            new = y[lo:hi + 1]
-            # one inverse transform of the new nodes' (u, rho, u_x): the
-            # velocity of their successors, the last iterate and the
-            # samples of the forcing's product
-            z = np.fft.irfft(np.concatenate([new, ik * new[:, :1]], axis=-2), N)
-            if hi == n_rows - 1:
-                last[i - hi] = z[-1, :2] if hi else initial[0]
-            hit = _cfl_violation(grid, z[:fed + 1 - lo, 0], dt)
+            nodes = (i - rows).clip(0, M)
+            # one inverse transform of the wave's (u, rho, u_x): the velocity
+            # of the successors, the last iterate and the samples of the
+            # forcing's product
+            z = np.fft.irfft(np.concatenate([y, ik * y[:, :1]], axis=-2), N)
+            last[nodes[-1]] = z[-1, :2] if n_rows > 1 else initial[0]
+            hit = _cfl_violation(grid, z[:-1, 0], dt)
             if hit:
                 k, reason = hit
-                node = i - lo - k
                 raise RuntimeError(
-                    f"transport solve failed at iterate {lo + k + 2}: velocity "
-                    f"u^{lo + k + 1} at node {node} (t = {time_grid[node]:.6g}): {reason}")
+                    f"transport solve failed at iterate {k + 2}: velocity u^{k + 1} at "
+                    f"node {nodes[k]} (t = {time_grid[nodes[k]]:.6g}): {reason}")
 
-            # the new nodes' norms and their differences from the previous
-            # iterate, and the forcing they exert on their successors
-            wave = _norms(part, np.stack([new, new - then[lo:hi + 1]]) / N, params,
-                          smoothness)
-            norms[rows + 1, i - rows] = wave[0]
-            np.maximum(d_max[lo:hi + 1], wave[1], out=d_max[lo:hi + 1])
-            forcing_now[lo + 1:fed + 2] = _scheme_forcing(
-                new[:fed + 1 - lo], z[:fed + 1 - lo], ik, lam, mask)
-
-            a, b = max(1, i - M + 1), min(n_rows - 1, i)  # rows 1.. that step
-            vel.fill(0.0)
-            frc.fill(0.0)
-            vel[0, a:b + 1, 0] = u_then[a - 1:b]
-            vel[2, a:b + 1, 0] = z[a - 1 - lo:b - lo, 0]
-            vel[1] = 0.5 * (vel[0] + vel[2])
-            frc[0, a:b + 1] = forcing_then[a:b + 1]
-            frc[2, a:b + 1] = forcing_now[a:b + 1]
-            frc[1] = 0.5 * (frc[0] + frc[2])
-            then[1:] = y
-            u_then[lo:hi + 1] = z[:, 0]
-            forcing_then, forcing_now = forcing_now, forcing_then
+            # the wave's norms and its differences from the previous iterate,
+            # and the forcing it exerts on the successors
+            wave = _norms(part, np.stack([y, y - then]) / N, params, smoothness)
+            norms[rows + 1, nodes] = wave[0]
+            np.maximum(d_max, wave[1], out=d_max)
+            u_now = z[:-1, :1]
+            f_now = _scheme_forcing(y[:-1], z[:-1], ik, lam, mask)
+            vel = [u_then, 0.5 * (u_then + u_now), u_now]
+            frc = [f_then, 0.5 * (f_then + f_now), f_now]
+            go = (nodes[1:] == i - rows[1:]) & (nodes[1:] < M)  # the rows that step
+            if not go.all():
+                vel = [np.where(go[:, None, None], v, 0.0) for v in vel]
+                frc = [np.where(go[:, None, None], f, 0.0) for f in frc]
+            then[1:], u_then, f_then = y[:-1], u_now, f_now
     except BlowUpError as exc:
         r = exc.rows[0] + 1
         node = exc.node - r

@@ -104,7 +104,8 @@ def _number(key: str, value, whole: bool = False):
 
 
 def _positive(key: str, value) -> float:
-    """A positive, finite number: a time or a step a run can count nodes of."""
+    """A positive, finite number: a time or a step a run can count nodes of,
+    a scale or a constant a run can divide by."""
     number = _number(key, value)
     if not 0 < number < np.inf:
         raise ValueError(f"config key {key} must be positive and finite, got {value!r}")
@@ -134,10 +135,10 @@ _flag = _checked(lambda v: isinstance(v, bool), "true or false")
 #: every config key, "section.key" or top-level, as (default, conversion);
 #: a key whose default is null may be null (a null t_cap means T)
 _KEYS: dict[str, tuple[Any, Callable[[str, Any], Any]]] = {
-    "grid.N": (256, _whole), "grid.L": (8.0, _number),
+    "grid.N": (256, _whole), "grid.L": (8.0, _positive),
     "time.dt": (1e-3, _positive), "time.T": (1.0, _positive), "time.t_cap": (None, _positive),
     "besov.s": (3.0, _number), "besov.p": (2.0, _number), "besov.r": (2.0, _number),
-    "scheme.C": (1.0, _number), "scheme.n_max": (10, _whole),
+    "scheme.C": (1.0, _positive), "scheme.n_max": (10, _whole),
     "experiment.kind": ("simulate", _text), "experiment.preset": ("sine", _preset),
     "experiment.amplitude": (0.1, _number),
     "experiment.amplitudes": ([0.25, 0.5, 1.0, 2.0], _numbers),

@@ -75,13 +75,14 @@ class Grid:
 
 
 def make_grid(N: int, L: float) -> Grid:
-    """Build a periodic grid, rejecting odd or tiny N and non-positive L."""
+    """Build a periodic grid, rejecting odd or tiny N and non-positive or
+    non-finite L."""
     if N % 2 != 0:
         raise ValueError(f"N must be even, got {N}")
     if N < 8:
         raise ValueError(f"N must be at least 8, got {N}")
-    if L <= 0:
-        raise ValueError(f"L must be positive, got {L}")
+    if not 0 < L < np.inf:
+        raise ValueError(f"L must be positive and finite, got {L}")
     return Grid(N=int(N), L=float(L))
 
 

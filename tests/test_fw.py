@@ -218,6 +218,11 @@ class TestScheme:
         with pytest.raises(ValueError):
             SchemeConfig(params=BesovParams(2.4, 2.0, 2.0))
 
+    @pytest.mark.parametrize("C", [0.0, -1.0, np.inf, np.nan])
+    def test_non_positive_or_non_finite_C_rejected(self, params322, C):
+        with pytest.raises(ValueError, match="C must be positive and finite"):
+            SchemeConfig(params=params322, C=C)
+
     def test_first_iterate_closed_form(self, grid256, part256, params322):
         # Iterate 0 is the zero pair, so iterate 1 solves a transport problem
         # with zero velocity and zero forcing: it is constant in time, equal
@@ -332,15 +337,22 @@ class TestScheme:
         np.testing.assert_allclose(np.fft.irfft(got, N), want, rtol=0.0, atol=1e-14)
         np.testing.assert_allclose(got, np.fft.rfft(want), rtol=0.0, atol=1e-12)
 
-    def test_pipeline_equals_sequential_iterates(self, grid256, part256, params322):
+    @pytest.mark.parametrize("n_max, dt", [(3, 1e-2), (8, 0.7)])
+    def test_pipeline_equals_sequential_iterates(self, grid256, part256, params322,
+                                                 n_max, dt):
         # the permanent guard on the wave march: build iterates 1..n_max one
         # after another, one run of the transport march per field from the
         # half spectra of its data, with the velocity u^n and the forcing
-        # of iterate n, and compare bit for bit
+        # of iterate n, and compare bit for bit.  At dt = 0.7 there are
+        # M = 3 steps, fewer than the n_max - 1 marching iterates, so the
+        # wave's start, where later iterates wait at their data, overlaps
+        # its end, where earlier ones hold at their last node
         u0 = GridFunction.from_samples(grid256, 0.1 * np.sin(grid256.x))
         rho0 = GridFunction.from_samples(grid256, 0.1 * np.cos(grid256.x))
-        cfg = SchemeConfig(params=params322, C=1.0, n_max=3, dt=1e-2)
+        cfg = SchemeConfig(params=params322, C=1.0, n_max=n_max, dt=dt)
         trace = run_scheme(u0, rho0, cfg)
+        M = trace.time_grid.size - 1
+        assert (M + 1 < n_max) == (dt == 0.7)  # the ramps overlap
         tg, N = trace.time_grid, grid256.N
         ik, lam, mask = fwlab.fw._fw_symbols(grid256)
         prev = np.zeros((tg.size, 2, N // 2 + 1), dtype=complex)
@@ -406,6 +418,19 @@ class TestScheme:
                                  r"\(t = .*\): dt = .* violates the advective "
                                  r"stability bound .* \(max\|v\| = "):
             run_scheme(u0, rho0, SchemeConfig(params=params322, C=1.0, n_max=3, dt=1e-2))
+
+    def test_data_node_over_cfl_names_iterate_and_node(self, grid256, params322):
+        # at dt = 1.5 (refined to the lifespan) the data of iterate 1, the
+        # widest mollification, is under the advective bound and the data
+        # of iterate 2 is over it: the run fails before any iterate steps,
+        # naming iterate 3, which u^2 advects, and node 0
+        u0 = GridFunction.from_samples(grid256, 0.1 * np.sin(grid256.x))
+        rho0 = GridFunction.from_samples(grid256, 0.1 * np.cos(grid256.x))
+        with pytest.raises(RuntimeError,
+                           match=r"^transport solve failed at iterate 3: velocity u\^2 at "
+                                 r"node 0 \(t = 0\): dt = .* violates the advective "
+                                 r"stability bound "):
+            run_scheme(u0, rho0, SchemeConfig(params=params322, C=1.0, n_max=10, dt=1.5))
 
     def test_blowup_in_wave_march_names_iterate_and_node(
             self, grid256, params322, monkeypatch):

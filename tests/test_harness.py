@@ -402,12 +402,15 @@ class TestCli:
                      "config key time.t_cap must be positive", id=f"t_cap-{t_cap}")
         for t_cap in ("0", "-1.0", "inf")
     ] + [
-        # a time or step the run cannot count nodes of is refused as config
+        # a time or step the run cannot count nodes of, or a scale or
+        # constant it cannot divide by, is refused as config
         pytest.param(None, ["simulate", flag, value], "out",
                      f"config key {key} must be positive and finite", id=f"{key}-{value}")
         for flag, key, value in (("--dt", "time.dt", "0"), ("--dt", "time.dt", "-0.001"),
                                  ("--T", "time.T", "0"), ("--T", "time.T", "inf"),
-                                 ("--t-cap", "time.t_cap", "inf"))
+                                 ("--t-cap", "time.t_cap", "inf"),
+                                 ("--C", "scheme.C", "nan"), ("--C", "scheme.C", "inf"),
+                                 ("--L", "grid.L", "inf"), ("--L", "grid.L", "nan"))
     ] + [
         # a t_cap the run can count is priced before its time grid is built
         pytest.param(None, ["lifespan", "--t-cap", "1e300", "--dt", "1e-2"], "out",

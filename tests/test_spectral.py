@@ -27,7 +27,8 @@ class TestMakeGrid:
         g = make_grid(8, 2.0)
         assert sorted(g.wavenumbers) == [-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5]
 
-    @pytest.mark.parametrize("N,L", [(7, 1.0), (6, 1.0), (256, 0.0), (256, -2.0)])
+    @pytest.mark.parametrize("N,L", [(7, 1.0), (6, 1.0), (256, 0.0), (256, -2.0),
+                                     (256, np.inf), (256, np.nan)])
     def test_rejects_bad_arguments(self, N, L):
         with pytest.raises(ValueError):
             make_grid(N, L)
