@@ -21,8 +21,9 @@ partition of its grid: one block-norm reduction of its half spectra, whose
 bits do not depend on how the rows are batched.  The size of the data, P0,
 is that measure of the data's rfft, so it is a march's node-0 norm sum.
 The stability and continuity experiments march each family of solutions as
-one batch and take their distance norms node by node, from differences of
-half spectra, storing no trajectory.
+one batch and take their distance norms from differences of half spectra,
+gathered over blocks of nodes into one buffer and normed in one call per
+block, storing no trajectory.
 The constructive scheme iterates the pair of linear transport problems
 
     u^{n+1}_t + u^n u^{n+1}_x = Lambda^{-1} d/dx (rho^n - u^n)
@@ -111,6 +112,12 @@ LIFESPAN_CAP = 1e6
 #: stability_experiment asserts D(t) <= D(0) exp(beta t) (1 + GRONWALL_SLACK)
 GRONWALL_SLACK = 0.05
 
+#: nodes whose member differences _member_distances norms in one call: on a
+#: few members a call per node costs about three times a node's share of a
+#: block, and chunks of hundreds of rows hold more memory than the sweeps'
+#: no-trajectory bound allows
+_DISTANCE_BLOCK = 8
+
 
 @dataclass(frozen=True)
 class FWState:
@@ -148,8 +155,8 @@ class SchemeConfig:
             raise ValueError("C must be positive and finite")
         if self.n_max < 1:
             raise ValueError("n_max must be at least 1")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < np.inf:
+            raise ValueError("dt must be positive and finite")
 
 
 def _fw_rhs(y, ik, lam, mask):
@@ -260,10 +267,10 @@ def solve_fw_direct(initial: FWState, T: float, dt: float) -> FWTrajectory:
 def lifespan(P0: float, C: float) -> float:
     """Guaranteed common existence time T = 3 / (16 C P0^2), at most
     LIFESPAN_CAP (which zero data, of unbounded lifespan, gets)."""
-    if P0 < 0:
-        raise ValueError("P0 must be nonnegative")
-    if C <= 0:
-        raise ValueError("C must be positive")
+    if not 0 <= P0 < np.inf:
+        raise ValueError("P0 must be nonnegative and finite")
+    if not 0 < C < np.inf:
+        raise ValueError("C must be positive and finite")
     if P0 == 0.0:
         return LIFESPAN_CAP
     return min(3.0 / (16.0 * C * P0**2), LIFESPAN_CAP)
@@ -580,12 +587,19 @@ def _member_distances(members: np.ndarray, grid: Grid, time_grid: np.ndarray,
     """March the stacked (K+1, 2, N) members as one batch and return the
     (M+1, K) pair norms (_pair_norms) of members 1..K minus member 0 at every
     node, ||u_k - u_0|| and ||rho_k - rho_0||, from differences of their
-    half spectra; no trajectory is stored."""
+    half spectra.  The differences of _DISTANCE_BLOCK nodes are gathered in
+    one buffer and normed in one call, the last, short block included; a
+    row's norm does not depend on its block, and no trajectory is stored."""
     part = build_partition(grid)
-    du = np.empty((time_grid.size, len(members) - 1))
+    K = len(members) - 1
+    du = np.empty((time_grid.size, K))
     drho = np.empty_like(du)
+    block = np.empty((_DISTANCE_BLOCK, K, 2, grid.N // 2 + 1), dtype=complex)
     for i, y in enumerate(_march_fw(members, grid, time_grid, dt)):
-        du[i], drho[i] = _pair_norms(part, y[1:] - y[:1], params)
+        j = i % _DISTANCE_BLOCK
+        np.subtract(y[1:], y[:1], out=block[j])
+        if j == _DISTANCE_BLOCK - 1 or i == time_grid.size - 1:
+            du[i - j:i + 1], drho[i - j:i + 1] = _pair_norms(part, block[:j + 1], params)
     return du, drho
 
 

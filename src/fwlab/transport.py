@@ -82,8 +82,10 @@ class BlowUpError(RuntimeError):
 
 def make_time_grid(T: float, dt: float) -> np.ndarray:
     """Uniform nodes 0 = t_0 < ... < t_M = T with step dt (dt must divide T)."""
-    if T <= 0 or dt <= 0:
-        raise ValueError("T and dt must be positive")
+    if not 0 < T < np.inf:
+        raise ValueError("T must be positive and finite")
+    if not 0 < dt < np.inf:
+        raise ValueError("dt must be positive and finite")
     M = int(round(T / dt))
     if M < 1 or abs(M * dt - T) > 1e-9 * max(T, 1.0):
         raise ValueError(f"dt = {dt} does not divide T = {T}")

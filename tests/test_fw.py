@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from collections import Counter
 
@@ -191,10 +192,12 @@ class TestLifespan:
         assert lifespan(0.0, 1.0) == LIFESPAN_CAP
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            lifespan(-1.0, 1.0)
-        with pytest.raises(ValueError):
-            lifespan(1.0, 0.0)
+        for P0 in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="P0 must be nonnegative and finite"):
+                lifespan(P0, 1.0)
+        for C in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="C must be positive and finite"):
+                lifespan(0.1, C)
 
 
 @pytest.fixture(scope="module")
@@ -222,6 +225,11 @@ class TestScheme:
     def test_non_positive_or_non_finite_C_rejected(self, params322, C):
         with pytest.raises(ValueError, match="C must be positive and finite"):
             SchemeConfig(params=params322, C=C)
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, np.inf, np.nan])
+    def test_non_positive_or_non_finite_dt_rejected(self, params322, dt):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            SchemeConfig(params=params322, dt=dt)
 
     def test_first_iterate_closed_form(self, grid256, part256, params322):
         # Iterate 0 is the zero pair, so iterate 1 solves a transport problem
@@ -788,17 +796,53 @@ class TestMemberBatch:
         if raised is RuntimeError:
             assert "continuity family member j = 2 blew up" in str(info.value)
 
-    def test_continuity_stores_no_trajectory(self, grid256, part256, params322):
+    @pytest.mark.parametrize("experiment", ["continuity", "stability"])
+    def test_continuity_stores_no_trajectory(self, grid256, part256, params322,
+                                             experiment):
+        # the criteria 11-12 sizes
         u0, rho0 = _sine_cosine(grid256, 0.1)
         cfg = SchemeConfig(params=params322, dt=2e-3)
+        shape_u = GridFunction.from_samples(grid256, np.sin(2 * grid256.x))
+        shape_rho = GridFunction.from_samples(grid256, np.cos(3 * grid256.x))
+        perturbations = [(d * shape_u, d * shape_rho) for d in (1e-2, 1e-3, 1e-4)]
         tracemalloc.start()
         try:
-            continuity_experiment(u0, rho0, j_max=5, cfg=cfg, T=1.0)
+            if experiment == "continuity":
+                continuity_experiment(u0, rho0, j_max=5, cfg=cfg, T=1.0)
+            else:
+                stability_experiment(u0, rho0, perturbations, cfg, T=1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # below one stored (M+1, 2, N) trajectory: 501 nodes of 2 x 256 floats
         assert peak < 501 * 2 * 256 * 8
+
+    @pytest.mark.parametrize("p", [2.0, 4.0])
+    @pytest.mark.parametrize("nodes", [3, 11])
+    def test_blocked_distances_equal_per_node_norms(self, grid256, part256, monkeypatch,
+                                                    nodes, p):
+        # 3 nodes fill less than one block; 11 leave a short tail block
+        params = BesovParams(3.0, p, 2.0)
+        rng = np.random.default_rng(431)
+        members = np.array([[random_field(grid256, rng, k_max=40, amplitude=0.1).samples
+                             for _ in range(2)] for _ in range(4)])
+        dt = 5e-3
+        tg = make_time_grid((nodes - 1) * dt, dt)
+        calls = []
+        real = fwlab.fw._pair_norms
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(fwlab.fw, "_pair_norms", counting)
+        du, drho = fwlab.fw._member_distances(members, grid256, tg, dt, params)
+        assert len(calls) == math.ceil(nodes / fwlab.fw._DISTANCE_BLOCK)
+        assert du.shape == drho.shape == (nodes, 3)
+        for i, y in enumerate(fwlab.fw._march_fw(members, grid256, tg, dt)):
+            norm_u, norm_rho = real(part256, y[1:] - y[:1], params)
+            assert np.array_equal(du[i], norm_u)
+            assert np.array_equal(drho[i], norm_rho)
 
 
 class TestPairNorms:

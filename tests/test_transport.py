@@ -36,6 +36,14 @@ class TestMakeTimeGrid:
         with pytest.raises(ValueError):
             make_time_grid(1.0, 0.3)
 
+    @pytest.mark.parametrize("T, dt, name", [
+        (0.0, 0.1, "T"), (-1.0, 0.1, "T"), (np.inf, 0.1, "T"), (np.nan, 0.1, "T"),
+        (1.0, 0.0, "dt"), (1.0, -0.1, "dt"), (1.0, np.inf, "dt"), (1.0, np.nan, "dt"),
+    ])
+    def test_rejects_non_positive_or_non_finite(self, T, dt, name):
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite$"):
+            make_time_grid(T, dt)
+
 
 class TestIntegrateRK4:
     @staticmethod
