@@ -218,8 +218,9 @@ def _block_lp_norms(part: LPPartition, half: np.ndarray, p: float):
             weighted = 2.0 * masks**2
             weighted[..., [0, -1]] *= 0.5
             # one dot product per (block, row), not a matmul: BLAS picks
-            # its matmul kernel by row count, which moves the last bits
-            power = (modulus * (1.0 / top)) ** 2
+            # its matmul kernel by row count, which moves the last bits;
+            # the squared divided moduli overwrite the moduli
+            power = np.square(np.multiply(modulus, 1.0 / top, out=modulus), out=modulus)
             sums = np.vecdot(weighted, power)
             return np.sqrt(2.0 * np.pi * grid.L * sums), top[..., 0]
         samples = np.fft.irfft(masks * (half * (grid.N / top)), grid.N)

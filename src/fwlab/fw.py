@@ -49,10 +49,12 @@ inverted once, by one irfft of its (u, rho, u_x): that gives the
 successors' velocity, checked against the advective bound, the last
 iterate's samples, and the samples of the one product the forcing
 transforms.  Its norms and its differences from the previous iterate, d_n
-as a running maximum, are read from the half spectra; a waiting or held
-iterate repeats bits it has already produced.  Only two nodes per iterate
-are live; the trace keeps the first and last iterates as samples, every
-iterate's norms and d_n.
+as a running maximum, are read from the half spectra in row-bounded node
+blocks: the norm rows of whole wave nodes, at most _NORM_CHUNK of them at
+p = 2 and one node's otherwise, are gathered in one buffer and normed in
+one call per block; a waiting or held iterate repeats bits it has already
+produced.  Only two nodes per iterate are live; the trace keeps the first
+and last iterates as samples, every iterate's norms and d_n.
 The empirical lifespan integrates the nonlinear system directly: the
 lifespan sweep marches all its data as one member stack, norms the live
 members in one call per node, the first of which gives each member's P0,
@@ -70,6 +72,7 @@ from typing import Sequence
 import numpy as np
 
 from .besov import (
+    _NORM_CHUNK,
     BesovParams,
     LPPartition,
     MollifierKernel,
@@ -368,14 +371,36 @@ def _scheme_forcing(y_hat, z, ik, lam, mask):
     return out
 
 
-def _scheme_bytes(N: int, n_max: int, T: float, dt: float) -> float:
+def _wave_block(n_max: int, p: float) -> int:
+    """The wave nodes whose norm rows run_scheme reads in one _norms call:
+    whole nodes of 4 * n_max rows each (a wave and its differences from the
+    previous iterate, two fields per iterate), at most _NORM_CHUNK rows at
+    p = 2 and one node otherwise.  At p != 2 the reduction inverts every
+    dyadic block of every row, and at N = 256 a call of _NORM_CHUNK rows
+    costs two to three times as much per node as a call of one node."""
+    if p != 2:
+        return 1
+    return max(1, _NORM_CHUNK // (4 * n_max))
+
+
+def _scheme_bytes(N: int, n_max: int, T: float, dt: float, p: float = 2.0,
+                  n_blocks: int = 1) -> float:
     """What run_scheme holds at its peak: per node, the last iterate and
-    every iterate's norms (the first is a view of its data); besides, the
-    wave march's working set of complex (n_max, 2, N//2 + 1) stacks, which
-    includes each wave's samples and norms."""
-    stored = (T / dt + 1.0) * (2 * N + 2 * (n_max + 1)) * 8
+    every iterate's norms (the first is a view of its data), and, while the
+    bound flags are set, the norm sums and their comparisons and the time
+    grids; besides, the wave march's working set of complex
+    (n_max, 2, N//2 + 1) stacks, which includes each wave's samples, and
+    the block of norm rows, read in row-bounded node blocks, with the
+    temporaries of its reduction at p: the rows' moduli and, at p != 2,
+    three real arrays of the samples of the n_blocks dyadic blocks of every
+    row."""
+    stored = (T / dt + 1.0) * (2 * N + 4 * (n_max + 1) + 4) * 8
     march = 48 * n_max * 2 * (N // 2 + 1) * 16
-    return stored + march
+    rows = 4 * n_max * _wave_block(n_max, p)
+    block = rows * (N // 2 + 1) * (16 + 8)
+    if p != 2:
+        block += 3 * n_blocks * rows * N * 8
+    return stored + march + block
 
 
 def run_scheme(u0: GridFunction, rho0: GridFunction, cfg: SchemeConfig) -> IterationTrace:
@@ -397,7 +422,8 @@ def run_scheme(u0: GridFunction, rho0: GridFunction, cfg: SchemeConfig) -> Itera
         assert 4.0 * cfg.C * P0**2 * T < 1.0
     # the lifespan is an awkward number; refine dt so the nodes land on T
     n_steps = max(1, int(np.ceil(T / cfg.dt - 1e-12)))
-    _check_memory(_scheme_bytes(grid.N, cfg.n_max, T, cfg.dt), "--dt or --n-max")
+    _check_memory(_scheme_bytes(grid.N, cfg.n_max, T, cfg.dt, params.p, part.masks.shape[0]),
+                  "--dt or --n-max")
     time_grid = make_time_grid(T, T / n_steps)
     dt = float(time_grid[1] - time_grid[0])
     n_nodes, n_rows, N = time_grid.size, cfg.n_max, grid.N
@@ -425,6 +451,12 @@ def run_scheme(u0: GridFunction, rho0: GridFunction, cfg: SchemeConfig) -> Itera
     first = np.broadcast_to(initial[0], (n_nodes, 2, N))
     initial_hat = np.fft.rfft(initial)
     rows = np.arange(n_rows)
+    # the norm rows of each wave node, y / N and (y - then) / N, and the node
+    # each row sits at, gathered over a block of whole wave nodes and normed
+    # in one call per block
+    span = min(_wave_block(n_rows, params.p), M + n_rows)
+    block = np.empty((span, 2, n_rows, 2, N // 2 + 1), dtype=complex)
+    at = np.empty((span, n_rows), dtype=int)
     # iterate n at the previous wave node (a row that has not started is
     # compared with its predecessor's data), and the velocity and forcing
     # each row exerted on its successor there; no row steps from wave node 0
@@ -440,7 +472,8 @@ def run_scheme(u0: GridFunction, rho0: GridFunction, cfg: SchemeConfig) -> Itera
     try:
         for i, marched in enumerate(march):
             y = np.concatenate([initial_hat[:1], marched])
-            nodes = (i - rows).clip(0, M)
+            j = i % span
+            nodes = np.minimum(np.maximum(i - rows, 0), M, out=at[j])
             # one inverse transform of the wave's (u, rho, u_x): the velocity
             # of the successors, the last iterate and the samples of the
             # forcing's product
@@ -454,10 +487,15 @@ def run_scheme(u0: GridFunction, rho0: GridFunction, cfg: SchemeConfig) -> Itera
                     f"node {nodes[k]} (t = {time_grid[nodes[k]]:.6g}): {reason}")
 
             # the wave's norms and its differences from the previous iterate,
-            # and the forcing it exerts on the successors
-            wave = _norms(part, np.stack([y, y - then]) / N, params, smoothness)
-            norms[rows + 1, nodes] = wave[0]
-            np.maximum(d_max, wave[1], out=d_max)
+            # normed when the block is full and at the last wave node, and
+            # the forcing it exerts on the successors
+            np.divide(y, N, out=block[j, 0])
+            np.subtract(y, then, out=block[j, 1])
+            block[j, 1] /= N
+            if j == span - 1 or i == M + n_rows - 1:
+                wave = _norms(part, block[:j + 1], params, smoothness)
+                norms[rows + 1, at[:j + 1]] = wave[:, 0]
+                np.maximum(d_max, wave[:, 1].max(axis=0), out=d_max)
             u_now = z[:-1, :1]
             f_now = _scheme_forcing(y[:-1], z[:-1], ik, lam, mask)
             vel = [u_then, 0.5 * (u_then + u_now), u_now]

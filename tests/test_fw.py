@@ -345,22 +345,32 @@ class TestScheme:
         np.testing.assert_allclose(np.fft.irfft(got, N), want, rtol=0.0, atol=1e-14)
         np.testing.assert_allclose(got, np.fft.rfft(want), rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("n_max, dt", [(3, 1e-2), (8, 0.7)])
-    def test_pipeline_equals_sequential_iterates(self, grid256, part256, params322,
-                                                 n_max, dt):
+    @pytest.mark.parametrize("n_max, dt, p", [
+        pytest.param(3, 1e-2, 2.0, id="3-0.01"),
+        pytest.param(8, 0.7, 2.0, id="8-0.7"),
+        pytest.param(7, 0.2, 2.0, id="whole-blocks"),
+        pytest.param(5, 0.1, 2.0, id="short-last-block"),
+        pytest.param(3, 0.05, 4.0, id="p4"),
+    ])
+    def test_pipeline_equals_sequential_iterates(self, grid256, part256, n_max, dt, p):
         # the permanent guard on the wave march: build iterates 1..n_max one
         # after another, one run of the transport march per field from the
         # half spectra of its data, with the velocity u^n and the forcing
         # of iterate n, and compare bit for bit.  At dt = 0.7 there are
         # M = 3 steps, fewer than the n_max - 1 marching iterates, so the
         # wave's start, where later iterates wait at their data, overlaps
-        # its end, where earlier ones hold at their last node
+        # its end, where earlier ones hold at their last node.  At p = 2 the
+        # wave's M + n_max nodes are normed in blocks of _wave_block: at
+        # n_max = 7, dt = 0.2 they fill two whole blocks, and the other
+        # p = 2 cases end on a short block; at p = 4 a block is one node
+        params = BesovParams(3.0, p, 2.0)
         u0 = GridFunction.from_samples(grid256, 0.1 * np.sin(grid256.x))
         rho0 = GridFunction.from_samples(grid256, 0.1 * np.cos(grid256.x))
-        cfg = SchemeConfig(params=params322, C=1.0, n_max=n_max, dt=dt)
+        cfg = SchemeConfig(params=params, C=1.0, n_max=n_max, dt=dt)
         trace = run_scheme(u0, rho0, cfg)
         M = trace.time_grid.size - 1
         assert (M + 1 < n_max) == (dt == 0.7)  # the ramps overlap
+        assert ((M + n_max) % fwlab.fw._wave_block(n_max, p) == 0) == (dt == 0.2 or p == 4)
         tg, N = trace.time_grid, grid256.N
         ik, lam, mask = fwlab.fw._fw_symbols(grid256)
         prev = np.zeros((tg.size, 2, N // 2 + 1), dtype=complex)
@@ -374,17 +384,50 @@ class TestScheme:
                 np.array(list(_march_transport(grid256, tg, z[:, 0], forcing[:, k],
                                                np.fft.rfft(data[n][k]))))
                 for k in range(2)], axis=1)
-            du, drho = _pair_norms(part256, cur - prev, params322.shift(-1.0))
+            du, drho = _pair_norms(part256, cur - prev, params.shift(-1.0))
             d_n.append(du.max() + drho.max())
             iterates.append(cur)
             prev = cur
         assert np.array_equal(trace.first, np.broadcast_to(data[0], trace.first.shape))
         assert np.array_equal(trace.last, np.fft.irfft(iterates[-1], N))
         for n, cur in enumerate(iterates, start=1):
-            norm_u, norm_rho = _pair_norms(part256, cur, params322)
+            norm_u, norm_rho = _pair_norms(part256, cur, params)
             assert np.array_equal(trace.norm_u[n], norm_u)
             assert np.array_equal(trace.norm_rho[n], norm_rho)
         assert np.array_equal(trace.d_n, d_n)
+
+    @pytest.mark.parametrize("p, chunk", [(2.0, 8), (2.0, 40), (2.0, fwlab.besov._NORM_CHUNK),
+                                          (4.0, fwlab.besov._NORM_CHUNK)])
+    def test_wave_normed_in_row_bounded_node_blocks(self, grid256, monkeypatch, p, chunk):
+        # the wave's norm rows, 4 * n_max per node, are normed in blocks of
+        # whole nodes, at least one, of at most _NORM_CHUNK rows at p = 2
+        # and one node otherwise: one _norms call per block, the last,
+        # short block included, with the bits of the default blocks; 8 rows
+        # hold less than one node
+        u0 = GridFunction.from_samples(grid256, 0.1 * np.sin(grid256.x))
+        rho0 = GridFunction.from_samples(grid256, 0.1 * np.cos(grid256.x))
+        cfg = SchemeConfig(params=BesovParams(3.0, p, 2.0), C=1.0, n_max=3, dt=5e-2)
+        want = run_scheme(u0, rho0, cfg)
+        calls = []
+        real = fwlab.fw._norms
+
+        def counting(part, half, *args):
+            calls.append(np.shape(half))
+            return real(part, half, *args)
+
+        monkeypatch.setattr(fwlab.fw, "_NORM_CHUNK", chunk)
+        monkeypatch.setattr(fwlab.fw, "_norms", counting)
+        trace = run_scheme(u0, rho0, cfg)
+        span = fwlab.fw._wave_block(cfg.n_max, p)
+        assert span == (max(1, chunk // 12) if p == 2 else 1)
+        waves = [shape for shape in calls if len(shape) == 5]  # P0's call is (2, N//2 + 1)
+        M = trace.time_grid.size - 1
+        assert len(waves) == len(calls) - 1 == math.ceil((M + cfg.n_max) / span)
+        assert sum(shape[0] for shape in waves) == M + cfg.n_max
+        assert all(np.prod(shape[:-1]) <= max(chunk, 12) for shape in waves)
+        assert np.array_equal(trace.norms, want.norms)
+        assert np.array_equal(trace.d_n, want.d_n)
+        assert np.array_equal(trace.last, want.last)
 
     def test_sequential_public_solves_match_last(self, grid256, params322):
         # the same iterates from public transport solves, each given the
@@ -501,6 +544,24 @@ class TestScheme:
             tracemalloc.stop()
         # below n_max + 1 stored (M+1, 2, N) iterates
         assert peak < (cfg.n_max + 1) * trace.time_grid.size * 2 * grid256.N * 8
+
+    def test_memory_guard_prices_what_is_live_at_p4(self):
+        # at p != 2 the norm reduction inverts every dyadic block of every
+        # norm row, and a long lifespan makes the flags' per-node arrays
+        # large: a guard that priced neither read 821,414 B for this run,
+        # under its 837,130 B peak
+        grid = make_grid(64, 8.0)
+        u0 = GridFunction.from_samples(grid, 0.1 * np.sin(grid.x / 8))
+        rho0 = GridFunction.from_samples(grid, 0.1 * np.cos(grid.x / 8))
+        cfg = SchemeConfig(params=BesovParams(3.0, 4.0, 2.0), C=1.0, n_max=3, dt=5e-2)
+        tracemalloc.start()
+        try:
+            trace = run_scheme(u0, rho0, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        Q = build_partition(grid).masks.shape[0]
+        assert peak <= fwlab.fw._scheme_bytes(grid.N, cfg.n_max, trace.T, cfg.dt, 4.0, Q)
 
     def test_memory_guard_before_allocating(self, grid256, part256, params322):
         # P0 ~ 1e-8 puts the lifespan at LIFESPAN_CAP: about 1e9 nodes

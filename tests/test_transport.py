@@ -352,6 +352,22 @@ class TestSolveTransport:
         with pytest.raises(ValueError, match="stability"):
             solve_transport(prob)
 
+    def test_cfl_names_first_failing_row(self, grid256):
+        # several rows over the bound, between rows that are zero, NaN or
+        # under it: the first failing row, and its message, are those of a
+        # bound taken row by row
+        dt = 1e-2
+        vmax = np.array([0.0, 1.0, np.nan, 12.0, 3.0, 20.0, 0.5, 15.0])
+        velocity = np.zeros((vmax.size, grid256.N))
+        velocity[:, 5] = -vmax
+        velocity[:, 9] = 0.5 * vmax
+        bound = fwlab.transport.CFL_FACTOR * grid256.dx / vmax[3]
+        assert fwlab.transport._cfl_violation(grid256, velocity, dt) == (
+            3, f"dt = {dt} violates the advective stability bound {bound:.3e} "
+               f"(max|v| = {vmax[3]:.3e})")
+        for under in (velocity[:3], velocity[[0, 1, 2, 4, 6]], velocity[:0]):
+            assert fwlab.transport._cfl_violation(grid256, under, dt) is None
+
     def test_linearity_in_data(self, grid256):
         rng = np.random.default_rng(107)
         v = random_field(grid256, rng, k_max=4, amplitude=0.3)
@@ -427,14 +443,15 @@ class TestEstimate:
         with pytest.raises(ValueError):
             verify_transport_estimate(traj, params, C=1.0)
 
-    def test_nonpositive_C_rejected(self, grid256, params322):
+    @pytest.mark.parametrize("C", [0.0, -1.0, np.nan, np.inf])
+    def test_non_positive_or_non_finite_C_rejected(self, grid256, params322, C):
         rng = np.random.default_rng(139)
         f0 = random_field(grid256, rng)
         tg = make_time_grid(0.5, 0.01)
         prob = _constant_problem(grid256, tg, 0.0, np.zeros(grid256.N), f0)
         traj = solve_transport(prob)
-        with pytest.raises(ValueError):
-            verify_transport_estimate(traj, params322, C=0.0)
+        with pytest.raises(ValueError, match="C must be positive and finite"):
+            verify_transport_estimate(traj, params322, C=C)
 
 
 class TestFitConstant:
