@@ -56,17 +56,16 @@ one call per block; a waiting or held iterate repeats bits it has already
 produced.  Only two nodes per iterate are live; the trace keeps the first
 and last iterates as samples, every iterate's norms and d_n.
 The empirical lifespan integrates the nonlinear system directly: the
-lifespan sweep marches all its data as one member stack, norms the live
-members in one call per node, the first of which gives each member's P0,
-and drops each member at its verdict, its first node over 2*P0 or its
-blow-up; empirical_lifespan is the one-member case of that march.
+lifespan sweep steps all its data as one member stack in one loop, one RK4
+step and one norm call per node, the first of which gives each member's P0;
+a member leaves at its first node over 2*P0 or not finite, and the march is
+never restarted.  empirical_lifespan is the one-member case of that march.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -86,6 +85,9 @@ from .transport import (
     CFL_FACTOR,
     BlowUpError,
     _cfl_violation,
+    _check_finite,
+    _rk4_step,
+    _stored,
     _transport_rhs,
     integrate_rk4,
     make_time_grid,
@@ -241,9 +243,14 @@ def _march_fw(initial: np.ndarray, grid: Grid, time_grid: np.ndarray, dt: float)
             f"dt = {dt} violates the stability bound {bound:.3e} "
             f"({CFL_FACTOR:g}*dx/max(1, max|u0|))"
         )
+    return integrate_rk4(_direct_rhs(grid), np.fft.rfft(initial), time_grid, dt,
+                         "direct solve")
+
+
+def _direct_rhs(grid: Grid):
+    """The direct march's rhs(y, i, w), which is autonomous in time."""
     symbols = _fw_symbols(grid)
-    return integrate_rk4(lambda y, i, w: _fw_rhs(y, *symbols), np.fft.rfft(initial),
-                         time_grid, dt, "direct solve")
+    return lambda y, i, w: _fw_rhs(y, *symbols)
 
 
 def solve_fw_direct(initial: FWState, T: float, dt: float) -> FWTrajectory:
@@ -255,12 +262,8 @@ def solve_fw_direct(initial: FWState, T: float, dt: float) -> FWTrajectory:
     _check_memory((T / dt + 1.0) * 2 * initial.grid.N * 8 if dt > 0 else 0.0,
                   "--dt or --T")
     time_grid = make_time_grid(T, dt)
-    N = initial.grid.N
     y0 = _stacked(initial)[0]
-    march = _march_fw(y0, initial.grid, time_grid, dt)
-    next(march)  # node 0 is stored as given, not as irfft(rfft(y0))
-    states = np.fromiter(chain([y0], (np.fft.irfft(y, N) for y in march)),
-                         count=time_grid.size, dtype=np.dtype((float, (2, N))))
+    states = _stored(_march_fw(y0, initial.grid, time_grid, dt), y0, time_grid.size)
     return FWTrajectory(
         grid=initial.grid, time_grid=time_grid, states=states,
         mean_u=states[:, 0].mean(axis=-1), mean_rho=states[:, 1].mean(axis=-1),
@@ -423,7 +426,8 @@ def run_scheme(u0: GridFunction, rho0: GridFunction, cfg: SchemeConfig) -> Itera
     # the lifespan is an awkward number; refine dt so the nodes land on T
     n_steps = max(1, int(np.ceil(T / cfg.dt - 1e-12)))
     _check_memory(_scheme_bytes(grid.N, cfg.n_max, T, cfg.dt, params.p, part.masks.shape[0]),
-                  "--dt or --n-max")
+                  f"--dt or --n-max; the run spans the lifespan T = 3/(16 C P0^2) = {T:.3g} "
+                  f"(at most {LIFESPAN_CAP:g}) of P0 = {P0:.3g}, set by --amplitude and --C")
     time_grid = make_time_grid(T, T / n_steps)
     dt = float(time_grid[1] - time_grid[0])
     n_nodes, n_rows, N = time_grid.size, cfg.n_max, grid.N
@@ -545,51 +549,39 @@ def _lifespans(pairs: Sequence[tuple[GridFunction, GridFunction]],
     P0 is the norm sum at node 0, the measure of every later node, so node 0
     is never over 2*P0.
 
-    A member's lifespan is the node before its first node over 2*P0, where
-    it leaves the stack; a member that loses finiteness first gets the node
-    before that.  The survivors march on from the node they reached, through
-    integrate_rk4 rather than _march_fw, whose dt check reads the current
-    max|u|.  Members step and are normed row by row, so dropping one leaves
-    the others' bits as a march of their own would make them.
+    A member leaves the stack at its first node that is over 2*P0 or not
+    finite, and its lifespan is the node before; a march that is not finite
+    after its first step has no such node and raises BlowUpError.  Members
+    step and are normed row by row, so dropping one leaves the others' bits
+    as a march of their own would make them.
     """
     grid = pairs[0][0].grid
     part = build_partition(grid)
     _check_memory((t_cap / cfg.dt + 1.0) * 8, "--dt or --t-cap")
     time_grid = make_time_grid(t_cap, cfg.dt)
     T_emp = np.full(len(pairs), time_grid[-1])
-    symbols = _fw_symbols(grid)
     live = np.arange(len(pairs))  # the pair of each member of the stack
     y = _stacked(*(FWState(u=u0, rho=rho0) for u0, rho0 in pairs))
-    march = enumerate(_march_fw(y, grid, time_grid, cfg.dt))
-    base = 0  # the node the march started from
-    while live.size:
-        try:
-            for i, y in march:
-                # a node near blow-up can overflow its norm; inf counts as
-                # a violation, and so does NaN
-                with np.errstate(over="ignore"):
-                    norm_u, norm_rho = _pair_norms(part, y, cfg.params)
-                    norm_sum = norm_u + norm_rho
-                if i == 0:
-                    P0 = norm_sum
-                over = ~_within(norm_sum, 2.0 * P0[live])
-                if np.any(over):
-                    T_emp[live[over]] = time_grid[i - 1]
-                    live, y, base = live[~over], y[~over], i
-                    break
-            else:
-                break  # the live members reached t_cap
-        except BlowUpError as exc:
-            node = base + exc.node
-            if node <= 1:
-                raise
-            lost = np.isin(np.arange(live.size), exc.rows)
-            T_emp[live[lost]] = time_grid[node - 1]
-            # y is the last state yielded, at node - 1
-            live, y, base = live[~lost], y[~lost], node - 1
-        march = enumerate(integrate_rk4(lambda state, i, w: _fw_rhs(state, *symbols),
-                                        y, time_grid[base:], cfg.dt, "direct solve"), base)
-        next(march)  # y itself, normed already
+    y = next(_march_fw(y, grid, time_grid, cfg.dt))
+    rhs = _direct_rhs(grid)
+    for i in range(time_grid.size):
+        if i:
+            y = _rk4_step(rhs, y, i - 1, cfg.dt)
+        if i == 1:
+            _check_finite(y, i, time_grid, "direct solve")
+        # a node near blow-up can overflow its norm; inf counts as a
+        # violation, and so does NaN
+        with np.errstate(over="ignore"):
+            norm_u, norm_rho = _pair_norms(part, y, cfg.params)
+            norm_sum = norm_u + norm_rho
+        if i == 0:
+            P0 = norm_sum
+        leave = ~(np.isfinite(y).all(axis=(-2, -1)) & _within(norm_sum, 2.0 * P0[live]))
+        if leave.any():
+            T_emp[live[leave]] = time_grid[i - 1]
+            live, y = live[~leave], y[~leave]
+            if not live.size:
+                break
     return P0, T_emp
 
 

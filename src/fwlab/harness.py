@@ -3,8 +3,8 @@
 Configs are YAML mappings with strict key checking (unknown keys are fatal:
 silent typos corrupt sweeps); `_KEYS` declares each key's default and
 conversion once.  Every experiment writes per-node CSV tables plus a
-plain-text summary whose scalars are all traceable to a CSV column, and
-returns an in-memory report carrying pass/fail verdicts.
+plain-text summary whose scalars are all traceable to a CSV column or the
+config, and returns an in-memory report carrying pass/fail verdicts.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .fw import (
     stability_experiment,
     continuity_experiment,
 )
-from .spectral import Grid, GridFunction, make_grid
+from .spectral import Grid, GridFunction, dealias_mask, make_grid
 from .transport import (
     TransportProblem,
     fit_transport_constant,
@@ -118,16 +118,18 @@ def _numbers(key: str, value) -> list:
     return [_number(key, v) for v in value]
 
 
-def _checked(test: Callable[[Any], bool], wanted: str):
-    """The conversion that keeps a value passing test and names the key otherwise."""
+def _checked(test: Callable[[Any], bool], wanted: str, first=lambda key, value: value):
+    """The conversion first, kept when it passes test, with the key named
+    otherwise."""
     def convert(key: str, value):
-        if not test(value):
+        if not test(converted := first(key, value)):
             raise ValueError(f"config key {key} must be {wanted}, got {value!r}")
-        return value
+        return converted
     return convert
 
 
 _whole = partial(_number, whole=True)
+_count = _checked(lambda v: v >= 1, "at least 1", _whole)  # the size of a family
 _text = _checked(lambda v: isinstance(v, str), "a string")
 _preset = _checked(lambda v: v in ("sine", "gauss", "zero"), "sine, gauss or zero")
 _flag = _checked(lambda v: isinstance(v, bool), "true or false")
@@ -143,7 +145,7 @@ _KEYS: dict[str, tuple[Any, Callable[[str, Any], Any]]] = {
     "experiment.amplitude": (0.1, _number),
     "experiment.amplitudes": ([0.25, 0.5, 1.0, 2.0], _numbers),
     "experiment.deltas": ([1e-2, 1e-3, 1e-4], _numbers),
-    "experiment.j_max": (6, _whole), "experiment.n_problems": (10, _whole),
+    "experiment.j_max": (6, _whole), "experiment.n_problems": (10, _count),
     "experiment.velocity": ("sine", _text), "experiment.forcing": ("zero", _text),
     "experiment.fit_constant": (False, _flag), "experiment.field_csv": (None, _text),
     "output_dir": ("fwlab_out", lambda key, value: str(value)), "seed": (0, _whole),
@@ -245,7 +247,10 @@ def make_preset(grid: Grid, preset: str, amplitude: float = 1.0) -> GridFunction
     if preset == "zero":
         return GridFunction.from_samples(grid, np.zeros(grid.N))
     if preset.startswith("const:"):
-        c = float(preset.split(":", 1)[1])
+        try:
+            c = float(preset.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(f"preset {preset!r} must give a number after 'const:'") from None
         return GridFunction.from_samples(grid, np.full(grid.N, amplitude * c))
     raise ValueError(f"unknown preset {preset!r}")
 
@@ -262,9 +267,7 @@ def random_band_limited(
         coeffs[-k] = np.conj(c)
     f = GridFunction.from_coefficients(grid, coeffs)
     peak = float(np.max(np.abs(f.samples)))
-    if peak > 0:
-        f = f * (amplitude / peak)
-    return f
+    return f * (amplitude / peak) if peak > 0 else f
 
 
 def random_transport_problem(
@@ -372,17 +375,12 @@ class ExperimentReport:
         for name in self.tables:
             (out / f"{name}.csv").write_text(self.table_csv(name))
         lines = [f"kind = {self.kind}", f"version = {__version__}",
-                 f"wall_time_s = {self.wall_time:.3f}", ""]
-        lines.append("[config]")
-        lines.append(yaml.safe_dump(self.config_echo, sort_keys=True).rstrip())
-        lines.append("")
-        lines.append("[summary]")
-        for k, v in self.summary.items():
-            lines.append(f"{k} = {_fmt(v) if isinstance(v, (int, float, np.floating, np.integer, bool, np.bool_)) else v}")
-        lines.append("")
-        lines.append("[verdicts]")
-        for k, v in self.verdicts.items():
-            lines.append(f"{k} = {'pass' if v else 'FAIL'}")
+                 f"wall_time_s = {self.wall_time:.3f}", "", "[config]",
+                 yaml.safe_dump(self.config_echo, sort_keys=True).rstrip(), "", "[summary]"]
+        lines += [f"{k} = {_fmt(v) if isinstance(v, (int, float, np.floating, np.integer, bool, np.bool_)) else v}"
+                  for k, v in self.summary.items()]
+        lines += ["", "[verdicts]"] + [f"{k} = {'pass' if v else 'FAIL'}"
+                                       for k, v in self.verdicts.items()]
         (out / "summary.txt").write_text("\n".join(lines) + "\n")
         return out
 
@@ -416,8 +414,7 @@ def _load_initial_pair(cfg: RunConfig, grid: Grid, amplitude: float | None = Non
     if preset == "sine":
         return make_preset(grid, "sine", a), make_preset(grid, "cosine", a)
     if preset == "gauss":
-        u0 = make_preset(grid, "gauss", a)
-        return u0, make_preset(grid, "gauss", 0.5 * a)
+        return make_preset(grid, "gauss", a), make_preset(grid, "gauss", 0.5 * a)
     if preset == "zero":
         zero = make_preset(grid, "zero")
         return zero, zero
@@ -429,10 +426,7 @@ def _run_norm(cfg: RunConfig, report: ExperimentReport) -> None:
     params = cfg.besov_params()
     part = build_partition(grid)
     path = cfg.experiment["field_csv"]
-    if path:
-        f = read_field_csv(path, grid)
-    else:
-        f, _ = _load_initial_pair(cfg, grid)
+    f = read_field_csv(path, grid) if path else _load_initial_pair(cfg, grid)[0]
     value = besov_norm(part, f, params)
     xi = grid.wavenumbers
     masks_rows = [[xi[i], *part.masks[:, i]] for i in np.argsort(xi)]
@@ -445,15 +439,12 @@ def _run_norm(cfg: RunConfig, report: ExperimentReport) -> None:
 
 def _run_partition_check(cfg: RunConfig, report: ExperimentReport) -> None:
     rows = []
-    worst = 0.0
     for N in (128, 256, 1024):
         for L in (1.0, 8.0):
-            grid = make_grid(N, L)
-            part = build_partition(grid)
+            part = build_partition(make_grid(N, L))
             total = part.chi_mask + part.phi_masks.sum(axis=0)
-            resid = float(np.max(np.abs(total - 1.0)))
-            rows.append([N, L, part.q_max, resid])
-            worst = max(worst, resid)
+            rows.append([N, L, part.q_max, float(np.max(np.abs(total - 1.0)))])
+    worst = max(row[3] for row in rows)
     report.tables["partition"] = (["N", "L", "q_max", "max_residual"], rows)
     report.summary["max_residual"] = worst
     report.verdicts["telescoping_identity"] = worst <= 1e-12
@@ -582,6 +573,11 @@ def _run_lifespan_sweep(cfg: RunConfig, report: ExperimentReport) -> None:
         float(np.max(np.abs(products / geo - 1.0))) if geo > 0 else np.inf
     )
     report.verdicts["product_within_30pct"] = within
+    # criterion 10's mechanism: linearised about rest, mode xi grows at
+    # |xi| sqrt(3 + 4 xi^2) / (2 (1 + xi^2)), which rises with |xi|
+    xi = grid.wavenumbers[dealias_mask(grid)]
+    report.summary["max_linear_growth_rate"] = float(
+        np.max(np.abs(xi) * np.sqrt(3.0 + 4.0 * xi**2) / (2.0 * (1.0 + xi**2))))
 
 
 def _run_stability(cfg: RunConfig, report: ExperimentReport) -> None:
@@ -595,20 +591,14 @@ def _run_stability(cfg: RunConfig, report: ExperimentReport) -> None:
     reports = stability_experiment(
         u0, rho0, [(d * shape_u, d * shape_rho) for d in deltas], scheme_cfg, cfg.time["T"],
     )
-    rows = []
-    betas = []
-    bounds_ok = []
-    for d, rep in zip(deltas, reports):
-        betas.append(rep.beta_fit)
-        bounds_ok.append(rep.bound_holds)
-        for t, D in zip(rep.time_grid, rep.norm_curve):
-            rows.append([d, t, D, rep.beta_fit])
+    rows = [[d, t, D, rep.beta_fit] for d, rep in zip(deltas, reports)
+            for t, D in zip(rep.time_grid, rep.norm_curve)]
     report.tables["stability"] = (["delta", "t", "D", "beta_fit"], rows)
-    betas = np.array(betas)
+    betas = np.array([rep.beta_fit for rep in reports])
     spread = float(np.max(np.abs(betas / betas.mean() - 1.0))) if betas.mean() != 0 else np.inf
     report.summary["beta_values"] = " ".join(_fmt(b) for b in betas)
     report.summary["beta_spread"] = spread
-    report.verdicts["gronwall_bound"] = all(bounds_ok)
+    report.verdicts["gronwall_bound"] = all(rep.bound_holds for rep in reports)
     report.verdicts["beta_agreement_10pct"] = spread <= 0.10
 
 
@@ -621,8 +611,7 @@ def _run_continuity(cfg: RunConfig, report: ExperimentReport) -> None:
     rows = [[j, e, err] for j, (e, err) in enumerate(zip(rep.epsilons, rep.errors))]
     report.tables["continuity"] = (["j", "epsilon", "error"], rows)
     report.summary["final_error"] = rep.final_error
-    dx = grid.dx
-    below = rep.epsilons < dx
+    below = rep.epsilons < grid.dx
     floor_err = float(np.min(rep.errors[below])) if np.any(below) else np.inf
     report.summary["floor_error"] = floor_err
     report.verdicts["errors_nonincreasing"] = rep.nonincreasing

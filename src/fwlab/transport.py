@@ -7,9 +7,11 @@ The initial-value problem
 is integrated with classical four-stage RK4 in time and spectral derivatives
 in space; the prescribed velocity and forcing are given at the time nodes and
 linearly interpolated at half steps.  The advective product v * f_x is
-dealiased with the 2/3 rule.  The RK4 integrator, integrate_rk4, is shared
-with the direct Fornberg-Whitham solver and owns the blow-up check; it yields
-one state per node and each caller keeps what it needs.
+dealiased with the 2/3 rule.  One RK4 step, _rk4_step, and one blow-up
+check, _check_finite, make the integrator integrate_rk4, shared with the
+direct Fornberg-Whitham solver; it yields one state per node and each caller
+keeps what it needs.  The lifespan sweep, which drops members as it goes,
+steps with _rk4_step itself.
 
 A problem holds sample arrays only: velocity and forcing per time node (a
 field constant in time is one row, viewed read-only over the nodes) and one
@@ -92,6 +94,30 @@ def make_time_grid(T: float, dt: float) -> np.ndarray:
     return np.linspace(0.0, T, M + 1)
 
 
+def _rk4_step(rhs, y: np.ndarray, i: int, dt: float) -> np.ndarray:
+    """One classical RK4 step of y from t_i to t_i + dt, with rhs as
+    integrate_rk4 takes it.  Blow-up is an expected outcome, so overflow on
+    the way to it is not warned about."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        k1 = rhs(y, i, 0.0)
+        k2 = rhs(y + 0.5 * dt * k1, i, 0.5)
+        k3 = rhs(y + 0.5 * dt * k2, i, 0.5)
+        k4 = rhs(y + dt * k3, i, 1.0)
+        return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _check_finite(y: np.ndarray, node: int, time_grid: np.ndarray, what: str) -> None:
+    """Raise BlowUpError if the state y at time node `node` is not finite,
+    naming the node, its time and the leading-axis rows that lost finiteness."""
+    if not np.all(np.isfinite(y)):
+        lost = ~np.isfinite(y).reshape(len(y), -1).all(axis=1)
+        rows = tuple(np.flatnonzero(lost).tolist()) if y.ndim > 1 else ()
+        raise BlowUpError(
+            f"{what} lost finiteness at node {node} (t = {time_grid[node]:.6g})"
+            + (f" in rows {rows}" if rows else ""),
+            node=node, t=float(time_grid[node]), rows=rows)
+
+
 def integrate_rk4(rhs, y0: np.ndarray, time_grid: np.ndarray, dt: float,
                   what: str):
     """Classical RK4 from y0 over the nodes of time_grid with step dt.
@@ -99,28 +125,13 @@ def integrate_rk4(rhs, y0: np.ndarray, time_grid: np.ndarray, dt: float,
     rhs(y, i, w) is the time derivative at state y and time t_i + w*dt for
     w in {0, 1/2, 1}.  A generator: it yields y0, then the state at each
     later node, and stores nothing, so the caller keeps what it needs and
-    may stop early.  A non-finite state raises BlowUpError naming the
-    leading-axis rows that lost finiteness; blow-up is an expected outcome,
-    so overflow on the way to it is not warned about.
+    may stop early; a state that is not finite raises BlowUpError.
     """
     y = y0
     yield y
     for i in range(time_grid.size - 1):
-        # never held across a yield, where it would leak into the caller
-        with np.errstate(over="ignore", invalid="ignore"):
-            k1 = rhs(y, i, 0.0)
-            k2 = rhs(y + 0.5 * dt * k1, i, 0.5)
-            k3 = rhs(y + 0.5 * dt * k2, i, 0.5)
-            k4 = rhs(y + dt * k3, i, 1.0)
-            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)):
-            finite_rows = np.isfinite(y).reshape(len(y), -1).all(axis=1)
-            rows = tuple(np.flatnonzero(~finite_rows).tolist()) if y.ndim > 1 else ()
-            raise BlowUpError(
-                f"{what} lost finiteness at node {i + 1} "
-                f"(t = {time_grid[i + 1]:.6g})" + (f" in rows {rows}" if rows else ""),
-                node=i + 1, t=float(time_grid[i + 1]), rows=rows,
-            )
+        y = _rk4_step(rhs, y, i, dt)
+        _check_finite(y, i + 1, time_grid, what)
         yield y
 
 
@@ -253,10 +264,17 @@ def solve_transport(prob: TransportProblem) -> TransportTrajectory:
         forcing_hat = _per_node(np.fft.rfft, prob.forcing)
     march = _march_transport(grid, time_grid, prob.velocity, forcing_hat,
                              np.fft.rfft(prob.initial))
-    next(march)  # node 0 is stored as given, not as irfft(rfft(initial))
-    states = np.fromiter(chain([prob.initial], (np.fft.irfft(y, grid.N) for y in march)),
-                         count=time_grid.size, dtype=np.dtype((float, grid.N)))
-    return TransportTrajectory(problem=prob, states=states)
+    return TransportTrajectory(problem=prob,
+                               states=_stored(march, prob.initial, time_grid.size))
+
+
+def _stored(march, y0: np.ndarray, n_nodes: int) -> np.ndarray:
+    """The samples at every node of a half-spectrum march from the rfft of
+    the samples y0: node 0 is y0 as given, not irfft(rfft(y0)), and each
+    later node is one irfft."""
+    next(march)
+    return np.fromiter(chain([y0], (np.fft.irfft(y, y0.shape[-1]) for y in march)),
+                       count=n_nodes, dtype=np.dtype((float, y0.shape)))
 
 
 @dataclass(frozen=True)

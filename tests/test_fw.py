@@ -714,6 +714,17 @@ class TestLinearGrowthOracle:
         expected = xi * np.sqrt(3.0 + 4.0 * xi**2) / (2.0 * (1.0 + xi**2))
         assert rate == pytest.approx(expected, rel=2e-3)
 
+    def test_sweep_reports_largest_dealiased_rate(self, grid256):
+        # the rate rises with |xi|, so the largest is the top dealiased mode's,
+        # |k| = 85 at N = 256 and xi = 85/8 at L = 8
+        cfg = parse_config("experiment: {kind: lifespan-sweep, amplitudes: [0.25]}\n"
+                           "time: {dt: 5e-3, t_cap: 0.01}\n")
+        got = run_experiment(cfg, write=False).summary["max_linear_growth_rate"]
+        xi = np.arange(grid256.N // 3 + 1) / grid256.L
+        rates = xi * np.sqrt(3.0 + 4.0 * xi**2) / (2.0 * (1.0 + xi**2))
+        assert got == float(np.max(rates)) == float(rates[85])
+        assert got == pytest.approx(0.9945, abs=1e-4)
+
 
 class TestStability:
     def test_zero_perturbation(self, grid256, params322):

@@ -143,6 +143,10 @@ class TestParseConfig:
             parse_config('experiment: {kind: transport, fit_constant: "no"}\n')
         assert parse_config("experiment: {fit_constant: no}\n").experiment["fit_constant"] is False
 
+    def test_empty_problem_family_names_key(self):
+        with pytest.raises(ValueError, match=r"experiment\.n_problems must be at least 1, got 0"):
+            parse_config("experiment: {kind: transport, fit_constant: true, n_problems: 0}\n")
+
     @pytest.mark.parametrize("n_max", [1, 2])
     def test_iterate_needs_the_ratio_from_n2(self, n_max):
         # with n_max <= 2 the differences_contract verdict has no ratio to read
@@ -166,6 +170,10 @@ class TestPresets:
     def test_unknown_rejected(self, grid256):
         with pytest.raises(ValueError):
             make_preset(grid256, "sawtooth")
+
+    def test_unreadable_const_names_preset(self, grid256):
+        with pytest.raises(ValueError, match=r"preset 'const:abc' must give a number"):
+            make_preset(grid256, "const:abc")
 
 
 class TestFieldCsv:
@@ -370,6 +378,19 @@ class TestCli:
         assert err.startswith("error: ")
         assert "change --dt or --T" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("data, P0", [(["--preset", "zero"], "0"),
+                                          (["--amplitude", "1e-9"], "3.05e-09")])
+    def test_scheme_memory_refusal_names_the_lifespan(self, tmp_path, capsys, data, P0):
+        # zero or tiny data have the capped lifespan T = LIFESPAN_CAP: about
+        # 1e9 nodes at the default dt, which no step or iterate count fixes
+        rc = cli_main(["iterate", *data, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "GB; change --dt or --n-max" in err
+        assert "T = 3/(16 C P0^2) = 1e+06" in err
+        assert f"of P0 = {P0}," in err
+        assert "--amplitude and --C" in err
 
     @pytest.mark.parametrize("text, argv, out, message", [
         pytest.param(f"seed: {seed}\n", ["norm", "--config", "run.yaml"], "out",
