@@ -21,9 +21,11 @@ partition of its grid: one block-norm reduction of its half spectra, whose
 bits do not depend on how the rows are batched.  The size of the data, P0,
 is that measure of the data's rfft, so it is a march's node-0 norm sum.
 The stability and continuity experiments march each family of solutions as
-one batch and take their distance norms from differences of half spectra,
-gathered over blocks of nodes into one buffer and normed in one call per
-block, storing no trajectory.
+one batch, each distinct member once: members with the same bits share one
+row of the march and its distances, as the continuity family's mollifiers of
+width at most dx do, which all sample to one delta.  The distance norms come
+from differences of half spectra, gathered over blocks of nodes into one
+buffer and normed in one call per block, storing no trajectory.
 The constructive scheme iterates the pair of linear transport problems
 
     u^{n+1}_t + u^n u^{n+1}_x = Lambda^{-1} d/dx (rho^n - u^n)
@@ -86,6 +88,7 @@ from .transport import (
     BlowUpError,
     _cfl_violation,
     _check_finite,
+    _lost_finiteness,
     _rk4_step,
     _stored,
     _transport_rhs,
@@ -617,20 +620,36 @@ def _member_distances(members: np.ndarray, grid: Grid, time_grid: np.ndarray,
     """March the stacked (K+1, 2, N) members as one batch and return the
     (M+1, K) pair norms (_pair_norms) of members 1..K minus member 0 at every
     node, ||u_k - u_0|| and ||rho_k - rho_0||, from differences of their
-    half spectra.  The differences of _DISTANCE_BLOCK nodes are gathered in
-    one buffer and normed in one call, the last, short block included; a
-    row's norm does not depend on its block, and no trajectory is stored."""
+    half spectra.
+
+    Each distinct member marches once: members are grouped by their bytes
+    (so -0.0 and 0.0 differ), the first of each group, in order, is one row
+    of the march, and every member takes its row's distances; one equal to
+    member 0 gets exact zeros, as the norm of its zero difference would be.
+    Rows march and are normed independently, so every distance has the bits
+    of a march of all the members.  The differences of _DISTANCE_BLOCK nodes
+    are gathered in one buffer and normed in one call, the last, short block
+    included; a row's norm does not depend on its block, and no trajectory
+    is stored.  A BlowUpError names every member of the rows that blew up.
+    """
     part = build_partition(grid)
-    K = len(members) - 1
-    du = np.empty((time_grid.size, K))
-    drho = np.empty_like(du)
-    block = np.empty((_DISTANCE_BLOCK, K, 2, grid.N // 2 + 1), dtype=complex)
-    for i, y in enumerate(_march_fw(members, grid, time_grid, dt)):
-        j = i % _DISTANCE_BLOCK
-        np.subtract(y[1:], y[:1], out=block[j])
-        if j == _DISTANCE_BLOCK - 1 or i == time_grid.size - 1:
-            du[i - j:i + 1], drho[i - j:i + 1] = _pair_norms(part, block[:j + 1], params)
-    return du, drho
+    index: dict[bytes, int] = {}  # each distinct member's row, by its bytes
+    row = np.array([index.setdefault(m.tobytes(), len(index)) for m in members])
+    distinct = members[np.unique(row, return_index=True)[1]]
+    du = np.zeros((time_grid.size, len(distinct)))
+    drho = np.zeros_like(du)
+    block = np.empty((_DISTANCE_BLOCK, len(distinct) - 1, 2, grid.N // 2 + 1), dtype=complex)
+    try:
+        for i, y in enumerate(_march_fw(distinct, grid, time_grid, dt)):
+            j = i % _DISTANCE_BLOCK
+            np.subtract(y[1:], y[:1], out=block[j])
+            if j == _DISTANCE_BLOCK - 1 or i == time_grid.size - 1:
+                du[i - j:i + 1, 1:], drho[i - j:i + 1, 1:] = _pair_norms(
+                    part, block[:j + 1], params)
+    except BlowUpError as exc:
+        rows = tuple(np.flatnonzero(np.isin(row, exc.rows)).tolist())
+        raise _lost_finiteness("direct solve", exc.node, exc.t, rows) from exc
+    return du[:, row[1:]], drho[:, row[1:]]
 
 
 def stability_experiment(
@@ -685,9 +704,12 @@ def continuity_experiment(
     of widths 2^{-j} as one batch, and take the sup-in-time distance of each
     mollified run to the unmollified one.
 
-    Once eps_j drops below the grid spacing the discrete mollifier is the
-    identity and the distance hits the numerical floor.  A blow-up of member
-    j raises RuntimeError naming j; one of the unmollified run re-raises.
+    Once eps_j drops to the grid spacing the discrete mollifier is the
+    identity and the distance hits the numerical floor: every kernel of
+    width at most dx samples to one delta, so those members have the same
+    bits and march as one row (_member_distances).  A blow-up of member j
+    raises RuntimeError naming j, the first member of the rows that blew
+    up; one of the unmollified run re-raises.
     """
     if j_max < 3:
         raise ValueError("j_max must be at least 3")

@@ -22,7 +22,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .besov import _NORM_CHUNK, BesovParams, besov_norm, build_partition
+from .besov import _NORM_CHUNK, BesovParams, _norm_chunk, besov_norm, build_partition
 from .fw import (
     SchemeConfig,
     _check_memory,
@@ -508,11 +508,11 @@ def _run_simulate(cfg: RunConfig, report: ExperimentReport) -> None:
     time_grid = make_time_grid(T, dt)
     part, params = build_partition(grid), cfg.besov_params()
     march = _march_fw(np.stack([u0.samples, rho0.samples]), grid, time_grid, dt)
-    # the norms and means of chunks of at most _NORM_CHUNK rows, two per
+    # the norms and means of chunks of _norm_chunk(p, _NORM_CHUNK) rows, two per
     # node, as they are made: no trajectory is stored.  A node's mean is its
     # mode 0 over N.
     columns = []
-    while chunk := list(islice(march, _NORM_CHUNK // 2)):
+    while chunk := list(islice(march, _norm_chunk(params.p, _NORM_CHUNK) // 2)):
         y = np.array(chunk)
         columns.append(np.column_stack([*_pair_norms(part, y, params),
                                         y[..., 0].real / grid.N]))
@@ -548,6 +548,12 @@ def _run_iterate(cfg: RunConfig, report: ExperimentReport) -> None:
     report.summary["P0"] = trace.P0
     report.summary["T"] = trace.T
     report.summary["max_d_ratio_from_n2"] = float(np.max(ratios[1:]))
+    # the bound (3.13), ||u^n|| + ||rho^n|| <= 2*P0, reported and not judged
+    norm_sums = trace.norm_u + trace.norm_rho
+    report.summary["max_norm_sum_over_P0"] = (
+        float(np.max(norm_sums) / trace.P0) if trace.P0 > 0 else np.nan)
+    broken = np.flatnonzero(~trace.bound_313)
+    report.summary["first_iterate_over_2P0"] = int(broken[0]) if broken.size else "none"
     report.verdicts["differences_contract"] = bool(np.all(ratios[1:] < 1.0))
 
 

@@ -112,10 +112,16 @@ def _check_finite(y: np.ndarray, node: int, time_grid: np.ndarray, what: str) ->
     if not np.all(np.isfinite(y)):
         lost = ~np.isfinite(y).reshape(len(y), -1).all(axis=1)
         rows = tuple(np.flatnonzero(lost).tolist()) if y.ndim > 1 else ()
-        raise BlowUpError(
-            f"{what} lost finiteness at node {node} (t = {time_grid[node]:.6g})"
-            + (f" in rows {rows}" if rows else ""),
-            node=node, t=float(time_grid[node]), rows=rows)
+        raise _lost_finiteness(what, node, float(time_grid[node]), rows)
+
+
+def _lost_finiteness(what: str, node: int, t: float, rows: tuple) -> BlowUpError:
+    """The BlowUpError of a march, `what`, that lost finiteness at time node
+    `node` (time t) in the leading-axis `rows`."""
+    return BlowUpError(
+        f"{what} lost finiteness at node {node} (t = {t:.6g})"
+        + (f" in rows {rows}" if rows else ""),
+        node=node, t=t, rows=rows)
 
 
 def integrate_rk4(rhs, y0: np.ndarray, time_grid: np.ndarray, dt: float,

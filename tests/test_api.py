@@ -150,3 +150,18 @@ def test_one_rk4_stepper_and_a_lifespan_sweep_that_does_not_restart():
                and node.type is not None and "BlowUpError" in _names(node.type)]
     assert not marches, f"_lifespans calls integrate_rk4 on lines {marches}"
     assert not catches, f"_lifespans catches BlowUpError on lines {catches}"
+
+
+def test_members_grouped_only_by_member_distances():
+    # the stability and continuity families march each distinct member once,
+    # and fw._member_distances is the one place that groups them: neither
+    # experiment dedupes its members or marches them itself
+    tree = ast.parse((Path(fwlab.__file__).parent / "fw.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    grouping = sorted(name for name, fn in functions.items()
+                      if {"tobytes", "unique"} & set(_names(fn)))
+    assert grouping == ["_member_distances"], f"fw.py groups members in {grouping}"
+    for name in ("stability_experiment", "continuity_experiment"):
+        named = sorted({"unique", "_march_fw"} & set(_names(functions[name])))
+        assert not named, f"{name} names {named}"
+        assert "_member_distances" in set(_names(functions[name]))

@@ -12,6 +12,7 @@ from fwlab import (
     make_grid,
     mollify,
 )
+import fwlab.besov
 from fwlab.besov import (
     _block_lp_norms,
     _norms,
@@ -423,6 +424,28 @@ class TestParsevalBlocks:
                     got = besov_norms_of_samples(part256, samples, params)
                 assert not np.isfinite(got[0]), (p, bad)
 
+
+    @pytest.mark.parametrize("p, chunk", [(1.0, 32), (2.0, 256), (4.0, 32), (np.inf, 32)])
+    def test_sample_norms_chunked_by_p(self, grid256, part256, monkeypatch, p, chunk):
+        # 1001 rows in chunks of 32 at p != 2, where a call inverts every
+        # dyadic block of every row, and 256 at p = 2, with the bits of
+        # chunks of 256 at every p
+        rng = np.random.default_rng(443)
+        rows = rng.standard_normal((1001, grid256.N))
+        params = BesovParams(3.0, p, 2.0)
+        monkeypatch.setattr(fwlab.besov, "_GENERAL_P_CHUNK", fwlab.besov._NORM_CHUNK)
+        want = besov_norms_of_samples(part256, rows, params)
+        monkeypatch.undo()
+        sizes = []
+
+        def counting(part, half, *args):
+            sizes.append(len(half))
+            return _norms(part, half, *args)
+
+        monkeypatch.setattr(fwlab.besov, "_norms", counting)
+        got = besov_norms_of_samples(part256, rows, params)
+        assert sizes == [chunk] * (1001 // chunk) + [1001 % chunk]
+        assert np.array_equal(got, want)
 
 def _full_spectrum_norms(part, c, params):
     """The reduction on full coefficient rows (..., N): Parseval over all N

@@ -917,6 +917,73 @@ class TestMemberBatch:
             assert np.array_equal(drho[i], norm_rho)
 
 
+    def test_distinct_members_at_criterion_12_sizes_equal_a_march_of_all(self, grid256,
+                                                                         part256, params322):
+        # widths 2^-3..2^-5 sit below dx, so members j = 3, 4, 5 share one
+        # row of the march; their distances have the bits of a march of all
+        # 7 rows normed node by node
+        u0, rho0 = _sine_cosine(grid256, 0.1)
+        kernels = [MollifierKernel(epsilon=2.0**-j) for j in range(6)]
+        members = fwlab.fw._stacked(FWState(u=u0, rho=rho0), *(
+            FWState(u=mollify(u0, k), rho=mollify(rho0, k)) for k in kernels))
+        tg = make_time_grid(1.0, 2e-3)
+        du, drho = fwlab.fw._member_distances(members, grid256, tg, 2e-3, params322)
+        assert du.shape == drho.shape == (tg.size, 6)
+        for i, y in enumerate(fwlab.fw._march_fw(members, grid256, tg, 2e-3)):
+            norm_u, norm_rho = _pair_norms(part256, y[1:] - y[:1], params322)
+            assert np.array_equal(du[i], norm_u)
+            assert np.array_equal(drho[i], norm_rho)
+
+    @pytest.mark.parametrize("kind, extra, rows", [
+        ("continuity", "j_max: 5", 5),  # the benchmark's direct-sweep
+        ("continuity", "j_max: 6", 5),  # the CLI default
+        ("stability", "deltas: [1.0e-2, 1.0e-3, 1.0e-4]", 4),  # the benchmark's direct-sweep
+    ])
+    def test_march_takes_each_distinct_member_once(self, monkeypatch, kind, extra, rows):
+        marched = []
+        real = fwlab.fw._march_fw
+
+        def counting(initial, *args):
+            marched.append(len(initial))
+            return real(initial, *args)
+
+        monkeypatch.setattr(fwlab.fw, "_march_fw", counting)
+        run_experiment(parse_config(f"time: {{T: 1.0, dt: 2.0e-3}}\n"
+                                    f"experiment: {{kind: {kind}, {extra}}}\n"), write=False)
+        assert marched == [rows]
+
+    def test_signed_zeros_are_distinct_members(self, grid256, params322, monkeypatch):
+        # members are told apart by their bytes: -0.0 is not 0.0, and a
+        # member equal to member 0 gets exact zeros
+        marched = []
+        real = fwlab.fw._march_fw
+
+        def counting(initial, *args):
+            marched.append(len(initial))
+            return real(initial, *args)
+
+        monkeypatch.setattr(fwlab.fw, "_march_fw", counting)
+        zeros = np.zeros((2, grid256.N))
+        members = np.array([zeros, -zeros, zeros])
+        tg = make_time_grid(0.1, 1e-2)
+        du, drho = fwlab.fw._member_distances(members, grid256, tg, 1e-2, params322)
+        assert marched == [2]
+        assert np.all(du == 0.0) and np.all(drho == 0.0)
+
+    def test_distinct_march_blowup_names_every_member(self, params322):
+        u0, rho0 = _blowup_data()
+        calm = FWState(*_sine_cosine(u0.grid, 0.1))
+        blowup = FWState(u=u0, rho=rho0)
+        members = fwlab.fw._stacked(calm, blowup, calm, blowup)
+        with pytest.raises(BlowUpError) as info:
+            fwlab.fw._member_distances(members, u0.grid, make_time_grid(20.0, 1e-2), 1e-2,
+                                       params322)
+        # the node of the single solve in test_blowup_carries_finite_prefix
+        assert info.value.node == 648
+        assert info.value.rows == (1, 3)
+        assert "at node 648" in str(info.value) and "in rows (1, 3)" in str(info.value)
+
+
 class TestPairNorms:
     def test_each_reduction_bounds_its_rows(self, grid256, part256, params322,
                                             monkeypatch):

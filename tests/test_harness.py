@@ -271,6 +271,47 @@ class TestRunExperiment:
         # below one stored (M+1, 2, N) trajectory: 501 nodes of 2 x 256 floats
         assert peak < 501 * 2 * 256 * 8
 
+    @pytest.mark.parametrize("p", [1.0, 4.0, np.inf])
+    def test_simulate_chunks_nodes_by_p(self, monkeypatch, p):
+        # at p != 2 simulate norms 16 nodes, 32 rows, per call, with the
+        # bits of chunks of 128 nodes
+        cfg = parse_config(f"besov: {{s: 3.5, p: {p}}}\ntime: {{T: 0.5, dt: 1e-3}}\n")
+        monkeypatch.setattr(fwlab.besov, "_GENERAL_P_CHUNK", fwlab.besov._NORM_CHUNK)
+        want = run_experiment(cfg, write=False).tables["trajectory"]
+        monkeypatch.undo()
+        nodes = []
+        real = fwlab.harness._pair_norms
+
+        def counting(part, y, params):
+            nodes.append(len(y))
+            return real(part, y, params)
+
+        monkeypatch.setattr(fwlab.harness, "_pair_norms", counting)
+        got = run_experiment(cfg, write=False).tables["trajectory"]
+        assert nodes == [16] * 31 + [5]
+        assert got[0] == want[0]
+        assert np.array_equal(np.array(got[1]), np.array(want[1]))
+
+    @pytest.mark.parametrize("s, first, over", [(3.0, "none", False), (4.0, 4, True)])
+    def test_iterate_reports_the_2P0_bound(self, s, first, over):
+        # at (4, 2, 2) iterates 4 to 10 break ||u^n|| + ||rho^n|| <= 2*P0,
+        # which the summary reports and no verdict judges
+        cfg = parse_config(f"besov: {{s: {s}}}\ntime: {{dt: 2e-3}}\n"
+                           "experiment: {kind: iterate}\n")
+        report = run_experiment(cfg, write=False)
+        header, rows = report.tables["scheme"]
+        table = np.array(rows, dtype=float)
+        n, norm_sum = table[:, header.index("n")], table[:, header.index("norm_sum")]
+        broken = n[table[:, header.index("bound_313")] == 0]
+        ratio = report.summary["max_norm_sum_over_P0"]
+        assert ratio == np.max(norm_sum) / report.summary["P0"]
+        assert (ratio > 2.0) is over
+        assert report.summary["first_iterate_over_2P0"] == (int(broken[0]) if over else "none")
+        assert broken.size == (7 * (n == 4).sum() if over else 0)
+        assert list(report.verdicts) == ["differences_contract"]
+        if over:
+            assert ratio == pytest.approx(2.88, abs=5e-3)
+
     def test_transport_fit_constant_runs(self):
         cfg = parse_config(
             "experiment: {kind: transport, fit_constant: true, n_problems: 2}\n"
