@@ -49,14 +49,17 @@ has finished holds its last node, both under zero velocity and forcing, so
 the same code runs on every iterate at every wave node.  Each wave is
 inverted once, by one irfft of its (u, rho, u_x): that gives the
 successors' velocity, checked against the advective bound, the last
-iterate's samples, and the samples of the one product the forcing
-transforms.  Its norms and its differences from the previous iterate, d_n
-as a running maximum, are read from the half spectra in row-bounded node
-blocks: the norm rows of whole wave nodes, at most _NORM_CHUNK of them at
-p = 2 and one node's otherwise, are gathered in one buffer and normed in
-one call per block; a waiting or held iterate repeats bits it has already
-produced.  Only two nodes per iterate are live; the trace keeps the first
-and last iterates as samples, every iterate's norms and d_n.
+iterate's samples when they are kept, and the samples of the one product
+the forcing transforms.  Its norms and its differences from the previous
+iterate, d_n as a running maximum, are read from the half spectra in
+row-bounded node blocks: the norm rows of whole wave nodes, at most
+_NORM_CHUNK of them at p = 2 and one node's otherwise, are gathered in one
+buffer and normed in one call per block; a waiting or held iterate repeats
+bits it has already produced.  Only two nodes per iterate are live; the
+trace keeps the first iterate as samples (a view of its data), every
+iterate's norms and d_n, and the last iterate's samples at every node only
+when its caller asks for them (scheme_direct_distance reads them; the
+norms, d_n and flags do not).
 The empirical lifespan integrates the nonlinear system directly: the
 lifespan sweep steps all its data as one member stack in one loop, one RK4
 step and one norm call per node, the first of which gives each member's P0;
@@ -329,8 +332,9 @@ class IterationTrace:
 
     Iterate index n runs 0..n_max; iterate 0 is the zero pair.  first and
     last are iterates 1 and n_max as stacked (u, rho) samples; first, which
-    is constant in time, is a read-only view of iterate 1's data.  norm_u
-    and norm_rho (n_max + 1, M + 1) are views of the stacked norms.
+    is constant in time, is a read-only view of iterate 1's data, and last
+    is None when run_scheme was not asked to keep it.  norm_u and norm_rho
+    (n_max + 1, M + 1) are views of the stacked norms.
     """
 
     grid: Grid
@@ -340,7 +344,7 @@ class IterationTrace:
     P0: float
     T: float
     first: np.ndarray = field(repr=False)  # (M+1, 2, N) samples of iterate 1
-    last: np.ndarray = field(repr=False)  # (M+1, 2, N) samples of iterate n_max
+    last: np.ndarray | None = field(repr=False)  # (M+1, 2, N) samples of iterate n_max
     norms: np.ndarray = field(repr=False)  # ||u^n(t)||_{B^s}, ||rho^n(t)||_{B^{s-1}}
     d_n: np.ndarray  # successive differences, length n_max
     bound_312: np.ndarray  # per-iterate flags for the sqrt bound
@@ -390,17 +394,17 @@ def _wave_block(n_max: int, p: float) -> int:
 
 
 def _scheme_bytes(N: int, n_max: int, T: float, dt: float, p: float = 2.0,
-                  n_blocks: int = 1) -> float:
-    """What run_scheme holds at its peak: per node, the last iterate and
-    every iterate's norms (the first is a view of its data), and, while the
-    bound flags are set, the norm sums and their comparisons and the time
-    grids; besides, the wave march's working set of complex
-    (n_max, 2, N//2 + 1) stacks, which includes each wave's samples, and
-    the block of norm rows, read in row-bounded node blocks, with the
+                  n_blocks: int = 1, keep_last: bool = True) -> float:
+    """What run_scheme holds at its peak: per node, the last iterate when
+    keep_last asks for it and every iterate's norms (the first is a view of
+    its data), and, while the bound flags are set, the norm sums and their
+    comparisons and the time grids; besides, the wave march's working set of
+    complex (n_max, 2, N//2 + 1) stacks, which includes each wave's samples,
+    and the block of norm rows, read in row-bounded node blocks, with the
     temporaries of its reduction at p: the rows' moduli and, at p != 2,
     three real arrays of the samples of the n_blocks dyadic blocks of every
     row."""
-    stored = (T / dt + 1.0) * (2 * N + 4 * (n_max + 1) + 4) * 8
+    stored = (T / dt + 1.0) * (2 * N * keep_last + 4 * (n_max + 1) + 4) * 8
     march = 48 * n_max * 2 * (N // 2 + 1) * 16
     rows = 4 * n_max * _wave_block(n_max, p)
     block = rows * (N // 2 + 1) * (16 + 8)
@@ -409,8 +413,15 @@ def _scheme_bytes(N: int, n_max: int, T: float, dt: float, p: float = 2.0,
     return stored + march + block
 
 
-def run_scheme(u0: GridFunction, rho0: GridFunction, cfg: SchemeConfig) -> IterationTrace:
-    """Run the mollified transport iteration on [0, lifespan(P0, C)]."""
+def run_scheme(u0: GridFunction, rho0: GridFunction, cfg: SchemeConfig, *,
+               keep_last: bool = True) -> IterationTrace:
+    """Run the mollified transport iteration on [0, lifespan(P0, C)].
+
+    keep_last stores the samples of iterate n_max at every node as
+    trace.last, (M + 1, 2, N) floats, which scheme_direct_distance reads;
+    without it trace.last is None and the run holds only the norms, d_n and
+    flags per node.
+    """
     grid = u0.grid
     if rho0.grid != grid:
         raise ValueError("u0 and rho0 must share one grid")
@@ -428,7 +439,8 @@ def run_scheme(u0: GridFunction, rho0: GridFunction, cfg: SchemeConfig) -> Itera
         assert 4.0 * cfg.C * P0**2 * T < 1.0
     # the lifespan is an awkward number; refine dt so the nodes land on T
     n_steps = max(1, int(np.ceil(T / cfg.dt - 1e-12)))
-    _check_memory(_scheme_bytes(grid.N, cfg.n_max, T, cfg.dt, params.p, part.masks.shape[0]),
+    _check_memory(_scheme_bytes(grid.N, cfg.n_max, T, cfg.dt, params.p, part.masks.shape[0],
+                                keep_last),
                   f"--dt or --n-max; the run spans the lifespan T = 3/(16 C P0^2) = {T:.3g} "
                   f"(at most {LIFESPAN_CAP:g}) of P0 = {P0:.3g}, set by --amplitude and --C")
     time_grid = make_time_grid(T, T / n_steps)
@@ -437,7 +449,7 @@ def run_scheme(u0: GridFunction, rho0: GridFunction, cfg: SchemeConfig) -> Itera
     M = n_nodes - 1
 
     ik, lam, mask = _fw_symbols(grid)
-    last = np.empty((n_nodes, 2, N))
+    last = np.empty((n_nodes, 2, N)) if keep_last else None
     # iterate 0 is the zero pair: zero norms
     norms = np.zeros((n_rows + 1, n_nodes, 2))
     d_max = np.full((n_rows, 2), -np.inf)
@@ -482,10 +494,11 @@ def run_scheme(u0: GridFunction, rho0: GridFunction, cfg: SchemeConfig) -> Itera
             j = i % span
             nodes = np.minimum(np.maximum(i - rows, 0), M, out=at[j])
             # one inverse transform of the wave's (u, rho, u_x): the velocity
-            # of the successors, the last iterate and the samples of the
-            # forcing's product
+            # of the successors, the last iterate (when it is kept) and the
+            # samples of the forcing's product
             z = np.fft.irfft(np.concatenate([y, ik * y[:, :1]], axis=-2), N)
-            last[nodes[-1]] = z[-1, :2] if n_rows > 1 else initial[0]
+            if keep_last:
+                last[nodes[-1]] = z[-1, :2] if n_rows > 1 else initial[0]
             hit = _cfl_violation(grid, z[:-1, 0], dt)
             if hit:
                 k, reason = hit
@@ -537,7 +550,10 @@ def run_scheme(u0: GridFunction, rho0: GridFunction, cfg: SchemeConfig) -> Itera
 
 def scheme_direct_distance(trace: IterationTrace, direct: FWTrajectory) -> float:
     """sup-in-time distance of the last iterate to a direct solve, measured
-    in B^{s-1} x B^{s-2} (the spaces where the iterates converge)."""
+    in B^{s-1} x B^{s-2} (the spaces where the iterates converge), from a
+    trace that kept its last iterate (run_scheme(..., keep_last=True))."""
+    if trace.last is None:
+        raise ValueError("the trace has no last iterate; run run_scheme with keep_last=True")
     if direct.time_grid.size != trace.time_grid.size:
         raise ValueError("trace and direct trajectory use different time grids")
     return _sup_distance(build_partition(trace.grid),

@@ -289,8 +289,8 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-#: rows that table_csv formats at once, so the formatted cells it holds
-#: stay below the CSV text it writes
+#: rows that a table's CSV is formatted and written in at once, so a table
+#: of any length holds the formatted cells of one block
 _CSV_BLOCK = 4096
 
 
@@ -351,7 +351,7 @@ class ExperimentReport:
 
     kind: str
     config_echo: dict
-    tables: dict[str, tuple[list[str], list[list]]] = field(default_factory=dict)
+    tables: dict[str, tuple[list[str], list[list] | np.ndarray]] = field(default_factory=dict)
     summary: dict[str, Any] = field(default_factory=dict)
     verdicts: dict[str, bool] = field(default_factory=dict)
     wall_time: float = 0.0
@@ -360,20 +360,27 @@ class ExperimentReport:
     def passed(self) -> bool:
         return all(self.verdicts.values())
 
-    def table_csv(self, name: str) -> str:
+    def _write_table(self, name: str, fh) -> None:
+        """Write a table as CSV to the text file fh, one block of
+        _CSV_BLOCK rows at a time: a table's rows are lists of cells or one
+        float array, formatted column by column as _fmt formats each cell."""
         header, rows = self.tables[name]
-        buf = io.StringIO()
-        w = csv.writer(buf)
+        w = csv.writer(fh)
         w.writerow(header)
         for i in range(0, len(rows), _CSV_BLOCK):
             w.writerows(zip(*map(_fmt_column, zip(*rows[i:i + _CSV_BLOCK]))))
+
+    def table_csv(self, name: str) -> str:
+        buf = io.StringIO()
+        self._write_table(name, buf)
         return buf.getvalue()
 
     def write(self, out_dir: str | Path) -> Path:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        for name in self.tables:
-            (out / f"{name}.csv").write_text(self.table_csv(name))
+        for name in self.tables:  # streamed: the whole CSV text is never held
+            with open(out / f"{name}.csv", "w") as fh:
+                self._write_table(name, fh)
         lines = [f"kind = {self.kind}", f"version = {__version__}",
                  f"wall_time_s = {self.wall_time:.3f}", "", "[config]",
                  yaml.safe_dump(self.config_echo, sort_keys=True).rstrip(), "", "[summary]"]
@@ -534,22 +541,22 @@ def _run_simulate(cfg: RunConfig, report: ExperimentReport) -> None:
 def _run_iterate(cfg: RunConfig, report: ExperimentReport) -> None:
     grid = cfg.make_grid()
     u0, rho0 = _load_initial_pair(cfg, grid)
-    trace = run_scheme(u0, rho0, cfg.scheme_config())
-    rows = []
-    for n in range(trace.n_max + 1):
-        ns = trace.norm_sum(n)
-        dn = trace.d_n[n - 1] if n >= 1 else np.nan
-        for i, t in enumerate(trace.time_grid):
-            rows.append([n, t, ns[i], trace.bound_312[n], trace.bound_313[n], dn])
+    trace = run_scheme(u0, rho0, cfg.scheme_config(), keep_last=False)
+    # one float row per iterate n and node t: "{:.17g}" writes n and the
+    # flags as _fmt writes ints and bools, 1.0 as "1"
+    norm_sums = trace.norm_u + trace.norm_rho
+    n = np.repeat(np.arange(trace.n_max + 1), trace.time_grid.size)
+    d_n = np.concatenate([[np.nan], trace.d_n])
     report.tables["scheme"] = (
-        ["n", "t", "norm_sum", "bound_312", "bound_313", "d_n"], rows
+        ["n", "t", "norm_sum", "bound_312", "bound_313", "d_n"],
+        np.column_stack([n, np.tile(trace.time_grid, trace.n_max + 1), norm_sums.ravel(),
+                         trace.bound_312[n], trace.bound_313[n], d_n[n]]),
     )
     ratios = trace.d_n[1:] / np.where(trace.d_n[:-1] > 0, trace.d_n[:-1], np.inf)
     report.summary["P0"] = trace.P0
     report.summary["T"] = trace.T
     report.summary["max_d_ratio_from_n2"] = float(np.max(ratios[1:]))
     # the bound (3.13), ||u^n|| + ||rho^n|| <= 2*P0, reported and not judged
-    norm_sums = trace.norm_u + trace.norm_rho
     report.summary["max_norm_sum_over_P0"] = (
         float(np.max(norm_sums) / trace.P0) if trace.P0 > 0 else np.nan)
     broken = np.flatnonzero(~trace.bound_313)
@@ -572,6 +579,15 @@ def _run_lifespan_sweep(cfg: RunConfig, report: ExperimentReport) -> None:
     ratios = T_emp / np.array([lifespan(p, scheme_cfg.C) for p in P0])
     report.summary["T_emp_over_T_guaranteed"] = " ".join(_fmt(q) for q in ratios)
     report.summary["min_T_emp_over_T_guaranteed"] = float(np.min(ratios))
+    # the smallest C whose T = 3/(16 C P0^2) is at most T_emp: inf where
+    # T_emp or P0 is 0
+    with np.errstate(divide="ignore"):
+        C_consistent = 3.0 / (16.0 * P0**2 * T_emp)
+    report.summary["C_consistent"] = " ".join(_fmt(c) for c in C_consistent)
+    # a member still at or under 2*P0 at t_cap reports T_emp = t_cap, the
+    # last node: a lower bound, and so are its product and ratios
+    censored = [_fmt(a) for a, t in zip(amplitudes, T_emp) if t == t_cap]
+    report.summary["censored_at_t_cap"] = " ".join(censored) or "none"
     geo = float(np.exp(np.mean(np.log(products)))) if np.all(products > 0) else 0.0
     report.summary["geometric_mean_product"] = geo
     within = bool(geo > 0 and np.all(np.abs(products / geo - 1.0) <= 0.3))

@@ -26,7 +26,7 @@ import fwlab.besov
 import fwlab.fw
 from fwlab.fw import LIFESPAN_CAP, _pair_norms, _sup_distance, initial_norm
 from fwlab.besov import BesovParams, besov_norms_of_samples, build_partition
-from fwlab.harness import parse_config, run_experiment
+from fwlab.harness import parse_config, random_band_limited, run_experiment
 from fwlab.spectral import dealias_mask
 from fwlab.transport import (
     BlowUpError,
@@ -584,6 +584,43 @@ class TestScheme:
         )
         assert scheme_direct_distance(trace, direct) <= 1e-3
 
+    def test_last_kept_only_when_asked(self, scheme_peak):
+        # without the last iterate's samples, 4.1 MB at these sizes, the run
+        # holds only norms, d_n and flags per node, with the bits of a run
+        # that keeps them, and the guard prices what it holds
+        want, peak_with_last = scheme_peak
+        grid = want.grid
+        u0 = GridFunction.from_samples(grid, 0.1 * np.sin(grid.x))
+        rho0 = GridFunction.from_samples(grid, 0.1 * np.cos(grid.x))
+        cfg = SchemeConfig(params=want.params, C=1.0, n_max=10, dt=2e-3)
+        tracemalloc.start()
+        try:
+            trace = run_scheme(u0, rho0, cfg, keep_last=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.last is None
+        for name in ("time_grid", "first", "norms", "d_n", "bound_312", "bound_313"):
+            assert np.array_equal(getattr(trace, name), getattr(want, name)), name
+        assert (trace.P0, trace.T) == (want.P0, want.T)
+        samples = want.time_grid.size * 2 * grid.N * 8
+        assert peak < peak_with_last - 0.9 * samples
+        priced = fwlab.fw._scheme_bytes(grid.N, cfg.n_max, trace.T, cfg.dt, keep_last=False)
+        assert peak <= priced
+        assert priced == pytest.approx(
+            fwlab.fw._scheme_bytes(grid.N, cfg.n_max, trace.T, cfg.dt)
+            - (trace.T / cfg.dt + 1.0) * 2 * grid.N * 8, rel=1e-12)
+
+    def test_direct_distance_needs_the_last_iterate(self, grid256, params322):
+        u0 = GridFunction.from_samples(grid256, 0.1 * np.sin(grid256.x))
+        rho0 = GridFunction.from_samples(grid256, 0.1 * np.cos(grid256.x))
+        cfg = SchemeConfig(params=params322, C=1.0, n_max=3, dt=1e-2)
+        trace = run_scheme(u0, rho0, cfg, keep_last=False)
+        direct = solve_fw_direct(FWState(u=u0, rho=rho0), trace.T,
+                                 float(np.diff(trace.time_grid)[0]))
+        with pytest.raises(ValueError, match="keep_last=True"):
+            scheme_direct_distance(trace, direct)
+
 
 class TestEmpiricalLifespan:
     def test_zero_data_survives_to_cap(self, grid256, params322):
@@ -724,6 +761,54 @@ class TestLinearGrowthOracle:
         rates = xi * np.sqrt(3.0 + 4.0 * xi**2) / (2.0 * (1.0 + xi**2))
         assert got == float(np.max(rates)) == float(rates[85])
         assert got == pytest.approx(0.9945, abs=1e-4)
+
+
+class TestGalileanInvariance:
+    """If (u, rho) solves the system, so does (u(x - ct) + c, rho(x - ct)):
+    u u_x and u rho_x absorb the shift, and d/dx c = 0 removes it from the
+    linear terms.  Data in the 2/3 band keep the dealiased modes zero in
+    both frames, so the march obeys the symmetry up to RK4's time error,
+    which falls at fourth order in dt down to rounding."""
+
+    c = 0.3
+
+    @staticmethod
+    def _data(grid):
+        rng = np.random.default_rng(3)
+        return [random_band_limited(grid, rng, k_max=k_max, amplitude=a)
+                for k_max, a in ((8, 0.2), (8, 0.2), (4, 1.0), (4, 1.0))]
+
+    def _boosted(self, u0):
+        return GridFunction.from_samples(u0.grid, u0.samples + self.c)
+
+    @pytest.mark.parametrize("dt", [4e-3, 2e-3, 1e-3])
+    def test_boosted_solve_is_translated_solve(self, grid256, dt):
+        u0, rho0, _, _ = self._data(grid256)
+        rest = solve_fw_direct(FWState(u=u0, rho=rho0), 1.0, dt)
+        moving = solve_fw_direct(FWState(u=self._boosted(u0), rho=rho0), 1.0, dt)
+        # the rest frame's solution moved by c t, a phase shift per mode,
+        # and c added to u
+        xi = np.arange(grid256.N // 2 + 1) / grid256.L
+        shift = np.exp(-1j * self.c * np.outer(rest.time_grid, xi))[:, None, :]
+        moved = np.fft.irfft(np.fft.rfft(rest.states) * shift, grid256.N)
+        moved[:, 0] += self.c
+        # measured on u: 3.0e-13 / 1.9e-14 / 1.5e-15, on rho: 5.7e-13 /
+        # 3.6e-14 / 2.9e-15 at dt = 4e-3 / 2e-3 / 1e-3
+        err = np.max(np.abs(moving.states - moved), axis=(0, 2))
+        assert np.all(err <= 5e-3 * dt**4 + 2e-15), err
+
+    @pytest.mark.parametrize("dt", [4e-3, 2e-3, 1e-3])
+    def test_stability_distance_is_the_same_in_both_frames(self, grid256, params322, dt):
+        # boosting both members translates their difference, and the p = 2
+        # norm reads only Fourier moduli, so D(t) does not see the frame
+        u0, rho0, shape_u, shape_rho = self._data(grid256)
+        cfg = SchemeConfig(params=params322, dt=dt)
+        pair = [(0.1 * shape_u, 0.1 * shape_rho)]
+        rest = stability_experiment(u0, rho0, pair, cfg, 1.0)[0]
+        moving = stability_experiment(self._boosted(u0), rho0, pair, cfg, 1.0)[0]
+        # measured: 3.4e-13 / 2.2e-14 / 1.3e-15 relative
+        rel = np.max(np.abs(moving.norm_curve / rest.norm_curve - 1.0))
+        assert rel <= 3e-3 * dt**4 + 2e-15
 
 
 class TestStability:

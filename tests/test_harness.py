@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fwlab import FWState, GridFunction, build_partition, make_grid, solve_fw_direct
+from fwlab import FWState, GridFunction, build_partition, make_grid, run_scheme, solve_fw_direct
 from fwlab.cli import _build_parser, _config_from_args, main as cli_main
 from fwlab.harness import (
     emit_field_csv,
@@ -312,6 +312,57 @@ class TestRunExperiment:
         if over:
             assert ratio == pytest.approx(2.88, abs=5e-3)
 
+    def test_iterate_holds_only_what_it_reads(self, tmp_path, monkeypatch):
+        # at the benchmark sizes, CSVs written: the run keeps no last
+        # iterate and holds its table as one float array, streamed to the
+        # file in blocks, and reads about 2.5 MB; a table of Python rows of
+        # numpy scalars and a stored last iterate read 6.2 MB
+        traces = []
+
+        def recording(*args, **kwargs):
+            traces.append(run_scheme(*args, **kwargs))
+            return traces[-1]
+
+        monkeypatch.setattr(fwlab.harness, "run_scheme", recording)
+        cfg = parse_config(f"experiment: {{kind: iterate}}\ntime: {{dt: 2e-3}}\n"
+                           f"output_dir: {tmp_path}\n")
+        tracemalloc.start()
+        try:
+            report = run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traces[0].last is None
+        assert peak < 3e6
+        assert (tmp_path / "scheme.csv").read_bytes() == report.table_csv("scheme").encode()
+
+    @pytest.mark.parametrize("doc, censored, C_consistent", [
+        # CLI defaults: t_cap = T = 1, which 0.25 and 0.5 reach under 2*P0
+        ("", "0.25 0.5", None),
+        ("amplitudes: [0.5, 2]}\ngrid: {N: 64}\ntime: {dt: 1e-2, t_cap: 2.0", "none", None),
+        # zero data: P0 = 0, so no finite C is consistent
+        ("preset: zero, amplitudes: [1]}\ntime: {dt: 1e-2", "1", "inf"),
+    ], ids=["defaults", "none-censored", "zero-data"])
+    def test_lifespan_sweep_reports_censoring_and_constants(self, doc, censored, C_consistent):
+        cfg = parse_config("experiment: {kind: lifespan-sweep" + (", " + doc if doc else "")
+                           + "}\n")
+        report = run_experiment(cfg, write=False)
+        t_cap = cfg.time["T"] if cfg.time["t_cap"] is None else cfg.time["t_cap"]
+        a, P0, T_emp, _ = map(list, zip(*report.tables["lifespan"][1]))
+        assert report.summary["censored_at_t_cap"] == censored
+        assert [x for x, t in zip(a, T_emp) if t == t_cap] == [
+            float(x) for x in censored.split() if censored != "none"]
+        got = report.summary["C_consistent"]
+        if C_consistent is not None:
+            assert got == C_consistent
+        else:
+            # 3/(16 P0^2 T_emp): at C = 1 the reciprocal of T_emp / T
+            C = np.array(got.split(), dtype=float)
+            ratios = np.array(report.summary["T_emp_over_T_guaranteed"].split(), dtype=float)
+            np.testing.assert_allclose(C * ratios, 1.0, rtol=1e-14, atol=0.0)
+            np.testing.assert_allclose(C, 3.0 / (16.0 * np.square(P0) * T_emp), rtol=1e-15)
+        assert list(report.verdicts) == ["product_within_30pct"]
+
     def test_transport_fit_constant_runs(self):
         cfg = parse_config(
             "experiment: {kind: transport, fit_constant: true, n_problems: 2}\n"
@@ -367,6 +418,27 @@ class TestTableCsv:
         assert report.tables
         for name in report.tables:
             assert report.table_csv(name) == _cell_by_cell_csv(report, name)
+
+    def test_scheme_table_equals_python_rows(self):
+        # the float table writes the bytes of one Python row per iterate and
+        # node, n an int and the flags bools; the gauss data at these sizes
+        # break the 2*P0 bound, so both flag values are written
+        cfg = parse_config("experiment: {kind: iterate, preset: gauss}\ngrid: {N: 64}\n"
+                           "time: {dt: 2e-2}\nscheme: {n_max: 3}\n")
+        report = run_experiment(cfg, write=False)
+        trace = run_scheme(*fwlab.harness._load_initial_pair(cfg, cfg.make_grid()),
+                           cfg.scheme_config())
+        rows = []
+        for n in range(trace.n_max + 1):
+            ns = trace.norm_sum(n)
+            dn = trace.d_n[n - 1] if n >= 1 else np.nan
+            for i, t in enumerate(trace.time_grid):
+                rows.append([n, t, ns[i], trace.bound_312[n], trace.bound_313[n], dn])
+        assert not trace.bound_313.all()
+        header = report.tables["scheme"][0]
+        python_rows = fwlab.harness.ExperimentReport(kind="iterate", config_echo={})
+        python_rows.tables["scheme"] = (header, rows)
+        assert report.table_csv("scheme") == python_rows.table_csv("scheme")
 
     def test_special_cells_equal_cell_by_cell(self):
         columns = [
