@@ -41,25 +41,25 @@ on the guaranteed lifespan T = 3 / (16 C P0^2).  Iterate 1 is advected by
 the zero pair, so it is its mollified data at every node.  Iterate n+1
 reads iterate n only at the two nodes of its current step, so iterates
 2..n_max advance in one wave march, each one node behind its predecessor:
-M + n_max - 1 RK4 steps, each one batched transport-kernel call per stage on
-the (n_max - 1, 2, N//2 + 1) half spectra, with a sample velocity and a
-half-spectrum forcing per row.  At wave node i, iterate r + 1 sits at node
-clip(i - r, 0, M): one that has not started waits at its data and one that
-has finished holds its last node, both under zero velocity and forcing, so
-the same code runs on every iterate at every wave node.  Each wave is
-inverted once, by one irfft of its (u, rho, u_x): that gives the
-successors' velocity, checked against the advective bound, the last
-iterate's samples when they are kept, and the samples of the one product
-the forcing transforms.  Its norms and its differences from the previous
-iterate, d_n as a running maximum, are read from the half spectra in
-row-bounded node blocks: the norm rows of whole wave nodes, at most
-_NORM_CHUNK of them at p = 2 and one node's otherwise, are gathered in one
-buffer and normed in one call per block; a waiting or held iterate repeats
-bits it has already produced.  Only two nodes per iterate are live; the
-trace keeps the first iterate as samples (a view of its data), every
-iterate's norms and d_n, and the last iterate's samples at every node only
-when its caller asks for them (scheme_direct_distance reads them; the
-norms, d_n and flags do not).
+M + n_max - 1 RK4 steps of one loop over _rk4_step, each one batched
+transport-kernel call per stage on the (n_max - 1, 2, N//2 + 1) half
+spectra, with a sample velocity and a half-spectrum forcing per row.  At
+wave node i, iterate r + 1 sits at node clip(i - r, 0, M): one that has not
+started waits at its data and one that has finished holds its last node,
+keeping its bits while its stepped result is discarded, so the same code
+runs on every iterate at every wave node.  Each wave is inverted once, by
+one irfft of its (u, rho, u_x): that gives the successors' velocity,
+checked against the advective bound, the last iterate's samples when they
+are kept, and the samples of the one product the forcing transforms.  Its
+norms and its differences from the previous iterate, d_n as a running
+maximum, are read from the half spectra in row-bounded node blocks: the
+norm rows of whole wave nodes, at most _NORM_CHUNK of them at p = 2 and one
+node's otherwise, are gathered in one buffer and normed in one call per
+block; a waiting or held iterate repeats bits it has already produced.
+Only two nodes per iterate are live; the trace keeps the first iterate as
+samples (a view of its data), every iterate's norms and d_n, and the last
+iterate's samples at every node only when its caller asks for them
+(scheme_direct_distance reads them; the norms, d_n and flags do not).
 The empirical lifespan integrates the nonlinear system directly: the
 lifespan sweep steps all its data as one member stack in one loop, one RK4
 step and one norm call per node, the first of which gives each member's P0;
@@ -298,6 +298,8 @@ def initial_norm(part: LPPartition, u0: GridFunction, rho0: GridFunction,
     """The size of the data, P0 = ||u0||_{B^s} + ||rho0||_{B^{s-1}}, measured
     as a march measures its nodes (_pair_norms of the half spectra), so it is
     a lifespan march's node-0 norm sum to the bit."""
+    if not part.grid == u0.grid == rho0.grid:
+        raise ValueError("partition and field live on different grids")
     norm_u, norm_rho = _pair_norms(
         part, np.fft.rfft(np.stack([u0.samples, rho0.samples])), params)
     return float(norm_u + norm_rho)
@@ -458,17 +460,17 @@ def run_scheme(u0: GridFunction, rho0: GridFunction, cfg: SchemeConfig, *,
     # node i it sits at node clip(i - r, 0, M), and it steps on while
     # 0 <= i - r < M, reading iterate r at nodes i - r and i - r + 1, which
     # row r - 1 reached at wave nodes i - 1 and i.  The same code runs on
-    # every row at every wave node: a row that does not step gets zero
-    # velocity and forcing, which holds its bits, and a row's norms depend
-    # only on the row, so a held row repeats what it has already produced.
-    # Row 0, advected by the zero pair, is its data at every node, so only
-    # rows 1.. march.  The march carries half spectra; the velocity is given
-    # as samples, the forcing as half spectra.
+    # every row at every wave node: every row is stepped, and a row that
+    # does not move on keeps its bits, its stepped result discarded; a row's
+    # norms depend only on the row, so a held row repeats what it has
+    # already produced.  Row 0, advected by the zero pair, is its data at
+    # every node, so only rows 1.. march.  The wave is half spectra; the
+    # velocity is given as samples, the forcing as half spectra.
     kernels = [MollifierKernel(epsilon=1.0 / (n + 1)) for n in range(n_rows)]
     initial = np.array([[mollify(u0, k).samples, mollify(rho0, k).samples]
                         for k in kernels])
     first = np.broadcast_to(initial[0], (n_nodes, 2, N))
-    initial_hat = np.fft.rfft(initial)
+    y = np.fft.rfft(initial)
     rows = np.arange(n_rows)
     # the norm rows of each wave node, y / N and (y - then) / N, and the node
     # each row sits at, gathered over a block of whole wave nodes and normed
@@ -478,59 +480,56 @@ def run_scheme(u0: GridFunction, rho0: GridFunction, cfg: SchemeConfig, *,
     at = np.empty((span, n_rows), dtype=int)
     # iterate n at the previous wave node (a row that has not started is
     # compared with its predecessor's data), and the velocity and forcing
-    # each row exerted on its successor there; no row steps from wave node 0
-    then = np.concatenate([np.zeros_like(initial_hat[:1]), initial_hat[:-1]])
+    # each row exerted on its successor there; no row moves on from wave
+    # node 0
+    then = np.concatenate([np.zeros_like(y[:1]), y[:-1]])
     u_then = f_then = 0.0
+    for i in range(M + n_rows):
+        j = i % span
+        nodes = np.minimum(np.maximum(i - rows, 0), M, out=at[j])
+        # one inverse transform of the wave's (u, rho, u_x): the velocity of
+        # the successors, the last iterate (when it is kept) and the samples
+        # of the forcing's product
+        z = np.fft.irfft(np.concatenate([y, ik * y[:, :1]], axis=-2), N)
+        if keep_last:
+            last[nodes[-1]] = z[-1, :2] if n_rows > 1 else initial[0]
+        hit = _cfl_violation(grid, z[:-1, 0], dt)
+        if hit:
+            k, reason = hit
+            raise RuntimeError(
+                f"transport solve failed at iterate {k + 2}: velocity u^{k + 1} at "
+                f"node {nodes[k]} (t = {time_grid[nodes[k]]:.6g}): {reason}")
 
-    def rhs(f, i, w):
-        k = int(2 * w)  # step inputs at w = 0, 1/2, 1
-        return _transport_rhs(f, vel[k], frc[k], ik, mask)
+        # the wave's norms and its differences from the previous iterate,
+        # normed when the block is full and at the last wave node, and the
+        # forcing it exerts on the successors
+        np.divide(y, N, out=block[j, 0])
+        np.subtract(y, then, out=block[j, 1])
+        block[j, 1] /= N
+        if j == span - 1 or i == M + n_rows - 1:
+            wave = _norms(part, block[:j + 1], params, smoothness)
+            norms[rows + 1, at[:j + 1]] = wave[:, 0]
+            np.maximum(d_max, wave[:, 1].max(axis=0), out=d_max)
+        u_now = z[:-1, :1]
+        f_now = _scheme_forcing(y[:-1], z[:-1], ik, lam, mask)
+        if i == M + n_rows - 1:
+            break
 
-    march = integrate_rk4(rhs, initial_hat[1:], dt * np.arange(M + n_rows), dt,
-                          "transport solution")
-    try:
-        for i, marched in enumerate(march):
-            y = np.concatenate([initial_hat[:1], marched])
-            j = i % span
-            nodes = np.minimum(np.maximum(i - rows, 0), M, out=at[j])
-            # one inverse transform of the wave's (u, rho, u_x): the velocity
-            # of the successors, the last iterate (when it is kept) and the
-            # samples of the forcing's product
-            z = np.fft.irfft(np.concatenate([y, ik * y[:, :1]], axis=-2), N)
-            if keep_last:
-                last[nodes[-1]] = z[-1, :2] if n_rows > 1 else initial[0]
-            hit = _cfl_violation(grid, z[:-1, 0], dt)
-            if hit:
-                k, reason = hit
-                raise RuntimeError(
-                    f"transport solve failed at iterate {k + 2}: velocity u^{k + 1} at "
-                    f"node {nodes[k]} (t = {time_grid[nodes[k]]:.6g}): {reason}")
-
-            # the wave's norms and its differences from the previous iterate,
-            # normed when the block is full and at the last wave node, and
-            # the forcing it exerts on the successors
-            np.divide(y, N, out=block[j, 0])
-            np.subtract(y, then, out=block[j, 1])
-            block[j, 1] /= N
-            if j == span - 1 or i == M + n_rows - 1:
-                wave = _norms(part, block[:j + 1], params, smoothness)
-                norms[rows + 1, at[:j + 1]] = wave[:, 0]
-                np.maximum(d_max, wave[:, 1].max(axis=0), out=d_max)
-            u_now = z[:-1, :1]
-            f_now = _scheme_forcing(y[:-1], z[:-1], ik, lam, mask)
-            vel = [u_then, 0.5 * (u_then + u_now), u_now]
-            frc = [f_then, 0.5 * (f_then + f_now), f_now]
-            go = (nodes[1:] == i - rows[1:]) & (nodes[1:] < M)  # the rows that step
-            if not go.all():
-                vel = [np.where(go[:, None, None], v, 0.0) for v in vel]
-                frc = [np.where(go[:, None, None], f, 0.0) for f in frc]
-            then[1:], u_then, f_then = y[:-1], u_now, f_now
-    except BlowUpError as exc:
-        r = exc.rows[0] + 1
-        node = exc.node - r
-        raise RuntimeError(
-            f"transport solve failed at iterate {r + 1}: transport solution lost "
-            f"finiteness at node {node} (t = {time_grid[node]:.6g})") from exc
+        # one RK4 step of rows 1.. to wave node i + 1, with the inputs at
+        # w = 0, 1/2, 1 linear between those of wave nodes i - 1 and i
+        vel = (u_then, 0.5 * (u_then + u_now), u_now)
+        frc = (f_then, 0.5 * (f_then + f_now), f_now)
+        stepped = _rk4_step(lambda f, _, w: _transport_rhs(
+            f, vel[int(2 * w)], frc[int(2 * w)], ik, mask), y[1:], i, dt)
+        then[1:], u_then, f_then = y[:-1], u_now, f_now
+        go = (nodes[1:] == i - rows[1:]) & (nodes[1:] < M)  # the rows that move on
+        np.copyto(y[1:], stepped, where=go[:, None, None])
+        lost = np.flatnonzero(~np.isfinite(y[1:]).all(axis=(-2, -1)))
+        if lost.size:
+            r = int(lost[0]) + 1
+            exc = _lost_finiteness("transport solution", i + 1 - r,
+                                   float(time_grid[i + 1 - r]), ())
+            raise RuntimeError(f"transport solve failed at iterate {r + 1}: {exc}") from exc
     d_n = d_max[:, 0] + d_max[:, 1]
 
     norm_sum = norms[..., 0] + norms[..., 1]
@@ -554,7 +553,9 @@ def scheme_direct_distance(trace: IterationTrace, direct: FWTrajectory) -> float
     trace that kept its last iterate (run_scheme(..., keep_last=True))."""
     if trace.last is None:
         raise ValueError("the trace has no last iterate; run run_scheme with keep_last=True")
-    if direct.time_grid.size != trace.time_grid.size:
+    if direct.grid != trace.grid:
+        raise ValueError("trace and direct trajectory live on different grids")
+    if not np.array_equal(direct.time_grid, trace.time_grid):
         raise ValueError("trace and direct trajectory use different time grids")
     return _sup_distance(build_partition(trace.grid),
                          trace.last - direct.states,

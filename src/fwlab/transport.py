@@ -11,7 +11,8 @@ dealiased with the 2/3 rule.  One RK4 step, _rk4_step, and one blow-up
 check, _check_finite, make the integrator integrate_rk4, shared with the
 direct Fornberg-Whitham solver; it yields one state per node and each caller
 keeps what it needs.  The lifespan sweep, which drops members as it goes,
-steps with _rk4_step itself.
+and the scheme's wave, which builds each step's inputs as it goes, step with
+_rk4_step themselves.
 
 A problem holds sample arrays only: velocity and forcing per time node (a
 field constant in time is one row, viewed read-only over the nodes) and one

@@ -133,8 +133,9 @@ def test_benchmark_tracer_resolves_every_entry_point():
 
 def test_one_rk4_stepper_and_a_lifespan_sweep_that_does_not_restart():
     # the RK4 stage arithmetic, marked by its weight dt/6, is written once,
-    # in transport._rk4_step; the lifespan sweep steps through it in one
-    # loop, neither starting a second march nor catching a blow-up
+    # in transport._rk4_step; the lifespan sweep and the scheme's wave step
+    # through it, each in one loop, neither starting a second march nor
+    # catching a blow-up
     trees = {p.name: ast.parse(p.read_text()) for p in SOURCES}
     staging = sorted((name, fn.name) for name, tree in trees.items()
                      for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
@@ -142,14 +143,15 @@ def test_one_rk4_stepper_and_a_lifespan_sweep_that_does_not_restart():
                              and isinstance(node.right, ast.Constant) and node.right.value == 6
                              for node in ast.walk(fn)))
     assert staging == [("transport.py", "_rk4_step")], f"RK4 stages written in {staging}"
-    sweep = next(node for node in trees["fw.py"].body
-                 if isinstance(node, ast.FunctionDef) and node.name == "_lifespans")
-    marches = [node.lineno for node in ast.walk(sweep) if isinstance(node, ast.Call)
-               and "integrate_rk4" in _names(node.func)]
-    catches = [node.lineno for node in ast.walk(sweep) if isinstance(node, ast.ExceptHandler)
-               and node.type is not None and "BlowUpError" in _names(node.type)]
-    assert not marches, f"_lifespans calls integrate_rk4 on lines {marches}"
-    assert not catches, f"_lifespans catches BlowUpError on lines {catches}"
+    for name in ("_lifespans", "run_scheme"):
+        loop = next(node for node in trees["fw.py"].body
+                    if isinstance(node, ast.FunctionDef) and node.name == name)
+        marches = [node.lineno for node in ast.walk(loop) if isinstance(node, ast.Call)
+                   and "integrate_rk4" in _names(node.func)]
+        catches = [node.lineno for node in ast.walk(loop) if isinstance(node, ast.ExceptHandler)
+                   and node.type is not None and "BlowUpError" in _names(node.type)]
+        assert not marches, f"{name} calls integrate_rk4 on lines {marches}"
+        assert not catches, f"{name} catches BlowUpError on lines {catches}"
 
 
 def test_members_grouped_only_by_member_distances():

@@ -621,6 +621,29 @@ class TestScheme:
         with pytest.raises(ValueError, match="keep_last=True"):
             scheme_direct_distance(trace, direct)
 
+    def test_direct_distance_refuses_another_problem(self):
+        # a direct solve over another time span with as many nodes, or of
+        # the same data on another grid, is another problem: both used to
+        # return a distance, 0.235 over T = 1 and 0.544 on L = 4, where the
+        # matching solve, over T = 2.01, reads 0.140
+        grid = make_grid(64, 8.0)
+        u0 = GridFunction.from_samples(grid, 0.1 * np.sin(grid.x))
+        rho0 = GridFunction.from_samples(grid, 0.1 * np.cos(grid.x))
+        cfg = SchemeConfig(params=BesovParams(3.0, 2.0, 2.0), C=1.0, n_max=3, dt=2e-2)
+        trace = run_scheme(u0, rho0, cfg)
+        dt, M = float(np.diff(trace.time_grid)[0]), trace.time_grid.size - 1
+        direct = solve_fw_direct(FWState(u=u0, rho=rho0), trace.T, dt)
+        assert scheme_direct_distance(trace, direct) == pytest.approx(0.140, abs=1e-3)
+        shorter = solve_fw_direct(FWState(u=u0, rho=rho0), 1.0, 1.0 / M)
+        assert shorter.time_grid.size == trace.time_grid.size
+        with pytest.raises(ValueError, match="different time grids"):
+            scheme_direct_distance(trace, shorter)
+        other = make_grid(64, 4.0)
+        moved = FWState(u=GridFunction.from_samples(other, 0.1 * np.sin(other.x)),
+                        rho=GridFunction.from_samples(other, 0.1 * np.cos(other.x)))
+        with pytest.raises(ValueError, match="different grids"):
+            scheme_direct_distance(trace, solve_fw_direct(moved, trace.T, dt))
+
 
 class TestEmpiricalLifespan:
     def test_zero_data_survives_to_cap(self, grid256, params322):
@@ -1118,6 +1141,18 @@ class TestPairNorms:
         norm_u, norm_rho = _pair_norms(part256, y, params)
         P0 = [initial_norm(part256, u0, rho0, params) for u0, rho0 in pairs]
         assert np.array_equal(P0, norm_u + norm_rho)
+
+    def test_initial_norm_refuses_another_grids_partition(self, grid256, params322):
+        # as besov_norm does: a make_grid(64, 1.0) partition on L = 8 data
+        # used to read 29.47 for a P0 of 0.305
+        grid = make_grid(64, 8.0)
+        u0 = GridFunction.from_samples(grid, 0.1 * np.sin(grid.x))
+        rho0 = GridFunction.from_samples(grid, 0.1 * np.cos(grid.x))
+        on_256 = GridFunction.from_samples(grid256, 0.1 * np.sin(grid256.x))
+        for part, pair in [(build_partition(make_grid(64, 1.0)), (u0, rho0)),
+                           (build_partition(grid), (u0, on_256))]:
+            with pytest.raises(ValueError, match="partition and field live on different grids"):
+                initial_norm(part, *pair, params322)
 
     def test_long_stack_normed_in_bounded_chunks(self, grid256, part256):
         # a long stack of pair samples, as _sup_distance norms it, one field
