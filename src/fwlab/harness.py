@@ -294,28 +294,30 @@ def _fmt(x) -> str:
 _CSV_BLOCK = 4096
 
 
-def _fmt_column(cells) -> list[str]:
-    """_fmt of every cell of one table column, each distinct value formatted
-    once when the cells are all floats (told apart by their bits, so -0.0 is
-    not 0.0) or all integers and bools; a mixed column goes cell by cell."""
-    floats = all(issubclass(k, (float, np.floating)) for k in {type(c) for c in cells})
-    values = np.array(cells, dtype=float if floats else None)
-    if not (floats or values.dtype.kind in "biu"):
-        return list(map(_fmt, cells))
-    _, first, inverse = np.unique(values.view(np.int64) if floats else values,
-                                  return_index=True, return_inverse=True)
-    distinct = values[first].tolist()
-    texts = map("{:.17g}".format, distinct) if floats else map(str, map(int, distinct))
+def _fmt_column(values: np.ndarray) -> list[str]:
+    """_fmt of every float of one table column, each distinct value (told
+    apart by its bits, so -0.0 is not 0.0) formatted once."""
+    _, first, inverse = np.unique(values.view(np.int64), return_index=True,
+                                  return_inverse=True)
+    texts = map("{:.17g}".format, values[first].tolist())
     return np.array(list(texts), dtype=object)[inverse].tolist()
+
+
+def _write_csv(fh, header: list[str], table: np.ndarray) -> None:
+    """Write a header and a 2-D float64 table as CSV to the text file fh,
+    one block of _CSV_BLOCK rows at a time.  "{:.17g}" writes an
+    integer-valued float below 2^53 as the integer's digits, so a count or
+    a flag (1.0 or 0.0) reads as _fmt writes the int or bool."""
+    w = csv.writer(fh)
+    w.writerow(header)
+    for i in range(0, len(table), _CSV_BLOCK):
+        w.writerows(zip(*map(_fmt_column, table[i:i + _CSV_BLOCK].T)))
 
 
 def emit_field_csv(f: GridFunction, path: str | Path) -> None:
     """Write a field as CSV with columns (x, value) at full precision."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "value"])
-        for xj, vj in zip(f.grid.x, f.samples):
-            w.writerow([_fmt(xj), _fmt(vj)])
+        _write_csv(fh, ["x", "value"], np.column_stack([f.grid.x, f.samples]))
 
 
 def read_field_csv(path: str | Path, grid: Grid) -> GridFunction:
@@ -347,11 +349,12 @@ def read_field_csv(path: str | Path, grid: Grid) -> GridFunction:
 
 @dataclass
 class ExperimentReport:
-    """In-memory result of one experiment run."""
+    """In-memory result of one experiment run: each table is a header and
+    one 2-D float64 array, a row per line of its CSV."""
 
     kind: str
     config_echo: dict
-    tables: dict[str, tuple[list[str], list[list] | np.ndarray]] = field(default_factory=dict)
+    tables: dict[str, tuple[list[str], np.ndarray]] = field(default_factory=dict)
     summary: dict[str, Any] = field(default_factory=dict)
     verdicts: dict[str, bool] = field(default_factory=dict)
     wall_time: float = 0.0
@@ -360,27 +363,17 @@ class ExperimentReport:
     def passed(self) -> bool:
         return all(self.verdicts.values())
 
-    def _write_table(self, name: str, fh) -> None:
-        """Write a table as CSV to the text file fh, one block of
-        _CSV_BLOCK rows at a time: a table's rows are lists of cells or one
-        float array, formatted column by column as _fmt formats each cell."""
-        header, rows = self.tables[name]
-        w = csv.writer(fh)
-        w.writerow(header)
-        for i in range(0, len(rows), _CSV_BLOCK):
-            w.writerows(zip(*map(_fmt_column, zip(*rows[i:i + _CSV_BLOCK]))))
-
     def table_csv(self, name: str) -> str:
         buf = io.StringIO()
-        self._write_table(name, buf)
+        _write_csv(buf, *self.tables[name])
         return buf.getvalue()
 
     def write(self, out_dir: str | Path) -> Path:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         for name in self.tables:  # streamed: the whole CSV text is never held
-            with open(out / f"{name}.csv", "w") as fh:
-                self._write_table(name, fh)
+            with open(out / f"{name}.csv", "w", newline="") as fh:
+                _write_csv(fh, *self.tables[name])
         lines = [f"kind = {self.kind}", f"version = {__version__}",
                  f"wall_time_s = {self.wall_time:.3f}", "", "[config]",
                  yaml.safe_dump(self.config_echo, sort_keys=True).rstrip(), "", "[summary]"]
@@ -435,10 +428,10 @@ def _run_norm(cfg: RunConfig, report: ExperimentReport) -> None:
     path = cfg.experiment["field_csv"]
     f = read_field_csv(path, grid) if path else _load_initial_pair(cfg, grid)[0]
     value = besov_norm(part, f, params)
-    xi = grid.wavenumbers
-    masks_rows = [[xi[i], *part.masks[:, i]] for i in np.argsort(xi)]
+    order = np.argsort(grid.wavenumbers)
     header = ["xi", "chi"] + [f"phi_q{q}" for q in range(part.q_max + 1)]
-    report.tables["masks"] = (header, masks_rows)
+    report.tables["masks"] = (header, np.column_stack([grid.wavenumbers[order],
+                                                       part.masks[:, order].T]))
     report.summary["besov_norm"] = value
     report.summary["q_max"] = part.q_max
     report.verdicts["norm_finite"] = bool(np.isfinite(value))
@@ -452,7 +445,7 @@ def _run_partition_check(cfg: RunConfig, report: ExperimentReport) -> None:
             total = part.chi_mask + part.phi_masks.sum(axis=0)
             rows.append([N, L, part.q_max, float(np.max(np.abs(total - 1.0)))])
     worst = max(row[3] for row in rows)
-    report.tables["partition"] = (["N", "L", "q_max", "max_residual"], rows)
+    report.tables["partition"] = (["N", "L", "q_max", "max_residual"], np.array(rows, dtype=float))
     report.summary["max_residual"] = worst
     report.verdicts["telescoping_identity"] = worst <= 1e-12
 
@@ -490,20 +483,20 @@ def _run_transport(cfg: RunConfig, report: ExperimentReport) -> None:
         report.verdicts["held_out_estimate"] = violations == 0
 
     est = verify_transport_estimate(traj, params, C)
-    rows = [
-        [t, fn, V, lhs, rhs, (lhs / rhs if rhs > 0 else np.inf)]
-        for t, fn, V, lhs, rhs in zip(
-            est.time_grid, est.f_norms, est.V_profile, est.lhs, est.rhs
-        )
-    ]
-    report.tables["transport"] = (["t", "besov_norm", "V", "lhs", "rhs", "ratio"], rows)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(est.rhs > 0, est.lhs / est.rhs, np.inf)
+    report.tables["transport"] = (
+        ["t", "besov_norm", "V", "lhs", "rhs", "ratio"],
+        np.column_stack([est.time_grid, est.f_norms, est.V_profile, est.lhs, est.rhs, ratio]),
+    )
     report.summary["C"] = C
     report.summary["max_violation_ratio"] = est.max_violation_ratio
     report.verdicts["estimate_holds"] = bool(np.all(est.holds))
 
 
-#: what simulate holds per node: its table row of five floats and, while
-#: writing, the row's CSV text (tracemalloc reads about 350 B)
+#: what simulate holds per node, with room to spare: its norms and means as
+#: they are made, and its table row of five floats (tracemalloc reads about
+#: 60 B); the CSV text is held per block of _CSV_BLOCK rows, not per row
 _TABLE_ROW_BYTES = 400
 
 
@@ -523,16 +516,11 @@ def _run_simulate(cfg: RunConfig, report: ExperimentReport) -> None:
         y = np.array(chunk)
         columns.append(np.column_stack([*_pair_norms(part, y, params),
                                         y[..., 0].real / grid.N]))
-    nu, nr, mean_u, mean_rho = np.concatenate(columns).T
-    rows = [
-        [t, a, b, mu, mr]
-        for t, a, b, mu, mr in zip(time_grid, nu, nr, mean_u, mean_rho)
-    ]
+    table = np.column_stack([time_grid, np.concatenate(columns)])
     report.tables["trajectory"] = (
-        ["t", "norm_u_Bs", "norm_rho_Bsm1", "mean_u", "mean_rho"], rows
+        ["t", "norm_u_Bs", "norm_rho_Bsm1", "mean_u", "mean_rho"], table
     )
-    drift_u = float(np.max(np.abs(mean_u - mean_u[0])))
-    drift_rho = float(np.max(np.abs(mean_rho - mean_rho[0])))
+    drift_u, drift_rho = np.max(np.abs(table[:, 3:] - table[0, 3:]), axis=0).tolist()
     report.summary["mean_u_drift"] = drift_u
     report.summary["mean_rho_drift"] = drift_rho
     report.verdicts["means_conserved"] = max(drift_u, drift_rho) <= 1e-10
@@ -542,8 +530,7 @@ def _run_iterate(cfg: RunConfig, report: ExperimentReport) -> None:
     grid = cfg.make_grid()
     u0, rho0 = _load_initial_pair(cfg, grid)
     trace = run_scheme(u0, rho0, cfg.scheme_config(), keep_last=False)
-    # one float row per iterate n and node t: "{:.17g}" writes n and the
-    # flags as _fmt writes ints and bools, 1.0 as "1"
+    # one row per iterate n and node t
     norm_sums = trace.norm_u + trace.norm_rho
     n = np.repeat(np.arange(trace.n_max + 1), trace.time_grid.size)
     d_n = np.concatenate([[np.nan], trace.d_n])
@@ -571,9 +558,9 @@ def _run_lifespan_sweep(cfg: RunConfig, report: ExperimentReport) -> None:
     amplitudes = cfg.experiment["amplitudes"]
     P0, T_emp = _lifespans([_load_initial_pair(cfg, grid, amplitude=a) for a in amplitudes],
                            scheme_cfg, t_cap)
-    rows = [[a, p, t, t * p**2] for a, p, t in zip(amplitudes, P0.tolist(), T_emp.tolist())]
-    report.tables["lifespan"] = (["a", "P0", "T_emp", "product"], rows)
-    products = np.array([row[3] for row in rows])
+    products = T_emp * P0**2
+    report.tables["lifespan"] = (["a", "P0", "T_emp", "product"],
+                                 np.column_stack([amplitudes, P0, T_emp, products]))
     # the theorem guarantees T_emp >= T = 3/(16 C P0^2) for some C; at the
     # configured C this ratio shows how far each amplitude is from that
     ratios = T_emp / np.array([lifespan(p, scheme_cfg.C) for p in P0])
@@ -615,7 +602,7 @@ def _run_stability(cfg: RunConfig, report: ExperimentReport) -> None:
     )
     rows = [[d, t, D, rep.beta_fit] for d, rep in zip(deltas, reports)
             for t, D in zip(rep.time_grid, rep.norm_curve)]
-    report.tables["stability"] = (["delta", "t", "D", "beta_fit"], rows)
+    report.tables["stability"] = (["delta", "t", "D", "beta_fit"], np.array(rows, dtype=float))
     betas = np.array([rep.beta_fit for rep in reports])
     spread = float(np.max(np.abs(betas / betas.mean() - 1.0))) if betas.mean() != 0 else np.inf
     report.summary["beta_values"] = " ".join(_fmt(b) for b in betas)
@@ -630,8 +617,8 @@ def _run_continuity(cfg: RunConfig, report: ExperimentReport) -> None:
     rep = continuity_experiment(
         u0, rho0, cfg.experiment["j_max"], cfg.scheme_config(), cfg.time["T"]
     )
-    rows = [[j, e, err] for j, (e, err) in enumerate(zip(rep.epsilons, rep.errors))]
-    report.tables["continuity"] = (["j", "epsilon", "error"], rows)
+    report.tables["continuity"] = (["j", "epsilon", "error"], np.column_stack(
+        [np.arange(rep.errors.size), rep.epsilons, rep.errors]))
     report.summary["final_error"] = rep.final_error
     below = rep.epsilons < grid.dx
     floor_err = float(np.min(rep.errors[below])) if np.any(below) else np.inf

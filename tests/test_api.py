@@ -167,3 +167,22 @@ def test_members_grouped_only_by_member_distances():
         named = sorted({"unique", "_march_fw"} & set(_names(functions[name])))
         assert not named, f"{name} names {named}"
         assert "_member_distances" in set(_names(functions[name]))
+
+
+def test_csv_written_only_by_write_csv():
+    # every CSV, a report table or a field, is one float array written by
+    # harness._write_csv: no other function builds a csv.writer
+    def writers(tree):
+        return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                and node.attr == "writer" and isinstance(node.value, ast.Name)
+                and node.value.id == "csv"]
+
+    trees = {p.name: ast.parse(p.read_text()) for p in SOURCES}
+    named = {name: writers(tree) for name, tree in trees.items() if writers(tree)}
+    imported = sorted(name for name, tree in trees.items()
+                      if "writer" in set(_imported_names(tree)))
+    write_csv = next(node for node in trees["harness.py"].body
+                     if isinstance(node, ast.FunctionDef) and node.name == "_write_csv")
+    assert not imported, f"modules importing csv.writer by name: {imported}"
+    assert named == {"harness.py": writers(write_csv)} and len(writers(write_csv)) == 1, (
+        f"csv.writer named in {named}")

@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fwlab import FWState, GridFunction, build_partition, make_grid, run_scheme, solve_fw_direct
+from fwlab import (FWState, GridFunction, build_partition, continuity_experiment, make_grid,
+                   run_scheme, solve_fw_direct)
 from fwlab.cli import _build_parser, _config_from_args, main as cli_main
 from fwlab.harness import (
     emit_field_csv,
@@ -271,6 +272,23 @@ class TestRunExperiment:
         # below one stored (M+1, 2, N) trajectory: 501 nodes of 2 x 256 floats
         assert peak < 501 * 2 * 256 * 8
 
+    def test_simulate_peak_grows_by_at_most_a_table_row_per_node(self, monkeypatch):
+        # the memory guard prices simulate at _TABLE_ROW_BYTES per node: 500
+        # more nodes raise the peak by at most that much each (smaller
+        # chunks keep the norms' temporaries from hiding the growth)
+        monkeypatch.setattr(fwlab.harness, "_NORM_CHUNK", 16)
+        run_experiment(parse_config("time: {T: 1e-2, dt: 1e-3}\n"), write=False)  # warm caches
+        peaks = []
+        for T in (0.5, 1.0):
+            cfg = parse_config(f"time: {{T: {T}, dt: 1e-3}}\n")
+            tracemalloc.start()
+            try:
+                run_experiment(cfg, write=False)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / 500 <= fwlab.harness._TABLE_ROW_BYTES
+
     @pytest.mark.parametrize("p", [1.0, 4.0, np.inf])
     def test_simulate_chunks_nodes_by_p(self, monkeypatch, p):
         # at p != 2 simulate norms 16 nodes, 32 rows, per call, with the
@@ -387,10 +405,9 @@ class TestRunExperiment:
         assert "[verdicts]" in text
 
 
-def _cell_by_cell_csv(report, name):
-    """A table's CSV formatted one cell at a time, the reference for the
-    column-wise writer."""
-    header, rows = report.tables[name]
+def _cell_by_cell_csv(header, rows):
+    """A table's CSV formatted one cell at a time by _fmt, the reference for
+    the column-wise writer: rows of Python cells or the rows of an array."""
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(header)
@@ -399,25 +416,41 @@ def _cell_by_cell_csv(report, name):
     return buf.getvalue()
 
 
-class TestTableCsv:
-    """table_csv formats column by column, byte for byte as cell by cell."""
+_EVERY_KIND = [
+    "experiment: {kind: norm}\ngrid: {N: 64}\n",
+    "experiment: {kind: partition-check}\n",
+    "experiment: {kind: transport}\ngrid: {N: 64}\ntime: {T: 0.2, dt: 1e-2}\n",
+    "experiment: {kind: simulate}\ngrid: {N: 64}\ntime: {T: 0.2, dt: 1e-2}\n",
+    "experiment: {kind: iterate}\ngrid: {N: 64}\ntime: {dt: 2e-2}\nscheme: {n_max: 3}\n",
+    "experiment: {kind: lifespan-sweep, amplitudes: [0.5, 2]}\ngrid: {N: 64}\n"
+    "time: {dt: 1e-2, t_cap: 2.0}\n",
+    "experiment: {kind: stability}\ngrid: {N: 64}\ntime: {T: 0.2, dt: 1e-2}\n",
+    "experiment: {kind: continuity}\ngrid: {N: 64}\ntime: {T: 0.2, dt: 1e-2}\n",
+]
 
-    @pytest.mark.parametrize("doc", [
-        "experiment: {kind: norm}\ngrid: {N: 64}\n",
-        "experiment: {kind: partition-check}\n",
-        "experiment: {kind: transport}\ngrid: {N: 64}\ntime: {T: 0.2, dt: 1e-2}\n",
-        "experiment: {kind: simulate}\ngrid: {N: 64}\ntime: {T: 0.2, dt: 1e-2}\n",
-        "experiment: {kind: iterate}\ngrid: {N: 64}\ntime: {dt: 2e-2}\nscheme: {n_max: 3}\n",
-        "experiment: {kind: lifespan-sweep, amplitudes: [0.5, 2]}\ngrid: {N: 64}\n"
-        "time: {dt: 1e-2, t_cap: 2.0}\n",
-        "experiment: {kind: stability}\ngrid: {N: 64}\ntime: {T: 0.2, dt: 1e-2}\n",
-        "experiment: {kind: continuity}\ngrid: {N: 64}\ntime: {T: 0.2, dt: 1e-2}\n",
-    ], ids=lambda doc: doc.split("kind: ")[1].split("}")[0].split(",")[0])
-    def test_every_kind_equals_cell_by_cell(self, doc):
+
+def _kind_id(doc):
+    return doc.split("kind: ")[1].split("}")[0].split(",")[0]
+
+
+class TestTableCsv:
+    """Every table is one float array, and table_csv formats it column by
+    column, byte for byte as cell by cell."""
+
+    @pytest.mark.parametrize("doc", _EVERY_KIND, ids=_kind_id)
+    def test_every_kind_holds_float_arrays(self, doc):
         report = run_experiment(parse_config(doc), write=False)
         assert report.tables
+        for name, (header, table) in report.tables.items():
+            assert isinstance(table, np.ndarray), name
+            assert table.dtype == np.float64, name
+            assert table.ndim == 2 and table.shape[1] == len(header), name
+
+    @pytest.mark.parametrize("doc", _EVERY_KIND, ids=_kind_id)
+    def test_every_kind_equals_cell_by_cell(self, doc):
+        report = run_experiment(parse_config(doc), write=False)
         for name in report.tables:
-            assert report.table_csv(name) == _cell_by_cell_csv(report, name)
+            assert report.table_csv(name) == _cell_by_cell_csv(*report.tables[name])
 
     def test_scheme_table_equals_python_rows(self):
         # the float table writes the bytes of one Python row per iterate and
@@ -436,30 +469,48 @@ class TestTableCsv:
                 rows.append([n, t, ns[i], trace.bound_312[n], trace.bound_313[n], dn])
         assert not trace.bound_313.all()
         header = report.tables["scheme"][0]
-        python_rows = fwlab.harness.ExperimentReport(kind="iterate", config_echo={})
-        python_rows.tables["scheme"] = (header, rows)
-        assert report.table_csv("scheme") == python_rows.table_csv("scheme")
+        assert report.table_csv("scheme") == _cell_by_cell_csv(header, rows)
+
+    def test_continuity_table_equals_python_rows(self):
+        # j is written as the int it counts
+        cfg = parse_config("experiment: {kind: continuity}\ngrid: {N: 64}\n"
+                           "time: {T: 0.2, dt: 1e-2}\n")
+        report = run_experiment(cfg, write=False)
+        rep = continuity_experiment(*fwlab.harness._load_initial_pair(cfg, cfg.make_grid()),
+                                    cfg.experiment["j_max"], cfg.scheme_config(), cfg.time["T"])
+        rows = [[j, e, err] for j, (e, err) in enumerate(zip(rep.epsilons, rep.errors))]
+        assert report.table_csv("continuity") == _cell_by_cell_csv(["j", "epsilon", "error"], rows)
+
+    def test_partition_table_equals_python_rows(self):
+        # N and q_max are written as the ints they count
+        report = run_experiment(parse_config("experiment: {kind: partition-check}\n"),
+                                write=False)
+        rows = []
+        for N in (128, 256, 1024):
+            for L in (1.0, 8.0):
+                part = build_partition(make_grid(N, L))
+                total = part.chi_mask + part.phi_masks.sum(axis=0)
+                rows.append([N, L, part.q_max, float(np.max(np.abs(total - 1.0)))])
+        assert report.table_csv("partition") == _cell_by_cell_csv(
+            ["N", "L", "q_max", "max_residual"], rows)
 
     def test_special_cells_equal_cell_by_cell(self):
         columns = [
             [True, False, np.True_, np.False_],
-            [3, -7, np.int64(2**62), 10**30],
             [0.0, -0.0, np.float64(-0.0), np.nan],
             [np.inf, -np.inf, np.float64(np.inf), 1e-320],
             [np.float32(0.1), 0.1, np.float64(0.1), 1.0 / 3.0],
-            [1, 2.5, True, np.nan],  # mixed kinds
-            [np.uint64(2**63), -1, 0, np.int8(-5)],  # no common integer dtype
         ]
+        header = [f"c{i}" for i in range(len(columns))]
+        rows = [list(row) for row in zip(*columns)]
         report = fwlab.harness.ExperimentReport(kind="simulate", config_echo={})
-        report.tables["cells"] = ([f"c{i}" for i in range(len(columns))],
-                                  [list(row) for row in zip(*columns)])
-        assert report.table_csv("cells") == _cell_by_cell_csv(report, "cells")
+        report.tables["cells"] = (header, np.array(rows, dtype=float))
+        assert report.table_csv("cells") == _cell_by_cell_csv(header, rows)
         assert report.table_csv("cells").splitlines()[1:] == [
-            "1,3,0,inf,0.10000000149011612,1,9223372036854775808",
-            "0,-7,-0,-inf,0.10000000000000001,2.5,-1",
-            "1,4611686018427387904,-0,inf,0.10000000000000001,1,0",
-            "0,1000000000000000000000000000000,nan,9.9998886718268301e-321,"
-            "0.33333333333333331,nan,-5",
+            "1,0,inf,0.10000000149011612",
+            "0,-0,-inf,0.10000000000000001",
+            "1,-0,inf,0.10000000000000001",
+            "0,nan,9.9998886718268301e-321,0.33333333333333331",
         ]
 
 
