@@ -62,9 +62,12 @@ iterate's samples at every node only when its caller asks for them
 (scheme_direct_distance reads them; the norms, d_n and flags do not).
 The empirical lifespan integrates the nonlinear system directly: the
 lifespan sweep steps all its data as one member stack in one loop, one RK4
-step and one norm call per node, the first of which gives each member's P0;
-a member leaves at its first node over 2*P0 or not finite, and the march is
-never restarted.  empirical_lifespan is the one-member case of that march.
+step per node.  Node 0 is normed alone and gives each member's P0; later
+nodes are normed in blocks of up to K // L nodes while L of the K members
+are live, one norm call per block, so no call holds more rows than node
+0's.  A member leaves at its first node over 2*P0 or not finite, when its
+block closes, and the march is never restarted.  empirical_lifespan is the
+one-member case of that march, one node per block.
 """
 
 from __future__ import annotations
@@ -404,14 +407,14 @@ def _scheme_bytes(N: int, n_max: int, T: float, dt: float, p: float = 2.0,
     complex (n_max, 2, N//2 + 1) stacks, which includes each wave's samples,
     and the block of norm rows, read in row-bounded node blocks, with the
     temporaries of its reduction at p: the rows' moduli and, at p != 2,
-    three real arrays of the samples of the n_blocks dyadic blocks of every
-    row."""
+    two real arrays of the samples of the n_blocks dyadic blocks of every
+    row (the samples and their moduli, raised to p in place)."""
     stored = (T / dt + 1.0) * (2 * N * keep_last + 4 * (n_max + 1) + 4) * 8
     march = 48 * n_max * 2 * (N // 2 + 1) * 16
     rows = 4 * n_max * _wave_block(n_max, p)
     block = rows * (N // 2 + 1) * (16 + 8)
     if p != 2:
-        block += 3 * n_blocks * rows * N * 8
+        block += 2 * n_blocks * rows * N * 8
     return stored + march + block
 
 
@@ -565,15 +568,19 @@ def scheme_direct_distance(trace: IterationTrace, direct: FWTrajectory) -> float
 def _lifespans(pairs: Sequence[tuple[GridFunction, GridFunction]],
                cfg: SchemeConfig, t_cap: float) -> tuple[np.ndarray, np.ndarray]:
     """P0 and the empirical lifespan of each (u0, rho0) pair, which share
-    one grid: one march of their (K, 2, N) stack, one norm call per node.
-    P0 is the norm sum at node 0, the measure of every later node, so node 0
-    is never over 2*P0.
+    one grid: one march of their (K, 2, N) stack, one RK4 step per node,
+    normed in blocks of consecutive nodes.  Node 0 is a block of its own,
+    and its norm sum is each member's P0, the measure of every later node,
+    so node 0 is never over 2*P0.  While L members are live a block holds
+    up to K // L nodes, so no norm call holds more rows than node 0's.
 
     A member leaves the stack at its first node that is over 2*P0 or not
     finite, and its lifespan is the node before; a march that is not finite
     after its first step has no such node and raises BlowUpError.  Members
-    step and are normed row by row, so dropping one leaves the others' bits
-    as a march of their own would make them.
+    leave when their block closes: one that crossed inside a block steps to
+    its end, and those steps are thrown away.  Members step and are normed
+    row by row, so neither the blocks nor dropping a member moves the
+    others' bits from those a march of their own would make.
     """
     grid = pairs[0][0].grid
     part = build_partition(grid)
@@ -584,24 +591,29 @@ def _lifespans(pairs: Sequence[tuple[GridFunction, GridFunction]],
     y = _stacked(*(FWState(u=u0, rho=rho0) for u0, rho0 in pairs))
     y = next(_march_fw(y, grid, time_grid, cfg.dt))
     rhs = _direct_rhs(grid)
-    for i in range(time_grid.size):
-        if i:
-            y = _rk4_step(rhs, y, i - 1, cfg.dt)
-        if i == 1:
-            _check_finite(y, i, time_grid, "direct solve")
+    # the states of nodes i - len(block) + 1 .. i; node 0 is a block of its own
+    i, block = 0, y[None]
+    while True:
         # a node near blow-up can overflow its norm; inf counts as a
         # violation, and so does NaN
         with np.errstate(over="ignore"):
-            norm_u, norm_rho = _pair_norms(part, y, cfg.params)
+            norm_u, norm_rho = _pair_norms(part, block, cfg.params)
             norm_sum = norm_u + norm_rho
         if i == 0:
-            P0 = norm_sum
-        leave = ~(np.isfinite(y).all(axis=(-2, -1)) & _within(norm_sum, 2.0 * P0[live]))
-        if leave.any():
-            T_emp[live[leave]] = time_grid[i - 1]
-            live, y = live[~leave], y[~leave]
-            if not live.size:
-                break
+            P0 = norm_sum[0]
+        leave = ~(np.isfinite(block).all(axis=(-2, -1)) & _within(norm_sum, 2.0 * P0[live]))
+        left = leave.any(axis=0)
+        T_emp[live[left]] = time_grid[i - len(block) + leave.argmax(axis=0)[left]]
+        live, y = live[~left], block[-1, ~left]
+        if not live.size or i == time_grid.size - 1:
+            break
+        block = np.empty((min(len(pairs) // live.size, time_grid.size - 1 - i),) + y.shape,
+                         dtype=y.dtype)
+        for j in range(len(block)):
+            block[j] = _rk4_step(rhs, y, i, cfg.dt)
+            y, i = block[j], i + 1
+            if i == 1:
+                _check_finite(y, i, time_grid, "direct solve")
     return P0, T_emp
 
 

@@ -267,5 +267,6 @@ def lp_norm_samples(samples: np.ndarray, dx: float, p: float) -> float:
     a = np.abs(samples)
     if np.isinf(p):
         return float(a.max(axis=-1)) if a.ndim == 1 else a.max(axis=-1)
-    out = (dx * np.sum(a**p, axis=-1)) ** (1.0 / p)
+    a **= p  # in place: a is the moduli np.abs has just made
+    out = (dx * np.sum(a, axis=-1)) ** (1.0 / p)
     return float(out) if np.ndim(out) == 0 else out

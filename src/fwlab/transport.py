@@ -296,7 +296,11 @@ class TransportEstimateReport:
     lhs: np.ndarray
     rhs: np.ndarray
     holds: np.ndarray
-    max_violation_ratio: float
+    ratio: np.ndarray  # lhs / rhs per node, inf where rhs is 0
+
+    @property
+    def max_violation_ratio(self) -> float:
+        return float(np.max(self.ratio))
 
 
 def _check_estimate_admissible(params: BesovParams) -> None:
@@ -345,8 +349,8 @@ def _evaluate_estimate(C: float, dt: float, f_norms, F_norms, V):
     lhs = f_norms
     holds = lhs <= rhs * (1.0 + 1e-10)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(rhs > 0, lhs / rhs, np.inf)
-    return lhs, rhs, holds, float(np.max(ratios))
+        ratio = np.where(rhs > 0, lhs / rhs, np.inf)
+    return lhs, rhs, holds, ratio
 
 
 def verify_transport_estimate(
@@ -359,13 +363,12 @@ def verify_transport_estimate(
         raise ValueError("C must be positive and finite")
     _check_estimate_admissible(params)
     f_norms, F_norms, V = _estimate_profiles(traj, params)
-    lhs, rhs, holds, max_ratio = _evaluate_estimate(
+    lhs, rhs, holds, ratio = _evaluate_estimate(
         C, traj.problem.dt, f_norms, F_norms, V
     )
     return TransportEstimateReport(
         C=C, time_grid=traj.time_grid, f_norms=f_norms, F_norms=F_norms,
-        V_profile=V, lhs=lhs, rhs=rhs, holds=holds,
-        max_violation_ratio=max_ratio,
+        V_profile=V, lhs=lhs, rhs=rhs, holds=holds, ratio=ratio,
     )
 
 

@@ -730,6 +730,40 @@ class TestEmpiricalLifespan:
         assert T_emp[0] == pytest.approx(blowup_lifespan, rel=1e-12)
         assert T_emp[1] == 8.0  # zero data survives to t_cap
 
+    @pytest.mark.parametrize("norms_zeroed", [False, True])
+    def test_blocked_sweep_is_the_same_sweep(self, params322, monkeypatch, norms_zeroed):
+        # as members leave, the blocks span more nodes; a member that leaves
+        # inside a block (over 2*P0 with the real norms, at its blow-up with
+        # the norms zeroed) steps on to the block's end, and no block holds
+        # more rows than node 0's
+        if norms_zeroed:
+            monkeypatch.setattr(fwlab.fw, "_pair_norms", lambda part, y, params: (
+                np.zeros(y.shape[:-2]), np.zeros(y.shape[:-2])))
+        blocks = []
+        real = fwlab.fw._pair_norms
+
+        def recording(part, y, params):
+            blocks.append(y.shape[:-2])
+            return real(part, y, params)
+
+        grid = _blowup_data()[0].grid
+        pairs = [_sine_cosine(grid, a) for a in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)]
+        cfg = SchemeConfig(params=params322, dt=1e-2)
+        monkeypatch.setattr(fwlab.fw, "_pair_norms", recording)
+        _, T_emp = fwlab.fw._lifespans(pairs, cfg, t_cap=8.0)
+        monkeypatch.setattr(fwlab.fw, "_pair_norms", real)
+        singles = [empirical_lifespan(u0, rho0, cfg, t_cap=8.0) for u0, rho0 in pairs]
+        assert np.array_equal(T_emp, singles)
+        assert blocks[0] == (1, len(pairs))
+        assert max(math.prod(b) for b in blocks) == len(pairs)
+        # the node each member leaves at, and the first node of each block
+        first_nodes = np.cumsum([0] + [b[0] for b in blocks])[:-1]
+        leave_nodes = np.rint(T_emp / cfg.dt).astype(int) + 1
+        assert max(b[0] for b in blocks) > 1
+        assert not np.isin(leave_nodes, first_nodes).all()
+        if norms_zeroed:
+            assert T_emp[0] == pytest.approx(7.93, rel=1e-12)  # a blow-up, not t_cap
+
     def test_sweep_is_one_march_that_drops_members(self, monkeypatch):
         calls = {"_march_fw": 0, "_fw_rhs": 0, "_pair_norms": 0}
         for name in calls:
@@ -745,8 +779,9 @@ class TestEmpiricalLifespan:
         # until the last of them leaves
         T_emp = [row[2] for row in report.tables["lifespan"][1]]
         assert T_emp == pytest.approx(5e-3 * np.array([351, 209, 73, 31]), rel=1e-12)
-        # one norm call per node, 0..352
-        assert calls == {"_march_fw": 1, "_fw_rhs": 4 * 352, "_pair_norms": 353}
+        # one norm call per block of up to 4 // (live members) nodes: 179
+        # calls, and the last block steps two nodes past the last verdict
+        assert calls == {"_march_fw": 1, "_fw_rhs": 4 * 354, "_pair_norms": 179}
         # T_emp over T = 3/(16 C P0^2) at C = 1: below 1 at a = 0.25
         P0 = [row[1] for row in report.tables["lifespan"][1]]
         ratios = [float(q) for q in report.summary["T_emp_over_T_guaranteed"].split()]

@@ -11,7 +11,13 @@ from fwlab import (
     lp_norm,
     make_grid,
 )
-from fwlab.spectral import _half_symbols, dealias_mask, dx_symbol, lambda_inv_dx_symbol
+from fwlab.spectral import (
+    _half_symbols,
+    dealias_mask,
+    dx_symbol,
+    lambda_inv_dx_symbol,
+    lp_norm_samples,
+)
 
 from conftest import random_field
 
@@ -191,6 +197,25 @@ class TestLpNorm:
         f = GridFunction.from_samples(g, np.ones(g.N))
         with pytest.raises(ValueError):
             lp_norm(f, 0.5)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0, np.inf])
+    def test_samples_untouched_and_bits_of_the_formula(self, p):
+        # the moduli are raised to p in place, on the array np.abs makes:
+        # the caller's samples keep their bits, and the norm has those of
+        # (dx sum |x|^p)^(1/p) computed out of place, zeros, subnormals and
+        # an infinite row included
+        rng = np.random.default_rng(5)
+        samples = rng.standard_normal((3, 64))
+        samples[0, :4] = [0.0, -0.0, 5e-324, -2.2e-308]
+        samples[2, 7] = -np.inf
+        before = samples.copy()
+        dx = 2 * np.pi / 64
+        got = lp_norm_samples(samples, dx, p)
+        a = np.abs(samples)
+        want = a.max(axis=-1) if np.isinf(p) else (dx * np.sum(a**p, axis=-1)) ** (1.0 / p)
+        assert np.array_equal(samples.view(np.int64), before.view(np.int64))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert lp_norm_samples(samples[1], dx, p) == want[1]
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.5, np.inf])
     def test_norm_axioms_on_random_triples(self, p):
