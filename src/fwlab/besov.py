@@ -196,6 +196,25 @@ def low_cutoff(part: LPPartition, f: GridFunction, q: int) -> GridFunction:
     return GridFunction.from_coefficients(f.grid, mask * f.coefficients)
 
 
+def _row_masks(part: LPPartition, half: np.ndarray) -> np.ndarray:
+    """The (Q, 1, ..., 1, N//2 + 1) block masks against half-spectrum rows
+    (..., N//2 + 1), one per block; N is even."""
+    return part.masks[(slice(None),) + (None,) * (half.ndim - 1)
+                      + (slice(None, half.shape[-1]),)]
+
+
+def _parseval_norms(part: LPPartition, masks: np.ndarray, power: np.ndarray):
+    """The L^2 norms of every dyadic block by Parseval, from the squared
+    moduli of half-spectrum rows: ||Delta_q f||_{L^2}^2 =
+    2 pi L sum_k w_k |mask_q c_k|^2 with weights (1, 2, ..., 2, 1), since each
+    mode strictly between 0 and Nyquist stands for itself and its conjugate.
+    One dot product per (block, row), not a matmul: BLAS picks its matmul
+    kernel by row count, which moves the last bits."""
+    weighted = 2.0 * masks**2
+    weighted[..., [0, -1]] *= 0.5
+    return np.sqrt(2.0 * np.pi * part.grid.L * np.vecdot(weighted, power))
+
+
 def _block_lp_norms(part: LPPartition, half: np.ndarray, p: float):
     """L^p norms of every dyadic block for a batch of half-spectrum rows, each
     divided by its largest modulus before any power.
@@ -204,30 +223,69 @@ def _block_lp_norms(part: LPPartition, half: np.ndarray, p: float):
     amplitude normalization (divided by N).  Returns the block norms of the
     divided rows, shape (q_max + 2, ...) in block order q = -1, 0, ..., q_max,
     and each row's largest modulus, shape (...); a row whose largest modulus
-    is 0, inf or NaN has NaN block norms.  At p = 2, Parseval gives
-    ||Delta_q f||_{L^2}^2 = 2 pi L sum_k w_k |mask_q c_k|^2 with weights
-    (1, 2, ..., 2, 1): each mode strictly between 0 and Nyquist stands for
-    itself and its conjugate.  Otherwise one irfft of the masked blocks gives
-    their samples.
+    is 0, inf or NaN has NaN block norms.  At p = 2 they come by Parseval
+    (_parseval_norms); otherwise one irfft of the masked blocks gives their
+    samples.
     """
     grid = part.grid
-    # (Q, 1, ..., 1, N//2 + 1), one mask per block against the rows; N is even
-    masks = part.masks[(slice(None),) + (None,) * (half.ndim - 1)
-                       + (slice(None, half.shape[-1]),)]
+    masks = _row_masks(part, half)
     modulus = np.abs(half)
     top = modulus.max(axis=-1, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
         if p == 2:
-            weighted = 2.0 * masks**2
-            weighted[..., [0, -1]] *= 0.5
-            # one dot product per (block, row), not a matmul: BLAS picks
-            # its matmul kernel by row count, which moves the last bits;
             # the squared divided moduli overwrite the moduli
             power = np.square(np.multiply(modulus, 1.0 / top, out=modulus), out=modulus)
-            sums = np.vecdot(weighted, power)
-            return np.sqrt(2.0 * np.pi * grid.L * sums), top[..., 0]
+            return _parseval_norms(part, masks, power), top[..., 0]
         samples = np.fft.irfft(masks * (half * (grid.N / top)), grid.N)
         return lp_norm_samples(samples, grid.dx, p), top[..., 0]
+
+
+def _block_norm_bounds(part: LPPartition, half: np.ndarray, p: float):
+    """Upper bounds of _block_lp_norms(part, half, p), with its shapes and
+    its division by each row's largest modulus, from the moduli of the modes
+    alone: no block is inverted.
+
+    With g = Delta_q f of a divided row, ||g||_2 is the Parseval value
+    (_parseval_norms, the reduction's own at p = 2) and ||g||_inf <=
+    sum_k w_k |mask_q c_k| with the same weights.  For p >= 2,
+    ||g||_p <= ||g||_2^{2/p} ||g||_inf^{1 - 2/p} (Holder, sample by sample);
+    for p < 2, ||g||_p <= (2 pi L)^{1/p - 1/2} ||g||_2.  So at p = 2 the
+    bound is the reduction's value to the bit.  The one temporary as large
+    as the rows is their moduli.
+    """
+    masks = _row_masks(part, half)
+    modulus = np.abs(half)
+    top = modulus.max(axis=-1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        divided = np.multiply(modulus, 1.0 / top, out=modulus)
+        weighted = 2.0 * masks
+        weighted[..., [0, -1]] *= 0.5
+        sup = np.vecdot(weighted, divided)
+        # the squared divided moduli overwrite the moduli
+        two = _parseval_norms(part, masks, np.square(divided, out=divided))
+    if p < 2:
+        return (2.0 * np.pi * part.grid.L) ** (1.0 / p - 0.5) * two, top[..., 0]
+    if np.isinf(p):
+        return sup, top[..., 0]
+    return two ** (2.0 / p) * sup ** (1.0 - 2.0 / p), top[..., 0]
+
+
+def _lr_sum(blocks: np.ndarray, weights: np.ndarray, r: float) -> np.ndarray:
+    """The l^r sum over the leading block axis of blocks (Q, ...) weighted by
+    weights (Q,) + shape(s), whose trailing axes broadcast over the trailing
+    axes of the rows.  The sum runs block by block, in order, and is divided
+    by its largest term before any power, so it neither underflows nor
+    overflows; it is monotone in every block."""
+    w = weights.reshape(weights.shape[:1] + (1,) * (blocks.ndim - weights.ndim)
+                        + weights.shape[1:])
+    # the trailing axis keeps a lone row an array: numpy scalars take powers
+    # with other rounding than arrays do
+    terms = (w * blocks)[..., None]
+    out = terms.max(axis=0)
+    if not np.isinf(r):
+        # np.sum would sum a lone row pairwise
+        out = out * sum((terms / out) ** r) ** (1.0 / r)
+    return out[..., 0]
 
 
 def _norms(part: LPPartition, half, params: BesovParams, s) -> np.ndarray:
@@ -244,18 +302,21 @@ def _norms(part: LPPartition, half, params: BesovParams, s) -> np.ndarray:
     """
     blocks, top = _block_lp_norms(
         part, np.ascontiguousarray(half, dtype=complex), params.p)
-    weights = part.block_weights(s)
-    w = weights.reshape(weights.shape[:1] + (1,) * (blocks.ndim - weights.ndim)
-                        + weights.shape[1:])
-    # the trailing axis keeps a lone row an array: numpy scalars take powers
-    # with other rounding than arrays do
-    terms = (w * blocks)[..., None]
-    out = terms.max(axis=0)
-    if not np.isinf(params.r):
-        # block by block, in order: np.sum would sum a lone row pairwise
-        out = out * sum((terms / out) ** params.r) ** (1.0 / params.r)
-    top = top[..., None]
-    return np.where(np.isfinite(top) & (top > 0), top * out, top)[..., 0]
+    out = top * _lr_sum(blocks, part.block_weights(s), params.r)
+    return np.where(np.isfinite(top) & (top > 0), out, top)
+
+
+def _norm_bounds(part: LPPartition, half, params: BesovParams, s) -> np.ndarray:
+    """Upper bounds of _norms(part, half, params, s), rows and shapes as
+    there, from _block_norm_bounds: the l^r sum is monotone in every block,
+    so it bounds the Besov norm.  At p = 2 a bound is the norm to the bit.
+    A row whose largest modulus is 0, inf or NaN reads inf, and a bound
+    that overflows reads inf."""
+    blocks, top = _block_norm_bounds(
+        part, np.ascontiguousarray(half, dtype=complex), params.p)
+    with np.errstate(over="ignore"):
+        out = top * _lr_sum(blocks, part.block_weights(s), params.r)
+    return np.where(np.isfinite(top) & (top > 0), out, np.inf)
 
 
 def besov_norm(part: LPPartition, f: GridFunction, params: BesovParams) -> float:

@@ -63,11 +63,12 @@ iterate's samples at every node only when its caller asks for them
 The empirical lifespan integrates the nonlinear system directly: the
 lifespan sweep steps all its data as one member stack in one loop, one RK4
 step per node.  Node 0 is normed alone and gives each member's P0; later
-nodes are normed in blocks of up to K // L nodes while L of the K members
-are live, one norm call per block, so no call holds more rows than node
-0's.  A member leaves at its first node over 2*P0 or not finite, when its
-block closes, and the march is never restarted.  empirical_lifespan is the
-one-member case of that march, one node per block.
+nodes are screened in blocks of _DISTANCE_BLOCK nodes by an upper bound of
+the pair norm from the moduli of the modes (_pair_norm_bounds), and only
+the rows it cannot certify under 2*P0 are normed, in calls of at most node
+0's rows.  A member leaves at its first node over 2*P0 or not finite, when
+its block closes, and the march is never restarted.  empirical_lifespan is
+the one-member case of that march.
 """
 
 from __future__ import annotations
@@ -83,6 +84,7 @@ from .besov import (
     BesovParams,
     LPPartition,
     MollifierKernel,
+    _norm_bounds,
     _norms,
     besov_norms_of_samples,
     build_partition,
@@ -126,11 +128,16 @@ LIFESPAN_CAP = 1e6
 #: stability_experiment asserts D(t) <= D(0) exp(beta t) (1 + GRONWALL_SLACK)
 GRONWALL_SLACK = 0.05
 
-#: nodes whose member differences _member_distances norms in one call: on a
-#: few members a call per node costs about three times a node's share of a
-#: block, and chunks of hundreds of rows hold more memory than the sweeps'
-#: no-trajectory bound allows
+#: nodes whose member differences _member_distances norms in one call, and
+#: that _lifespans screens in one call: on a few members a call per node
+#: costs about three times a node's share of a block, and chunks of hundreds
+#: of rows hold more memory than the sweeps' no-trajectory bound allows
 _DISTANCE_BLOCK = 8
+
+#: _lifespans takes a node whose norm-sum bound is at most 2*P0*(1 - this)
+#: as under 2*P0 without norming it: far above the reductions' rounding,
+#: about 1e-13, so the exact norm sum would pass _within too
+_BOUND_MARGIN = 1e-8
 
 
 @dataclass(frozen=True)
@@ -320,6 +327,15 @@ def _pair_norms(part: LPPartition, y: np.ndarray, params: BesovParams):
     reduction.  Its callers bound the rows they pass."""
     norms = _norms(part, y / part.grid.N, params, _pair_smoothness(params))
     return norms[..., 0], norms[..., 1]
+
+
+def _pair_norm_bounds(part: LPPartition, y: np.ndarray, params: BesovParams):
+    """Upper bounds of _pair_norms(part, y, params), from the moduli of the
+    modes alone (besov._norm_bounds); equal to them at p = 2, and inf on a
+    row that is zero or not finite.  They only pick the rows that need
+    _pair_norms, which stays the measure."""
+    bounds = _norm_bounds(part, y / part.grid.N, params, _pair_smoothness(params))
+    return bounds[..., 0], bounds[..., 1]
 
 
 def _sup_distance(part: LPPartition, d: np.ndarray, params: BesovParams) -> float:
@@ -570,17 +586,21 @@ def _lifespans(pairs: Sequence[tuple[GridFunction, GridFunction]],
     """P0 and the empirical lifespan of each (u0, rho0) pair, which share
     one grid: one march of their (K, 2, N) stack, one RK4 step per node,
     normed in blocks of consecutive nodes.  Node 0 is a block of its own,
-    and its norm sum is each member's P0, the measure of every later node,
-    so node 0 is never over 2*P0.  While L members are live a block holds
-    up to K // L nodes, so no norm call holds more rows than node 0's.
+    normed by _pair_norms, and its norm sum is each member's P0, the measure
+    of every later node, so node 0 is never over 2*P0.  Later blocks hold
+    _DISTANCE_BLOCK nodes (the last may hold fewer).  Each is screened by
+    _pair_norm_bounds: a row whose bound sum is at most
+    2*P0*(1 - _BOUND_MARGIN) is under 2*P0, and only the other rows, zero or
+    not finite ones included, are gathered and normed by _pair_norms, in
+    calls of at most K rows, so no norm call holds more rows than node 0's.
 
     A member leaves the stack at its first node that is over 2*P0 or not
     finite, and its lifespan is the node before; a march that is not finite
     after its first step has no such node and raises BlowUpError.  Members
     leave when their block closes: one that crossed inside a block steps to
     its end, and those steps are thrown away.  Members step and are normed
-    row by row, so neither the blocks nor dropping a member moves the
-    others' bits from those a march of their own would make.
+    row by row, so neither the blocks, the screen nor dropping a member
+    moves the others' bits from those a march of their own would make.
     """
     grid = pairs[0][0].grid
     part = build_partition(grid)
@@ -597,17 +617,23 @@ def _lifespans(pairs: Sequence[tuple[GridFunction, GridFunction]],
         # a node near blow-up can overflow its norm; inf counts as a
         # violation, and so does NaN
         with np.errstate(over="ignore"):
-            norm_u, norm_rho = _pair_norms(part, block, cfg.params)
-            norm_sum = norm_u + norm_rho
-        if i == 0:
-            P0 = norm_sum[0]
+            if i == 0:
+                norm_sum = np.add(*_pair_norms(part, block, cfg.params))
+                P0 = norm_sum[0]
+            else:
+                norm_sum = np.add(*_pair_norm_bounds(part, block, cfg.params))
+                # the (node, member) of each row the bound cannot certify
+                exact = np.argwhere(~(norm_sum <= 2.0 * P0[live] * (1.0 - _BOUND_MARGIN)))
+                for c in range(0, len(exact), len(pairs)):
+                    n, k = exact[c:c + len(pairs)].T
+                    norm_sum[n, k] = np.add(*_pair_norms(part, block[n, k], cfg.params))
         leave = ~(np.isfinite(block).all(axis=(-2, -1)) & _within(norm_sum, 2.0 * P0[live]))
         left = leave.any(axis=0)
         T_emp[live[left]] = time_grid[i - len(block) + leave.argmax(axis=0)[left]]
         live, y = live[~left], block[-1, ~left]
         if not live.size or i == time_grid.size - 1:
             break
-        block = np.empty((min(len(pairs) // live.size, time_grid.size - 1 - i),) + y.shape,
+        block = np.empty((min(_DISTANCE_BLOCK, time_grid.size - 1 - i),) + y.shape,
                          dtype=y.dtype)
         for j in range(len(block)):
             block[j] = _rk4_step(rhs, y, i, cfg.dt)

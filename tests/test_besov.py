@@ -15,6 +15,7 @@ from fwlab import (
 import fwlab.besov
 from fwlab.besov import (
     _block_lp_norms,
+    _norm_bounds,
     _norms,
     besov_norms_batch,
     besov_norms_of_samples,
@@ -446,6 +447,54 @@ class TestParsevalBlocks:
         got = besov_norms_of_samples(part256, rows, params)
         assert sizes == [chunk] * (1001 // chunk) + [1001 % chunk]
         assert np.array_equal(got, want)
+
+class TestNormBounds:
+    """_norm_bounds bounds _norms from the moduli of the modes alone."""
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        N=st.sampled_from([64, 256]),
+        kind=st.sampled_from(["random", "single", "zero"]),
+        decay=st.floats(0.0, 0.5),
+        log2_scale=st.integers(-1000, 500),
+        p=st.sampled_from([1.0, 1.5, 2.0, 3.0, 4.0, np.inf]),
+        s=st.floats(-1.0, 4.0),
+        r=st.sampled_from([1.0, 2.0, np.inf]),
+    )
+    @example(seed=0, N=256, kind="random", decay=0.0, log2_scale=-1000, p=4.0, s=3.0, r=2.0)
+    @example(seed=0, N=64, kind="single", decay=0.0, log2_scale=500, p=np.inf, s=4.0, r=1.0)
+    def test_property_bound_dominates_norm(self, seed, N, kind, decay, log2_scale,
+                                           p, s, r):
+        # an l^r sum that is not divided by its largest term underflows to
+        # 0 at 2^-1000, r = 2; a zero row's bound is inf
+        part = build_partition(make_grid(N, 8.0))
+        rng = np.random.default_rng(seed)
+        half = np.zeros((5, N // 2 + 1), dtype=complex)
+        if kind == "random":
+            half[:] = (rng.standard_normal(half.shape) + 1j * rng.standard_normal(half.shape)
+                       ) * np.exp(-decay * np.arange(N // 2 + 1))
+        elif kind == "single":
+            k = rng.integers(0, N // 2 + 1, len(half))
+            half[np.arange(len(half)), k] = rng.standard_normal(len(half)) + 1j
+        half *= 2.0**log2_scale
+        params = BesovParams(s, p, r)
+        exact = _norms(part, half, params, s)
+        bound = _norm_bounds(part, half, params, s)
+        nonzero = np.isfinite(exact) & (exact > 0)
+        assert np.array_equal(nonzero, np.abs(half).max(axis=-1) > 0)
+        assert np.all(bound[nonzero] >= exact[nonzero] * (1.0 - 1e-12))
+        assert np.all(bound[~nonzero] == np.inf)
+        if p == 2:
+            assert np.array_equal(bound, np.where(nonzero, exact, np.inf))
+
+    def test_bound_of_a_row_not_finite_is_inf(self, part256):
+        half = np.ones((3, 129), dtype=complex)
+        half[0, 5], half[1, 7] = np.inf, np.nan
+        for p in (1.0, 2.0, 4.0, np.inf):
+            bound = _norm_bounds(part256, half, BesovParams(3.0, p, 2.0), 3.0)
+            assert np.array_equal(bound[:2], [np.inf, np.inf]) and np.isfinite(bound[2])
+
 
 def _full_spectrum_norms(part, c, params):
     """The reduction on full coefficient rows (..., N): Parseval over all N

@@ -547,13 +547,14 @@ class TestScheme:
 
     def test_memory_guard_prices_what_is_live_at_p4(self):
         # at p != 2 the norm reduction inverts every dyadic block of every
-        # norm row, and a long lifespan makes the flags' per-node arrays
-        # large: a guard that priced neither read 821,414 B for this run,
-        # under its 837,130 B peak
-        grid = make_grid(64, 8.0)
-        u0 = GridFunction.from_samples(grid, 0.1 * np.sin(grid.x / 8))
-        rho0 = GridFunction.from_samples(grid, 0.1 * np.cos(grid.x / 8))
-        cfg = SchemeConfig(params=BesovParams(3.0, 4.0, 2.0), C=1.0, n_max=3, dt=5e-2)
+        # norm row, and a long lifespan (T = 123, 1,231 nodes) makes the
+        # flags' per-node arrays large: the guard reads 927,836 B for this
+        # run against its 861,008 B peak, and without the reduction's sample
+        # temporaries and the flags' arrays it would read 791,380 B
+        grid = make_grid(32, 8.0)
+        u0 = GridFunction.from_samples(grid, 0.05 * np.sin(grid.x / 8))
+        rho0 = GridFunction.from_samples(grid, 0.05 * np.cos(grid.x / 8))
+        cfg = SchemeConfig(params=BesovParams(3.0, 4.0, 2.0), C=1.0, n_max=3, dt=1e-1)
         tracemalloc.start()
         try:
             trace = run_scheme(u0, rho0, cfg)
@@ -561,7 +562,11 @@ class TestScheme:
         finally:
             tracemalloc.stop()
         Q = build_partition(grid).masks.shape[0]
-        assert peak <= fwlab.fw._scheme_bytes(grid.N, cfg.n_max, trace.T, cfg.dt, 4.0, Q)
+        priced = fwlab.fw._scheme_bytes(grid.N, cfg.n_max, trace.T, cfg.dt, 4.0, Q)
+        assert peak <= priced
+        samples = 2 * Q * 4 * cfg.n_max * grid.N * 8
+        flags = (trace.T / cfg.dt + 1.0) * (2 * (cfg.n_max + 1) + 4) * 8
+        assert peak > priced - samples - flags
 
     def test_memory_guard_before_allocating(self, grid256, part256, params322):
         # P0 ~ 1e-8 puts the lifespan at LIFESPAN_CAP: about 1e9 nodes
@@ -732,43 +737,71 @@ class TestEmpiricalLifespan:
 
     @pytest.mark.parametrize("norms_zeroed", [False, True])
     def test_blocked_sweep_is_the_same_sweep(self, params322, monkeypatch, norms_zeroed):
-        # as members leave, the blocks span more nodes; a member that leaves
-        # inside a block (over 2*P0 with the real norms, at its blow-up with
-        # the norms zeroed) steps on to the block's end, and no block holds
-        # more rows than node 0's
+        # every block after node 0 is screened in one bound call; a member
+        # that leaves inside a block (over 2*P0 with the real norms, at its
+        # blow-up with the norms zeroed) steps on to the block's end, and no
+        # exact norm call holds more rows than node 0's.  With the norms
+        # zeroed P0 is 0, no row is certified and every row is normed.
         if norms_zeroed:
             monkeypatch.setattr(fwlab.fw, "_pair_norms", lambda part, y, params: (
                 np.zeros(y.shape[:-2]), np.zeros(y.shape[:-2])))
-        blocks = []
-        real = fwlab.fw._pair_norms
+        exact, screened = [], []
 
-        def recording(part, y, params):
-            blocks.append(y.shape[:-2])
-            return real(part, y, params)
+        def recording(calls, real):
+            def wrapper(part, y, params):
+                calls.append(y.shape[:-2])
+                return real(part, y, params)
+            return wrapper
 
         grid = _blowup_data()[0].grid
         pairs = [_sine_cosine(grid, a) for a in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)]
         cfg = SchemeConfig(params=params322, dt=1e-2)
-        monkeypatch.setattr(fwlab.fw, "_pair_norms", recording)
-        _, T_emp = fwlab.fw._lifespans(pairs, cfg, t_cap=8.0)
-        monkeypatch.setattr(fwlab.fw, "_pair_norms", real)
+        with monkeypatch.context() as patch:
+            patch.setattr(fwlab.fw, "_pair_norms", recording(exact, fwlab.fw._pair_norms))
+            patch.setattr(fwlab.fw, "_pair_norm_bounds",
+                          recording(screened, fwlab.fw._pair_norm_bounds))
+            _, T_emp = fwlab.fw._lifespans(pairs, cfg, t_cap=8.0)
         singles = [empirical_lifespan(u0, rho0, cfg, t_cap=8.0) for u0, rho0 in pairs]
         assert np.array_equal(T_emp, singles)
-        assert blocks[0] == (1, len(pairs))
-        assert max(math.prod(b) for b in blocks) == len(pairs)
+        assert exact[0] == (1, len(pairs))
+        assert all(len(b) == 1 for b in exact[1:])
+        assert max(math.prod(b) for b in exact) == len(pairs)
+        # every row after node 0 is screened once and normed at most once
+        rows = sum(math.prod(b) for b in screened)
+        assert sum(math.prod(b) for b in exact[1:]) == (rows if norms_zeroed else 30)
+        assert {b[0] for b in screened[:-1]} == {fwlab.fw._DISTANCE_BLOCK}
         # the node each member leaves at, and the first node of each block
-        first_nodes = np.cumsum([0] + [b[0] for b in blocks])[:-1]
+        first_nodes = np.cumsum([1] + [b[0] for b in screened])[:-1]
         leave_nodes = np.rint(T_emp / cfg.dt).astype(int) + 1
-        assert max(b[0] for b in blocks) > 1
         assert not np.isin(leave_nodes, first_nodes).all()
         if norms_zeroed:
             assert T_emp[0] == pytest.approx(7.93, rel=1e-12)  # a blow-up, not t_cap
 
+    @pytest.mark.parametrize("p", [1.0, 2.0, 4.0, np.inf])
+    def test_screen_keeps_the_bits_of_exact_norms(self, monkeypatch, p):
+        # with a bound that certifies nothing every row is normed exactly;
+        # the screened sweep gives the same bits.  The blow-up data are
+        # amplitude 2, and the suite turns any RuntimeWarning into an error.
+        grid = _blowup_data()[0].grid
+        pairs = [_sine_cosine(grid, a) for a in (1e-150, 0.25)]
+        pairs += [_blowup_data(), (_gf(grid, 0.0), _gf(grid, 0.0))]
+        cfg = SchemeConfig(params=BesovParams(3.2, p, 2.0), dt=1e-2)
+        want = fwlab.fw._lifespans(pairs, cfg, t_cap=8.0)
+        monkeypatch.setattr(fwlab.fw, "_pair_norm_bounds", lambda part, y, params: (
+            np.full(y.shape[:-2], np.inf), np.full(y.shape[:-2], np.inf)))
+        got = fwlab.fw._lifespans(pairs, cfg, t_cap=8.0)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert want[1][0] == want[1][3] == 8.0  # tiny and zero data reach t_cap
+        assert want[1][2] < want[1][1] < 8.0
+
     def test_sweep_is_one_march_that_drops_members(self, monkeypatch):
-        calls = {"_march_fw": 0, "_fw_rhs": 0, "_pair_norms": 0}
+        calls = {"_march_fw": 0, "_fw_rhs": 0, "_pair_norms": 0, "_pair_norm_bounds": 0}
+        rows = {"_pair_norms": 0, "_pair_norm_bounds": 0}
         for name in calls:
             def counting(*args, real=getattr(fwlab.fw, name), name=name):
                 calls[name] += 1
+                if name in rows:
+                    rows[name] += math.prod(args[1].shape[:-2])
                 return real(*args)
             monkeypatch.setattr(fwlab.fw, name, counting)
         # the lifespan-p4 benchmark workload
@@ -779,9 +812,13 @@ class TestEmpiricalLifespan:
         # until the last of them leaves
         T_emp = [row[2] for row in report.tables["lifespan"][1]]
         assert T_emp == pytest.approx(5e-3 * np.array([351, 209, 73, 31]), rel=1e-12)
-        # one norm call per block of up to 4 // (live members) nodes: 179
-        # calls, and the last block steps two nodes past the last verdict
-        assert calls == {"_march_fw": 1, "_fw_rhs": 4 * 354, "_pair_norms": 179}
+        # one bound call per block of 8 nodes after node 0, and the last
+        # block ends at the last verdict; the bound certifies all but 65 of
+        # the 680 node-member rows after node 0, which are normed in calls
+        # of at most 4 rows, node 0's
+        assert calls == {"_march_fw": 1, "_fw_rhs": 4 * 352, "_pair_norms": 19,
+                         "_pair_norm_bounds": 44}
+        assert rows == {"_pair_norms": 4 + 65, "_pair_norm_bounds": 680}
         # T_emp over T = 3/(16 C P0^2) at C = 1: below 1 at a = 0.25
         P0 = [row[1] for row in report.tables["lifespan"][1]]
         ratios = [float(q) for q in report.summary["T_emp_over_T_guaranteed"].split()]
