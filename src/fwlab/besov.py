@@ -1,4 +1,4 @@
-"""Littlewood-Paley partition, Besov norms, mollification and inequality checks.
+"""Littlewood-Paley partition, Besov norms and mollification.
 
 The dyadic partition of unity uses a smooth low-pass profile chi equal to 1
 for |xi| <= 3/4 and 0 for |xi| >= 4/3, glued with the standard exp(-1/x)
@@ -27,12 +27,7 @@ from functools import cache
 
 import numpy as np
 
-from .spectral import (
-    Grid,
-    GridFunction,
-    lambda_inv_dx,
-    lp_norm_samples,
-)
+from .spectral import Grid, GridFunction, lp_norm_samples
 
 __all__ = [
     "LPPartition",
@@ -47,8 +42,6 @@ __all__ = [
     "besov_norms_batch",
     "besov_norms_of_samples",
     "mollify",
-    "check_product_estimate",
-    "check_multiplier_bound",
 ]
 
 _CHI_INNER = 0.75  # chi == 1 inside this radius
@@ -146,9 +139,11 @@ class BesovParams:
     r: float
 
     def __post_init__(self):
-        if self.p < 1:
+        if not np.isfinite(self.s):
+            raise ValueError(f"s must be finite, got {self.s}")
+        if not self.p >= 1:
             raise ValueError(f"p must be in [1, inf], got {self.p}")
-        if self.r < 1:
+        if not self.r >= 1:
             raise ValueError(f"r must be in [1, inf], got {self.r}")
 
     @property
@@ -172,27 +167,24 @@ class BesovParams:
         return BesovParams(s=self.s + ds, p=self.p, r=self.r)
 
 
-def dyadic_block(part: LPPartition, f: GridFunction, q: int) -> GridFunction:
-    """The dyadic block Delta_q f.
+def dyadic_block(f: GridFunction, q: int) -> GridFunction:
+    """The dyadic block Delta_q f, on the partition of f's grid.
 
     q = -1 applies the low-pass chi mask, q >= 0 the ring masks; q <= -2 and
     q > q_max return the zero field.
     """
-    if f.grid != part.grid:
-        raise ValueError("partition and field live on different grids")
+    part = build_partition(f.grid)
     if q <= -2 or q > part.q_max:
         return GridFunction.from_samples(f.grid, np.zeros(f.grid.N))
     mask = part.chi_mask if q == -1 else part.phi_masks[q]
     return GridFunction.from_coefficients(f.grid, mask * f.coefficients)
 
 
-def low_cutoff(part: LPPartition, f: GridFunction, q: int) -> GridFunction:
+def low_cutoff(f: GridFunction, q: int) -> GridFunction:
     """The low-frequency cutoff S_q f, realized as one chi(2^{-q} xi) mask."""
     if q < 0:
         raise ValueError(f"low_cutoff requires q >= 0, got {q}")
-    if f.grid != part.grid:
-        raise ValueError("partition and field live on different grids")
-    mask = chi_profile(part.grid.wavenumbers / 2.0**q)
+    mask = chi_profile(f.grid.wavenumbers / 2.0**q)
     return GridFunction.from_coefficients(f.grid, mask * f.coefficients)
 
 
@@ -319,10 +311,10 @@ def _norm_bounds(part: LPPartition, half, params: BesovParams, s) -> np.ndarray:
     return np.where(np.isfinite(top) & (top > 0), out, np.inf)
 
 
-def besov_norm(part: LPPartition, f: GridFunction, params: BesovParams) -> float:
-    """The Besov norm ( sum_q (2^{sq} ||Delta_q f||_{L^p})^r )^{1/r}."""
-    if f.grid != part.grid:
-        raise ValueError("partition and field live on different grids")
+def besov_norm(f: GridFunction, params: BesovParams) -> float:
+    """The Besov norm ( sum_q (2^{sq} ||Delta_q f||_{L^p})^r )^{1/r}, on the
+    partition of f's grid."""
+    part = build_partition(f.grid)
     return float(_norms(part, _half(part, f.coefficients), params, params.s))
 
 
@@ -384,7 +376,7 @@ class MollifierKernel:
     epsilon: float
 
     def __post_init__(self):
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
 
     def samples_on(self, grid: Grid) -> np.ndarray:
@@ -402,10 +394,8 @@ class MollifierKernel:
         vals = np.zeros_like(u)
         inside = u < 1.0
         vals[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
-        mass = vals.sum() * grid.dx
-        if mass <= 0:
-            raise ValueError("kernel has no support on the grid")
-        return vals / mass
+        # x = 0 is a node inside the support, so the mass is positive
+        return vals / (vals.sum() * grid.dx)
 
 
 def mollify(f: GridFunction, kernel: MollifierKernel) -> GridFunction:
@@ -420,29 +410,3 @@ def mollify(f: GridFunction, kernel: MollifierKernel) -> GridFunction:
     return GridFunction.from_coefficients(
         f.grid, factor * k_hat * f.coefficients
     )
-
-
-def check_product_estimate(
-    part: LPPartition, f: GridFunction, g: GridFunction, params: BesovParams
-) -> float:
-    """Ratio ||f g||_{s-1} / (||f||_{s-1} ||g||_s) probing the product bound.
-
-    A harness asserts this stays under one empirical constant across a
-    randomized family; the bound itself is existential.
-    """
-    low = params.shift(-1.0)
-    denom = besov_norm(part, f, low) * besov_norm(part, g, params)
-    if denom == 0.0:
-        raise ValueError("product-estimate ratio needs nonzero f and g")
-    return besov_norm(part, f * g, low) / denom
-
-
-def check_multiplier_bound(
-    part: LPPartition, f: GridFunction, params: BesovParams
-) -> float:
-    """Ratio ||Lambda^{-1} d/dx f||_s / ||f||_{s-1} probing the S^2-multiplier
-    bound (the nonlocal operator gains one derivative)."""
-    denom = besov_norm(part, f, params.shift(-1.0))
-    if denom == 0.0:
-        raise ValueError("multiplier-bound ratio needs nonzero input")
-    return besov_norm(part, lambda_inv_dx(f), params) / denom

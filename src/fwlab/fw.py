@@ -7,26 +7,8 @@ The evolution is
     rho_t + u rho_x + rho u_x + u_x = 0
 
 with Lambda = 1 - d^2/dx^2, discretized pseudo-spectrally with 2/3-rule
-dealiasing of products and classical RK4 in time.  A pair is stacked
-(u, rho), (..., 2, ...), so a leading member axis steps or norms many
-solutions in one batched call.  The direct march carries real half spectra,
-the (..., 2, N//2 + 1) rfft of the samples, from start to end: its one
-right-hand-side kernel makes one irfft of (u, rho, u_x, rho_x) and one rfft
-of the two products per stage, and keeps the linear terms spectral.  It is
-integrated with the RK4 integrator the transport solver shares, and fw_rhs
-wraps it for single states.  Only readers that need samples invert a node:
-solve_fw_direct stores samples, and its node 0 is the given data.
-A march state is measured one way, in B^s x B^{s-1} by _pair_norms, on the
-partition of its grid: one block-norm reduction of its half spectra, whose
-bits do not depend on how the rows are batched.  The size of the data, P0,
-is that measure of the data's rfft, so it is a march's node-0 norm sum.
-The stability and continuity experiments march each family of solutions as
-one batch, each distinct member once: members with the same bits share one
-row of the march and its distances, as the continuity family's mollifiers of
-width at most dx do, which all sample to one delta.  The distance norms come
-from differences of half spectra, gathered over blocks of nodes into one
-buffer and normed in one call per block, storing no trajectory.
-The constructive scheme iterates the pair of linear transport problems
+dealiasing of products and classical RK4 in time.  The constructive scheme
+iterates the pair of linear transport problems
 
     u^{n+1}_t + u^n u^{n+1}_x = Lambda^{-1} d/dx (rho^n - u^n)
     rho^{n+1}_t + u^n rho^{n+1}_x = -rho^n u^n_x - u^n_x
@@ -37,38 +19,13 @@ iterate n+1, and monitors the per-iterate norm bounds
     ||u^n(t)||_{B^s} + ||rho^n(t)||_{B^{s-1}} <= P0 / sqrt(1 - 4 C P0^2 t)
                                               <= 2 P0
 
-on the guaranteed lifespan T = 3 / (16 C P0^2).  Iterate 1 is advected by
-the zero pair, so it is its mollified data at every node.  Iterate n+1
-reads iterate n only at the two nodes of its current step, so iterates
-2..n_max advance in one wave march, each one node behind its predecessor:
-M + n_max - 1 RK4 steps of one loop over _rk4_step, each one batched
-transport-kernel call per stage on the (n_max - 1, 2, N//2 + 1) half
-spectra, with a sample velocity and a half-spectrum forcing per row.  At
-wave node i, iterate r + 1 sits at node clip(i - r, 0, M): one that has not
-started waits at its data and one that has finished holds its last node,
-keeping its bits while its stepped result is discarded, so the same code
-runs on every iterate at every wave node.  Each wave is inverted once, by
-one irfft of its (u, rho, u_x): that gives the successors' velocity,
-checked against the advective bound, the last iterate's samples when they
-are kept, and the samples of the one product the forcing transforms.  Its
-norms and its differences from the previous iterate, d_n as a running
-maximum, are read from the half spectra in row-bounded node blocks: the
-norm rows of whole wave nodes, at most _NORM_CHUNK of them at p = 2 and one
-node's otherwise, are gathered in one buffer and normed in one call per
-block; a waiting or held iterate repeats bits it has already produced.
-Only two nodes per iterate are live; the trace keeps the first iterate as
-samples (a view of its data), every iterate's norms and d_n, and the last
-iterate's samples at every node only when its caller asks for them
-(scheme_direct_distance reads them; the norms, d_n and flags do not).
-The empirical lifespan integrates the nonlinear system directly: the
-lifespan sweep steps all its data as one member stack in one loop, one RK4
-step per node.  Node 0 is normed alone and gives each member's P0; later
-nodes are screened in blocks of _DISTANCE_BLOCK nodes by an upper bound of
-the pair norm from the moduli of the modes (_pair_norm_bounds), and only
-the rows it cannot certify under 2*P0 are normed, in calls of at most node
-0's rows.  A member leaves at its first node over 2*P0 or not finite, when
-its block closes, and the march is never restarted.  empirical_lifespan is
-the one-member case of that march.
+on the guaranteed lifespan T = 3 / (16 C P0^2).
+
+A pair is measured one way, in B^s x B^{s-1} on the partition of its grid,
+and its norm depends only on its own bits, not on how rows are batched; the
+size of the data, P0 (initial_norm), is that measure of the data.  A state
+that is not finite raises BlowUpError.  How the marches step, batch and
+norm is told in README.md (Library, fwlab.fw).
 """
 
 from __future__ import annotations
@@ -303,15 +260,15 @@ def _within(norm_sum, bound):
     return norm_sum <= bound * (1.0 + 1e-10) + 1e-14
 
 
-def initial_norm(part: LPPartition, u0: GridFunction, rho0: GridFunction,
-                 params: BesovParams) -> float:
+def initial_norm(u0: GridFunction, rho0: GridFunction, params: BesovParams) -> float:
     """The size of the data, P0 = ||u0||_{B^s} + ||rho0||_{B^{s-1}}, measured
-    as a march measures its nodes (_pair_norms of the half spectra), so it is
-    a lifespan march's node-0 norm sum to the bit."""
-    if not part.grid == u0.grid == rho0.grid:
-        raise ValueError("partition and field live on different grids")
+    as a march measures its nodes (_pair_norms of the half spectra, on the
+    partition of the data's grid), so it is a lifespan march's node-0 norm
+    sum to the bit.  u0 and rho0 must share one grid."""
+    if u0.grid != rho0.grid:
+        raise ValueError("u0 and rho0 must share one grid")
     norm_u, norm_rho = _pair_norms(
-        part, np.fft.rfft(np.stack([u0.samples, rho0.samples])), params)
+        build_partition(u0.grid), np.fft.rfft(np.stack([u0.samples, rho0.samples])), params)
     return float(norm_u + norm_rho)
 
 
@@ -441,11 +398,9 @@ def run_scheme(u0: GridFunction, rho0: GridFunction, cfg: SchemeConfig, *,
     keep_last stores the samples of iterate n_max at every node as
     trace.last, (M + 1, 2, N) floats, which scheme_direct_distance reads;
     without it trace.last is None and the run holds only the norms, d_n and
-    flags per node.
+    flags per node.  u0 and rho0 must share one grid (initial_norm).
     """
     grid = u0.grid
-    if rho0.grid != grid:
-        raise ValueError("u0 and rho0 must share one grid")
     part = build_partition(grid)
     params = cfg.params
     # a wave in B^s x B^{s-1}, its differences from the previous iterate
@@ -453,7 +408,7 @@ def run_scheme(u0: GridFunction, rho0: GridFunction, cfg: SchemeConfig, *,
     smoothness = np.stack([_pair_smoothness(params),
                            _pair_smoothness(params.shift(-1.0))])[:, None]
 
-    P0 = initial_norm(part, u0, rho0, params)
+    P0 = initial_norm(u0, rho0, params)
     T = lifespan(P0, cfg.C)
     if P0 > 0:
         # 4*C*P0^2*T = 3/4 by construction; guard against misuse

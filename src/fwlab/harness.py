@@ -215,8 +215,9 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     kind = cfg.experiment["kind"]
     if kind not in EXPERIMENT_KINDS:
         raise ValueError(f"unknown experiment kind {kind!r}; choose from {EXPERIMENT_KINDS}")
+    params = cfg.besov_params()  # a NaN p or r, or a non-finite s, fails every kind
     if kind in ("simulate", "iterate", "lifespan-sweep", "stability", "continuity"):
-        cfg.besov_params().require_admissible()
+        params.require_admissible()
     if kind == "iterate" and cfg.scheme["n_max"] < 3:
         raise ValueError(
             f"iterate needs scheme.n_max >= 3, got {cfg.scheme['n_max']}: its "
@@ -278,7 +279,7 @@ def random_transport_problem(
     v = random_band_limited(grid, rng, k_max=k_max, amplitude=0.5)
     F = random_band_limited(grid, rng, k_max=k_max, amplitude=0.5)
     f0 = random_band_limited(grid, rng, k_max=k_max, amplitude=1.0)
-    return TransportProblem.build(grid, time_grid, v.samples, F.samples, f0)
+    return TransportProblem.build(time_grid, v.samples, F.samples, f0)
 
 
 def _fmt(x) -> str:
@@ -424,10 +425,10 @@ def _load_initial_pair(cfg: RunConfig, grid: Grid, amplitude: float | None = Non
 def _run_norm(cfg: RunConfig, report: ExperimentReport) -> None:
     grid = cfg.make_grid()
     params = cfg.besov_params()
-    part = build_partition(grid)
     path = cfg.experiment["field_csv"]
     f = read_field_csv(path, grid) if path else _load_initial_pair(cfg, grid)[0]
-    value = besov_norm(part, f, params)
+    value = besov_norm(f, params)
+    part = build_partition(grid)
     order = np.argsort(grid.wavenumbers)
     header = ["xi", "chi"] + [f"phi_q{q}" for q in range(part.q_max + 1)]
     report.tables["masks"] = (header, np.column_stack([grid.wavenumbers[order],
@@ -453,6 +454,10 @@ def _run_partition_check(cfg: RunConfig, report: ExperimentReport) -> None:
 def _run_transport(cfg: RunConfig, report: ExperimentReport) -> None:
     grid = cfg.make_grid()
     params = cfg.besov_params()
+    # the states of its solve and, when it fits the constant, of one family
+    # solve at a time; a table row for it and for each problem's profiles
+    fit, n_prob = cfg.experiment["fit_constant"], cfg.experiment["n_problems"]
+    _check_nodes(cfg, (1 + fit) * grid.N * 8 + (1 + fit * 2 * n_prob) * _TABLE_ROW_BYTES)
     T, dt = cfg.time["T"], cfg.time["dt"]
     time_grid = make_time_grid(T, dt)
 
@@ -465,12 +470,10 @@ def _run_transport(cfg: RunConfig, report: ExperimentReport) -> None:
     F = field_from_spec(cfg.experiment["forcing"], 0.5)
     rng = np.random.default_rng(cfg.seed)
     f0 = random_band_limited(grid, rng, k_max=6)
-    traj = solve_transport(
-        TransportProblem.build(grid, time_grid, v.samples, F.samples, f0))
+    traj = solve_transport(TransportProblem.build(time_grid, v.samples, F.samples, f0))
 
     C = cfg.scheme["C"]
-    if cfg.experiment["fit_constant"]:
-        n_prob = cfg.experiment["n_problems"]
+    if fit:
         family = [random_transport_problem(grid, rng, T, dt) for _ in range(n_prob)]
         held_out = [random_transport_problem(grid, rng, T, dt) for _ in range(n_prob)]
         C = fit_transport_constant(family, params)
@@ -495,15 +498,27 @@ def _run_transport(cfg: RunConfig, report: ExperimentReport) -> None:
 
 #: what simulate holds per node, with room to spare: its norms and means as
 #: they are made, and its table row of five floats (tracemalloc reads about
-#: 60 B); the CSV text is held per block of _CSV_BLOCK rows, not per row
+#: 60 B); the CSV text is held per block of _CSV_BLOCK rows, not per row.
+#: transport prices each of its per-node tables at this too
 _TABLE_ROW_BYTES = 400
+
+#: what stability and continuity hold per node and member: the member's
+#: distances, as marched, as taken and summed, and its table row with the
+#: columns it is stacked from (tracemalloc reads about 25 B)
+_MEMBER_ROW_BYTES = 128
+
+
+def _check_nodes(cfg: RunConfig, node_bytes: float) -> None:
+    """Refuse, before its time grid is made, a run of T / dt + 1 nodes that
+    holds node_bytes per node when physical memory cannot."""
+    _check_memory((cfg.time["T"] / cfg.time["dt"] + 1.0) * node_bytes, "--dt or --T")
 
 
 def _run_simulate(cfg: RunConfig, report: ExperimentReport) -> None:
     grid = cfg.make_grid()
     u0, rho0 = _load_initial_pair(cfg, grid)
+    _check_nodes(cfg, _TABLE_ROW_BYTES)
     T, dt = cfg.time["T"], cfg.time["dt"]
-    _check_memory((T / dt + 1.0) * _TABLE_ROW_BYTES, "--dt or --T")
     time_grid = make_time_grid(T, dt)
     part, params = build_partition(grid), cfg.besov_params()
     march = _march_fw(np.stack([u0.samples, rho0.samples]), grid, time_grid, dt)
@@ -590,19 +605,22 @@ def _run_lifespan_sweep(cfg: RunConfig, report: ExperimentReport) -> None:
 
 def _run_stability(cfg: RunConfig, report: ExperimentReport) -> None:
     grid = cfg.make_grid()
+    deltas = cfg.experiment["deltas"]
+    _check_nodes(cfg, (1 + len(deltas)) * _MEMBER_ROW_BYTES)
     scheme_cfg = cfg.scheme_config()
     u0, rho0 = _load_initial_pair(cfg, grid)
     rng = np.random.default_rng(cfg.seed)
     shape_u = random_band_limited(grid, rng, k_max=4)
     shape_rho = random_band_limited(grid, rng, k_max=4)
-    deltas = cfg.experiment["deltas"]
     reports = stability_experiment(
         u0, rho0, [(d * shape_u, d * shape_rho) for d in deltas], scheme_cfg, cfg.time["T"],
     )
-    rows = [[d, t, D, rep.beta_fit] for d, rep in zip(deltas, reports)
-            for t, D in zip(rep.time_grid, rep.norm_curve)]
-    report.tables["stability"] = (["delta", "t", "D", "beta_fit"], np.array(rows, dtype=float))
     betas = np.array([rep.beta_fit for rep in reports])
+    # one row per delta and node
+    time_grid = reports[0].time_grid
+    report.tables["stability"] = (["delta", "t", "D", "beta_fit"], np.column_stack([
+        np.repeat(deltas, time_grid.size), np.tile(time_grid, len(deltas)),
+        np.concatenate([rep.norm_curve for rep in reports]), np.repeat(betas, time_grid.size)]))
     spread = float(np.max(np.abs(betas / betas.mean() - 1.0))) if betas.mean() != 0 else np.inf
     report.summary["beta_values"] = " ".join(_fmt(b) for b in betas)
     report.summary["beta_spread"] = spread
@@ -612,6 +630,8 @@ def _run_stability(cfg: RunConfig, report: ExperimentReport) -> None:
 
 def _run_continuity(cfg: RunConfig, report: ExperimentReport) -> None:
     grid = cfg.make_grid()
+    # the unmollified run and j_max + 1 mollified ones
+    _check_nodes(cfg, (cfg.experiment["j_max"] + 2) * _MEMBER_ROW_BYTES)
     u0, rho0 = _load_initial_pair(cfg, grid)
     rep = continuity_experiment(
         u0, rho0, cfg.experiment["j_max"], cfg.scheme_config(), cfg.time["T"]

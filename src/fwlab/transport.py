@@ -159,8 +159,9 @@ def _as_sample_matrix(samples, shape: tuple[int, ...], name: str) -> np.ndarray:
 class TransportProblem:
     """Velocity, forcing and initial data samples on one spatial and time grid.
 
-    ``build`` takes the initial data as one GridFunction; velocity and
-    forcing give one field per time node, (M+1, N), or one (N,) row for all.
+    ``build`` takes the initial data as one GridFunction, whose grid is the
+    problem's; velocity and forcing give one field per time node, (M+1, N),
+    or one (N,) row for all.
     """
 
     grid: Grid
@@ -170,15 +171,14 @@ class TransportProblem:
     initial: np.ndarray = field(repr=False)  # (N,) samples
 
     @classmethod
-    def build(cls, grid: Grid, time_grid: np.ndarray, velocity, forcing,
+    def build(cls, time_grid: np.ndarray, velocity, forcing,
               initial: GridFunction) -> "TransportProblem":
         time_grid = np.asarray(time_grid, dtype=float)
         n_nodes = time_grid.size
         steps = np.diff(time_grid)
         if n_nodes < 2 or not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
             raise ValueError("time grid must be uniform with at least one step")
-        if initial.grid != grid:
-            raise ValueError("initial field grid mismatch")
+        grid = initial.grid
         v = _as_sample_matrix(velocity, (n_nodes, grid.N), "velocity")
         F = _as_sample_matrix(forcing, (n_nodes, grid.N), "forcing")
         return cls(grid=grid, time_grid=time_grid, velocity=v, forcing=F,

@@ -59,13 +59,13 @@ def test_02_reconstruction_and_orthogonality(grid256, part256):
     for _ in range(20):
         f = random_field(grid256, rng)
         norm = np.linalg.norm(f.samples)
-        blocks = {q: dyadic_block(part256, f, q) for q in qs}
+        blocks = {q: dyadic_block(f, q) for q in qs}
         total = sum(b.samples for b in blocks.values())
         worst_rec = max(worst_rec, float(np.linalg.norm(total - f.samples) / norm))
         for p in qs:
             for q in qs:
                 if abs(p - q) >= 2:
-                    double = dyadic_block(part256, blocks[q], p)
+                    double = dyadic_block(blocks[q], p)
                     worst_orth = max(
                         worst_orth, float(np.linalg.norm(double.samples) / norm)
                     )
@@ -105,7 +105,7 @@ def test_03_single_mode_besov_norm():
             for q in (2, 3)
         ]
         expected = float(np.sum(terms)) ** (1.0 / r)
-        got = besov_norm(part, f, BesovParams(s, p, r))
+        got = besov_norm(f, BesovParams(s, p, r))
         worst = max(worst, abs(got - expected) / expected)
     _verdict(3, "single-mode Besov norm", worst <= 1e-10, f"max rel err {worst:.2e}")
 
@@ -116,9 +116,9 @@ def test_04_r_and_s_monotonicity(grid256, part256):
     violations = 0
     for _ in range(50):
         f = random_field(grid256, rng)
-        by_s = [besov_norm(part256, f, BesovParams(s, 2.0, 2.0))
+        by_s = [besov_norm(f, BesovParams(s, 2.0, 2.0))
                 for s in (2.6, 3.0, 3.5)]
-        by_r = [besov_norm(part256, f, BesovParams(3.0, 2.0, r))
+        by_r = [besov_norm(f, BesovParams(3.0, 2.0, r))
                 for r in (1.0, 2.0, 4.0)]
         if not all(a <= b * slack for a, b in zip(by_s, by_s[1:])):
             violations += 1
@@ -136,7 +136,7 @@ def test_05_transport_exactness(params322):
         tg = make_time_grid(T, dt)
         n = tg.size
         prob = TransportProblem.build(
-            grid, tg, np.full((n, grid.N), c), np.zeros((n, grid.N)), f0
+            tg, np.full((n, grid.N), c), np.zeros((n, grid.N)), f0
         )
         return solve_transport(prob).states[-1]
 
@@ -160,7 +160,7 @@ def test_06_transport_estimate(grid256, params322):
     f0 = random_field(grid256, rng)
     F = random_field(grid256, rng, amplitude=0.5)
     prob = TransportProblem.build(
-        grid256, tg, np.zeros((n, grid256.N)), np.tile(F.samples, (n, 1)), f0
+        tg, np.zeros((n, grid256.N)), np.tile(F.samples, (n, 1)), f0
     )
     traj = solve_transport(prob)
     degenerate_ok = bool(np.all(verify_transport_estimate(traj, params322, 1.0).holds))
@@ -244,9 +244,7 @@ def test_10_lifespan_scaling(grid256, part256, params322):
     for a in (0.25, 0.5, 1.0, 2.0):
         u0 = GridFunction.from_samples(grid256, a * np.sin(grid256.x))
         rho0 = GridFunction.from_samples(grid256, a * np.cos(grid256.x))
-        P0 = besov_norm(part256, u0, params322) + besov_norm(
-            part256, rho0, params322.shift(-1.0)
-        )
+        P0 = besov_norm(u0, params322) + besov_norm(rho0, params322.shift(-1.0))
         T_emp = empirical_lifespan(u0, rho0, cfg, t_cap=20.0)
         products.append(T_emp * P0**2)
     products = np.array(products)

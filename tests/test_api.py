@@ -49,6 +49,33 @@ def _names(tree):
     yield from _imported_names(tree)
 
 
+def _fields_beside_grids(tree):
+    """The functions of one module that take a GridFunction, as an argument
+    or as self, and also an LPPartition or a Grid, read from the annotations
+    (GridFunction's constructors take a grid and no field)."""
+    methods = {fn: cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for fn in cls.body}
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = fn.args
+        given = [set(_names(arg.annotation)) for arg in
+                 a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                 if arg is not None and arg.annotation is not None]
+        is_self = methods.get(fn) == "GridFunction" and a.args[:1] and a.args[0].arg == "self"
+        field = is_self or any("GridFunction" in g for g in given)
+        if field and any({"LPPartition", "Grid"} & g for g in given):
+            yield fn.name
+
+
+def test_no_partition_or_grid_beside_a_field():
+    # a field carries its grid, and the grid fixes the partition: no
+    # function takes either beside one
+    found = {p.name: names for p in SOURCES
+             if (names := list(_fields_beside_grids(ast.parse(p.read_text()))))}
+    assert not found, f"functions taking a partition or grid beside a field: {found}"
+
+
 def test_block_norms_named_only_in_besov():
     # the Besov reduction is assembled in one place, besov._norms: no other
     # module takes the block norms and combines them itself

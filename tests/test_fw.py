@@ -231,6 +231,27 @@ class TestScheme:
         with pytest.raises(ValueError, match="dt must be positive and finite"):
             SchemeConfig(params=params322, dt=dt)
 
+    def test_n_max_below_one_rejected(self, params322):
+        with pytest.raises(ValueError, match="n_max must be at least 1"):
+            SchemeConfig(params=params322, n_max=0)
+
+    def test_data_on_two_grids_rejected(self, grid256, params322):
+        grid = make_grid(64, 8.0)
+        u0 = GridFunction.from_samples(grid256, 0.1 * np.sin(grid256.x))
+        rho0 = GridFunction.from_samples(grid, 0.1 * np.cos(grid.x))
+        with pytest.raises(ValueError, match="u0 and rho0 must share one grid"):
+            run_scheme(u0, rho0, SchemeConfig(params=params322, n_max=2, dt=1e-2))
+
+    def test_zero_data(self, grid256, params322):
+        # P0 = 0 puts the lifespan at LIFESPAN_CAP: 10 steps of 1e5; every
+        # iterate is zero, and so are its norms and differences
+        zero = GridFunction.from_samples(grid256, np.zeros(grid256.N))
+        trace = run_scheme(zero, zero, SchemeConfig(params=params322, n_max=3, dt=1e5))
+        assert trace.P0 == 0.0 and trace.T == LIFESPAN_CAP
+        assert trace.time_grid.size == 11
+        assert not np.any(trace.norms) and not np.any(trace.d_n) and not np.any(trace.last)
+        assert trace.bound_312.all() and trace.bound_313.all()
+
     def test_first_iterate_closed_form(self, grid256, part256, params322):
         # Iterate 0 is the zero pair, so iterate 1 solves a transport problem
         # with zero velocity and zero forcing: it is constant in time, equal
@@ -250,9 +271,7 @@ class TestScheme:
         rho0 = GridFunction.from_samples(grid256, 0.1 * np.cos(grid256.x))
         cfg = SchemeConfig(params=params322, C=1.0, n_max=2, dt=1e-2)
         trace = run_scheme(u0, rho0, cfg)
-        P0 = besov_norm(part256, u0, params322) + besov_norm(
-            part256, rho0, params322.shift(-1.0)
-        )
+        P0 = besov_norm(u0, params322) + besov_norm(rho0, params322.shift(-1.0))
         assert trace.P0 == pytest.approx(P0, rel=1e-13)
         assert trace.T == pytest.approx(3.0 / (16.0 * P0**2), rel=1e-13)
 
@@ -447,7 +466,7 @@ class TestScheme:
             forcing = np.fft.irfft(fwlab.fw._scheme_forcing(prev_hat, z, ik, lam, mask), N)
             prev = np.stack([
                 solve_transport(TransportProblem.build(
-                    grid256, tg, prev[:, 0], forcing[:, k], mollify(f0, kern))).states
+                    tg, prev[:, 0], forcing[:, k], mollify(f0, kern))).states
                 for k, f0 in enumerate((u0, rho0))], axis=1)
         np.testing.assert_allclose(trace.last, prev, rtol=0.0, atol=1e-13)
 
@@ -730,7 +749,7 @@ class TestEmpiricalLifespan:
         P0, T_emp = fwlab.fw._lifespans(pairs, cfg, t_cap=8.0)
         singles = [empirical_lifespan(u0, rho0, cfg, t_cap=8.0) for u0, rho0 in pairs]
         assert np.array_equal(T_emp, singles)
-        assert np.array_equal(P0, [initial_norm(build_partition(grid), u0, rho0, params322)
+        assert np.array_equal(P0, [initial_norm(u0, rho0, params322)
                                    for u0, rho0 in pairs])
         assert T_emp[0] == pytest.approx(blowup_lifespan, rel=1e-12)
         assert T_emp[1] == 8.0  # zero data survives to t_cap
@@ -1211,20 +1230,16 @@ class TestPairNorms:
         params = BesovParams(3.0, p, 2.0)
         y = np.fft.rfft(fwlab.fw._stacked(*(FWState(u=u0, rho=rho0) for u0, rho0 in pairs)))
         norm_u, norm_rho = _pair_norms(part256, y, params)
-        P0 = [initial_norm(part256, u0, rho0, params) for u0, rho0 in pairs]
+        P0 = [initial_norm(u0, rho0, params) for u0, rho0 in pairs]
         assert np.array_equal(P0, norm_u + norm_rho)
 
     def test_initial_norm_refuses_another_grids_partition(self, grid256, params322):
-        # as besov_norm does: a make_grid(64, 1.0) partition on L = 8 data
-        # used to read 29.47 for a P0 of 0.305
+        # the partition is u0's grid's: rho0 on another grid is refused
         grid = make_grid(64, 8.0)
         u0 = GridFunction.from_samples(grid, 0.1 * np.sin(grid.x))
-        rho0 = GridFunction.from_samples(grid, 0.1 * np.cos(grid.x))
         on_256 = GridFunction.from_samples(grid256, 0.1 * np.sin(grid256.x))
-        for part, pair in [(build_partition(make_grid(64, 1.0)), (u0, rho0)),
-                           (build_partition(grid), (u0, on_256))]:
-            with pytest.raises(ValueError, match="partition and field live on different grids"):
-                initial_norm(part, *pair, params322)
+        with pytest.raises(ValueError, match="u0 and rho0 must share one grid"):
+            initial_norm(u0, on_256, params322)
 
     def test_long_stack_normed_in_bounded_chunks(self, grid256, part256):
         # a long stack of pair samples, as _sup_distance norms it, one field

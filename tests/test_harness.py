@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import tracemalloc
 
@@ -6,12 +7,13 @@ import numpy as np
 import pytest
 
 from fwlab import (FWState, GridFunction, build_partition, continuity_experiment, make_grid,
-                   run_scheme, solve_fw_direct)
+                   run_scheme, solve_fw_direct, stability_experiment)
 from fwlab.cli import _build_parser, _config_from_args, main as cli_main
 from fwlab.harness import (
     emit_field_csv,
     make_preset,
     parse_config,
+    random_band_limited,
     read_field_csv,
     run_experiment,
 )
@@ -204,6 +206,13 @@ class TestFieldCsv:
         with pytest.raises(ValueError, match="order"):
             read_field_csv(path, grid256)
 
+    @pytest.mark.parametrize("header", ["x,val\n", "value,x\n", ""])
+    def test_header_checked(self, grid256, tmp_path, header):
+        path = tmp_path / "field.csv"
+        path.write_text(header + "".join(f"{x:.17g},0\n" for x in grid256.x))
+        with pytest.raises(ValueError, match="header 'x,value'"):
+            read_field_csv(path, grid256)
+
     def test_non_numeric_rejected(self, grid256, tmp_path):
         path = tmp_path / "field.csv"
         rows = ["x,value"] + [f"{x:.17g},oops" for x in grid256.x]
@@ -393,6 +402,59 @@ class TestRunExperiment:
         rhs = header.index("rhs")
         assert all(row[rhs] >= 0 for row in rows)
 
+    def test_unknown_kind_refused_by_the_runner(self):
+        # parse_config refuses it first; a RunConfig made by hand reaches here
+        cfg = parse_config("")
+        cfg = dataclasses.replace(cfg, experiment={**cfg.experiment, "kind": "bogus"})
+        with pytest.raises(ValueError, match="unknown experiment kind 'bogus'"):
+            run_experiment(cfg, write=False)
+
+    def test_unknown_data_preset_refused_by_the_runner(self):
+        cfg = parse_config("")
+        cfg = dataclasses.replace(cfg, experiment={**cfg.experiment, "preset": "bogus"})
+        with pytest.raises(RuntimeError, match="unknown data preset 'bogus'"):
+            run_experiment(cfg, write=False)
+
+    def test_transport_velocity_from_csv_equals_the_preset(self, tmp_path):
+        # a field CSV holds every bit of its samples
+        grid = parse_config("").make_grid()
+        emit_field_csv(make_preset(grid, "sine", 0.5), tmp_path / "v.csv")
+        for name, velocity in (("preset", "sine"), ("csv", str(tmp_path / "v.csv"))):
+            run_experiment(parse_config("", {"experiment.kind": "transport",
+                                             "experiment.velocity": velocity,
+                                             "output_dir": str(tmp_path / name)}))
+        assert ((tmp_path / "csv" / "transport.csv").read_bytes()
+                == (tmp_path / "preset" / "transport.csv").read_bytes())
+
+    @pytest.mark.parametrize("doc", [
+        "experiment: {kind: transport}\n",
+        "experiment: {kind: transport, fit_constant: true, n_problems: 1}\ngrid: {N: 64}\n",
+        "experiment: {kind: stability}\ngrid: {N: 64}\n",
+        "experiment: {kind: continuity}\ngrid: {N: 64}\n",
+    ], ids=["transport", "transport-fit", "stability", "continuity"])
+    def test_peak_grows_by_at_most_what_the_guard_prices_per_node(self, monkeypatch, doc):
+        # 250 more nodes raise the peak by at most the guard's price of a
+        # node each
+        priced = []
+        real = fwlab.harness._check_memory
+
+        def recording(n_bytes, flags):
+            priced.append(n_bytes)
+            real(n_bytes, flags)
+
+        monkeypatch.setattr(fwlab.harness, "_check_memory", recording)
+        run_experiment(parse_config(doc + "time: {T: 2e-2, dt: 2e-3}\n"), write=False)
+        peaks = []
+        for T in (0.5, 1.0):
+            cfg = parse_config(doc + f"time: {{T: {T}, dt: 2e-3}}\n")
+            tracemalloc.start()
+            try:
+                run_experiment(cfg, write=False)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / 250 <= priced[-1] / 501
+
     def test_summary_echoes_config(self, tmp_path):
         cfg = parse_config(
             "experiment: {kind: partition-check}\n"
@@ -481,6 +543,22 @@ class TestTableCsv:
         rows = [[j, e, err] for j, (e, err) in enumerate(zip(rep.epsilons, rep.errors))]
         assert report.table_csv("continuity") == _cell_by_cell_csv(["j", "epsilon", "error"], rows)
 
+    def test_stability_table_equals_python_rows(self):
+        # one row per delta and node, in order
+        cfg = parse_config("experiment: {kind: stability}\ngrid: {N: 64}\n"
+                           "time: {T: 0.2, dt: 1e-2}\n")
+        report = run_experiment(cfg, write=False)
+        grid, deltas = cfg.make_grid(), cfg.experiment["deltas"]
+        rng = np.random.default_rng(cfg.seed)
+        shape_u, shape_rho = (random_band_limited(grid, rng, k_max=4) for _ in range(2))
+        reports = stability_experiment(
+            *fwlab.harness._load_initial_pair(cfg, grid),
+            [(d * shape_u, d * shape_rho) for d in deltas], cfg.scheme_config(), cfg.time["T"])
+        rows = [[d, t, D, rep.beta_fit] for d, rep in zip(deltas, reports)
+                for t, D in zip(rep.time_grid, rep.norm_curve)]
+        assert report.table_csv("stability") == _cell_by_cell_csv(
+            ["delta", "t", "D", "beta_fit"], rows)
+
     def test_partition_table_equals_python_rows(self):
         # N and q_max are written as the ints they count
         report = run_experiment(parse_config("experiment: {kind: partition-check}\n"),
@@ -542,6 +620,40 @@ class TestCli:
         assert err.startswith("error: ")
         assert "change --dt or --T" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["norm", "transport", "verify"])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--p", "nan", "p must be in [1, inf], got nan"),
+        ("--r", "nan", "r must be in [1, inf], got nan"),
+        ("--s", "nan", "s must be finite, got nan"),
+        ("--s", "inf", "s must be finite, got inf"),
+    ])
+    def test_besov_index_not_a_number_is_one_error_line(self, tmp_path, capsys, command,
+                                                       flag, value, message):
+        # refused with the config, also by the kinds that never check
+        # admissibility
+        rc = cli_main([command, flag, value, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [["transport"], ["transport", "--fit-constant"],
+                                      ["stability"], ["continuity"]], ids="-".join)
+    def test_memory_refusal_before_the_time_grid(self, tmp_path, capsys, argv):
+        # 1e12 nodes: the time grid alone is 8 TB, which a run without the
+        # guard asks numpy for and fails on with MemoryError
+        tracemalloc.start()
+        try:
+            rc = cli_main(argv + ["--T", "1e6", "--dt", "1e-6", "--out", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: experiment '{argv[0]}' failed: the run needs ")
+        assert err.endswith("; change --dt or --T\n") and err.count("\n") == 1
+        assert peak < 1e6
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("data, P0", [(["--preset", "zero"], "0"),
                                           (["--amplitude", "1e-9"], "3.05e-09")])

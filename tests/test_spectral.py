@@ -73,6 +73,27 @@ class TestGridFunction:
         with pytest.raises(ValueError):
             GridFunction.from_samples(g, np.zeros(32))
 
+    def test_coefficient_shape_mismatch_rejected(self):
+        g = make_grid(64, 1.0)
+        with pytest.raises(ValueError, match="coefficient shape"):
+            GridFunction.from_coefficients(g, np.zeros(33, dtype=complex))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_samples_not_finite_rejected(self, bad):
+        g = make_grid(64, 1.0)
+        samples = np.sin(g.x)
+        samples[5] = bad
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            GridFunction.from_samples(g, samples)
+
+    def test_negation(self):
+        g = make_grid(64, 1.0)
+        f = GridFunction.from_samples(g, np.sin(g.x) + 0.25)
+        minus = -f
+        assert minus.grid == g
+        assert np.array_equal(minus.samples, -f.samples)
+        assert np.array_equal((f + minus).samples, np.zeros(g.N))
+
 
 class TestApplyMultiplier:
     def test_derivative_of_cosine(self):
@@ -116,6 +137,15 @@ class TestApplyMultiplier:
             f = GridFunction.from_samples(g, np.sin(k * g.x))
             expected = k * np.cos(k * g.x)
             assert np.max(np.abs(ddx(f).samples - expected)) <= 1e-12 * max(1, k)
+
+    def test_symbol_not_finite_on_the_grid_rejected(self):
+        # 1/xi is infinite at xi = 0
+        g = make_grid(64, 1.0)
+        f = GridFunction.from_samples(g, np.sin(g.x))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inverse = MultiplierSymbol("1/xi", lambda xi: 1.0 / xi)
+            with pytest.raises(ValueError, match="not finite"):
+                apply_multiplier(f, inverse)
 
     def test_non_hermitian_symbol_rejected(self):
         g = make_grid(64, 1.0)

@@ -17,13 +17,13 @@ from fwlab import (
 )
 from fwlab.spectral import _half_symbols
 from fwlab.transport import BlowUpError, integrate_rk4, make_time_grid
-from fwlab.harness import random_transport_problem
+from fwlab.harness import make_preset, random_band_limited, random_transport_problem
 
 from conftest import random_field
 
 
-def _constant_problem(grid, time_grid, v_value, forcing, initial):
-    return TransportProblem.build(grid, time_grid, np.full(grid.N, v_value), forcing,
+def _constant_problem(time_grid, v_value, forcing, initial):
+    return TransportProblem.build(time_grid, np.full(initial.grid.N, v_value), forcing,
                                   initial)
 
 
@@ -186,7 +186,7 @@ class TestSolveTransport:
         rng = np.random.default_rng(101)
         f0 = random_field(grid256, rng)
         tg = make_time_grid(1.0, 0.01)
-        prob = _constant_problem(grid256, tg, 0.0, np.zeros(grid256.N), f0)
+        prob = _constant_problem(tg, 0.0, np.zeros(grid256.N), f0)
         traj = solve_transport(prob)
         assert np.max(np.abs(traj.states[-1] - f0.samples)) <= 1e-14
         report = verify_transport_estimate(traj, params322, C=1.0)
@@ -199,7 +199,7 @@ class TestSolveTransport:
         c, T = 0.7, 1.0
         f0 = GridFunction.from_samples(grid, np.sin(3 * grid.x) + 0.2 * np.cos(5 * grid.x))
         tg = make_time_grid(T, 1e-3)
-        prob = _constant_problem(grid, tg, c, np.zeros(grid.N), f0)
+        prob = _constant_problem(tg, c, np.zeros(grid.N), f0)
         traj = solve_transport(prob)
         shifted = np.sin(3 * (grid.x - c * T)) + 0.2 * np.cos(5 * (grid.x - c * T))
         assert np.max(np.abs(traj.states[-1] - shifted)) <= 1e-8
@@ -210,7 +210,7 @@ class TestSolveTransport:
         f0 = random_field(grid256, rng)
         F = random_field(grid256, rng)
         tg = make_time_grid(0.5, 0.01)
-        prob = _constant_problem(grid256, tg, 0.0, F.samples, f0)
+        prob = _constant_problem(tg, 0.0, F.samples, f0)
         traj = solve_transport(prob)
         assert np.max(np.abs(traj.states[-1] - (f0.samples + 0.5 * F.samples))) <= 1e-10
 
@@ -219,7 +219,7 @@ class TestSolveTransport:
         tg = make_time_grid(1.0, 2e-3)
         n = tg.size
         prob = TransportProblem.build(
-            grid256, tg, np.tile(0.5 * np.sin(x), (n, 1)),
+            tg, np.tile(0.5 * np.sin(x), (n, 1)),
             np.tile(0.5 * np.cos(x), (n, 1)), GridFunction.from_samples(grid256, np.sin(x)),
         )
         traj = solve_transport(prob)
@@ -230,7 +230,7 @@ class TestSolveTransport:
         tg = make_time_grid(0.1, 0.01)
         forcing = np.zeros((tg.size, grid256.N))
         forcing[3:] = np.inf  # first reached at the half step of step 2 -> 3
-        prob = _constant_problem(grid256, tg, 0.5, forcing, f0)
+        prob = _constant_problem(tg, 0.5, forcing, f0)
         yielded = []
 
         def recording(*args):
@@ -259,7 +259,7 @@ class TestSolveTransport:
         F = (random_field(grid256, rng).samples if given_once else
              np.array([random_field(grid256, rng).samples for _ in range(n)]))
         f0 = random_field(grid256, rng)
-        prob = TransportProblem.build(grid256, tg, v, F, f0)
+        prob = TransportProblem.build(tg, v, F, f0)
         states = solve_transport(prob).states
         F_hat = np.fft.rfft(np.broadcast_to(F, (n, N)))
         march = np.array(list(fwlab.transport._march_transport(
@@ -273,14 +273,14 @@ class TestSolveTransport:
         tg = make_time_grid(0.1, 0.01)
         v = np.zeros((tg.size, grid256.N))
         with pytest.raises(ValueError, match="forcing"):
-            TransportProblem.build(grid256, tg, v, np.stack([v, v], axis=1), f0)
+            TransportProblem.build(tg, v, np.stack([v, v], axis=1), f0)
         with pytest.raises(ValueError, match="velocity"):
-            TransportProblem.build(grid256, tg, v[:-1], v, f0)
+            TransportProblem.build(tg, v[:-1], v, f0)
         # a field given once must be one whole row
         with pytest.raises(ValueError, match="velocity"):
-            TransportProblem.build(grid256, tg, v[0, :-1], v, f0)
+            TransportProblem.build(tg, v[0, :-1], v, f0)
         with pytest.raises(ValueError, match="forcing"):
-            TransportProblem.build(grid256, tg, v, v[0, :-1], f0)
+            TransportProblem.build(tg, v, v[0, :-1], f0)
 
     @pytest.mark.parametrize("seed", list(range(12)) + [157])
     def test_rows_given_once_equal_tiled_fields(self, grid256, params322, seed):
@@ -290,8 +290,8 @@ class TestSolveTransport:
         f0 = random_field(grid256, rng)
         tg = make_time_grid(0.5, 5e-3)
         n = tg.size
-        once = TransportProblem.build(grid256, tg, v.samples, F.samples, f0)
-        tiled = TransportProblem.build(grid256, tg, np.tile(v.samples, (n, 1)),
+        once = TransportProblem.build(tg, v.samples, F.samples, f0)
+        tiled = TransportProblem.build(tg, np.tile(v.samples, (n, 1)),
                                        np.tile(F.samples, (n, 1)), f0)
         assert once.velocity.shape == once.forcing.shape == (n, grid256.N)
         assert not once.velocity.flags.writeable
@@ -314,7 +314,7 @@ class TestSolveTransport:
         rng = np.random.default_rng(163)
         tg = make_time_grid(0.5, 5e-3)
         prob = TransportProblem.build(
-            grid256, tg, random_field(grid256, rng, k_max=4, amplitude=0.3).samples,
+            tg, random_field(grid256, rng, k_max=4, amplitude=0.3).samples,
             random_field(grid256, rng).samples, random_field(grid256, rng))
         report = verify_transport_estimate(solve_transport(prob), params322, C=1.0)
         # v_x and F once each; the states at every node
@@ -327,28 +327,32 @@ class TestSolveTransport:
         f0 = GridFunction.from_samples(grid256, np.sin(grid256.x))
         tracemalloc.start()
         try:
-            prob = TransportProblem.build(grid256, tg, 0.5 * f0.samples, f0.samples, f0)
+            prob = TransportProblem.build(tg, 0.5 * f0.samples, f0.samples, f0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert prob.forcing.shape == (tg.size, grid256.N)
         assert peak < 4e6
 
+    def test_time_grid_must_be_uniform(self, grid256):
+        f0 = GridFunction.from_samples(grid256, np.sin(grid256.x))
+        v = np.zeros(grid256.N)
+        for tg in ([0.0, 0.1, 0.3], [0.0]):
+            with pytest.raises(ValueError, match="uniform with at least one step"):
+                TransportProblem.build(np.array(tg), v, v, f0)
+
     def test_problem_holds_initial_samples(self, grid256):
         f0 = GridFunction.from_samples(grid256, np.sin(grid256.x))
         tg = make_time_grid(0.1, 0.01)
         v = np.zeros((tg.size, grid256.N))
-        one = TransportProblem.build(grid256, tg, v, v, f0)
+        one = TransportProblem.build(tg, v, v, f0)
         assert one.initial.shape == (grid256.N,)
         assert np.array_equal(one.initial, f0.samples)
-        other = GridFunction.from_samples(make_grid(128, 8.0), np.zeros(128))
-        with pytest.raises(ValueError, match="initial"):
-            TransportProblem.build(grid256, tg, v, v, other)
 
     def test_cfl_guard(self, grid256):
         f0 = GridFunction.from_samples(grid256, np.sin(grid256.x))
         tg = make_time_grid(1.0, 0.5)  # dt far above 0.5 dx / |v|
-        prob = _constant_problem(grid256, tg, 2.0, np.zeros(grid256.N), f0)
+        prob = _constant_problem(tg, 2.0, np.zeros(grid256.N), f0)
         with pytest.raises(ValueError, match="stability"):
             solve_transport(prob)
 
@@ -375,7 +379,7 @@ class TestSolveTransport:
         f0, g0 = random_field(grid256, rng), random_field(grid256, rng)
 
         def run(init):
-            prob = TransportProblem.build(grid256, tg, v.samples, np.zeros(grid256.N), init)
+            prob = TransportProblem.build(tg, v.samples, np.zeros(grid256.N), init)
             return solve_transport(prob).states[-1]
 
         combined = run(GridFunction.from_samples(grid256, f0.samples + 2.0 * g0.samples))
@@ -387,7 +391,7 @@ class TestSolveTransport:
         rng = np.random.default_rng(109)
         f0 = random_field(grid256, rng)
         tg = make_time_grid(1.0, 5e-3)
-        prob = _constant_problem(grid256, tg, 0.4, np.zeros(grid256.N), f0)
+        prob = _constant_problem(tg, 0.4, np.zeros(grid256.N), f0)
         traj = solve_transport(prob)
         final = GridFunction.from_samples(grid256, traj.states[-1])
         assert final.mean() == pytest.approx(f0.mean(), abs=1e-12)
@@ -399,7 +403,7 @@ class TestSolveTransport:
         F = 0.1 * np.cos(3 * grid.x)
 
         def err(dt):
-            prob = TransportProblem.build(grid, make_time_grid(0.5, dt), v.samples, F, f0)
+            prob = TransportProblem.build(make_time_grid(0.5, dt), v.samples, F, f0)
             return solve_transport(prob).states[-1]
 
         ref = err(0.5 / 4096)
@@ -414,7 +418,7 @@ class TestEstimate:
         f0 = random_field(grid256, rng)
         F = random_field(grid256, rng, amplitude=0.5)
         tg = make_time_grid(1.0, 0.01)
-        prob = _constant_problem(grid256, tg, 0.0, F.samples, f0)
+        prob = _constant_problem(tg, 0.0, F.samples, f0)
         traj = solve_transport(prob)
         report = verify_transport_estimate(traj, params322, C=1.0)
         assert bool(np.all(report.holds))
@@ -427,7 +431,7 @@ class TestEstimate:
         F = random_field(grid256, rng)
         zero = GridFunction.from_samples(grid256, np.zeros(grid256.N))
         tg = make_time_grid(1.0, 0.01)
-        prob = _constant_problem(grid256, tg, 0.0, F.samples, zero)
+        prob = _constant_problem(tg, 0.0, F.samples, zero)
         traj = solve_transport(prob)
         report = verify_transport_estimate(traj, params322, C=1.0)
         ratios = report.lhs[1:] / report.rhs[1:]
@@ -437,7 +441,7 @@ class TestEstimate:
         rng = np.random.default_rng(137)
         f0 = random_field(grid256, rng)
         tg = make_time_grid(0.5, 0.01)
-        prob = _constant_problem(grid256, tg, 0.0, np.zeros(grid256.N), f0)
+        prob = _constant_problem(tg, 0.0, np.zeros(grid256.N), f0)
         params = BesovParams(3.0, 2.0, np.inf)
         traj = solve_transport(prob)
         with pytest.raises(ValueError):
@@ -448,7 +452,7 @@ class TestEstimate:
         rng = np.random.default_rng(139)
         f0 = random_field(grid256, rng)
         tg = make_time_grid(0.5, 0.01)
-        prob = _constant_problem(grid256, tg, 0.0, np.zeros(grid256.N), f0)
+        prob = _constant_problem(tg, 0.0, np.zeros(grid256.N), f0)
         traj = solve_transport(prob)
         with pytest.raises(ValueError, match="C must be positive and finite"):
             verify_transport_estimate(traj, params322, C=C)
@@ -462,7 +466,7 @@ class TestFitConstant:
         tg = make_time_grid(0.5, 0.01)
         probs = [
             _constant_problem(
-                grid256, tg, 0.0, random_field(grid256, rng, amplitude=0.5).samples,
+                tg, 0.0, random_field(grid256, rng, amplitude=0.5).samples,
                 random_field(grid256, rng),
             )
             for _ in range(3)
@@ -484,3 +488,22 @@ class TestFitConstant:
     def test_empty_family_rejected(self, params322):
         with pytest.raises(ValueError):
             fit_transport_constant([], params322)
+
+    @pytest.fixture(scope="class")
+    def default_problem(self, grid256):
+        # the transport kind's problem at defaults, which needs C = 1.0186
+        v = make_preset(grid256, "sine", 0.5)
+        f0 = random_band_limited(grid256, np.random.default_rng(0), k_max=6)
+        return TransportProblem.build(make_time_grid(1.0, 1e-3), v.samples,
+                                      np.zeros(grid256.N), f0)
+
+    def test_constant_above_one_is_found_by_doubling(self, default_problem, params322):
+        C = fit_transport_constant([default_problem], params322)
+        assert C == pytest.approx(1.0186, rel=2e-3)
+        report = verify_transport_estimate(solve_transport(default_problem), params322, C)
+        assert bool(np.all(report.holds))
+
+    def test_no_constant_below_the_cap_raises(self, default_problem, params322, monkeypatch):
+        monkeypatch.setattr(fwlab.transport, "C_CAP", 1.5)
+        with pytest.raises(RuntimeError, match="no C below 1.5"):
+            fit_transport_constant([default_problem], params322)
