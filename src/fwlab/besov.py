@@ -390,7 +390,10 @@ class MollifierKernel:
         x = grid.x
         length = 2.0 * np.pi * grid.L
         dist = np.minimum(x, length - x)  # distance to the nearest image of 0
-        u = dist / self.epsilon
+        # a width near the smallest float overflows the quotient to inf, off
+        # the support, which is where those nodes lie
+        with np.errstate(over="ignore"):
+            u = dist / self.epsilon
         vals = np.zeros_like(u)
         inside = u < 1.0
         vals[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))

@@ -137,35 +137,55 @@ class SchemeConfig:
             raise ValueError("dt must be positive and finite")
 
 
-def _fw_rhs(y, ik, lam, mask):
-    """Time derivative of the stacked (u, rho) half spectra y, the rfft of
-    (..., 2, N) samples, shape (..., 2, N//2 + 1), with the symbols of
-    _fw_symbols: one irfft of (u, rho, u_x, rho_x), one rfft of the two
-    dealiased products; Lambda^{-1} d/dx (rho - u) and -u_x stay spectral.
+def _fw_rhs(y, ik, lam, mask, work, z):
+    """Time derivative of the (u, rho) half spectra y, the rfft of the
+    samples, field-major (2, ..., N//2 + 1), with the symbols of _fw_symbols.
+    y is the first two rows of the complex (4, ..., N//2 + 1) workspace work,
+    whose last two rows take (u_x, rho_x), and z is a real (4, ..., N) one:
+    one irfft of the four rows into z, the two dealiased products written
+    over its rows, and one rfft of them; Lambda^{-1} d/dx (rho - u) and -u_x
+    stay spectral.  Each field of the stack is one contiguous block.
 
     The odd symbols' output at the Nyquist mode is imaginary, which irfft
     drops; the derivative is zero there too, so the state's Nyquist mode
     stays real and fixed, as it does for a march of samples.
     """
-    N = 2 * (y.shape[-1] - 1)
-    yx = ik * y
-    z = np.fft.irfft(np.concatenate([y, yx], axis=-2), N)
-    u, rho, ux = z[..., 0, :], z[..., 1, :], z[..., 2, :]
-    prods = z[..., 2:, :] * u[..., None, :]  # u u_x, u rho_x
-    prods[..., 1, :] += rho * ux
+    yx = np.multiply(ik, y, out=work[2:])
+    np.fft.irfft(work, z.shape[-1], out=z)
+    u, rho, ux, rhox = z
+    np.multiply(rho, ux, out=rho)
+    np.multiply(rhox, u, out=rhox)
+    np.add(rhox, rho, out=rhox)  # u rho_x + rho u_x
+    np.multiply(ux, u, out=ux)  # u u_x
     # minus the derivative: the dealiased advection, less the linear terms
-    adv = np.fft.rfft(prods)
+    adv = np.fft.rfft(z[2:])
     adv *= mask
-    adv[..., 0, :] -= lam * (y[..., 1, :] - y[..., 0, :])
-    adv[..., 1, :] += yx[..., 0, :]
+    coupling = np.subtract(y[1], y[0], out=yx[1])
+    adv[0] -= np.multiply(lam, coupling, out=coupling)
+    adv[1] += yx[0]
     adv[..., -1] = 0.0
     return np.negative(adv, out=adv)
+
+
+def _direct_rhs(grid: Grid, shape: tuple[int, ...]):
+    """The direct march's rhs(y, i, w), autonomous in time, for field-major
+    (2, ..., N//2 + 1) half spectra of the given shape: it copies y into the
+    first two rows of one workspace and steps _fw_rhs there."""
+    symbols = _fw_symbols(grid)
+    work = np.empty((4,) + shape[1:], dtype=complex)
+    z = np.empty((4,) + shape[1:-1] + (grid.N,))
+
+    def rhs(y, i, w):
+        np.copyto(work[:2], y)
+        return _fw_rhs(work[:2], *symbols, work, z)
+
+    return rhs
 
 
 def fw_rhs(state: FWState) -> tuple[GridFunction, GridFunction]:
     """Right-hand side of the system: (du/dt, drho/dt)."""
     y = np.fft.rfft(np.stack([state.u.samples, state.rho.samples]))
-    du, drho = np.fft.irfft(_fw_rhs(y, *_fw_symbols(state.grid)), state.grid.N)
+    du, drho = np.fft.irfft(_direct_rhs(state.grid, y.shape)(y, 0, 0.0), state.grid.N)
     return (GridFunction.from_samples(state.grid, du),
             GridFunction.from_samples(state.grid, drho))
 
@@ -208,22 +228,17 @@ def _stacked(*states: FWState) -> np.ndarray:
 
 def _march_fw(initial: np.ndarray, grid: Grid, time_grid: np.ndarray, dt: float):
     """The direct RK4 march from stacked (..., 2, N) (u, rho) samples,
-    yielding the state per node as (..., 2, N//2 + 1) half spectra, the rfft
-    of the samples; every member steps in the same batched call."""
+    yielding the state per node field-major, as (2, ..., N//2 + 1) half
+    spectra, the rfft of the samples; every member steps in the same batched
+    call of one kernel (_direct_rhs)."""
     bound = CFL_FACTOR * grid.dx / max(1.0, float(np.max(np.abs(initial[..., 0, :]))))
     if dt > bound:
         raise ValueError(
             f"dt = {dt} violates the stability bound {bound:.3e} "
             f"({CFL_FACTOR:g}*dx/max(1, max|u0|))"
         )
-    return integrate_rk4(_direct_rhs(grid), np.fft.rfft(initial), time_grid, dt,
-                         "direct solve")
-
-
-def _direct_rhs(grid: Grid):
-    """The direct march's rhs(y, i, w), which is autonomous in time."""
-    symbols = _fw_symbols(grid)
-    return lambda y, i, w: _fw_rhs(y, *symbols)
+    y0 = np.fft.rfft(np.moveaxis(initial, -2, 0))
+    return integrate_rk4(_direct_rhs(grid, y0.shape), y0, time_grid, dt, "direct solve")
 
 
 def solve_fw_direct(initial: FWState, T: float, dt: float) -> FWTrajectory:
@@ -565,29 +580,33 @@ def _lifespans(pairs: Sequence[tuple[GridFunction, GridFunction]],
     live = np.arange(len(pairs))  # the pair of each member of the stack
     y = _stacked(*(FWState(u=u0, rho=rho0) for u0, rho0 in pairs))
     y = next(_march_fw(y, grid, time_grid, cfg.dt))
-    rhs = _direct_rhs(grid)
-    # the states of nodes i - len(block) + 1 .. i; node 0 is a block of its own
+    rhs = _direct_rhs(grid, y.shape)
+    # the field-major states of nodes i - len(block) + 1 .. i; node 0 is a
+    # block of its own
     i, block = 0, y[None]
     while True:
+        pair = np.moveaxis(block, 1, -2)  # (node, member, field) view
         # a node near blow-up can overflow its norm; inf counts as a
         # violation, and so does NaN
         with np.errstate(over="ignore"):
             if i == 0:
-                norm_sum = np.add(*_pair_norms(part, block, cfg.params))
+                norm_sum = np.add(*_pair_norms(part, pair, cfg.params))
                 P0 = norm_sum[0]
             else:
-                norm_sum = np.add(*_pair_norm_bounds(part, block, cfg.params))
+                norm_sum = np.add(*_pair_norm_bounds(part, pair, cfg.params))
                 # the (node, member) of each row the bound cannot certify
                 exact = np.argwhere(~(norm_sum <= 2.0 * P0[live] * (1.0 - _BOUND_MARGIN)))
                 for c in range(0, len(exact), len(pairs)):
                     n, k = exact[c:c + len(pairs)].T
-                    norm_sum[n, k] = np.add(*_pair_norms(part, block[n, k], cfg.params))
-        leave = ~(np.isfinite(block).all(axis=(-2, -1)) & _within(norm_sum, 2.0 * P0[live]))
+                    norm_sum[n, k] = np.add(*_pair_norms(part, pair[n, k], cfg.params))
+        leave = ~(np.isfinite(pair).all(axis=(-2, -1)) & _within(norm_sum, 2.0 * P0[live]))
         left = leave.any(axis=0)
         T_emp[live[left]] = time_grid[i - len(block) + leave.argmax(axis=0)[left]]
-        live, y = live[~left], block[-1, ~left]
+        live, y = live[~left], block[-1][:, ~left]
         if not live.size or i == time_grid.size - 1:
             break
+        if left.any():  # a workspace for the members that march on
+            rhs = _direct_rhs(grid, y.shape)
         block = np.empty((min(_DISTANCE_BLOCK, time_grid.size - 1 - i),) + y.shape,
                          dtype=y.dtype)
         for j in range(len(block)):
@@ -638,7 +657,8 @@ def _member_distances(members: np.ndarray, grid: Grid, time_grid: np.ndarray,
     member 0 gets exact zeros, as the norm of its zero difference would be.
     Rows march and are normed independently, so every distance has the bits
     of a march of all the members.  The differences of _DISTANCE_BLOCK nodes
-    are gathered in one buffer and normed in one call, the last, short block
+    of the field-major march are gathered member-major, as _pair_norms reads
+    pairs, in one buffer and normed in one call, the last, short block
     included; a row's norm does not depend on its block, and no trajectory
     is stored.  A BlowUpError names every member of the rows that blew up.
     """
@@ -652,7 +672,7 @@ def _member_distances(members: np.ndarray, grid: Grid, time_grid: np.ndarray,
     try:
         for i, y in enumerate(_march_fw(distinct, grid, time_grid, dt)):
             j = i % _DISTANCE_BLOCK
-            np.subtract(y[1:], y[:1], out=block[j])
+            np.subtract(y[:, 1:], y[:, :1], out=block[j].swapaxes(0, 1))
             if j == _DISTANCE_BLOCK - 1 or i == time_grid.size - 1:
                 du[i - j:i + 1, 1:], drho[i - j:i + 1, 1:] = _pair_norms(
                     part, block[:j + 1], params)

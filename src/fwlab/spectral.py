@@ -240,11 +240,12 @@ def _half_symbols(grid: Grid):
     N//2 + 1 modes of a real transform (rfft), read-only, once per grid.
     The odd symbols are not Hermitian at the Nyquist mode; irfft reads only
     its real part, so their output there is zero, as apply_multiplier's
-    re-symmetrization makes it."""
+    re-symmetrization makes it.  The mask is complex 0/1, the value a
+    product with a half spectrum casts it to, so no product by it casts."""
     half = grid.N // 2 + 1
     xi = grid.wavenumbers[:half]
     ik = 1j * xi
-    symbols = (ik, ik / (1.0 + xi**2), dealias_mask(grid)[:half])
+    symbols = (ik, ik / (1.0 + xi**2), dealias_mask(grid)[:half].astype(complex))
     for a in symbols:
         a.setflags(write=False)
     return symbols

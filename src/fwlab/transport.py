@@ -74,7 +74,8 @@ C_CAP = 1e6
 
 class BlowUpError(RuntimeError):
     """NaN/Inf detected mid-run at time node ``node`` (time ``t``), in the
-    leading-axis ``rows`` of the state (``()`` for a 1-D state)."""
+    ``rows`` of the state, the entries of its second-last axis (the members
+    of a direct stack; ``()`` for a 1-D state)."""
 
     def __init__(self, message: str, node: int, t: float, rows: tuple):
         super().__init__(message)
@@ -109,16 +110,21 @@ def _rk4_step(rhs, y: np.ndarray, i: int, dt: float) -> np.ndarray:
 
 def _check_finite(y: np.ndarray, node: int, time_grid: np.ndarray, what: str) -> None:
     """Raise BlowUpError if the state y at time node `node` is not finite,
-    naming the node, its time and the leading-axis rows that lost finiteness."""
-    if not np.all(np.isfinite(y)):
-        lost = ~np.isfinite(y).reshape(len(y), -1).all(axis=1)
-        rows = tuple(np.flatnonzero(lost).tolist()) if y.ndim > 1 else ()
+    naming the node, its time and the rows that lost finiteness: the entries
+    of y's second-last axis, so the members of a field-major (2, K, ...)
+    direct stack, not its fields, and none of a 1-D state."""
+    finite = np.isfinite(y)
+    if not finite.all():
+        rows = ()
+        if y.ndim > 1:
+            lost = ~finite.all(axis=tuple(range(y.ndim - 2)) + (-1,))
+            rows = tuple(np.flatnonzero(lost).tolist())
         raise _lost_finiteness(what, node, float(time_grid[node]), rows)
 
 
 def _lost_finiteness(what: str, node: int, t: float, rows: tuple) -> BlowUpError:
     """The BlowUpError of a march, `what`, that lost finiteness at time node
-    `node` (time t) in the leading-axis `rows`."""
+    `node` (time t) in the `rows` (_check_finite)."""
     return BlowUpError(
         f"{what} lost finiteness at node {node} (t = {t:.6g})"
         + (f" in rows {rows}" if rows else ""),

@@ -42,3 +42,10 @@ def random_field(grid, rng, k_max=None, amplitude=1.0):
     f = GridFunction.from_coefficients(grid, coeffs)
     peak = float(np.max(np.abs(f.samples)))
     return f * (amplitude / peak) if peak > 0 else f
+
+
+def same_bits(a, b):
+    """a and b have one shape and dtype and the same bits, signed zeros and
+    NaN payloads included, as int64 views of float arrays compare them."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()

@@ -213,3 +213,26 @@ def test_csv_written_only_by_write_csv():
     assert not imported, f"modules importing csv.writer by name: {imported}"
     assert named == {"harness.py": writers(write_csv)} and len(writers(write_csv)) == 1, (
         f"csv.writer named in {named}")
+
+
+def test_direct_march_steps_one_in_place_kernel():
+    # the direct right-hand side is one kernel, fw._fw_rhs, which works in
+    # the workspace of fw._direct_rhs: it joins no arrays, only _direct_rhs
+    # calls it, and fw_rhs and every direct march step through _direct_rhs
+    # and name no second kernel
+    tree = ast.parse((Path(fwlab.__file__).parent / "fw.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    joins = sorted({"concatenate", "stack", "hstack", "vstack", "append"}
+                   & set(_names(functions["_fw_rhs"])))
+    assert not joins, f"_fw_rhs names {joins}"
+    callers = sorted(name for name, fn in functions.items()
+                     if name != "_fw_rhs" and "_fw_rhs" in _names(fn))
+    assert callers == ["_direct_rhs"], f"_fw_rhs called in {callers}"
+    kernels = {"_direct_rhs", "_fw_rhs", "_transport_rhs", "_scheme_forcing"}
+    for name in ("fw_rhs", "_march_fw", "_lifespans"):
+        named = sorted(kernels & set(_names(functions[name])))
+        assert named == ["_direct_rhs"], f"{name} names {named}"
+    for name in ("solve_fw_direct", "_member_distances"):  # through _march_fw
+        named = sorted(kernels & set(_names(functions[name])))
+        assert not named and "_march_fw" in set(_names(functions[name])), (
+            f"{name} names {named}")

@@ -594,6 +594,13 @@ class TestMollifier:
         rho = MollifierKernel(1e-300).samples_on(grid256)
         assert np.array_equal(rho, np.eye(grid256.N)[0] / grid256.dx)
 
+    def test_smallest_float_width_is_a_delta(self, grid256):
+        # dist / eps overflows to inf off node 0, which lies outside the
+        # support; under the suite's error::RuntimeWarning filter this
+        # fails if the overflow is warned about
+        rho = MollifierKernel(np.nextafter(0.0, 1.0)).samples_on(grid256)
+        assert np.array_equal(rho, np.eye(grid256.N)[0] / grid256.dx)
+
     def test_unit_mass(self, grid256):
         for eps in (0.4, 0.1, 0.05):
             rho = MollifierKernel(eps).samples_on(grid256)

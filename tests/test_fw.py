@@ -37,7 +37,7 @@ from fwlab.transport import (
     solve_transport,
 )
 
-from conftest import random_field
+from conftest import random_field, same_bits
 
 
 def _gf(grid, values):
@@ -69,27 +69,42 @@ class TestRhs:
 
     @pytest.mark.parametrize("members", [1, 4, 7])
     def test_half_spectrum_rhs_equals_full_spectrum(self, grid256, members):
-        # the full-spectrum formula, complex transforms and ifft(...).real
+        # the full-spectrum formula on field-major (2, K, N) samples, with
+        # complex transforms and ifft(...).real
         def full_rhs(y):
             xi = grid256.wavenumbers
             ik, mask = 1j * xi, dealias_mask(grid256)
             y_hat = np.fft.fft(y)
-            u_hat, rho_hat = y_hat[..., 0, :], y_hat[..., 1, :]
-            yx = np.fft.ifft(ik * y_hat).real
-            ux, rhox = yx[..., 0, :], yx[..., 1, :]
+            u_hat, rho_hat = y_hat
+            ux, rhox = np.fft.ifft(ik * y_hat).real
             nonlocal_term = np.fft.ifft(ik / (1.0 + xi**2) * (rho_hat - u_hat)).real
-            u, rho = y[..., 0, :], y[..., 1, :]
-            prods = np.stack([u * ux, u * rhox + rho * ux], axis=-2)
+            u, rho = y
+            prods = np.stack([u * ux, u * rhox + rho * ux])
             adv = np.fft.ifft(mask * np.fft.fft(prods)).real
-            return np.stack([-adv[..., 0, :] + nonlocal_term, -adv[..., 1, :] - ux],
-                            axis=-2)
+            return np.stack([-adv[0] + nonlocal_term, -adv[1] - ux])
 
         rng = np.random.default_rng(311 + members)
         y = np.array([[random_field(grid256, rng, k_max=k_max).samples
-                       for k_max in (8, grid256.N // 2 - 1)] for _ in range(members)])
-        got = np.fft.irfft(fwlab.fw._fw_rhs(np.fft.rfft(y), *fwlab.fw._fw_symbols(grid256)),
+                       for _ in range(members)] for k_max in (8, grid256.N // 2 - 1)])
+        y_hat = np.fft.rfft(y)
+        got = np.fft.irfft(fwlab.fw._direct_rhs(grid256, y_hat.shape)(y_hat, 0, 0.0),
                            grid256.N)
+        assert got.shape == y.shape
         assert np.max(np.abs(got - full_rhs(y))) <= 1e-13
+
+    @pytest.mark.parametrize("members", [1, 4])
+    def test_direct_kernel_writes_neither_its_input_nor_its_outputs(self, grid256, members):
+        # _rk4_step holds y and k1..k4 across the kernel's calls, which share
+        # one workspace: a later call writes neither y nor an earlier output
+        rng = np.random.default_rng(359 + members)
+        y = np.fft.rfft([[random_field(grid256, rng, k_max=8).samples
+                          for _ in range(members)] for _ in range(2)])
+        rhs = fwlab.fw._direct_rhs(grid256, y.shape)
+        y0, k1 = y.copy(), rhs(y, 0, 0.0)
+        first = k1.copy()
+        k2 = rhs(2.0 * y, 0, 0.5)
+        assert same_bits(y, y0) and same_bits(k1, first)
+        assert not np.shares_memory(k1, k2)
 
     def test_grid_mismatch_rejected(self, grid256):
         other = make_grid(128, 8.0)
@@ -984,12 +999,15 @@ class TestMemberBatch:
     and independently."""
 
     def test_rhs_of_stack_equals_single_calls(self, grid256):
+        # a field-major (2, 4, N//2 + 1) stack, each member stepped alone
+        # through a kernel of its own shape
         rng = np.random.default_rng(307)
-        y = np.fft.rfft([[random_field(grid256, rng, k_max=8).samples,
-                          random_field(grid256, rng, k_max=8).samples] for _ in range(4)])
-        symbols = fwlab.fw._fw_symbols(grid256)
-        singles = np.stack([fwlab.fw._fw_rhs(member, *symbols) for member in y])
-        assert np.array_equal(fwlab.fw._fw_rhs(y, *symbols), singles)
+        y = np.fft.rfft([[random_field(grid256, rng, k_max=8).samples for _ in range(4)]
+                         for _ in range(2)])
+        rhs = fwlab.fw._direct_rhs
+        singles = np.stack([rhs(grid256, (2, y.shape[-1]))(y[:, k], 0, 0.0)
+                            for k in range(4)], axis=1)
+        assert same_bits(rhs(grid256, y.shape)(y, 0, 0.0), singles)
 
     def test_continuity_family_march_equals_single_marches(self, grid256):
         u0, rho0 = _sine_cosine(grid256, 0.1)
@@ -1000,7 +1018,8 @@ class TestMemberBatch:
         singles = [fwlab.fw._march_fw(m, grid256, tg, 2e-3) for m in members]
         nodes = 0
         for y in fwlab.fw._march_fw(members, grid256, tg, 2e-3):
-            assert np.array_equal(y, np.stack([next(s) for s in singles]))
+            # field-major: member k is y[:, k]
+            assert same_bits(y, np.stack([next(s) for s in singles], axis=1))
             nodes += 1
         assert nodes == tg.size
 
@@ -1111,9 +1130,10 @@ class TestMemberBatch:
         assert len(calls) == math.ceil(nodes / fwlab.fw._DISTANCE_BLOCK)
         assert du.shape == drho.shape == (nodes, 3)
         for i, y in enumerate(fwlab.fw._march_fw(members, grid256, tg, dt)):
-            norm_u, norm_rho = real(part256, y[1:] - y[:1], params)
-            assert np.array_equal(du[i], norm_u)
-            assert np.array_equal(drho[i], norm_rho)
+            # the field-major march's differences, member-major
+            norm_u, norm_rho = real(part256, np.moveaxis(y[:, 1:] - y[:, :1], 0, 1), params)
+            assert same_bits(du[i], norm_u)
+            assert same_bits(drho[i], norm_rho)
 
 
     def test_distinct_members_at_criterion_12_sizes_equal_a_march_of_all(self, grid256,
@@ -1129,9 +1149,10 @@ class TestMemberBatch:
         du, drho = fwlab.fw._member_distances(members, grid256, tg, 2e-3, params322)
         assert du.shape == drho.shape == (tg.size, 6)
         for i, y in enumerate(fwlab.fw._march_fw(members, grid256, tg, 2e-3)):
-            norm_u, norm_rho = _pair_norms(part256, y[1:] - y[:1], params322)
-            assert np.array_equal(du[i], norm_u)
-            assert np.array_equal(drho[i], norm_rho)
+            diff = np.moveaxis(y[:, 1:] - y[:, :1], 0, 1)  # member-major
+            norm_u, norm_rho = _pair_norms(part256, diff, params322)
+            assert same_bits(du[i], norm_u)
+            assert same_bits(drho[i], norm_rho)
 
     @pytest.mark.parametrize("kind, extra, rows", [
         ("continuity", "j_max: 5", 5),  # the benchmark's direct-sweep
@@ -1209,13 +1230,15 @@ class TestPairNorms:
         rng = np.random.default_rng(419)
         members = np.array([[random_field(grid256, rng, k_max=40, amplitude=0.1).samples
                              for _ in range(2)] for _ in range(3)])
+        # (node, field, member) half spectra, normed as (node, member) pairs
         y = np.array(list(fwlab.fw._march_fw(members, grid256,
                                              make_time_grid(0.5, 5e-3), 5e-3)))
         params = BesovParams(3.0, p, 2.0)
-        norm_u, norm_rho = _pair_norms(part256, y, params)
+        norm_u, norm_rho = _pair_norms(part256, np.moveaxis(y, 1, -2), params)
+        assert norm_u.shape == norm_rho.shape == (len(y), 3)
         samples = np.fft.irfft(y, grid256.N)
-        want_u = besov_norms_of_samples(part256, samples[..., 0, :], params)
-        want_rho = besov_norms_of_samples(part256, samples[..., 1, :], params.shift(-1.0))
+        want_u = besov_norms_of_samples(part256, samples[:, 0], params)
+        want_rho = besov_norms_of_samples(part256, samples[:, 1], params.shift(-1.0))
         np.testing.assert_allclose(norm_u, want_u, rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(norm_rho, want_rho, rtol=1e-13, atol=0.0)
 

@@ -72,12 +72,14 @@ class TestIntegrateRK4:
             assert len(states) == k
             assert len(calls) == 4 * (k - 1)
 
-    @pytest.mark.parametrize("shape, rows", [((4,), ()), ((3, 2, 4), (0, 2))])
+    @pytest.mark.parametrize("shape, rows", [((4,), ()), ((2, 3, 4), (0, 2))])
     def test_blowup_names_nonfinite_rows(self, shape, rows):
-        # the rate is infinite in the named rows only
+        # the rate is infinite in the named rows only: in a field-major
+        # (2, K, ...) stack the rows are its members, the second-last axis,
+        # and only field 1 of each loses finiteness
         rate = np.zeros(shape)
         if rows:
-            rate[list(rows), 1, 0] = np.inf
+            rate[1, list(rows), 0] = np.inf
         else:
             rate[0] = np.inf
         march = integrate_rk4(lambda y, i, w: rate, np.ones(shape),
