@@ -2,22 +2,17 @@
 
 The dyadic partition of unity uses a smooth low-pass profile chi equal to 1
 for |xi| <= 3/4 and 0 for |xi| >= 4/3, glued with the standard exp(-1/x)
-transition, and ring profiles phi(xi) = chi(xi/2) - chi(xi).  By construction
+transition, and ring profiles phi(xi) = chi(xi/2) - chi(xi), so
 
     chi(xi) + sum_{q>=0} phi(2^{-q} xi) = 1
 
-telescopes exactly on any bounded set of wavenumbers, rings two or more
-octaves apart have disjoint supports, and on a fixed grid only finitely many
-rings are nonzero (blocks above the Nyquist ring vanish identically, so the
-truncation of the l^r sum is exact).
+on any bounded set of wavenumbers; on a fixed grid only finitely many rings
+are nonzero, so the truncation of the l^r sum is exact.
 
 Every Besov norm here comes from one reduction, and a row's norm depends only
-on the row: not on its batch, its memory layout or its scale.  Every field is
-real and every block mask is even in xi, so the reduction reads the N//2 + 1
-modes of a real transform (rfft): at p = 2 by Parseval, counting each mode
-strictly between 0 and Nyquist twice, and otherwise from one irfft of the
-masked blocks.  The public entry points take full coefficient rows and slice
-them once.
+on the row: not on its batch, its memory layout or its scale.  How the
+reduction reads a row and how many rows one call takes is told in README.md
+(Library, fwlab.besov).
 """
 
 from __future__ import annotations
@@ -46,11 +41,9 @@ __all__ = [
 
 _CHI_INNER = 0.75  # chi == 1 inside this radius
 _CHI_OUTER = 4.0 / 3.0  # chi == 0 outside this radius
-#: rows normed per transform by besov_norms_of_samples, and per chunk of nodes
-#: by simulate, at p = 2 (_norm_chunk)
+#: the most rows one norm call takes at p = 2, and at p != 2, where the
+#: reduction inverts every dyadic block of every row; read by _nodes_per_call
 _NORM_CHUNK = 256
-#: the most rows of those at p != 2, where the block temporaries are many
-#: times the rows' bytes
 _GENERAL_P_CHUNK = 32
 
 
@@ -333,26 +326,23 @@ def besov_norms_batch(
     return np.atleast_1d(_norms(part, _half(part, coefficients), params, params.s))
 
 
-def _norm_chunk(p: float, rows: int) -> int:
-    """The sample rows normed in one call at p, for a caller that norms
-    `rows` per call at p = 2: all of them there, at most _GENERAL_P_CHUNK
-    otherwise.  At p = 2 the reduction sums the moduli of the modes, and a
-    longer call costs less per row; at p != 2 it inverts every dyadic block
-    of every row, and at N = 256 a call of 32 rows costs a half to three
-    quarters as much per row as a call of 256 (p = 1, 4 and inf)."""
-    return rows if p == 2 else min(rows, _GENERAL_P_CHUNK)
+def _nodes_per_call(p: float, rows_per_node: int) -> int:
+    """How many nodes, of rows_per_node norm rows each, one norm call at p
+    takes: as many whole nodes as _NORM_CHUNK rows hold at p = 2, or
+    _GENERAL_P_CHUNK rows otherwise, and at least one.  Every caller that
+    norms rows in batches asks this."""
+    budget = _NORM_CHUNK if p == 2 else _GENERAL_P_CHUNK
+    return max(1, budget // max(1, rows_per_node))
 
 
 def besov_norms_of_samples(
     part: LPPartition, samples: np.ndarray, params: BesovParams
 ) -> np.ndarray:
-    """Besov norms of a batch of real sample rows (shape (..., N)).  One rfft
-    and one reduction per chunk of the leading axis that holds at most
-    _norm_chunk(p, _NORM_CHUNK) rows (a (K, 2, N) stack has two per entry),
-    so a long batch needs bounded temporaries; a row's norm does not depend
-    on its chunk."""
+    """Besov norms of a batch of real sample rows (shape (..., N)), in
+    chunks of the leading axis sized by _nodes_per_call, so a long batch
+    needs bounded temporaries; a row's norm does not depend on its chunk."""
     samples = np.asarray(samples, dtype=float)
-    step = max(1, _norm_chunk(params.p, _NORM_CHUNK) // int(np.prod(samples.shape[1:-1])))
+    step = _nodes_per_call(params.p, int(np.prod(samples.shape[1:-1])))
 
     def norms(rows):
         return _norms(part, np.fft.rfft(rows) / part.grid.N, params, params.s)

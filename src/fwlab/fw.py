@@ -37,10 +37,10 @@ from typing import Sequence
 import numpy as np
 
 from .besov import (
-    _NORM_CHUNK,
     BesovParams,
     LPPartition,
     MollifierKernel,
+    _nodes_per_call,
     _norm_bounds,
     _norms,
     besov_norms_of_samples,
@@ -85,11 +85,9 @@ LIFESPAN_CAP = 1e6
 #: stability_experiment asserts D(t) <= D(0) exp(beta t) (1 + GRONWALL_SLACK)
 GRONWALL_SLACK = 0.05
 
-#: nodes whose member differences _member_distances norms in one call, and
-#: that _lifespans screens in one call: on a few members a call per node
-#: costs about three times a node's share of a block, and chunks of hundreds
-#: of rows hold more memory than the sweeps' no-trajectory bound allows
-_DISTANCE_BLOCK = 8
+#: nodes _lifespans steps before it screens them in one bound call: a member
+#: that crosses 2*P0 inside them steps on to their end
+_SCREENED_NODES = 8
 
 #: _lifespans takes a node whose norm-sum bound is at most 2*P0*(1 - this)
 #: as under 2*P0 without norming it: far above the reductions' rounding,
@@ -374,18 +372,6 @@ def _scheme_forcing(y_hat, z, ik, lam, mask):
     return out
 
 
-def _wave_block(n_max: int, p: float) -> int:
-    """The wave nodes whose norm rows run_scheme reads in one _norms call:
-    whole nodes of 4 * n_max rows each (a wave and its differences from the
-    previous iterate, two fields per iterate), at most _NORM_CHUNK rows at
-    p = 2 and one node otherwise.  At p != 2 the reduction inverts every
-    dyadic block of every row, and at N = 256 a call of _NORM_CHUNK rows
-    costs two to three times as much per node as a call of one node."""
-    if p != 2:
-        return 1
-    return max(1, _NORM_CHUNK // (4 * n_max))
-
-
 def _scheme_bytes(N: int, n_max: int, T: float, dt: float, p: float = 2.0,
                   n_blocks: int = 1, keep_last: bool = True) -> float:
     """What run_scheme holds at its peak: per node, the last iterate when
@@ -399,7 +385,7 @@ def _scheme_bytes(N: int, n_max: int, T: float, dt: float, p: float = 2.0,
     row (the samples and their moduli, raised to p in place)."""
     stored = (T / dt + 1.0) * (2 * N * keep_last + 4 * (n_max + 1) + 4) * 8
     march = 48 * n_max * 2 * (N // 2 + 1) * 16
-    rows = 4 * n_max * _wave_block(n_max, p)
+    rows = 4 * n_max * _nodes_per_call(p, 4 * n_max)
     block = rows * (N // 2 + 1) * (16 + 8)
     if p != 2:
         block += 2 * n_blocks * rows * N * 8
@@ -461,10 +447,10 @@ def run_scheme(u0: GridFunction, rho0: GridFunction, cfg: SchemeConfig, *,
     first = np.broadcast_to(initial[0], (n_nodes, 2, N))
     y = np.fft.rfft(initial)
     rows = np.arange(n_rows)
-    # the norm rows of each wave node, y / N and (y - then) / N, and the node
-    # each row sits at, gathered over a block of whole wave nodes and normed
-    # in one call per block
-    span = min(_wave_block(n_rows, params.p), M + n_rows)
+    # the 4 * n_rows norm rows of each wave node, y / N and (y - then) / N,
+    # and the node each row sits at, gathered over a block of whole wave
+    # nodes and normed in one call per block
+    span = min(_nodes_per_call(params.p, 4 * n_rows), M + n_rows)
     block = np.empty((span, 2, n_rows, 2, N // 2 + 1), dtype=complex)
     at = np.empty((span, n_rows), dtype=int)
     # iterate n at the previous wave node (a row that has not started is
@@ -558,7 +544,7 @@ def _lifespans(pairs: Sequence[tuple[GridFunction, GridFunction]],
     normed in blocks of consecutive nodes.  Node 0 is a block of its own,
     normed by _pair_norms, and its norm sum is each member's P0, the measure
     of every later node, so node 0 is never over 2*P0.  Later blocks hold
-    _DISTANCE_BLOCK nodes (the last may hold fewer).  Each is screened by
+    _SCREENED_NODES nodes (the last may hold fewer).  Each is screened by
     _pair_norm_bounds: a row whose bound sum is at most
     2*P0*(1 - _BOUND_MARGIN) is under 2*P0, and only the other rows, zero or
     not finite ones included, are gathered and normed by _pair_norms, in
@@ -607,7 +593,7 @@ def _lifespans(pairs: Sequence[tuple[GridFunction, GridFunction]],
             break
         if left.any():  # a workspace for the members that march on
             rhs = _direct_rhs(grid, y.shape)
-        block = np.empty((min(_DISTANCE_BLOCK, time_grid.size - 1 - i),) + y.shape,
+        block = np.empty((min(_SCREENED_NODES, time_grid.size - 1 - i),) + y.shape,
                          dtype=y.dtype)
         for j in range(len(block)):
             block[j] = _rk4_step(rhs, y, i, cfg.dt)
@@ -656,11 +642,8 @@ def _member_distances(members: np.ndarray, grid: Grid, time_grid: np.ndarray,
     of the march, and every member takes its row's distances; one equal to
     member 0 gets exact zeros, as the norm of its zero difference would be.
     Rows march and are normed independently, so every distance has the bits
-    of a march of all the members.  The differences of _DISTANCE_BLOCK nodes
-    of the field-major march are gathered member-major, as _pair_norms reads
-    pairs, in one buffer and normed in one call, the last, short block
-    included; a row's norm does not depend on its block, and no trajectory
-    is stored.  A BlowUpError names every member of the rows that blew up.
+    of a march of all the members; no trajectory is stored.  A BlowUpError
+    names every member of the rows that blew up.
     """
     part = build_partition(grid)
     index: dict[bytes, int] = {}  # each distinct member's row, by its bytes
@@ -668,12 +651,15 @@ def _member_distances(members: np.ndarray, grid: Grid, time_grid: np.ndarray,
     distinct = members[np.unique(row, return_index=True)[1]]
     du = np.zeros((time_grid.size, len(distinct)))
     drho = np.zeros_like(du)
-    block = np.empty((_DISTANCE_BLOCK, len(distinct) - 1, 2, grid.N // 2 + 1), dtype=complex)
+    # the member-major differences of a block of nodes, 2 rows per distinct
+    # member after the first, normed in one call per block
+    span = min(_nodes_per_call(params.p, 2 * (len(distinct) - 1)), time_grid.size)
+    block = np.empty((span, len(distinct) - 1, 2, grid.N // 2 + 1), dtype=complex)
     try:
         for i, y in enumerate(_march_fw(distinct, grid, time_grid, dt)):
-            j = i % _DISTANCE_BLOCK
+            j = i % span
             np.subtract(y[:, 1:], y[:, :1], out=block[j].swapaxes(0, 1))
-            if j == _DISTANCE_BLOCK - 1 or i == time_grid.size - 1:
+            if j == span - 1 or i == time_grid.size - 1:
                 du[i - j:i + 1, 1:], drho[i - j:i + 1, 1:] = _pair_norms(
                     part, block[:j + 1], params)
     except BlowUpError as exc:

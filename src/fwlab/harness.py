@@ -22,7 +22,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .besov import _NORM_CHUNK, BesovParams, _norm_chunk, besov_norm, build_partition
+from .besov import BesovParams, _nodes_per_call, besov_norm, build_partition
 from .fw import (
     SchemeConfig,
     _check_memory,
@@ -324,8 +324,9 @@ def emit_field_csv(f: GridFunction, path: str | Path) -> None:
 def read_field_csv(path: str | Path, grid: Grid) -> GridFunction:
     """Read a (x, value) CSV back onto the given grid.
 
-    The x column must list the grid's nodes in order; row count, ordering or
-    numeric errors are fatal.
+    The x column must list the grid's nodes in order; a wrong row count, a
+    row that is not two cells, a node out of order or a non-numeric cell is
+    fatal.
     """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -335,10 +336,9 @@ def read_field_csv(path: str | Path, grid: Grid) -> GridFunction:
     if len(body) != grid.N:
         raise ValueError(f"field CSV has {len(body)} rows, grid expects {grid.N}")
     try:
-        xs = np.array([float(r[0]) for r in body])
-        vals = np.array([float(r[1]) for r in body])
-    except (ValueError, IndexError) as exc:
-        raise ValueError(f"non-numeric or malformed cell in field CSV: {exc}") from exc
+        xs, vals = np.array([[float(x), float(v)] for x, v in body]).T
+    except ValueError as exc:  # a cell that is not a number, or a row not (x, value)
+        raise ValueError(f"non-numeric cell or malformed row in field CSV: {exc}") from exc
     if not np.allclose(xs, grid.x, rtol=0.0, atol=1e-9 * max(grid.dx, 1.0)):
         raise ValueError("x column does not match the grid's nodes in order")
     return GridFunction.from_samples(grid, vals)
@@ -522,11 +522,10 @@ def _run_simulate(cfg: RunConfig, report: ExperimentReport) -> None:
     time_grid = make_time_grid(T, dt)
     part, params = build_partition(grid), cfg.besov_params()
     march = _march_fw(np.stack([u0.samples, rho0.samples]), grid, time_grid, dt)
-    # the norms and means of chunks of _norm_chunk(p, _NORM_CHUNK) rows, two per
-    # node, as they are made: no trajectory is stored.  A node's mean is its
-    # mode 0 over N.
+    # the norms and means of chunks of nodes, two norm rows per node, as they
+    # are made: no trajectory is stored.  A node's mean is its mode 0 over N.
     columns = []
-    while chunk := list(islice(march, _norm_chunk(params.p, _NORM_CHUNK) // 2)):
+    while chunk := list(islice(march, _nodes_per_call(params.p, 2))):
         y = np.array(chunk)
         columns.append(np.column_stack([*_pair_norms(part, y, params),
                                         y[..., 0].real / grid.N]))

@@ -84,6 +84,24 @@ def test_block_norms_named_only_in_besov():
     assert not naming, f"modules naming besov._block_lp_norms: {naming}"
 
 
+def test_norm_rows_per_call_decided_only_in_besov():
+    # how many rows one norm call takes is one rule, besov._nodes_per_call:
+    # only besov names its row budgets, every caller that batches norm rows
+    # asks the rule, and the lifespan sweep's screened nodes size nothing else
+    trees = {p.name: ast.parse(p.read_text()) for p in SOURCES}
+    naming = sorted(name for name, tree in trees.items() if name != "besov.py"
+                    and {"_NORM_CHUNK", "_GENERAL_P_CHUNK"} & set(_names(tree)))
+    assert not naming, f"modules naming besov's row budgets: {naming}"
+    functions = {(name, node.name): node for name, tree in trees.items()
+                 for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for key in [("besov.py", "besov_norms_of_samples"), ("fw.py", "run_scheme"),
+                ("fw.py", "_scheme_bytes"), ("fw.py", "_member_distances"),
+                ("harness.py", "_run_simulate")]:
+        assert "_nodes_per_call" in set(_names(functions[key])), f"{key} sizes its own calls"
+    screening = sorted(key for key, fn in functions.items() if "_SCREENED_NODES" in set(_names(fn)))
+    assert screening == [("fw.py", "_lifespans")], f"_SCREENED_NODES read in {screening}"
+
+
 def test_fw_measures_pairs_only_through_pair_norms():
     # a pair of the direct system, P0 included, is measured in B^s x B^{s-1}
     # by fw._pair_norms, the measure of every march node, and not by a

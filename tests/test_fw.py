@@ -393,10 +393,11 @@ class TestScheme:
         # of iterate n, and compare bit for bit.  At dt = 0.7 there are
         # M = 3 steps, fewer than the n_max - 1 marching iterates, so the
         # wave's start, where later iterates wait at their data, overlaps
-        # its end, where earlier ones hold at their last node.  At p = 2 the
-        # wave's M + n_max nodes are normed in blocks of _wave_block: at
+        # its end, where earlier ones hold at their last node.  The wave's
+        # M + n_max nodes are normed in blocks of besov._nodes_per_call: at
         # n_max = 7, dt = 0.2 they fill two whole blocks, and the other
-        # p = 2 cases end on a short block; at p = 4 a block is one node
+        # p = 2 cases end on a short block; at p = 4 a block is two nodes,
+        # and the 236 wave nodes fill whole blocks
         params = BesovParams(3.0, p, 2.0)
         u0 = GridFunction.from_samples(grid256, 0.1 * np.sin(grid256.x))
         rho0 = GridFunction.from_samples(grid256, 0.1 * np.cos(grid256.x))
@@ -404,7 +405,8 @@ class TestScheme:
         trace = run_scheme(u0, rho0, cfg)
         M = trace.time_grid.size - 1
         assert (M + 1 < n_max) == (dt == 0.7)  # the ramps overlap
-        assert ((M + n_max) % fwlab.fw._wave_block(n_max, p) == 0) == (dt == 0.2 or p == 4)
+        span = fwlab.besov._nodes_per_call(p, 4 * n_max)
+        assert ((M + n_max) % span == 0) == (dt == 0.2 or p == 4)
         tg, N = trace.time_grid, grid256.N
         ik, lam, mask = fwlab.fw._fw_symbols(grid256)
         prev = np.zeros((tg.size, 2, N // 2 + 1), dtype=complex)
@@ -435,9 +437,9 @@ class TestScheme:
     def test_wave_normed_in_row_bounded_node_blocks(self, grid256, monkeypatch, p, chunk):
         # the wave's norm rows, 4 * n_max per node, are normed in blocks of
         # whole nodes, at least one, of at most _NORM_CHUNK rows at p = 2
-        # and one node otherwise: one _norms call per block, the last,
-        # short block included, with the bits of the default blocks; 8 rows
-        # hold less than one node
+        # and _GENERAL_P_CHUNK (two nodes here) otherwise: one _norms call
+        # per block, the last, short block included, with the bits of the
+        # default blocks; 8 rows hold less than one node
         u0 = GridFunction.from_samples(grid256, 0.1 * np.sin(grid256.x))
         rho0 = GridFunction.from_samples(grid256, 0.1 * np.cos(grid256.x))
         cfg = SchemeConfig(params=BesovParams(3.0, p, 2.0), C=1.0, n_max=3, dt=5e-2)
@@ -449,16 +451,17 @@ class TestScheme:
             calls.append(np.shape(half))
             return real(part, half, *args)
 
-        monkeypatch.setattr(fwlab.fw, "_NORM_CHUNK", chunk)
+        monkeypatch.setattr(fwlab.besov, "_NORM_CHUNK", chunk)
         monkeypatch.setattr(fwlab.fw, "_norms", counting)
         trace = run_scheme(u0, rho0, cfg)
-        span = fwlab.fw._wave_block(cfg.n_max, p)
-        assert span == (max(1, chunk // 12) if p == 2 else 1)
+        span = fwlab.besov._nodes_per_call(p, 4 * cfg.n_max)
+        assert span == (max(1, chunk // 12) if p == 2 else 2)
+        budget = chunk if p == 2 else fwlab.besov._GENERAL_P_CHUNK
         waves = [shape for shape in calls if len(shape) == 5]  # P0's call is (2, N//2 + 1)
         M = trace.time_grid.size - 1
         assert len(waves) == len(calls) - 1 == math.ceil((M + cfg.n_max) / span)
         assert sum(shape[0] for shape in waves) == M + cfg.n_max
-        assert all(np.prod(shape[:-1]) <= max(chunk, 12) for shape in waves)
+        assert all(np.prod(shape[:-1]) <= max(budget, 12) for shape in waves)
         assert np.array_equal(trace.norms, want.norms)
         assert np.array_equal(trace.d_n, want.d_n)
         assert np.array_equal(trace.last, want.last)
@@ -803,7 +806,7 @@ class TestEmpiricalLifespan:
         # every row after node 0 is screened once and normed at most once
         rows = sum(math.prod(b) for b in screened)
         assert sum(math.prod(b) for b in exact[1:]) == (rows if norms_zeroed else 30)
-        assert {b[0] for b in screened[:-1]} == {fwlab.fw._DISTANCE_BLOCK}
+        assert {b[0] for b in screened[:-1]} == {fwlab.fw._SCREENED_NODES}
         # the node each member leaves at, and the first node of each block
         first_nodes = np.cumsum([1] + [b[0] for b in screened])[:-1]
         leave_nodes = np.rint(T_emp / cfg.dt).astype(int) + 1
@@ -941,14 +944,27 @@ class TestGalileanInvariance:
 
 
 class TestStability:
-    def test_zero_perturbation(self, grid256, params322):
+    def test_zero_perturbation(self, grid256, monkeypatch):
+        # every member equals the base, so one row marches and no node has
+        # a difference row to norm, at p = 2 and on the general-p path
         u0 = GridFunction.from_samples(grid256, 0.05 * np.sin(grid256.x))
         rho0 = GridFunction.from_samples(grid256, 0.05 * np.cos(grid256.x))
         z = _gf(grid256, 0.0)
-        cfg = SchemeConfig(params=params322, dt=5e-3)
-        report = stability_experiment(u0, rho0, [(z, z)], cfg, T=0.5)[0]
-        assert report.initial_distance == 0.0
-        assert report.bound_holds
+        marched = []
+        real = fwlab.fw._march_fw
+
+        def counting(initial, *args):
+            marched.append(len(initial))
+            return real(initial, *args)
+
+        monkeypatch.setattr(fwlab.fw, "_march_fw", counting)
+        for p in (2.0, 4.0):
+            cfg = SchemeConfig(params=BesovParams(3.0, p, 2.0), dt=5e-3)
+            for report in stability_experiment(u0, rho0, [(z, z)] * 2, cfg, T=0.5):
+                assert np.all(report.norm_curve == 0.0)
+                assert report.beta_fit == 0.0
+                assert report.bound_holds
+        assert marched == [1, 1]
 
     def test_distance_scales_linearly_in_delta(self, grid256, params322):
         u0 = GridFunction.from_samples(grid256, 0.05 * np.sin(grid256.x))
@@ -1108,10 +1124,12 @@ class TestMemberBatch:
         assert peak < 501 * 2 * 256 * 8
 
     @pytest.mark.parametrize("p", [2.0, 4.0])
-    @pytest.mark.parametrize("nodes", [3, 11])
+    @pytest.mark.parametrize("nodes", [3, 47])
     def test_blocked_distances_equal_per_node_norms(self, grid256, part256, monkeypatch,
                                                     nodes, p):
-        # 3 nodes fill less than one block; 11 leave a short tail block
+        # 3 differences, 6 rows, per node: a block is 42 nodes at p = 2 and
+        # 5 at p = 4, so 3 nodes fill less than one block and 47 leave a
+        # short last block
         params = BesovParams(3.0, p, 2.0)
         rng = np.random.default_rng(431)
         members = np.array([[random_field(grid256, rng, k_max=40, amplitude=0.1).samples
@@ -1127,7 +1145,9 @@ class TestMemberBatch:
 
         monkeypatch.setattr(fwlab.fw, "_pair_norms", counting)
         du, drho = fwlab.fw._member_distances(members, grid256, tg, dt, params)
-        assert len(calls) == math.ceil(nodes / fwlab.fw._DISTANCE_BLOCK)
+        span = fwlab.besov._nodes_per_call(p, 6)
+        assert span == (42 if p == 2 else 5)
+        assert len(calls) == math.ceil(nodes / span) and nodes % span
         assert du.shape == drho.shape == (nodes, 3)
         for i, y in enumerate(fwlab.fw._march_fw(members, grid256, tg, dt)):
             # the field-major march's differences, member-major

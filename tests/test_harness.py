@@ -220,6 +220,18 @@ class TestFieldCsv:
         with pytest.raises(ValueError, match="malformed|numeric"):
             read_field_csv(path, grid256)
 
+    @pytest.mark.parametrize("last", [pytest.param("{x:.17g},0.5,99", id="extra-cell"),
+                                      pytest.param("{x:.17g}", id="one-cell")])
+    def test_row_not_two_cells_rejected(self, grid256, tmp_path, last):
+        # an extra cell is not dropped, nor a missing one read as an error
+        # of another kind: any row that is not (x, value) is fatal
+        path = tmp_path / "field.csv"
+        rows = ["x,value"] + [f"{x:.17g},0.5" for x in grid256.x[:-1]]
+        rows.append(last.format(x=grid256.x[-1]))
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match="malformed row .* values to unpack"):
+            read_field_csv(path, grid256)
+
 
 class TestRunExperiment:
     def test_partition_check_passes(self):
@@ -269,7 +281,7 @@ class TestRunExperiment:
     def test_simulate_stores_no_trajectory(self, monkeypatch):
         # smaller chunks keep the norms' temporaries well below the
         # trajectory at a test's size, so what grows with the nodes shows
-        monkeypatch.setattr(fwlab.harness, "_NORM_CHUNK", 16)
+        monkeypatch.setattr(fwlab.besov, "_NORM_CHUNK", 16)
         cfg = parse_config("time: {T: 0.5, dt: 1e-3}\n")
         tracemalloc.start()
         try:
@@ -285,7 +297,7 @@ class TestRunExperiment:
         # the memory guard prices simulate at _TABLE_ROW_BYTES per node: 500
         # more nodes raise the peak by at most that much each (smaller
         # chunks keep the norms' temporaries from hiding the growth)
-        monkeypatch.setattr(fwlab.harness, "_NORM_CHUNK", 16)
+        monkeypatch.setattr(fwlab.besov, "_NORM_CHUNK", 16)
         run_experiment(parse_config("time: {T: 1e-2, dt: 1e-3}\n"), write=False)  # warm caches
         peaks = []
         for T in (0.5, 1.0):
