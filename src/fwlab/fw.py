@@ -51,12 +51,14 @@ from .spectral import Grid, GridFunction, _half_symbols as _fw_symbols
 from .transport import (
     CFL_FACTOR,
     BlowUpError,
+    _advection,
     _cfl_violation,
     _check_finite,
     _lost_finiteness,
     _rk4_step,
     _stored,
     _transport_rhs,
+    _transport_workspace,
     integrate_rk4,
     make_time_grid,
 )
@@ -357,17 +359,23 @@ class IterationTrace:
         return self.norm_u[n] + self.norm_rho[n]
 
 
-def _scheme_forcing(y_hat, z, ik, lam, mask):
+def _scheme_forcing(y_hat, z, ik, lam, mask, out=None):
     """Forcing of iterate n+1, as half spectra, from the stacked
-    (..., 2, N//2 + 1) half spectra y_hat of iterate n and z, the irfft of
-    (u^n, rho^n, u^n_x) stacked (..., 3, N): Lambda^{-1} d/dx (rho^n - u^n)
-    for u and -rho^n u^n_x - u^n_x for rho, with the symbols of _fw_symbols.
-    Only the dealiased product is transformed; the Nyquist mode is zero, as
-    the derivative of _fw_rhs is there."""
+    (..., 2, N//2 + 1) half spectra y_hat of iterate n and the samples z of
+    the wave node, (..., 3 or 4, N), whose rows 1 and 2 are rho^n and u^n_x:
+    Lambda^{-1} d/dx (rho^n - u^n) for u and -rho^n u^n_x - u^n_x for rho,
+    with the symbols of _fw_symbols, written into out (a new array when
+    None).  Only the dealiased product is transformed; the Nyquist mode is
+    zero, as the derivative of _fw_rhs is there."""
     u_hat, rho_hat = y_hat[..., 0, :], y_hat[..., 1, :]
+    if out is None:
+        out = np.empty(y_hat.shape, dtype=complex)
     prod = np.fft.rfft(z[..., 1, :] * z[..., 2, :])
     prod *= mask
-    out = np.stack([lam * (rho_hat - u_hat), -prod - ik * u_hat], axis=-2)
+    coupling = np.subtract(rho_hat, u_hat, out=out[..., 0, :])
+    np.multiply(lam, coupling, out=coupling)
+    ux = np.multiply(ik, u_hat, out=out[..., 1, :])
+    np.subtract(np.negative(prod, out=prod), ux, out=ux)
     out[..., -1] = 0.0
     return out
 
@@ -377,16 +385,22 @@ def _scheme_bytes(N: int, n_max: int, T: float, dt: float, p: float = 2.0,
     """What run_scheme holds at its peak: per node, the last iterate when
     keep_last asks for it and every iterate's norms (the first is a view of
     its data), and, while the bound flags are set, the norm sums and their
-    comparisons and the time grids; besides, the wave march's working set of
-    complex (n_max, 2, N//2 + 1) stacks, which includes each wave's samples,
-    and the block of norm rows, read in row-bounded node blocks, with the
-    temporaries of its reduction at p: the rows' moduli and, at p != 2,
-    two real arrays of the samples of the n_blocks dyadic blocks of every
-    row (the samples and their moduli, raised to p in place)."""
+    comparisons and the time grids; besides, the wave march's buffers and
+    RK4 stages, and the block of norm rows, read in row-bounded node blocks,
+    with the temporaries of its reduction at p: the rows' moduli, six
+    arrays of the norms of the n_blocks dyadic blocks of every row and the
+    terms of their l^r sums, and, at p != 2, two real arrays of the samples
+    of those blocks (the samples and their moduli, raised to p in place).  The
+    march holds 15 complex (n_max, 2, N//2 + 1) stacks, the wave (1), its
+    copy with its derivatives (2), the previous iterate (1), two forcings
+    and the half step's (3), the kernel's spectra (1) and RK4's k1..k4 with
+    three temporaries (7), and 11 real rows of N samples per iterate: two
+    wave nodes (8), the half step's velocity (1) and the kernel's samples
+    (2)."""
     stored = (T / dt + 1.0) * (2 * N * keep_last + 4 * (n_max + 1) + 4) * 8
-    march = 48 * n_max * 2 * (N // 2 + 1) * 16
+    march = (15 * 2 * (N // 2 + 1) * 16 + 11 * N * 8) * n_max
     rows = 4 * n_max * _nodes_per_call(p, 4 * n_max)
-    block = rows * (N // 2 + 1) * (16 + 8)
+    block = rows * ((N // 2 + 1) * (16 + 8) + 6 * n_blocks * 8)
     if p != 2:
         block += 2 * n_blocks * rows * N * 8
     return stored + march + block
@@ -435,17 +449,28 @@ def run_scheme(u0: GridFunction, rho0: GridFunction, cfg: SchemeConfig, *,
     # node i it sits at node clip(i - r, 0, M), and it steps on while
     # 0 <= i - r < M, reading iterate r at nodes i - r and i - r + 1, which
     # row r - 1 reached at wave nodes i - 1 and i.  The same code runs on
-    # every row at every wave node: every row is stepped, and a row that
-    # does not move on keeps its bits, its stepped result discarded; a row's
-    # norms depend only on the row, so a held row repeats what it has
-    # already produced.  Row 0, advected by the zero pair, is its data at
-    # every node, so only rows 1.. march.  The wave is half spectra; the
-    # velocity is given as samples, the forcing as half spectra.
+    # every row at every wave node from node 1 (at node 0 no row moves on):
+    # every row is stepped, and a row that does not move on keeps its bits,
+    # its stepped result discarded; a row's norms depend only on the row,
+    # so a held row repeats what it has already produced.  Row 0, advected
+    # by the zero pair, is its data at every node, so only rows 1.. march.
+    # The wave is half spectra; the velocity is given as samples, the
+    # forcing as half spectra.
     kernels = [MollifierKernel(epsilon=1.0 / (n + 1)) for n in range(n_rows)]
     initial = np.array([[mollify(u0, k).samples, mollify(rho0, k).samples]
                         for k in kernels])
     first = np.broadcast_to(initial[0], (n_nodes, 2, N))
+    # the wave's half spectra y; at each wave node a copy of them and their
+    # derivatives, (u, rho, u_x, rho_x) of every row, is inverted into the
+    # samples of that node, in two buffers taken in turn
     y = np.fft.rfft(initial)
+    spectra = np.empty((n_rows, 4, N // 2 + 1), dtype=complex)
+    samples = np.empty((2, n_rows, 4, N))
+    # the forcing of this wave node and the last, and the half step's
+    # velocity and forcing, for rows 1..; the transport kernel's workspace
+    forcings = np.empty((2, n_rows - 1, 2, N // 2 + 1), dtype=complex)
+    u_half, f_half = np.empty((n_rows - 1, 1, N)), np.empty_like(forcings[0])
+    work, zk = _transport_workspace(forcings[0].shape, N)
     rows = np.arange(n_rows)
     # the 4 * n_rows norm rows of each wave node, y / N and (y - then) / N,
     # and the node each row sits at, gathered over a block of whole wave
@@ -454,18 +479,19 @@ def run_scheme(u0: GridFunction, rho0: GridFunction, cfg: SchemeConfig, *,
     block = np.empty((span, 2, n_rows, 2, N // 2 + 1), dtype=complex)
     at = np.empty((span, n_rows), dtype=int)
     # iterate n at the previous wave node (a row that has not started is
-    # compared with its predecessor's data), and the velocity and forcing
-    # each row exerted on its successor there; no row moves on from wave
-    # node 0
+    # compared with its predecessor's data)
     then = np.concatenate([np.zeros_like(y[:1]), y[:-1]])
-    u_then = f_then = 0.0
+    f_now = None
     for i in range(M + n_rows):
         j = i % span
         nodes = np.minimum(np.maximum(i - rows, 0), M, out=at[j])
-        # one inverse transform of the wave's (u, rho, u_x): the velocity of
-        # the successors, the last iterate (when it is kept) and the samples
-        # of the forcing's product
-        z = np.fft.irfft(np.concatenate([y, ik * y[:, :1]], axis=-2), N)
+        # one inverse transform of the wave and its derivatives: the velocity
+        # of the successors, the last iterate (when it is kept), the samples
+        # of the forcing's product and stage 1's derivative samples
+        z, z_then = samples[i % 2], samples[(i - 1) % 2]
+        np.copyto(spectra[:, :2], y)
+        np.multiply(ik, y, out=spectra[:, 2:])
+        np.fft.irfft(spectra, N, out=z)
         if keep_last:
             last[nodes[-1]] = z[-1, :2] if n_rows > 1 else initial[0]
         hit = _cfl_violation(grid, z[:-1, 0], dt)
@@ -477,7 +503,7 @@ def run_scheme(u0: GridFunction, rho0: GridFunction, cfg: SchemeConfig, *,
 
         # the wave's norms and its differences from the previous iterate,
         # normed when the block is full and at the last wave node, and the
-        # forcing it exerts on the successors
+        # forcing it exerts on the successors, but for the last wave node's
         np.divide(y, N, out=block[j, 0])
         np.subtract(y, then, out=block[j, 1])
         block[j, 1] /= N
@@ -485,23 +511,34 @@ def run_scheme(u0: GridFunction, rho0: GridFunction, cfg: SchemeConfig, *,
             wave = _norms(part, block[:j + 1], params, smoothness)
             norms[rows + 1, at[:j + 1]] = wave[:, 0]
             np.maximum(d_max, wave[:, 1].max(axis=0), out=d_max)
-        u_now = z[:-1, :1]
-        f_now = _scheme_forcing(y[:-1], z[:-1], ik, lam, mask)
         if i == M + n_rows - 1:
             break
+        f_then, f_now = f_now, _scheme_forcing(y[:-1], z[:-1], ik, lam, mask,
+                                               forcings[i % 2])
+        if i == 0:  # no row moves on from wave node 0
+            continue
 
         # one RK4 step of rows 1.. to wave node i + 1, with the inputs at
-        # w = 0, 1/2, 1 linear between those of wave nodes i - 1 and i
-        vel = (u_then, 0.5 * (u_then + u_now), u_now)
-        frc = (f_then, 0.5 * (f_then + f_now), f_now)
-        stepped = _rk4_step(lambda f, _, w: _transport_rhs(
-            f, vel[int(2 * w)], frc[int(2 * w)], ik, mask), y[1:], i, dt)
-        then[1:], u_then, f_then = y[:-1], u_now, f_now
+        # w = 0, 1/2, 1 linear between those of wave nodes i - 1 and i;
+        # stage 1 takes its derivative's samples from z, into the kernel's
+        # contiguous real buffer
+        u_then, u_now = z_then[:-1, :1], z[:-1, :1]
+        np.multiply(0.5, np.add(u_then, u_now, out=u_half), out=u_half)
+        np.multiply(0.5, np.add(f_then, f_now, out=f_half), out=f_half)
+
+        def rhs(f, _, w):
+            if w == 0.0:
+                np.copyto(zk, z[1:, 2:])
+                return _advection(zk, u_then, f_then, mask)
+            vw, Fw = (u_half, f_half) if w == 0.5 else (u_now, f_now)
+            return _transport_rhs(f, vw, Fw, ik, mask, work, zk)
+
+        stepped = _rk4_step(rhs, y[1:], i, dt)
+        then[1:] = y[:-1]
         go = (nodes[1:] == i - rows[1:]) & (nodes[1:] < M)  # the rows that move on
         np.copyto(y[1:], stepped, where=go[:, None, None])
-        lost = np.flatnonzero(~np.isfinite(y[1:]).all(axis=(-2, -1)))
-        if lost.size:
-            r = int(lost[0]) + 1
+        if not np.isfinite(y[1:]).all():
+            r = int(np.flatnonzero(~np.isfinite(y[1:]).all(axis=(-2, -1)))[0]) + 1
             exc = _lost_finiteness("transport solution", i + 1 - r,
                                    float(time_grid[i + 1 - r]), ())
             raise RuntimeError(f"transport solve failed at iterate {r + 1}: {exc}") from exc

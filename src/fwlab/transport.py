@@ -4,39 +4,21 @@ The initial-value problem
 
     f_t + v f_x = F,   f(x, 0) = f0(x)
 
-is integrated with classical four-stage RK4 in time and spectral derivatives
-in space; the prescribed velocity and forcing are given at the time nodes and
-linearly interpolated at half steps.  The advective product v * f_x is
-dealiased with the 2/3 rule.  One RK4 step, _rk4_step, and one blow-up
-check, _check_finite, make the integrator integrate_rk4, shared with the
-direct Fornberg-Whitham solver; it yields one state per node and each caller
-keeps what it needs.  The lifespan sweep, which drops members as it goes,
-and the scheme's wave, which builds each step's inputs as it goes, step with
-_rk4_step themselves.
-
-A problem holds sample arrays only: velocity and forcing per time node (a
-field constant in time is one row, viewed read-only over the nodes) and one
-row of initial data.  The march carries real half spectra, the
-(..., N//2 + 1) rfft of the samples, from start to end.  One right-hand-side
-kernel, _transport_rhs, steps any stack of half-spectrum rows with a sample
-velocity and a half-spectrum forcing broadcast against them: one irfft of
-the derivative and one rfft of the dealiased product per stage, each
-transform taking the whole stack, with symbols built once per grid.
-_march_transport marches one problem's data; solve_transport transforms its
-data and forcing once (a forcing given once, on its one row) and inverts one
-node at a time, storing the given data as node 0.  The mollified scheme
-feeds the kernel a velocity and forcing per row, to march all its iterates
-at once.  Only the estimate takes Besov parameters;
-its norms use the partition of the problem's grid, cached per grid, and a
-field given once is differentiated and normed once.
-
-The companion checker evaluates, node by node,
+is integrated with classical RK4 in time and spectral derivatives in space,
+the velocity and forcing given at the time nodes and linear at half steps,
+the advective product dealiased with the 2/3 rule.  _rk4_step is the one
+RK4 step of both solvers, and integrate_rk4 a loop over it that yields one
+state per node; a state that is not finite raises BlowUpError.  A problem holds sample arrays only,
+a field constant in time given once; solve_transport stores the given data
+as node 0.  The companion checker evaluates, node by node,
 
     ||f(t)||_{B^s} <= e^{C V(t)} ( ||f0||_{B^s} + C int_0^t e^{-C V} ||F|| )
 
 with V(t) the running time-integral of ||v_x||_{B^{s-1}}, and a calibration
 routine bisects for the smallest constant C that makes the estimate hold over
-a family of problems.
+a family of problems.  How the march carries and transforms its state, and
+how the scheme's wave shares its kernel, is told in README.md (Library,
+fwlab.transport).
 """
 
 from __future__ import annotations
@@ -229,20 +211,34 @@ def _cfl_violation(grid: Grid, velocity: np.ndarray, dt: float):
                f"{bound[k]:.3e} (max|v| = {vmax[k]:.3e})")
 
 
-def _transport_rhs(f_hat, vw, Fw_hat, ik, mask):
-    """-vw f_x + Fw for the (..., N//2 + 1) half-spectrum rows f_hat, the
-    rfft of the samples, as half spectra: Fw_hat - mask rfft(vw irfft(ik
-    f_hat)), with the sample velocity vw and the half-spectrum forcing Fw_hat
-    broadcast against the rows; each real transform takes the whole stack,
-    and ik and mask are half-spectrum symbols (_half_symbols).
+def _transport_workspace(shape: tuple[int, ...], N: int):
+    """The workspace of _transport_rhs for half-spectrum rows of the given
+    shape: a complex buffer of that shape and a real (..., N) one."""
+    return np.empty(shape, dtype=complex), np.empty(shape[:-1] + (N,))
 
-    The dealiased advection is zero at the Nyquist mode, so the state's
-    Nyquist mode moves with the forcing's alone.
+
+def _transport_rhs(f_hat, vw, Fw_hat, ik, mask, work, z):
+    """-vw f_x + Fw for the (..., N//2 + 1) half-spectrum rows f_hat, the
+    rfft of the samples, as half spectra, with the sample velocity vw and
+    the half-spectrum forcing Fw_hat broadcast against the rows and the
+    half-spectrum symbols ik and mask (_half_symbols).  work and z are the
+    march's workspace (_transport_workspace): ik f_hat is written into work
+    and its irfft into z, which _advection takes on; only the returned half
+    spectra are new, and the call writes neither its inputs nor an earlier
+    output.
     """
-    N = 2 * (f_hat.shape[-1] - 1)
-    adv = np.fft.rfft(vw * np.fft.irfft(ik * f_hat, N))
+    np.fft.irfft(np.multiply(ik, f_hat, out=work), z.shape[-1], out=z)
+    return _advection(z, vw, Fw_hat, mask)
+
+
+def _advection(fx, vw, Fw_hat, mask):
+    """Fw_hat - mask rfft(vw fx), the right-hand side of _transport_rhs from
+    the samples fx of the rows' derivative, which it overwrites with vw fx.
+    The dealiased advection is zero at the Nyquist mode, so the state's
+    Nyquist mode moves with the forcing's alone."""
+    adv = np.fft.rfft(np.multiply(vw, fx, out=fx))
     adv *= mask
-    return Fw_hat - adv
+    return np.subtract(Fw_hat, adv, out=adv)
 
 
 def _march_transport(grid: Grid, time_grid: np.ndarray, velocity: np.ndarray,
@@ -252,13 +248,14 @@ def _march_transport(grid: Grid, time_grid: np.ndarray, velocity: np.ndarray,
     interpolated at half steps; it yields the half spectra at every node."""
     ik, _, mask = _half_symbols(grid)
     v, F = velocity, forcing_hat
+    work, z = _transport_workspace(f_hat.shape, grid.N)
 
     def rhs(f, i, w):
         if w == 0.5:
             vw, Fw = 0.5 * (v[i] + v[i + 1]), 0.5 * (F[i] + F[i + 1])
         else:
             vw, Fw = v[i + int(w)], F[i + int(w)]
-        return _transport_rhs(f, vw, Fw, ik, mask)
+        return _transport_rhs(f, vw, Fw, ik, mask, work, z)
 
     return integrate_rk4(rhs, f_hat, time_grid, float(time_grid[1] - time_grid[0]),
                          "transport solution")

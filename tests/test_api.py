@@ -254,3 +254,33 @@ def test_direct_march_steps_one_in_place_kernel():
         named = sorted(kernels & set(_names(functions[name])))
         assert not named and "_march_fw" in set(_names(functions[name])), (
             f"{name} names {named}")
+
+
+def test_transport_march_steps_one_in_place_kernel():
+    # the transport right-hand side is one kernel, transport._transport_rhs,
+    # which works in a workspace per march and joins no arrays; its second
+    # half, _advection, is the one place the advection is written.  Only
+    # _march_transport and the scheme's wave step through the kernel, and
+    # the wave's loop joins no arrays and inverts the wave once per node
+    trees = {name: ast.parse((Path(fwlab.__file__).parent / name).read_text())
+             for name in ("transport.py", "fw.py")}
+    functions = {(name, node.name): node for name, tree in trees.items()
+                 for node in tree.body if isinstance(node, ast.FunctionDef)}
+    joins = {"concatenate", "stack", "hstack", "vstack", "append"}
+    for key in [("transport.py", "_transport_rhs"), ("transport.py", "_advection")]:
+        named = sorted(joins & set(_names(functions[key])))
+        assert not named, f"{key} names {named}"
+    for kernel, want in [("_transport_rhs", [("fw.py", "run_scheme"),
+                                             ("transport.py", "_march_transport")]),
+                         ("_advection", [("fw.py", "run_scheme"),
+                                         ("transport.py", "_transport_rhs")])]:
+        callers = sorted(key for key, fn in functions.items()
+                         if key[1] != kernel and kernel in set(_names(fn)))
+        assert callers == want, f"{kernel} called in {callers}"
+    loop = next(node for node in ast.walk(functions[("fw.py", "run_scheme")])
+                if isinstance(node, ast.For))
+    named = sorted(joins & set(_names(loop)))
+    assert not named, f"run_scheme's wave loop names {named}"
+    inverses = [node.lineno for node in ast.walk(loop) if isinstance(node, ast.Attribute)
+                and node.attr == "irfft"]
+    assert len(inverses) == 1, f"run_scheme's wave loop calls irfft on lines {inverses}"

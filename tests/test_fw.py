@@ -302,42 +302,46 @@ class TestScheme:
 
     def test_one_transport_solve_per_iterate(self, grid256, part256, params322,
                                              monkeypatch):
-        # iterates 2..n_max step in one wave march of M + n_max - 1 RK4
-        # steps, each one batched call of the transport kernel per stage;
+        # iterates 2..n_max step in one wave march of M + n_max - 2 RK4
+        # steps (none at wave node 0, where no iterate moves on), each one
+        # batched call of the transport kernel per stage: stage 1 calls its
+        # second half, _advection, on the wave's own derivative samples;
         # iterate 1, advected by the zero pair, does not step
-        calls = []
-        real = fwlab.fw._transport_rhs
-
-        def counting(f, *args):
-            calls.append(f.shape)
-            return real(f, *args)
-
-        monkeypatch.setattr(fwlab.fw, "_transport_rhs", counting)
+        calls = {"_transport_rhs": [], "_advection": []}
+        for name, shapes in calls.items():
+            def counting(f, *args, real=getattr(fwlab.fw, name), shapes=shapes):
+                shapes.append(f.shape)
+                return real(f, *args)
+            monkeypatch.setattr(fwlab.fw, name, counting)
         u0 = GridFunction.from_samples(grid256, 0.1 * np.sin(grid256.x))
         rho0 = GridFunction.from_samples(grid256, 0.1 * np.cos(grid256.x))
         cfg = SchemeConfig(params=params322, C=1.0, n_max=3, dt=1e-2)
         trace = run_scheme(u0, rho0, cfg)
-        M = trace.time_grid.size - 1
-        assert len(calls) == 4 * (M + cfg.n_max - 1)
-        assert set(calls) == {(cfg.n_max - 1, 2, grid256.N // 2 + 1)}
+        steps = trace.time_grid.size + cfg.n_max - 3  # M + n_max - 2
+        assert len(calls["_transport_rhs"]) == 3 * steps
+        assert len(calls["_advection"]) == steps
+        assert set(calls["_transport_rhs"]) == {(cfg.n_max - 1, 2, grid256.N // 2 + 1)}
+        assert set(calls["_advection"]) == {(cfg.n_max - 1, 2, grid256.N)}
 
     def test_each_iterate_transformed_once(self, grid256, part256, params322,
                                            monkeypatch):
-        # a wave step makes 8 real transforms in the transport kernel, an
-        # irfft and an rfft per stage, and 2 outside it: one irfft of the new
-        # nodes' (u, rho, u_x) and one rfft of the forcing's product; the
-        # march state is never transformed back.  Besides, one rfft of the
-        # data and one of P0's pair.
+        # a wave step makes 7 real transforms in the transport kernel, an
+        # rfft per stage and an irfft for stages 2..4, and 2 outside it: one
+        # irfft of the wave's (u, rho, u_x, rho_x), whose derivative samples
+        # stage 1 reads, and one rfft of the forcing's product, formed at
+        # every wave node but the last; the march state is never transformed
+        # back.  Besides, one rfft of the data and one of P0's pair.
         counts = {"kernel": Counter(), "wave": Counter()}
         in_kernel = []
-        real_kernel = fwlab.fw._transport_rhs
 
-        def kernel(*args):
-            in_kernel.append(True)
-            try:
-                return real_kernel(*args)
-            finally:
-                in_kernel.pop()
+        def kernel(real):
+            def call(*args):
+                in_kernel.append(True)
+                try:
+                    return real(*args)
+                finally:
+                    in_kernel.pop()
+            return call
 
         def counting(name):
             real = getattr(np.fft, name)
@@ -347,16 +351,18 @@ class TestScheme:
                 return real(*args, **kwargs)
             return transform
 
-        monkeypatch.setattr(fwlab.fw, "_transport_rhs", kernel)
+        for name in ("_transport_rhs", "_advection"):
+            monkeypatch.setattr(fwlab.fw, name, kernel(getattr(fwlab.fw, name)))
         for name in ("rfft", "irfft"):
             monkeypatch.setattr(np.fft, name, counting(name))
         u0 = GridFunction.from_samples(grid256, 0.1 * np.sin(grid256.x))
         rho0 = GridFunction.from_samples(grid256, 0.1 * np.cos(grid256.x))
         cfg = SchemeConfig(params=params322, C=1.0, n_max=3, dt=1e-2)
         trace = run_scheme(u0, rho0, cfg)
-        steps = trace.time_grid.size + cfg.n_max - 2  # M + n_max - 1
-        assert counts["kernel"] == {"rfft": 4 * steps, "irfft": 4 * steps}
-        assert counts["wave"] == {"rfft": steps + 3, "irfft": steps + 1}
+        nodes = trace.time_grid.size + cfg.n_max - 1  # M + n_max wave nodes
+        steps = nodes - 2
+        assert counts["kernel"] == {"rfft": 4 * steps, "irfft": 3 * steps}
+        assert counts["wave"] == {"rfft": (nodes - 1) + 2, "irfft": nodes}
 
     def test_forcing_is_the_sample_formula(self, grid256):
         # the spectral forcing is the rfft of Lambda^{-1} d/dx (rho - u) and
@@ -585,9 +591,9 @@ class TestScheme:
     def test_memory_guard_prices_what_is_live_at_p4(self):
         # at p != 2 the norm reduction inverts every dyadic block of every
         # norm row, and a long lifespan (T = 123, 1,231 nodes) makes the
-        # flags' per-node arrays large: the guard reads 927,836 B for this
-        # run against its 861,008 B peak, and without the reduction's sample
-        # temporaries and the flags' arrays it would read 791,380 B
+        # flags' per-node arrays large: the guard reads 909,212 B for this
+        # run against its 860,954 B peak, and without the reduction's sample
+        # temporaries and the flags' arrays it would read 772,756 B
         grid = make_grid(32, 8.0)
         u0 = GridFunction.from_samples(grid, 0.05 * np.sin(grid.x / 8))
         rho0 = GridFunction.from_samples(grid, 0.05 * np.cos(grid.x / 8))

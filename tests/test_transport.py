@@ -19,7 +19,7 @@ from fwlab.spectral import _half_symbols
 from fwlab.transport import BlowUpError, integrate_rk4, make_time_grid
 from fwlab.harness import make_preset, random_band_limited, random_transport_problem
 
-from conftest import random_field
+from conftest import random_field, same_bits
 
 
 def _constant_problem(time_grid, v_value, forcing, initial):
@@ -98,16 +98,22 @@ def _sine_half_spectrum(grid, m):
     return f_hat
 
 
+def _kernel(f_hat, vw, Fw_hat, grid):
+    """_transport_rhs over a workspace of its own, as a march of f_hat's
+    shape calls it."""
+    ik, _, mask = _half_symbols(grid)
+    work = fwlab.transport._transport_workspace(np.shape(f_hat), grid.N)
+    return fwlab.transport._transport_rhs(f_hat, vw, Fw_hat, ik, mask, *work)
+
+
 class TestKernel:
     @pytest.mark.parametrize("m", [1, 5, 40, 64, 85])
     def test_advected_mode_oracle(self, grid256, m):
         # -c d/dx sin(m x / L) = -c (m / L) cos(m x / L) on every mode the
         # 2/3 rule keeps: its half spectrum is -c (m / L) N/2 at mode m
-        ik, _, mask = _half_symbols(grid256)
         c, N = 0.7, grid256.N
         F_hat = np.zeros(N // 2 + 1, dtype=complex)
-        got = fwlab.transport._transport_rhs(_sine_half_spectrum(grid256, m), c, F_hat,
-                                             ik, mask)
+        got = _kernel(_sine_half_spectrum(grid256, m), c, F_hat, grid256)
         want = np.zeros_like(got)
         want[m] = -c * (m / grid256.L) * 0.5 * N
         assert np.max(np.abs(got - want)) <= 1e-12 * 0.5 * N
@@ -135,11 +141,10 @@ class TestKernel:
         # derivative's imaginary output there is dropped by irfft
         rng = np.random.default_rng(337)
         N = grid256.N
-        ik, _, mask = _half_symbols(grid256)
         nyquist = np.zeros(N // 2 + 1, dtype=complex)
         nyquist[-1] = 0.3 * N
         v = 0.3 * random_field(grid256, rng, k_max=8).samples
-        assert np.all(fwlab.transport._transport_rhs(nyquist, v, 0.0, ik, mask) == 0.0)
+        assert np.all(_kernel(nyquist, v, 0.0, grid256) == 0.0)
         tg = make_time_grid(0.1, 0.01)
         f_hat = np.fft.rfft(random_field(grid256, rng).samples) + nyquist
         states = list(fwlab.transport._march_transport(
@@ -158,11 +163,32 @@ class TestKernel:
                              for _ in range(int(np.prod(shape)))]).reshape(shape + (-1,))
 
         f, v, F = np.fft.rfft(fields(4, 2)), 0.3 * fields(4, 1), np.fft.rfft(fields(4, 2))
+        singles = np.array([[_kernel(f[k, c], v[k, 0], F[k, c], grid256) for c in range(2)]
+                            for k in range(4)])
+        assert np.array_equal(_kernel(f, v, F, grid256), singles)
+
+    @pytest.mark.parametrize("shape, v_shape", [((), ()), ((3, 2), (3, 1))])
+    def test_kernel_writes_neither_its_input_nor_its_outputs(self, grid256, shape, v_shape):
+        # _rk4_step holds f and k1..k4 across the kernel's calls, which share
+        # one workspace per march: a later call writes neither f, the
+        # velocity and forcing, nor an earlier output
+        rng = np.random.default_rng(367 + len(shape))
+
+        def fields(*lead):
+            return np.array([random_field(grid256, rng, k_max=8).samples
+                             for _ in range(int(np.prod(lead)))]).reshape(lead + (-1,))
+
+        f, v, F = np.fft.rfft(fields(*shape)), 0.3 * fields(*v_shape), np.fft.rfft(fields(*shape))
+        given = [a.copy() for a in (f, v, F)]
         ik, _, mask = _half_symbols(grid256)
-        singles = np.array([[fwlab.transport._transport_rhs(f[k, c], v[k, 0], F[k, c],
-                                                            ik, mask)
-                             for c in range(2)] for k in range(4)])
-        assert np.array_equal(fwlab.transport._transport_rhs(f, v, F, ik, mask), singles)
+        work = fwlab.transport._transport_workspace(f.shape, grid256.N)
+        k1 = fwlab.transport._transport_rhs(f, v, F, ik, mask, *work)
+        first = k1.copy()
+        k2 = fwlab.transport._transport_rhs(2.0 * f, v, F, ik, mask, *work)
+        assert all(same_bits(a, b) for a, b in zip((f, v, F), given))
+        assert same_bits(k1, first)
+        assert not np.shares_memory(k1, k2)
+        assert not any(np.shares_memory(k, w) for k in (k1, k2) for w in work)
 
     def test_blowup_carries_finite_prefix(self, grid256):
         # an infinite forcing from node 3 on is first reached at the half
