@@ -40,7 +40,6 @@ from .transport import (
     fit_transport_constant,
 )
 from .fw import (
-    FWState,
     SchemeConfig,
     IterationTrace,
     fw_rhs,
@@ -60,7 +59,7 @@ __all__ = [
     "dyadic_block", "low_cutoff", "besov_norm", "mollify",
     "TransportProblem", "TransportTrajectory", "solve_transport",
     "verify_transport_estimate", "fit_transport_constant",
-    "FWState", "SchemeConfig", "IterationTrace", "fw_rhs",
+    "SchemeConfig", "IterationTrace", "fw_rhs",
     "solve_fw_direct", "lifespan", "run_scheme", "empirical_lifespan",
     "stability_experiment", "continuity_experiment", "scheme_direct_distance",
 ]

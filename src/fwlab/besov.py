@@ -243,12 +243,13 @@ def _block_norm_bounds(part: LPPartition, half: np.ndarray, p: float):
     top = modulus.max(axis=-1, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
         divided = np.multiply(modulus, 1.0 / top, out=modulus)
-        weighted = 2.0 * masks
-        weighted[..., [0, -1]] *= 0.5
-        sup = np.vecdot(weighted, divided)
+        if p > 2:  # the L^inf bound, read only there
+            weighted = 2.0 * masks
+            weighted[..., [0, -1]] *= 0.5
+            sup = np.vecdot(weighted, divided)
         # the squared divided moduli overwrite the moduli
         two = _parseval_norms(part, masks, np.square(divided, out=divided))
-    if p < 2:
+    if p <= 2:  # (2 pi L)^0 = 1: at p = 2 the Parseval value itself
         return (2.0 * np.pi * part.grid.L) ** (1.0 / p - 0.5) * two, top[..., 0]
     if np.isinf(p):
         return sup, top[..., 0]

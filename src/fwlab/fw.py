@@ -47,7 +47,7 @@ from .besov import (
     build_partition,
     mollify,
 )
-from .spectral import Grid, GridFunction, _half_symbols as _fw_symbols
+from .spectral import Grid, GridFunction, _half_symbols
 from .transport import (
     CFL_FACTOR,
     BlowUpError,
@@ -64,7 +64,6 @@ from .transport import (
 )
 
 __all__ = [
-    "FWState",
     "SchemeConfig",
     "FWTrajectory",
     "IterationTrace",
@@ -98,22 +97,6 @@ _BOUND_MARGIN = 1e-8
 
 
 @dataclass(frozen=True)
-class FWState:
-    """A (u, rho) pair at one time instant."""
-
-    u: GridFunction
-    rho: GridFunction
-
-    def __post_init__(self):
-        if self.u.grid != self.rho.grid:
-            raise ValueError("u and rho must share one grid")
-
-    @property
-    def grid(self) -> Grid:
-        return self.u.grid
-
-
-@dataclass(frozen=True)
 class SchemeConfig:
     """Parameters of the mollified iteration scheme.
 
@@ -139,7 +122,7 @@ class SchemeConfig:
 
 def _fw_rhs(y, ik, lam, mask, work, z):
     """Time derivative of the (u, rho) half spectra y, the rfft of the
-    samples, field-major (2, ..., N//2 + 1), with the symbols of _fw_symbols.
+    samples, field-major (2, ..., N//2 + 1), with the symbols of _half_symbols.
     y is the first two rows of the complex (4, ..., N//2 + 1) workspace work,
     whose last two rows take (u_x, rho_x), and z is a real (4, ..., N) one:
     one irfft of the four rows into z, the two dealiased products written
@@ -171,7 +154,7 @@ def _direct_rhs(grid: Grid, shape: tuple[int, ...]):
     """The direct march's rhs(y, i, w), autonomous in time, for field-major
     (2, ..., N//2 + 1) half spectra of the given shape: it copies y into the
     first two rows of one workspace and steps _fw_rhs there."""
-    symbols = _fw_symbols(grid)
+    symbols = _half_symbols(grid)
     work = np.empty((4,) + shape[1:], dtype=complex)
     z = np.empty((4,) + shape[1:-1] + (grid.N,))
 
@@ -182,12 +165,12 @@ def _direct_rhs(grid: Grid, shape: tuple[int, ...]):
     return rhs
 
 
-def fw_rhs(state: FWState) -> tuple[GridFunction, GridFunction]:
-    """Right-hand side of the system: (du/dt, drho/dt)."""
-    y = np.fft.rfft(np.stack([state.u.samples, state.rho.samples]))
-    du, drho = np.fft.irfft(_direct_rhs(state.grid, y.shape)(y, 0, 0.0), state.grid.N)
-    return (GridFunction.from_samples(state.grid, du),
-            GridFunction.from_samples(state.grid, drho))
+def fw_rhs(u: GridFunction, rho: GridFunction) -> tuple[GridFunction, GridFunction]:
+    """Right-hand side of the system at (u, rho): (du/dt, drho/dt).  u and
+    rho must share one grid."""
+    y = np.fft.rfft(_stacked([(u, rho)])[0])
+    du, drho = np.fft.irfft(_direct_rhs(u.grid, y.shape)(y, 0, 0.0), u.grid.N)
+    return GridFunction.from_samples(u.grid, du), GridFunction.from_samples(u.grid, drho)
 
 
 @dataclass(frozen=True)
@@ -221,9 +204,14 @@ def _check_memory(n_bytes: float, flags: str) -> None:
         )
 
 
-def _stacked(*states: FWState) -> np.ndarray:
-    """The (len(states), 2, N) samples of states that share one grid."""
-    return np.array([[st.u.samples, st.rho.samples] for st in states])
+def _stacked(pairs: Sequence[tuple[GridFunction, GridFunction]]) -> np.ndarray:
+    """The (K, 2, N) samples of K (u, rho) pairs: the one place a pair
+    becomes an array.  ValueError unless every field of every pair is on one
+    grid."""
+    grid = pairs[0][0].grid
+    if any(f.grid != grid for pair in pairs for f in pair):
+        raise ValueError("u0 and rho0 must share one grid")
+    return np.array([[u.samples, rho.samples] for u, rho in pairs])
 
 
 def _march_fw(initial: np.ndarray, grid: Grid, time_grid: np.ndarray, dt: float):
@@ -241,19 +229,21 @@ def _march_fw(initial: np.ndarray, grid: Grid, time_grid: np.ndarray, dt: float)
     return integrate_rk4(_direct_rhs(grid, y0.shape), y0, time_grid, dt, "direct solve")
 
 
-def solve_fw_direct(initial: FWState, T: float, dt: float) -> FWTrajectory:
-    """Integrate the nonlinear system with RK4, storing every node.
+def solve_fw_direct(u0: GridFunction, rho0: GridFunction, T: float,
+                    dt: float) -> FWTrajectory:
+    """Integrate the nonlinear system from (u0, rho0), which must share one
+    grid, with RK4, storing every node.
 
     NaN/Inf mid-run raises BlowUpError with the offending node; the theory is
     local in time, so a blow-up is an outcome, not an artifact failure.
     """
-    _check_memory((T / dt + 1.0) * 2 * initial.grid.N * 8 if dt > 0 else 0.0,
-                  "--dt or --T")
+    y0 = _stacked([(u0, rho0)])[0]
+    grid = u0.grid
+    _check_memory((T / dt + 1.0) * 2 * grid.N * 8 if dt > 0 else 0.0, "--dt or --T")
     time_grid = make_time_grid(T, dt)
-    y0 = _stacked(initial)[0]
-    states = _stored(_march_fw(y0, initial.grid, time_grid, dt), y0, time_grid.size)
+    states = _stored(_march_fw(y0, grid, time_grid, dt), y0, time_grid.size)
     return FWTrajectory(
-        grid=initial.grid, time_grid=time_grid, states=states,
+        grid=grid, time_grid=time_grid, states=states,
         mean_u=states[:, 0].mean(axis=-1), mean_rho=states[:, 1].mean(axis=-1),
     )
 
@@ -280,10 +270,8 @@ def initial_norm(u0: GridFunction, rho0: GridFunction, params: BesovParams) -> f
     as a march measures its nodes (_pair_norms of the half spectra, on the
     partition of the data's grid), so it is a lifespan march's node-0 norm
     sum to the bit.  u0 and rho0 must share one grid."""
-    if u0.grid != rho0.grid:
-        raise ValueError("u0 and rho0 must share one grid")
     norm_u, norm_rho = _pair_norms(
-        build_partition(u0.grid), np.fft.rfft(np.stack([u0.samples, rho0.samples])), params)
+        build_partition(u0.grid), np.fft.rfft(_stacked([(u0, rho0)])[0]), params)
     return float(norm_u + norm_rho)
 
 
@@ -364,7 +352,7 @@ def _scheme_forcing(y_hat, z, ik, lam, mask, out=None):
     (..., 2, N//2 + 1) half spectra y_hat of iterate n and the samples z of
     the wave node, (..., 3 or 4, N), whose rows 1 and 2 are rho^n and u^n_x:
     Lambda^{-1} d/dx (rho^n - u^n) for u and -rho^n u^n_x - u^n_x for rho,
-    with the symbols of _fw_symbols, written into out (a new array when
+    with the symbols of _half_symbols, written into out (a new array when
     None).  Only the dealiased product is transformed; the Nyquist mode is
     zero, as the derivative of _fw_rhs is there."""
     u_hat, rho_hat = y_hat[..., 0, :], y_hat[..., 1, :]
@@ -439,7 +427,7 @@ def run_scheme(u0: GridFunction, rho0: GridFunction, cfg: SchemeConfig, *,
     n_nodes, n_rows, N = time_grid.size, cfg.n_max, grid.N
     M = n_nodes - 1
 
-    ik, lam, mask = _fw_symbols(grid)
+    ik, lam, mask = _half_symbols(grid)
     last = np.empty((n_nodes, 2, N)) if keep_last else None
     # iterate 0 is the zero pair: zero norms
     norms = np.zeros((n_rows + 1, n_nodes, 2))
@@ -457,8 +445,7 @@ def run_scheme(u0: GridFunction, rho0: GridFunction, cfg: SchemeConfig, *,
     # The wave is half spectra; the velocity is given as samples, the
     # forcing as half spectra.
     kernels = [MollifierKernel(epsilon=1.0 / (n + 1)) for n in range(n_rows)]
-    initial = np.array([[mollify(u0, k).samples, mollify(rho0, k).samples]
-                        for k in kernels])
+    initial = _stacked([(mollify(u0, k), mollify(rho0, k)) for k in kernels])
     first = np.broadcast_to(initial[0], (n_nodes, 2, N))
     # the wave's half spectra y; at each wave node a copy of them and their
     # derivatives, (u, rho, u_x, rho_x) of every row, is inverted into the
@@ -576,9 +563,9 @@ def scheme_direct_distance(trace: IterationTrace, direct: FWTrajectory) -> float
 
 def _lifespans(pairs: Sequence[tuple[GridFunction, GridFunction]],
                cfg: SchemeConfig, t_cap: float) -> tuple[np.ndarray, np.ndarray]:
-    """P0 and the empirical lifespan of each (u0, rho0) pair, which share
-    one grid: one march of their (K, 2, N) stack, one RK4 step per node,
-    normed in blocks of consecutive nodes.  Node 0 is a block of its own,
+    """P0 and the empirical lifespan of each (u0, rho0) pair, all on one
+    grid (ValueError otherwise): one march of their (K, 2, N) stack, one RK4
+    step per node, normed in blocks of consecutive nodes.  Node 0 is a block of its own,
     normed by _pair_norms, and its norm sum is each member's P0, the measure
     of every later node, so node 0 is never over 2*P0.  Later blocks hold
     _SCREENED_NODES nodes (the last may hold fewer).  Each is screened by
@@ -595,13 +582,13 @@ def _lifespans(pairs: Sequence[tuple[GridFunction, GridFunction]],
     row by row, so neither the blocks, the screen nor dropping a member
     moves the others' bits from those a march of their own would make.
     """
+    y = _stacked(pairs)
     grid = pairs[0][0].grid
     part = build_partition(grid)
     _check_memory((t_cap / cfg.dt + 1.0) * 8, "--dt or --t-cap")
     time_grid = make_time_grid(t_cap, cfg.dt)
     T_emp = np.full(len(pairs), time_grid[-1])
     live = np.arange(len(pairs))  # the pair of each member of the stack
-    y = _stacked(*(FWState(u=u0, rho=rho0) for u0, rho0 in pairs))
     y = next(_march_fw(y, grid, time_grid, cfg.dt))
     rhs = _direct_rhs(grid, y.shape)
     # the field-major states of nodes i - len(block) + 1 .. i; node 0 is a
@@ -721,8 +708,7 @@ def stability_experiment(
     every node.  One report per pair, in order.
     """
     time_grid = make_time_grid(T, cfg.dt)
-    members = _stacked(FWState(u=u0, rho=rho0), *(
-        FWState(u=u0 + du, rho=rho0 + drho) for du, drho in perturbations))
+    members = _stacked([(u0, rho0)] + [(u0 + du, rho0 + drho) for du, drho in perturbations])
     dw, dv = _member_distances(members, u0.grid, time_grid, cfg.dt,
                                cfg.params.shift(-1.0))
     reports = []
@@ -769,8 +755,7 @@ def continuity_experiment(
 
     epsilons = 2.0 ** (-np.arange(j_max + 1, dtype=float))
     kernels = [MollifierKernel(epsilon=float(eps)) for eps in epsilons]
-    members = _stacked(FWState(u=u0, rho=rho0), *(
-        FWState(u=mollify(u0, kern), rho=mollify(rho0, kern)) for kern in kernels))
+    members = _stacked([(u0, rho0)] + [(mollify(u0, k), mollify(rho0, k)) for k in kernels])
     try:
         du, drho = _member_distances(members, u0.grid, make_time_grid(T, cfg.dt),
                                      cfg.dt, cfg.params)

@@ -1,10 +1,7 @@
 """Run configuration, dataset presets, CSV emission and experiment dispatch.
 
-Configs are YAML mappings with strict key checking (unknown keys are fatal:
-silent typos corrupt sweeps); `_KEYS` declares each key's default and
-conversion once.  Every experiment writes per-node CSV tables plus a
-plain-text summary whose scalars are all traceable to a CSV column or the
-config, and returns an in-memory report carrying pass/fail verdicts.
+README.md (fwlab.harness, CLI) tells how a config is checked and what each
+kind writes.
 """
 
 from __future__ import annotations
@@ -29,6 +26,7 @@ from .fw import (
     _lifespans,
     _march_fw,
     _pair_norms,
+    _stacked,
     lifespan,
     run_scheme,
     stability_experiment,
@@ -168,12 +166,9 @@ class _UniqueKeyLoader(yaml.SafeLoader):
 
 def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     """Parse a YAML config document under the dotted `section.key`
-    overrides (the CLI's set flags), with strict key checking.
-
-    `_KEYS` converts each key; Besov admissibility for scheme-style
-    experiments (s > max(2 + 1/p, 5/2), r finite) is enforced here, so a bad
-    sweep fails before any solve.  Every error is a one-line ValueError.
-    """
+    overrides (the CLI's set flags).  An unknown key, a bad value or, for
+    the kinds that solve the system, inadmissible Besov parameters raise a
+    one-line ValueError before any solve."""
     try:
         doc = yaml.load(text, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
@@ -272,13 +267,13 @@ def random_band_limited(
 
 
 def random_transport_problem(
-    grid: Grid, rng: np.random.Generator, T: float, dt: float, k_max: int = 6
+    grid: Grid, rng: np.random.Generator, T: float, dt: float
 ) -> TransportProblem:
-    """A smooth random (v, F, f0) triple, time-independent v and F."""
+    """A smooth random (v, F, f0) triple on modes 1..6, time-independent v and F."""
     time_grid = make_time_grid(T, dt)
-    v = random_band_limited(grid, rng, k_max=k_max, amplitude=0.5)
-    F = random_band_limited(grid, rng, k_max=k_max, amplitude=0.5)
-    f0 = random_band_limited(grid, rng, k_max=k_max, amplitude=1.0)
+    v = random_band_limited(grid, rng, k_max=6, amplitude=0.5)
+    F = random_band_limited(grid, rng, k_max=6, amplitude=0.5)
+    f0 = random_band_limited(grid, rng, k_max=6, amplitude=1.0)
     return TransportProblem.build(time_grid, v.samples, F.samples, f0)
 
 
@@ -306,9 +301,8 @@ def _fmt_column(values: np.ndarray) -> list[str]:
 
 def _write_csv(fh, header: list[str], table: np.ndarray) -> None:
     """Write a header and a 2-D float64 table as CSV to the text file fh,
-    one block of _CSV_BLOCK rows at a time.  "{:.17g}" writes an
-    integer-valued float below 2^53 as the integer's digits, so a count or
-    a flag (1.0 or 0.0) reads as _fmt writes the int or bool."""
+    in blocks of _CSV_BLOCK rows; a whole-valued float below 2^53, a count
+    or a flag, reads as _fmt writes the int or bool."""
     w = csv.writer(fh)
     w.writerow(header)
     for i in range(0, len(table), _CSV_BLOCK):
@@ -322,12 +316,9 @@ def emit_field_csv(f: GridFunction, path: str | Path) -> None:
 
 
 def read_field_csv(path: str | Path, grid: Grid) -> GridFunction:
-    """Read a (x, value) CSV back onto the given grid.
-
-    The x column must list the grid's nodes in order; a wrong row count, a
-    row that is not two cells, a node out of order or a non-numeric cell is
-    fatal.
-    """
+    """Read a (x, value) CSV back onto the given grid.  ValueError for a
+    wrong header or row count, a row that is not two cells, a non-numeric
+    cell or an x column that is not the grid's nodes in order."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows or [c.strip() for c in rows[0]] != ["x", "value"]:
@@ -391,8 +382,8 @@ class ExperimentReport:
 
 
 def run_experiment(cfg: RunConfig, write: bool = True) -> ExperimentReport:
-    """Execute the configured experiment: its kind's runner fills a fresh
-    report, which is optionally written as CSVs + summary."""
+    """Run the configured experiment and, when write, write its CSVs and
+    summary.txt; a runner's error is re-raised as RuntimeError."""
     kind = cfg.experiment["kind"]
     runner = _RUNNERS.get(kind)
     if runner is None:
@@ -521,7 +512,7 @@ def _run_simulate(cfg: RunConfig, report: ExperimentReport) -> None:
     T, dt = cfg.time["T"], cfg.time["dt"]
     time_grid = make_time_grid(T, dt)
     part, params = build_partition(grid), cfg.besov_params()
-    march = _march_fw(np.stack([u0.samples, rho0.samples]), grid, time_grid, dt)
+    march = _march_fw(_stacked([(u0, rho0)])[0], grid, time_grid, dt)
     # the norms and means of chunks of nodes, two norm rows per node, as they
     # are made: no trajectory is stored.  A node's mean is its mode 0 over N.
     columns = []

@@ -1,18 +1,8 @@
-"""Periodic grid, Fourier transform conventions and multiplier operators.
+"""Periodic grid, real grid functions and Fourier multipliers.
 
-Everything else in the package is built on the uniform periodic grid defined
-here.  The domain is the torus [0, 2*pi*L) sampled at N points, so the
-admissible wavenumbers are xi_k = k/L for integer k in [-N/2, N/2).
-
-Transform normalization: the forward transform divides by N, i.e. the stored
-coefficients are mode amplitudes,
-
-    f(x_j) = sum_k c_k exp(i xi_k x_j),   c_k = (1/N) sum_j f(x_j) exp(-i xi_k x_j).
-
-With this convention a field cos(x) on an L=1 grid has coefficients 1/2 at
-xi = +-1 and the Parseval identity reads
-
-    dx * sum_j |f(x_j)|^2 = 2*pi*L * sum_k |c_k|^2.
+A grid samples the torus [0, 2*pi*L) at N points, with wavenumbers
+xi_k = k/L; coefficients are mode amplitudes, the forward FFT divided by N.
+README.md (Conventions) states these conventions and Parseval's identity.
 """
 
 from __future__ import annotations
@@ -40,12 +30,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform periodic grid on [0, 2*pi*L) with N samples.
-
-    Attributes:
-        N: number of samples, even, >= 8.
-        L: torus circumference scale; domain length is 2*pi*L.
-    """
+    """Uniform periodic grid of N samples (even, at least 8) on [0, 2*pi*L)."""
 
     N: int
     L: float
@@ -87,12 +72,8 @@ def make_grid(N: int, L: float) -> Grid:
 
 
 def _hermitian_project(coefficients: np.ndarray) -> np.ndarray:
-    """Project a coefficient array onto the conjugate-symmetric subspace.
-
-    Pairs mode k with mode -k; the self-paired modes (k = 0 and Nyquist)
-    keep only their real part, which zeroes the Nyquist output of any odd
-    imaginary symbol such as i*xi.
-    """
+    """Project coefficient rows onto the conjugate-symmetric subspace: mode
+    k pairs with -k, and k = 0 and Nyquist keep only their real part."""
     n = coefficients.shape[-1]
     rev = (-np.arange(n)) % n
     return 0.5 * (coefficients + np.conj(coefficients[..., rev]))
@@ -100,11 +81,8 @@ def _hermitian_project(coefficients: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GridFunction:
-    """A real periodic field with consistent physical and spectral data.
-
-    Immutable: samples and coefficients are frozen numpy arrays kept in sync,
-    with coefficients in FFT order under the amplitude normalization.
-    """
+    """A real periodic field: read-only samples and their coefficients, in
+    FFT order under the amplitude normalization, kept in sync."""
 
     grid: Grid
     samples: np.ndarray = field(repr=False)
@@ -199,13 +177,9 @@ def lambda_inv_dx_symbol() -> MultiplierSymbol:
 
 
 def apply_multiplier(f: GridFunction, m: MultiplierSymbol) -> GridFunction:
-    """Multiply the spectral coefficients of f by m(xi).
-
-    The multiplier must have Hermitian symmetry on the grid (m(-xi) equal to
-    conj(m(xi))) so that real fields map to real fields; the output is
-    re-symmetrized, which in particular zeroes the unpaired Nyquist mode for
-    odd imaginary symbols.
-    """
+    """Multiply the coefficients of f by m(xi) and re-symmetrize, so an odd
+    imaginary symbol's Nyquist output is zero.  ValueError unless m(-xi) is
+    conj(m(xi)) on the grid's paired modes."""
     values = m.evaluate(f.grid)
     rev = (-np.arange(f.grid.N)) % f.grid.N
     paired = rev != np.arange(f.grid.N)  # exclude k = 0 and the Nyquist mode
@@ -221,11 +195,8 @@ def ddx(f: GridFunction) -> GridFunction:
 
 
 def lambda_inv_dx(f: GridFunction) -> GridFunction:
-    """The nonlocal operator (1 - d^2/dx^2)^{-1} d/dx.
-
-    This is the right-hand-side operator of the two-component
-    Fornberg-Whitham system; it annihilates constants.
-    """
+    """The system's nonlocal operator (1 - d^2/dx^2)^{-1} d/dx; it
+    annihilates constants."""
     return apply_multiplier(f, lambda_inv_dx_symbol())
 
 
@@ -236,16 +207,12 @@ def dealias_mask(grid: Grid) -> np.ndarray:
 
 @cache
 def _half_symbols(grid: Grid):
-    """The d/dx and Lambda^{-1} d/dx symbols and the 2/3-rule mask on the
-    N//2 + 1 modes of a real transform (rfft), read-only, once per grid.
-    The odd symbols are not Hermitian at the Nyquist mode; irfft reads only
-    its real part, so their output there is zero, as apply_multiplier's
-    re-symmetrization makes it.  The mask is complex 0/1, the value a
-    product with a half spectrum casts it to, so no product by it casts."""
+    """The d/dx and Lambda^{-1} d/dx symbols and the 2/3-rule mask, as
+    complex 0/1, on the N//2 + 1 modes of an rfft: read-only, built once per
+    grid (README.md, fwlab.transport)."""
     half = grid.N // 2 + 1
-    xi = grid.wavenumbers[:half]
-    ik = 1j * xi
-    symbols = (ik, ik / (1.0 + xi**2), dealias_mask(grid)[:half].astype(complex))
+    symbols = (dx_symbol().evaluate(grid)[:half], lambda_inv_dx_symbol().evaluate(grid)[:half],
+               dealias_mask(grid)[:half].astype(complex))
     for a in symbols:
         a.setflags(write=False)
     return symbols

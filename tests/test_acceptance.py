@@ -9,7 +9,6 @@ import pytest
 
 from fwlab import (
     BesovParams,
-    FWState,
     GridFunction,
     MollifierKernel,
     SchemeConfig,
@@ -180,20 +179,16 @@ def test_06_transport_estimate(grid256, params322):
 
 def test_07_conservation_and_steady_states(grid256):
     const = solve_fw_direct(
-        FWState(
-            u=GridFunction.from_samples(grid256, np.full(grid256.N, 0.7)),
-            rho=GridFunction.from_samples(grid256, np.full(grid256.N, -0.3)),
-        ),
+        GridFunction.from_samples(grid256, np.full(grid256.N, 0.7)),
+        GridFunction.from_samples(grid256, np.full(grid256.N, -0.3)),
         1.0, 1e-3,
     )
     steady_err = max(
         float(np.max(np.abs(const.u - 0.7))), float(np.max(np.abs(const.rho + 0.3)))
     )
     traj = solve_fw_direct(
-        FWState(
-            u=GridFunction.from_samples(grid256, 0.1 * np.sin(grid256.x)),
-            rho=GridFunction.from_samples(grid256, 0.1 * np.cos(grid256.x)),
-        ),
+        GridFunction.from_samples(grid256, 0.1 * np.sin(grid256.x)),
+        GridFunction.from_samples(grid256, 0.1 * np.cos(grid256.x)),
         1.0, 1e-3,
     )
     mean_drift = max(
@@ -226,7 +221,7 @@ def test_09_iteration_convergence(grid256, part256, params322):
     ratios = trace.d_n[2:] / trace.d_n[1:-1]
     contracting = bool(np.all(ratios < 1.0))
     dt_actual = float(np.diff(trace.time_grid)[0])
-    direct = solve_fw_direct(FWState(u=u0, rho=rho0), trace.T, dt_actual)
+    direct = solve_fw_direct(u0, rho0, trace.T, dt_actual)
     dist = scheme_direct_distance(trace, direct)
     ok = contracting and dist <= 1e-4
     _verdict(9, "iteration convergence", ok,

@@ -284,3 +284,30 @@ def test_transport_march_steps_one_in_place_kernel():
     inverses = [node.lineno for node in ast.walk(loop) if isinstance(node, ast.Attribute)
                 and node.attr == "irfft"]
     assert len(inverses) == 1, f"run_scheme's wave loop calls irfft on lines {inverses}"
+
+
+def test_pairs_become_samples_only_in_stacked():
+    # fw._stacked is the one place a (u, rho) pair becomes samples and the
+    # one place its grid is checked: outside it, no list or tuple display in
+    # fw or harness holds two fields' samples, and no function raises the
+    # one-grid error
+    def displays(tree):
+        return [node for node in ast.walk(tree) if isinstance(node, (ast.List, ast.Tuple))
+                and sum(isinstance(n, ast.Attribute) and n.attr == "samples"
+                        for n in ast.walk(node)) >= 2]
+
+    def grid_checks(tree):
+        return [node for node in ast.walk(tree) if isinstance(node, ast.Constant)
+                and node.value == "u0 and rho0 must share one grid"]
+
+    trees = {name: ast.parse((Path(fwlab.__file__).parent / name).read_text())
+             for name in ("fw.py", "harness.py")}
+    stacked = next(node for node in trees["fw.py"].body
+                   if isinstance(node, ast.FunctionDef) and node.name == "_stacked")
+    inside = {id(node) for node in ast.walk(stacked)}
+    assert displays(stacked) and len(grid_checks(stacked)) == 1
+    for name, tree in trees.items():
+        held = [node.lineno for node in displays(tree) if id(node) not in inside]
+        checked = [node.lineno for node in grid_checks(tree) if id(node) not in inside]
+        assert not held, f"{name} stacks a pair's samples on lines {held}"
+        assert not checked, f"{name} checks a pair's grid on lines {checked}"

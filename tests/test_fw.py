@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from fwlab import (
-    FWState,
     GridFunction,
     MollifierKernel,
     SchemeConfig,
@@ -27,7 +26,7 @@ import fwlab.fw
 from fwlab.fw import LIFESPAN_CAP, _pair_norms, _sup_distance, initial_norm
 from fwlab.besov import BesovParams, besov_norms_of_samples, build_partition
 from fwlab.harness import parse_config, random_band_limited, run_experiment
-from fwlab.spectral import dealias_mask
+from fwlab.spectral import _half_symbols, dealias_mask
 from fwlab.transport import (
     BlowUpError,
     TransportProblem,
@@ -46,23 +45,20 @@ def _gf(grid, values):
 
 class TestRhs:
     def test_constants_are_steady(self, grid256):
-        state = FWState(u=_gf(grid256, 1.3), rho=_gf(grid256, -0.4))
-        du, drho = fw_rhs(state)
+        du, drho = fw_rhs(_gf(grid256, 1.3), _gf(grid256, -0.4))
         assert np.max(np.abs(du.samples)) <= 1e-13
         assert np.max(np.abs(drho.samples)) <= 1e-13
 
     def test_zero_u_sine_rho(self):
         # With u = 0 only the nonlocal coupling acts: du = (1/2) cos, drho = 0.
         grid = make_grid(256, 1.0)
-        state = FWState(u=_gf(grid, 0.0), rho=GridFunction.from_samples(grid, np.sin(grid.x)))
-        du, drho = fw_rhs(state)
+        du, drho = fw_rhs(_gf(grid, 0.0), GridFunction.from_samples(grid, np.sin(grid.x)))
         assert np.max(np.abs(du.samples - 0.5 * np.cos(grid.x))) <= 1e-12
         assert np.max(np.abs(drho.samples)) <= 1e-13
 
     def test_sine_u_zero_rho(self):
         grid = make_grid(256, 1.0)
-        state = FWState(u=GridFunction.from_samples(grid, np.sin(grid.x)), rho=_gf(grid, 0.0))
-        du, drho = fw_rhs(state)
+        du, drho = fw_rhs(GridFunction.from_samples(grid, np.sin(grid.x)), _gf(grid, 0.0))
         expected_du = -np.sin(grid.x) * np.cos(grid.x) - 0.5 * np.cos(grid.x)
         assert np.max(np.abs(du.samples - expected_du)) <= 1e-12
         assert np.max(np.abs(drho.samples + np.cos(grid.x))) <= 1e-12
@@ -107,9 +103,11 @@ class TestRhs:
         assert not np.shares_memory(k1, k2)
 
     def test_grid_mismatch_rejected(self, grid256):
-        other = make_grid(128, 8.0)
-        with pytest.raises(ValueError):
-            FWState(u=_gf(grid256, 0.0), rho=_gf(other, 0.0))
+        u, rho = _gf(grid256, 0.0), _gf(make_grid(128, 8.0), 0.0)
+        with pytest.raises(ValueError, match="u0 and rho0 must share one grid"):
+            fw_rhs(u, rho)
+        with pytest.raises(ValueError, match="u0 and rho0 must share one grid"):
+            solve_fw_direct(u, rho, 1.0, 1e-2)
 
 
 def _blowup_data():
@@ -124,7 +122,7 @@ class TestDirectSolve:
     def test_frozen_node(self, grid256):
         u0 = GridFunction.from_samples(grid256, 0.1 * np.sin(grid256.x))
         rho0 = GridFunction.from_samples(grid256, 0.1 * np.cos(grid256.x))
-        traj = solve_fw_direct(FWState(u=u0, rho=rho0), 1.0, 2e-3)
+        traj = solve_fw_direct(u0, rho0, 1.0, 2e-3)
         assert traj.u[500, 37] == pytest.approx(0.023834874475615296, rel=1e-12)
         assert traj.rho[500, 37] == pytest.approx(-0.0048525736681658055, rel=1e-12)
 
@@ -139,7 +137,7 @@ class TestDirectSolve:
         monkeypatch.setattr(fwlab.fw, "integrate_rk4", recording)
         u0, rho0 = _blowup_data()
         with pytest.raises(BlowUpError) as info:
-            solve_fw_direct(FWState(u=u0, rho=rho0), 20.0, 1e-2)
+            solve_fw_direct(u0, rho0, 20.0, 1e-2)
         exc = info.value
         assert exc.node == 648
         assert exc.t == pytest.approx(6.48, rel=1e-12)
@@ -159,12 +157,12 @@ class TestDirectSolve:
         assert priced >= peak
 
     def test_memory_guard_before_allocating(self, grid256):
-        state = FWState(u=_gf(grid256, 0.0), rho=_gf(grid256, 0.0))
+        zero = _gf(grid256, 0.0)
         with pytest.raises(ValueError, match=r"GB but the machine has .* GB; change --dt or --T"):
-            solve_fw_direct(state, LIFESPAN_CAP, 1e-3)
+            solve_fw_direct(zero, zero, LIFESPAN_CAP, 1e-3)
 
     def test_constant_state_stays_put(self, grid256):
-        traj = solve_fw_direct(FWState(u=_gf(grid256, 0.8), rho=_gf(grid256, 0.2)), 1.0, 1e-2)
+        traj = solve_fw_direct(_gf(grid256, 0.8), _gf(grid256, 0.2), 1.0, 1e-2)
         assert np.max(np.abs(traj.u - 0.8)) <= 1e-12
         assert np.max(np.abs(traj.rho - 0.2)) <= 1e-12
 
@@ -172,23 +170,22 @@ class TestDirectSolve:
         rng = np.random.default_rng(211)
         u0 = random_field(grid256, rng, k_max=8, amplitude=0.1)
         rho0 = random_field(grid256, rng, k_max=8, amplitude=0.1)
-        traj = solve_fw_direct(FWState(u=u0, rho=rho0), 1.0, 1e-3)
+        traj = solve_fw_direct(u0, rho0, 1.0, 1e-3)
         assert np.max(np.abs(traj.mean_u - traj.mean_u[0])) <= 1e-10
         assert np.max(np.abs(traj.mean_rho - traj.mean_rho[0])) <= 1e-10
 
     def test_step_size_guard(self, grid256):
         u0 = _gf(grid256, 4.0)
         with pytest.raises(ValueError, match="stability"):
-            solve_fw_direct(FWState(u=u0, rho=_gf(grid256, 0.0)), 1.0, 0.1)
+            solve_fw_direct(u0, _gf(grid256, 0.0), 1.0, 0.1)
 
     def test_fourth_order_in_time(self):
         grid = make_grid(64, 1.0)
         u0 = GridFunction.from_samples(grid, 0.05 * np.sin(grid.x))
         rho0 = GridFunction.from_samples(grid, 0.05 * np.cos(grid.x))
-        state = FWState(u=u0, rho=rho0)
 
         def final(dt):
-            traj = solve_fw_direct(state, 0.5, dt)
+            traj = solve_fw_direct(u0, rho0, 0.5, dt)
             return np.concatenate([traj.u[-1], traj.rho[-1]])
 
         ref = final(0.5 / 2048)
@@ -371,7 +368,7 @@ class TestScheme:
         # is zero, so an iterate's Nyquist mode stays real
         rng = np.random.default_rng(353)
         N = grid256.N
-        ik, lam, mask = fwlab.fw._fw_symbols(grid256)
+        ik, lam, mask = _half_symbols(grid256)
         y = np.array([[random_field(grid256, rng, k_max=8).samples for _ in range(2)]
                       for _ in range(3)]) + 0.1 * (-1.0) ** np.arange(N)
         y_hat = np.fft.rfft(y)
@@ -414,7 +411,7 @@ class TestScheme:
         span = fwlab.besov._nodes_per_call(p, 4 * n_max)
         assert ((M + n_max) % span == 0) == (dt == 0.2 or p == 4)
         tg, N = trace.time_grid, grid256.N
-        ik, lam, mask = fwlab.fw._fw_symbols(grid256)
+        ik, lam, mask = _half_symbols(grid256)
         prev = np.zeros((tg.size, 2, N // 2 + 1), dtype=complex)
         data, iterates, d_n = [], [], []
         for n in range(cfg.n_max):
@@ -481,7 +478,7 @@ class TestScheme:
         cfg = SchemeConfig(params=params322, C=1.0, n_max=3, dt=1e-2)
         trace = run_scheme(u0, rho0, cfg)
         tg, N = trace.time_grid, grid256.N
-        ik, lam, mask = fwlab.fw._fw_symbols(grid256)
+        ik, lam, mask = _half_symbols(grid256)
         prev = np.zeros((tg.size, 2, N))
         for n in range(cfg.n_max):
             kern = MollifierKernel(epsilon=1.0 / (n + 1))
@@ -627,9 +624,7 @@ class TestScheme:
         ratios = trace.d_n[1:] / trace.d_n[:-1]
         assert np.all(ratios[1:] < 1.0)
         assert bool(np.all(trace.bound_313))
-        direct = solve_fw_direct(
-            FWState(u=u0, rho=rho0), trace.T, float(np.diff(trace.time_grid)[0])
-        )
+        direct = solve_fw_direct(u0, rho0, trace.T, float(np.diff(trace.time_grid)[0]))
         assert scheme_direct_distance(trace, direct) <= 1e-3
 
     def test_last_kept_only_when_asked(self, scheme_peak):
@@ -664,7 +659,7 @@ class TestScheme:
         rho0 = GridFunction.from_samples(grid256, 0.1 * np.cos(grid256.x))
         cfg = SchemeConfig(params=params322, C=1.0, n_max=3, dt=1e-2)
         trace = run_scheme(u0, rho0, cfg, keep_last=False)
-        direct = solve_fw_direct(FWState(u=u0, rho=rho0), trace.T,
+        direct = solve_fw_direct(u0, rho0, trace.T,
                                  float(np.diff(trace.time_grid)[0]))
         with pytest.raises(ValueError, match="keep_last=True"):
             scheme_direct_distance(trace, direct)
@@ -680,17 +675,17 @@ class TestScheme:
         cfg = SchemeConfig(params=BesovParams(3.0, 2.0, 2.0), C=1.0, n_max=3, dt=2e-2)
         trace = run_scheme(u0, rho0, cfg)
         dt, M = float(np.diff(trace.time_grid)[0]), trace.time_grid.size - 1
-        direct = solve_fw_direct(FWState(u=u0, rho=rho0), trace.T, dt)
+        direct = solve_fw_direct(u0, rho0, trace.T, dt)
         assert scheme_direct_distance(trace, direct) == pytest.approx(0.140, abs=1e-3)
-        shorter = solve_fw_direct(FWState(u=u0, rho=rho0), 1.0, 1.0 / M)
+        shorter = solve_fw_direct(u0, rho0, 1.0, 1.0 / M)
         assert shorter.time_grid.size == trace.time_grid.size
         with pytest.raises(ValueError, match="different time grids"):
             scheme_direct_distance(trace, shorter)
         other = make_grid(64, 4.0)
-        moved = FWState(u=GridFunction.from_samples(other, 0.1 * np.sin(other.x)),
-                        rho=GridFunction.from_samples(other, 0.1 * np.cos(other.x)))
+        moved = (GridFunction.from_samples(other, 0.1 * np.sin(other.x)),
+                 GridFunction.from_samples(other, 0.1 * np.cos(other.x)))
         with pytest.raises(ValueError, match="different grids"):
-            scheme_direct_distance(trace, solve_fw_direct(moved, trace.T, dt))
+            scheme_direct_distance(trace, solve_fw_direct(*moved, trace.T, dt))
 
 
 class TestEmpiricalLifespan:
@@ -777,6 +772,13 @@ class TestEmpiricalLifespan:
                                    for u0, rho0 in pairs])
         assert T_emp[0] == pytest.approx(blowup_lifespan, rel=1e-12)
         assert T_emp[1] == 8.0  # zero data survives to t_cap
+
+    def test_sweep_refuses_pairs_on_two_grids(self, params322):
+        # a stack has one grid: behind an L = 8 pair, a 64-point pair at
+        # L = 4 was normed on the L = 8 partition, P0 = 0.940 and not 1.080
+        pairs = [_sine_cosine(make_grid(64, L), 0.5) for L in (8.0, 4.0)]
+        with pytest.raises(ValueError, match="u0 and rho0 must share one grid"):
+            fwlab.fw._lifespans(pairs, SchemeConfig(params=params322, dt=1e-2), t_cap=0.1)
 
     @pytest.mark.parametrize("norms_zeroed", [False, True])
     def test_blocked_sweep_is_the_same_sweep(self, params322, monkeypatch, norms_zeroed):
@@ -880,8 +882,8 @@ class TestLinearGrowthOracle:
         grid = make_grid(32, 2.0)
         mode = GridFunction.from_samples(grid, 1e-6 * np.sin(xi * grid.x))
         zero = _gf(grid, 0.0)
-        state = FWState(u=mode, rho=zero) if field == "u" else FWState(u=zero, rho=mode)
-        traj = solve_fw_direct(state, 12.0, 1e-2)
+        pair = (mode, zero) if field == "u" else (zero, mode)
+        traj = solve_fw_direct(*pair, 12.0, 1e-2)
         t = traj.time_grid
         l2 = np.sqrt(np.sum(traj.u**2 + traj.rho**2, axis=-1))
         late = t >= 6.0
@@ -922,8 +924,8 @@ class TestGalileanInvariance:
     @pytest.mark.parametrize("dt", [4e-3, 2e-3, 1e-3])
     def test_boosted_solve_is_translated_solve(self, grid256, dt):
         u0, rho0, _, _ = self._data(grid256)
-        rest = solve_fw_direct(FWState(u=u0, rho=rho0), 1.0, dt)
-        moving = solve_fw_direct(FWState(u=self._boosted(u0), rho=rho0), 1.0, dt)
+        rest = solve_fw_direct(u0, rho0, 1.0, dt)
+        moving = solve_fw_direct(self._boosted(u0), rho0, 1.0, dt)
         # the rest frame's solution moved by c t, a phase shift per mode,
         # and c added to u
         xi = np.arange(grid256.N // 2 + 1) / grid256.L
@@ -1034,8 +1036,8 @@ class TestMemberBatch:
     def test_continuity_family_march_equals_single_marches(self, grid256):
         u0, rho0 = _sine_cosine(grid256, 0.1)
         kernels = [MollifierKernel(epsilon=2.0**-j) for j in range(6)]
-        members = fwlab.fw._stacked(FWState(u=u0, rho=rho0), *(
-            FWState(u=mollify(u0, k), rho=mollify(rho0, k)) for k in kernels))
+        members = fwlab.fw._stacked(
+            [(u0, rho0)] + [(mollify(u0, k), mollify(rho0, k)) for k in kernels])
         tg = make_time_grid(1.0, 2e-3)
         singles = [fwlab.fw._march_fw(m, grid256, tg, 2e-3) for m in members]
         nodes = 0
@@ -1047,8 +1049,8 @@ class TestMemberBatch:
 
     def test_blowup_names_the_member(self):
         u0, rho0 = _blowup_data()
-        calm = FWState(*_sine_cosine(u0.grid, 0.1))
-        members = fwlab.fw._stacked(calm, FWState(u=u0, rho=rho0), calm)
+        calm = _sine_cosine(u0.grid, 0.1)
+        members = fwlab.fw._stacked([calm, (u0, rho0), calm])
         march = fwlab.fw._march_fw(members, u0.grid, make_time_grid(20.0, 1e-2), 1e-2)
         with pytest.raises(BlowUpError) as info:
             for _ in march:
@@ -1169,8 +1171,8 @@ class TestMemberBatch:
         # 7 rows normed node by node
         u0, rho0 = _sine_cosine(grid256, 0.1)
         kernels = [MollifierKernel(epsilon=2.0**-j) for j in range(6)]
-        members = fwlab.fw._stacked(FWState(u=u0, rho=rho0), *(
-            FWState(u=mollify(u0, k), rho=mollify(rho0, k)) for k in kernels))
+        members = fwlab.fw._stacked(
+            [(u0, rho0)] + [(mollify(u0, k), mollify(rho0, k)) for k in kernels])
         tg = make_time_grid(1.0, 2e-3)
         du, drho = fwlab.fw._member_distances(members, grid256, tg, 2e-3, params322)
         assert du.shape == drho.shape == (tg.size, 6)
@@ -1218,9 +1220,8 @@ class TestMemberBatch:
 
     def test_distinct_march_blowup_names_every_member(self, params322):
         u0, rho0 = _blowup_data()
-        calm = FWState(*_sine_cosine(u0.grid, 0.1))
-        blowup = FWState(u=u0, rho=rho0)
-        members = fwlab.fw._stacked(calm, blowup, calm, blowup)
+        calm = _sine_cosine(u0.grid, 0.1)
+        members = fwlab.fw._stacked([calm, (u0, rho0), calm, (u0, rho0)])
         with pytest.raises(BlowUpError) as info:
             fwlab.fw._member_distances(members, u0.grid, make_time_grid(20.0, 1e-2), 1e-2,
                                        params322)
@@ -1277,7 +1278,7 @@ class TestPairNorms:
                   random_field(grid256, rng, k_max=40, amplitude=a))
                  for a in rng.uniform(0.05, 2.0, size=20)]
         params = BesovParams(3.0, p, 2.0)
-        y = np.fft.rfft(fwlab.fw._stacked(*(FWState(u=u0, rho=rho0) for u0, rho0 in pairs)))
+        y = np.fft.rfft(fwlab.fw._stacked(pairs))
         norm_u, norm_rho = _pair_norms(part256, y, params)
         P0 = [initial_norm(u0, rho0, params) for u0, rho0 in pairs]
         assert np.array_equal(P0, norm_u + norm_rho)

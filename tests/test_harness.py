@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fwlab import (FWState, GridFunction, build_partition, continuity_experiment, make_grid,
+from fwlab import (GridFunction, build_partition, continuity_experiment, make_grid,
                    run_scheme, solve_fw_direct, stability_experiment)
 from fwlab.cli import _build_parser, _config_from_args, main as cli_main
 from fwlab.harness import (
@@ -266,8 +266,8 @@ class TestRunExperiment:
         header, rows = run_experiment(cfg, write=False).tables["trajectory"]
         grid = cfg.make_grid()
         part, params = build_partition(grid), cfg.besov_params()
-        initial = FWState(u=make_preset(grid, "sine", 0.1), rho=make_preset(grid, "cosine", 0.1))
-        traj = solve_fw_direct(initial, 0.5, 1e-3)
+        traj = solve_fw_direct(make_preset(grid, "sine", 0.1), make_preset(grid, "cosine", 0.1),
+                               0.5, 1e-3)
         y = np.array(list(_march_fw(traj.states[0], grid, traj.time_grid, 1e-3)))
         expected = np.column_stack([traj.time_grid, *_pair_norms(part, y, params),
                                     y[..., 0].real / grid.N])
