@@ -3,11 +3,13 @@ transport iteration, and the lifespan / stability / continuity experiments.
 
 The evolution is
 
-    u_t + u u_x = Lambda^{-1} d/dx (rho - u)
-    rho_t + u rho_x + rho u_x + u_x = 0
+    u_t + (u^2 / 2)_x = Lambda^{-1} d/dx (rho - u)
+    rho_t + (u rho)_x + u_x = 0
 
-with Lambda = 1 - d^2/dx^2, discretized pseudo-spectrally with 2/3-rule
-dealiasing of products and classical RK4 in time.  The constructive scheme
+with Lambda = 1 - d^2/dx^2, discretized pseudo-spectrally in this
+conservative form, with 2/3-rule dealiasing of the fluxes u^2 / 2 and
+u rho, and classical RK4 in time, so the means of u and rho are constant to
+the bit.  The constructive scheme
 iterates the pair of linear transport problems
 
     u^{n+1}_t + u^n u^{n+1}_x = Lambda^{-1} d/dx (rho^n - u^n)
@@ -120,47 +122,46 @@ class SchemeConfig:
             raise ValueError("dt must be positive and finite")
 
 
-def _fw_rhs(y, ik, lam, mask, work, z):
+def _fw_rhs(y, ik, lam, flux, work, z):
     """Time derivative of the (u, rho) half spectra y, the rfft of the
-    samples, field-major (2, ..., N//2 + 1), with the symbols of _half_symbols.
-    y is the first two rows of the complex (4, ..., N//2 + 1) workspace work,
-    whose last two rows take (u_x, rho_x), and z is a real (4, ..., N) one:
-    one irfft of the four rows into z, the two dealiased products written
-    over its rows, and one rfft of them; Lambda^{-1} d/dx (rho - u) and -u_x
-    stay spectral.  Each field of the stack is one contiguous block.
+    samples, field-major (2, ..., N//2 + 1), in conservative form, with ik
+    and lam of _half_symbols and flux the conservative symbol negated,
+    -[mask ik / 2, mask ik] (_direct_rhs).  work is a complex
+    (..., N//2 + 1) workspace and z a real (2, ..., N) one: one irfft of the
+    two rows into z, u^2 and u rho written over them, and one rfft of them,
+    times flux; Lambda^{-1} d/dx (rho - u) and -u_x stay spectral.  Only the
+    returned half spectra are new, and y is not written.
 
-    The odd symbols' output at the Nyquist mode is imaginary, which irfft
-    drops; the derivative is zero there too, so the state's Nyquist mode
+    The derivative is zero at mode 0, where ik and lam are, so the means are
+    constant to the bit, and at the Nyquist mode, where the odd symbols'
+    output is imaginary, which irfft drops, so the state's Nyquist mode
     stays real and fixed, as it does for a march of samples.
     """
-    yx = np.multiply(ik, y, out=work[2:])
-    np.fft.irfft(work, z.shape[-1], out=z)
-    u, rho, ux, rhox = z
-    np.multiply(rho, ux, out=rho)
-    np.multiply(rhox, u, out=rhox)
-    np.add(rhox, rho, out=rhox)  # u rho_x + rho u_x
-    np.multiply(ux, u, out=ux)  # u u_x
-    # minus the derivative: the dealiased advection, less the linear terms
-    adv = np.fft.rfft(z[2:])
-    adv *= mask
-    coupling = np.subtract(y[1], y[0], out=yx[1])
-    adv[0] -= np.multiply(lam, coupling, out=coupling)
-    adv[1] += yx[0]
-    adv[..., -1] = 0.0
-    return np.negative(adv, out=adv)
+    np.fft.irfft(y, z.shape[-1], out=z)
+    u, rho = z
+    np.multiply(rho, u, out=rho)
+    np.multiply(u, u, out=u)
+    dy = np.fft.rfft(z)
+    dy *= flux
+    coupling = np.subtract(y[1], y[0], out=work)
+    dy[0] += np.multiply(lam, coupling, out=coupling)
+    dy[1] -= np.multiply(ik, y[0], out=work)
+    dy[..., -1] = 0.0
+    return dy
 
 
 def _direct_rhs(grid: Grid, shape: tuple[int, ...]):
     """The direct march's rhs(y, i, w), autonomous in time, for field-major
-    (2, ..., N//2 + 1) half spectra of the given shape: it copies y into the
-    first two rows of one workspace and steps _fw_rhs there."""
-    symbols = _half_symbols(grid)
-    work = np.empty((4,) + shape[1:], dtype=complex)
-    z = np.empty((4,) + shape[1:-1] + (grid.N,))
+    (2, ..., N//2 + 1) half spectra of the given shape: it steps _fw_rhs
+    over one workspace, with the conservative symbol built once."""
+    ik, lam, mask = _half_symbols(grid)
+    flux = np.multiply.outer([-0.5, -1.0], mask * ik).reshape(
+        (2,) + (1,) * (len(shape) - 2) + (-1,))
+    work = np.empty(shape[1:], dtype=complex)
+    z = np.empty((2,) + shape[1:-1] + (grid.N,))
 
     def rhs(y, i, w):
-        np.copyto(work[:2], y)
-        return _fw_rhs(work[:2], *symbols, work, z)
+        return _fw_rhs(y, ik, lam, flux, work, z)
 
     return rhs
 
@@ -284,8 +285,9 @@ def _pair_norms(part: LPPartition, y: np.ndarray, params: BesovParams):
     """||u||_{B^s} and ||rho||_{B^{s-1}} of each row of a direct march state,
     stacked (..., 2, N//2 + 1) half spectra (the rfft of the samples), with
     (s, p, r) = params: the norm of the pair space, from one block-norm
-    reduction.  Its callers bound the rows they pass."""
-    norms = _norms(part, y / part.grid.N, params, _pair_smoothness(params))
+    reduction of y, whose norms are divided by N (a row's norm scales with
+    it), so y is not copied.  Its callers bound the rows they pass."""
+    norms = _norms(part, y, params, _pair_smoothness(params)) / part.grid.N
     return norms[..., 0], norms[..., 1]
 
 
@@ -294,7 +296,7 @@ def _pair_norm_bounds(part: LPPartition, y: np.ndarray, params: BesovParams):
     modes alone (besov._norm_bounds); equal to them at p = 2, and inf on a
     row that is zero or not finite.  They only pick the rows that need
     _pair_norms, which stays the measure."""
-    bounds = _norm_bounds(part, y / part.grid.N, params, _pair_smoothness(params))
+    bounds = _norm_bounds(part, y, params, _pair_smoothness(params)) / part.grid.N
     return bounds[..., 0], bounds[..., 1]
 
 

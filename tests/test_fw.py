@@ -102,6 +102,74 @@ class TestRhs:
         assert same_bits(y, y0) and same_bits(k1, first)
         assert not np.shares_memory(k1, k2)
 
+    @pytest.mark.parametrize("members", [1, 5])
+    def test_kernel_transforms_two_rows_each_way(self, grid256, monkeypatch, members):
+        # conservative form: per call the kernel makes one irfft of the
+        # (u, rho) rows of every member and one rfft of (u^2, u rho), 2 K
+        # rows each way, and no other transform
+        calls, in_kernel = [], []
+        real = fwlab.fw._fw_rhs
+
+        def kernel(*args):
+            calls.append([])
+            in_kernel.append(True)
+            try:
+                return real(*args)
+            finally:
+                in_kernel.pop()
+
+        def counting(name):
+            transform = getattr(np.fft, name)
+
+            def call(a, *args, **kwargs):
+                if in_kernel:
+                    calls[-1].append((name, int(np.prod(np.shape(a)[:-1]))))
+                return transform(a, *args, **kwargs)
+            return call
+
+        monkeypatch.setattr(fwlab.fw, "_fw_rhs", kernel)
+        for name in ("rfft", "irfft"):
+            monkeypatch.setattr(np.fft, name, counting(name))
+        rng = np.random.default_rng(367 + members)
+        y = np.array([[random_field(grid256, rng, k_max=8, amplitude=0.1).samples
+                       for _ in range(2)] for _ in range(members)])
+        list(fwlab.fw._march_fw(y, grid256, make_time_grid(0.1, 1e-2), 1e-2))
+        assert calls == [[("irfft", 2 * members), ("rfft", 2 * members)]] * (4 * 10)
+
+    @pytest.mark.parametrize("spectrum, low, high", [
+        pytest.param(lambda k: k <= 256 // 3, 0.0, 1e-13, id="two-thirds-band"),
+        pytest.param(lambda k: np.exp(-k / 8.0), 1e-9, 1e-6, id="decaying"),
+        pytest.param(lambda k: np.ones(k.size), 0.5, 2.0, id="flat"),
+    ])
+    def test_conservative_form_against_the_advective(self, grid256, spectrum, low, high):
+        # the kernel's dealiased fluxes, (u^2/2)_x and (u rho)_x, against the
+        # advective formula, u u_x and u rho_x + rho u_x dealiased, on
+        # Gaussian modes 1..N/2-1 scaled by the given spectrum: the largest
+        # gap relative to the largest advective term.  Data inside the 2/3
+        # band have products the mask keeps whole, so the forms agree to
+        # rounding; above it they alias differently, by about 5e-8 on modes
+        # decaying like e^{-k/8} and at order one on a flat spectrum
+        N, xi = grid256.N, grid256.wavenumbers
+        ik, mask = 1j * xi, dealias_mask(grid256)
+        k = np.arange(1, N // 2)
+        rng = np.random.default_rng(373)
+        gaps = []
+        for _ in range(4):
+            y_hat = np.zeros((2, N // 2 + 1), dtype=complex)
+            y_hat[:, k] = spectrum(k) * (rng.standard_normal((2, k.size))
+                                         + 1j * rng.standard_normal((2, k.size)))
+            u, rho = y = np.fft.irfft(y_hat, N)
+            full = np.fft.fft(y)
+            ux, rhox = np.fft.ifft(ik * full).real
+            linear = np.stack([np.fft.ifft(ik / (1.0 + xi**2) * (full[1] - full[0])).real,
+                               -ux])
+            advective = -np.fft.ifft(mask * np.fft.fft([u * ux, u * rhox + rho * ux])).real
+            du, drho = fw_rhs(GridFunction.from_samples(grid256, u),
+                              GridFunction.from_samples(grid256, rho))
+            conservative = np.stack([du.samples, drho.samples]) - linear
+            gaps.append(np.max(np.abs(conservative - advective)) / np.max(np.abs(advective)))
+        assert low <= min(gaps) and max(gaps) <= high, gaps
+
     def test_grid_mismatch_rejected(self, grid256):
         u, rho = _gf(grid256, 0.0), _gf(make_grid(128, 8.0), 0.0)
         with pytest.raises(ValueError, match="u0 and rho0 must share one grid"):
@@ -173,6 +241,20 @@ class TestDirectSolve:
         traj = solve_fw_direct(u0, rho0, 1.0, 1e-3)
         assert np.max(np.abs(traj.mean_u - traj.mean_u[0])) <= 1e-10
         assert np.max(np.abs(traj.mean_rho - traj.mean_rho[0])) <= 1e-10
+
+    def test_means_constant_to_the_bit(self, grid256):
+        # in conservative form the derivative is zero at mode 0, where ik
+        # and lam are, so each member's mode 0 keeps its node-0 bits at every
+        # node, and simulate's mean drifts read 0.0
+        u0 = GridFunction.from_samples(grid256, 0.1 * np.sin(grid256.x))
+        rho0 = GridFunction.from_samples(grid256, 0.1 * np.cos(grid256.x))
+        y0 = fwlab.fw._stacked([(u0, rho0), (u0 * 2.0, rho0 + _gf(grid256, 0.3))])
+        means = np.array([y[..., 0] for y in fwlab.fw._march_fw(
+            y0, grid256, make_time_grid(1.0, 2e-3), 2e-3)])
+        assert means.shape == (501, 2, 2)
+        assert same_bits(means, np.broadcast_to(means[0], means.shape))
+        report = run_experiment(parse_config("time: {T: 1.0, dt: 2e-3}\n"), write=False)
+        assert report.summary["mean_u_drift"] == report.summary["mean_rho_drift"] == 0.0
 
     def test_step_size_guard(self, grid256):
         u0 = _gf(grid256, 4.0)
@@ -1282,6 +1364,35 @@ class TestPairNorms:
         norm_u, norm_rho = _pair_norms(part256, y, params)
         P0 = [initial_norm(u0, rho0, params) for u0, rho0 in pairs]
         assert np.array_equal(P0, norm_u + norm_rho)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 4.0, np.inf])
+    def test_norms_divided_by_N_not_the_block(self, p):
+        # _pair_norms and _pair_norm_bounds divide the norms by N, not the
+        # block: a row's norm scales with it, to the bit where N is a power
+        # of two and to rounding elsewhere.  Zero, inf and NaN rows read what
+        # they read when the block is divided
+        params = BesovParams(3.0, p, 2.0)
+        for N, rtol in [(256, 0.0), (96, 2e-15)]:
+            grid = make_grid(N, 8.0)
+            part = build_partition(grid)
+            rng = np.random.default_rng(439)
+            y = np.fft.rfft([[random_field(grid, rng, k_max=N // 4, amplitude=a).samples
+                              for _ in range(2)] for a in (1e-3, 0.1, 1.0, 50.0)])
+            odd = np.zeros((3, 2, N // 2 + 1), dtype=complex)
+            odd[1, 0, 3], odd[2, 1, 5] = np.inf, np.nan
+            y = np.concatenate([y, odd])
+            smoothness = fwlab.fw._pair_smoothness(params)
+            for got, reduction in [(_pair_norms(part, y, params), fwlab.besov._norms),
+                                   (fwlab.fw._pair_norm_bounds(part, y, params),
+                                    fwlab.besov._norm_bounds)]:
+                with np.errstate(invalid="ignore"):  # inf / N is inf + nan j
+                    want = reduction(part, y / N, params, smoothness)
+                got = np.stack(got, axis=-1)
+                if rtol == 0.0:
+                    assert same_bits(got, want)
+                else:
+                    np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
+                    assert same_bits(got[-3:], want[-3:])
 
     def test_initial_norm_refuses_another_grids_partition(self, grid256, params322):
         # the partition is u0's grid's: rho0 on another grid is refused

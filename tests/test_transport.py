@@ -439,6 +439,24 @@ class TestSolveTransport:
         e2 = np.max(np.abs(err(0.01) - ref))
         assert e1 / e2 >= 12.0  # fourth order would give 16
 
+    def test_second_order_with_a_velocity_varying_in_time(self):
+        # RK4's half-step stages take the mean of the velocity at the two
+        # nodes, off by dt^2 v''/8, so with a velocity that varies in time
+        # the march is second order: halving dt divides the error by 4
+        grid = make_grid(64, 1.0)
+        f0 = GridFunction.from_samples(grid, np.cos(2 * grid.x))
+        F = 0.1 * np.cos(3 * grid.x)
+
+        def final(dt):
+            tg = make_time_grid(0.5, dt)
+            v = 0.3 * np.sin(grid.x) * np.cos(4 * tg)[:, None]
+            return solve_transport(TransportProblem.build(tg, v, F, f0)).states[-1]
+
+        ref = final(0.5 / 4096)
+        errors = [np.max(np.abs(final(dt) - ref)) for dt in (0.02, 0.01, 0.005)]
+        ratios = np.array(errors[:-1]) / errors[1:]
+        assert np.all(np.abs(ratios - 4.0) <= 0.2), ratios
+
 
 class TestEstimate:
     def test_zero_velocity_holds_at_C_one(self, grid256, params322):
