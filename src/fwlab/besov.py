@@ -346,7 +346,7 @@ def besov_norms_of_samples(
     step = _nodes_per_call(params.p, int(np.prod(samples.shape[1:-1])))
 
     def norms(rows):
-        return _norms(part, np.fft.rfft(rows) / part.grid.N, params, params.s)
+        return _norms(part, np.fft.rfft(rows), params, params.s) / part.grid.N
 
     if samples.ndim == 1 or len(samples) <= step:
         return np.atleast_1d(norms(samples))

@@ -382,7 +382,8 @@ def _scheme_bytes(N: int, n_max: int, T: float, dt: float, p: float = 2.0,
     terms of their l^r sums, and, at p != 2, two real arrays of the samples
     of those blocks (the samples and their moduli, raised to p in place).  The
     march holds 15 complex (n_max, 2, N//2 + 1) stacks, the wave (1), its
-    copy with its derivatives (2), the previous iterate (1), two forcings
+    copy with its derivatives (2), the wave at the last node of the previous
+    norm block, which its first node's differences read (1), two forcings
     and the half step's (3), the kernel's spectra (1) and RK4's k1..k4 with
     three temporaries (7), and 11 real rows of N samples per iterate: two
     wave nodes (8), the half step's velocity (1) and the kernel's samples
@@ -461,15 +462,20 @@ def run_scheme(u0: GridFunction, rho0: GridFunction, cfg: SchemeConfig, *,
     u_half, f_half = np.empty((n_rows - 1, 1, N)), np.empty_like(forcings[0])
     work, zk = _transport_workspace(forcings[0].shape, N)
     rows = np.arange(n_rows)
-    # the 4 * n_rows norm rows of each wave node, y / N and (y - then) / N,
-    # and the node each row sits at, gathered over a block of whole wave
-    # nodes and normed in one call per block
+    # the 4 * n_rows norm rows of each wave node, its half spectra y and
+    # their differences from the previous iterate, and the node each row
+    # sits at, gathered over a block of whole wave nodes: y is copied in as
+    # the march carries it, the differences are taken when the block closes
+    # (row r at node k minus row r - 1 at node k - 1, row 0 minus the zero
+    # iterate), and the block is normed in one call whose norms are divided
+    # by N (a row's norm scales with it)
     span = min(_nodes_per_call(params.p, 4 * n_rows), M + n_rows)
     block = np.empty((span, 2, n_rows, 2, N // 2 + 1), dtype=complex)
     at = np.empty((span, n_rows), dtype=int)
-    # iterate n at the previous wave node (a row that has not started is
-    # compared with its predecessor's data)
-    then = np.concatenate([np.zeros_like(y[:1]), y[:-1]])
+    # the wave at the last node of the previous block; before wave node 0,
+    # the data, so a row that has not started is compared with its
+    # predecessor's data
+    carry = y.copy()
     f_now = None
     for i in range(M + n_rows):
         j = i % span
@@ -493,11 +499,14 @@ def run_scheme(u0: GridFunction, rho0: GridFunction, cfg: SchemeConfig, *,
         # the wave's norms and its differences from the previous iterate,
         # normed when the block is full and at the last wave node, and the
         # forcing it exerts on the successors, but for the last wave node's
-        np.divide(y, N, out=block[j, 0])
-        np.subtract(y, then, out=block[j, 1])
-        block[j, 1] /= N
+        np.copyto(block[j, 0], y)
         if j == span - 1 or i == M + n_rows - 1:
-            wave = _norms(part, block[:j + 1], params, smoothness)
+            now, diff = block[:j + 1, 0], block[:j + 1, 1]
+            np.subtract(now[0, 1:], carry[:-1], out=diff[0, 1:])
+            np.subtract(now[1:, 1:], now[:-1, :-1], out=diff[1:, 1:])
+            np.copyto(diff[:, 0], now[:, 0])
+            np.copyto(carry, now[-1])
+            wave = _norms(part, block[:j + 1], params, smoothness) / N
             norms[rows + 1, at[:j + 1]] = wave[:, 0]
             np.maximum(d_max, wave[:, 1].max(axis=0), out=d_max)
         if i == M + n_rows - 1:
@@ -523,7 +532,6 @@ def run_scheme(u0: GridFunction, rho0: GridFunction, cfg: SchemeConfig, *,
             return _transport_rhs(f, vw, Fw, ik, mask, work, zk)
 
         stepped = _rk4_step(rhs, y[1:], i, dt)
-        then[1:] = y[:-1]
         go = (nodes[1:] == i - rows[1:]) & (nodes[1:] < M)  # the rows that move on
         np.copyto(y[1:], stepped, where=go[:, None, None])
         if not np.isfinite(y[1:]).all():

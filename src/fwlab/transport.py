@@ -200,7 +200,7 @@ def _cfl_violation(grid: Grid, velocity: np.ndarray, dt: float):
     advective stability bound, as (row, reason), or None.  The bound falls
     as max|v| rises, in floating point too, so when the largest max|v| of
     the stack (NaN rows aside) passes it, no row fails."""
-    vmax = np.max(np.abs(velocity), axis=-1)
+    vmax = np.abs(velocity).max(axis=-1)
     top = np.fmax.reduce(vmax, axis=None, initial=0.0)
     if top == 0 or not dt > CFL_FACTOR * grid.dx / top:
         return None

@@ -286,6 +286,27 @@ def test_transport_march_steps_one_in_place_kernel():
     assert len(inverses) == 1, f"run_scheme's wave loop calls irfft on lines {inverses}"
 
 
+def test_wave_norms_divided_not_their_rows():
+    # the scheme's wave copies its half spectra into the norm block as the
+    # march carries them and divides the norms by N, not the rows: its loop
+    # calls no np.divide, divides nothing in place, every / in it divides a
+    # _norms(...) result, and it keeps no per-node copy of the last iterate
+    tree = ast.parse((Path(fwlab.__file__).parent / "fw.py").read_text())
+    scheme = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "run_scheme")
+    loop = next(node for node in ast.walk(scheme) if isinstance(node, ast.For))
+    named = sorted({"divide", "true_divide", "then"} & set(_names(loop)))
+    assert not named, f"run_scheme's wave loop names {named}"
+    in_place = [node.lineno for node in ast.walk(loop) if isinstance(node, ast.AugAssign)
+                and isinstance(node.op, (ast.Div, ast.FloorDiv))]
+    assert not in_place, f"run_scheme's wave loop divides in place on lines {in_place}"
+    divided = [node.lineno for node in ast.walk(loop) if isinstance(node, ast.BinOp)
+               and isinstance(node.op, (ast.Div, ast.FloorDiv))
+               and not (isinstance(node.left, ast.Call) and isinstance(node.left.func, ast.Name)
+                        and node.left.func.id == "_norms")]
+    assert not divided, f"run_scheme's wave loop divides rows on lines {divided}"
+
+
 def test_pairs_become_samples_only_in_stacked():
     # fw._stacked is the one place a (u, rho) pair becomes samples and the
     # one place its grid is checked: outside it, no list or tuple display in

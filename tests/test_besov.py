@@ -25,7 +25,7 @@ from fwlab.besov import (
 )
 from fwlab.spectral import lambda_inv_dx, lp_norm, lp_norm_samples
 
-from conftest import random_field
+from conftest import random_field, same_bits
 
 
 class TestCutoffProfiles:
@@ -459,6 +459,32 @@ class TestParsevalBlocks:
         got = besov_norms_of_samples(part256, rows, params)
         assert sizes == [chunk] * (1001 // chunk) + [1001 % chunk]
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 4.0, np.inf])
+    def test_sample_norms_divided_by_N_not_the_spectra(self, p):
+        # besov_norms_of_samples divides the norms by N, not the rfft of the
+        # rows: a row's norm scales with it, to the bit where N is a power of
+        # two and to rounding elsewhere.  A zero row and a row holding NaN
+        # read what they read when the spectra are divided; a row holding
+        # inf reads inf, where dividing its modes inf -/+ inf j by N made
+        # them NaN (numpy divides a complex array by a real as by a complex)
+        params = BesovParams(3.0, p, 2.0)
+        for N, rtol in [(256, 0.0), (96, 2e-15)]:
+            grid = make_grid(N, 8.0)
+            part = build_partition(grid)
+            rng = np.random.default_rng(449)
+            rows = np.array([random_field(grid, rng, k_max=N // 4, amplitude=a).samples
+                             for a in (1e-3, 0.1, 1.0, 50.0)] + [np.zeros(N)] * 3)
+            rows[-2, 5], rows[-1, 3] = np.nan, np.inf
+            with np.errstate(invalid="ignore"):  # the rfft of inf is inf - inf
+                got = besov_norms_of_samples(part, rows, params)
+                want = _norms(part, np.fft.rfft(rows) / N, params, params.s)
+            if rtol == 0.0:
+                assert same_bits(got[:-1], want[:-1])
+            else:
+                np.testing.assert_allclose(got[:-3], want[:-3], rtol=rtol, atol=0.0)
+                assert same_bits(got[-3:-1], want[-3:-1])
+            assert got[-1] == np.inf and np.isnan(want[-1])
 
 class TestNormBounds:
     """_norm_bounds bounds _norms from the moduli of the modes alone."""

@@ -551,6 +551,56 @@ class TestScheme:
         assert np.array_equal(trace.d_n, want.d_n)
         assert np.array_equal(trace.last, want.last)
 
+    def test_wave_norms_read_raw_half_spectra(self, grid256, params322, monkeypatch):
+        # the wave's norm rows are its half spectra as the march carries
+        # them, not divided by N (the norms are divided instead), so the
+        # first block's node-0 rows of iterate 1 are the rfft of its data to
+        # the bit; the differences are taken per block, which keeps one
+        # _norms call per block of whole wave nodes
+        shapes, first = [], []
+        real = fwlab.fw._norms
+
+        def recording(part, half, *args):
+            shapes.append(np.shape(half))
+            if len(shapes) == 2:  # P0's call, (2, N//2 + 1), comes first
+                first.append(np.array(half))
+            return real(part, half, *args)
+
+        monkeypatch.setattr(fwlab.fw, "_norms", recording)
+        u0 = GridFunction.from_samples(grid256, 0.1 * np.sin(grid256.x))
+        rho0 = GridFunction.from_samples(grid256, 0.1 * np.cos(grid256.x))
+        cfg = SchemeConfig(params=params322, C=1.0, n_max=3, dt=1e-2)
+        trace = run_scheme(u0, rho0, cfg)
+        assert same_bits(first[0][0, 0, 0], np.fft.rfft(trace.first[0]))
+        M = trace.time_grid.size - 1
+        span = fwlab.besov._nodes_per_call(params322.p, 4 * cfg.n_max)
+        waves = [shape for shape in shapes if len(shape) == 5]
+        assert len(waves) == len(shapes) - 1 == math.ceil((M + cfg.n_max) / span)
+
+    def test_second_order_in_time(self):
+        # report-only: the half step's velocity and forcing are the mean of
+        # those at the two nodes, off by dt^2 v''/8, so an iterate whose
+        # velocity varies in time is second-order accurate.  The last
+        # iterate at T, at dt = T/50, T/100 and T/200 against T/3200, is off
+        # by 4.61e-6, 1.15e-6 and 2.87e-7: ratios 4.003 and 4.012
+        grid = make_grid(64, 1.0)
+        u0 = GridFunction.from_samples(grid, 0.05 * np.sin(grid.x))
+        rho0 = GridFunction.from_samples(grid, 0.05 * np.cos(grid.x))
+        params = BesovParams(3.0, 2.0, 2.0)
+        T = lifespan(initial_norm(u0, rho0, params), 20.0)
+        assert T == pytest.approx(3.2163, rel=1e-4)
+
+        def last(n):
+            trace = run_scheme(u0, rho0, SchemeConfig(params=params, C=20.0, n_max=3,
+                                                      dt=T / n))
+            assert trace.time_grid.size == n + 1
+            return trace.last[-1]
+
+        ref = last(3200)
+        err = [np.max(np.abs(last(n) - ref)) for n in (50, 100, 200)]
+        ratios = np.array(err[:-1]) / np.array(err[1:])
+        assert np.all(np.abs(ratios - 4.0) <= 0.2), (err, ratios)
+
     def test_sequential_public_solves_match_last(self, grid256, params322):
         # the same iterates from public transport solves, each given the
         # sample velocity u^n and the samples of the forcing of iterate n:
