@@ -26,8 +26,10 @@ on the guaranteed lifespan T = 3 / (16 C P0^2).
 A pair is measured one way, in B^s x B^{s-1} on the partition of its grid,
 and its norm depends only on its own bits, not on how rows are batched; the
 size of the data, P0 (initial_norm), is that measure of the data.  A state
-that is not finite raises BlowUpError.  How the marches step, batch and
-norm is told in README.md (Library, fwlab.fw).
+that is not finite raises BlowUpError.  The three marches, _march_fw,
+transport._march_transport and _march_scheme (the scheme's wave), yield
+their nodes and measure nothing; their consumers measure.  How the marches
+step, batch and norm is told in README.md (Library, fwlab.fw).
 """
 
 from __future__ import annotations
@@ -349,17 +351,15 @@ class IterationTrace:
         return self.norm_u[n] + self.norm_rho[n]
 
 
-def _scheme_forcing(y_hat, z, ik, lam, mask, out=None):
+def _scheme_forcing(y_hat, z, ik, lam, mask, out):
     """Forcing of iterate n+1, as half spectra, from the stacked
     (..., 2, N//2 + 1) half spectra y_hat of iterate n and the samples z of
     the wave node, (..., 3 or 4, N), whose rows 1 and 2 are rho^n and u^n_x:
     Lambda^{-1} d/dx (rho^n - u^n) for u and -rho^n u^n_x - u^n_x for rho,
-    with the symbols of _half_symbols, written into out (a new array when
-    None).  Only the dealiased product is transformed; the Nyquist mode is
-    zero, as the derivative of _fw_rhs is there."""
+    with the symbols of _half_symbols, written into out.  Only the dealiased
+    product is transformed; the Nyquist mode is zero, as the derivative of
+    _fw_rhs is there."""
     u_hat, rho_hat = y_hat[..., 0, :], y_hat[..., 1, :]
-    if out is None:
-        out = np.empty(y_hat.shape, dtype=complex)
     prod = np.fft.rfft(z[..., 1, :] * z[..., 2, :])
     prod *= mask
     coupling = np.subtract(rho_hat, u_hat, out=out[..., 0, :])
@@ -370,8 +370,8 @@ def _scheme_forcing(y_hat, z, ik, lam, mask, out=None):
     return out
 
 
-def _scheme_bytes(N: int, n_max: int, T: float, dt: float, p: float = 2.0,
-                  n_blocks: int = 1, keep_last: bool = True) -> float:
+def _scheme_bytes(N: int, n_max: int, T: float, dt: float, p: float,
+                  n_blocks: int, keep_last: bool) -> float:
     """What run_scheme holds at its peak: per node, the last iterate when
     keep_last asks for it and every iterate's norms (the first is a view of
     its data), and, while the bound flags are set, the norm sums and their
@@ -380,14 +380,14 @@ def _scheme_bytes(N: int, n_max: int, T: float, dt: float, p: float = 2.0,
     with the temporaries of its reduction at p: the rows' moduli, six
     arrays of the norms of the n_blocks dyadic blocks of every row and the
     terms of their l^r sums, and, at p != 2, two real arrays of the samples
-    of those blocks (the samples and their moduli, raised to p in place).  The
-    march holds 15 complex (n_max, 2, N//2 + 1) stacks, the wave (1), its
-    copy with its derivatives (2), the wave at the last node of the previous
-    norm block, which its first node's differences read (1), two forcings
-    and the half step's (3), the kernel's spectra (1) and RK4's k1..k4 with
-    three temporaries (7), and 11 real rows of N samples per iterate: two
-    wave nodes (8), the half step's velocity (1) and the kernel's samples
-    (2)."""
+    of those blocks (the samples and their moduli, raised to p in place).
+    There are 15 complex (n_max, 2, N//2 + 1) stacks: in _march_scheme the
+    wave (1), its copy with its derivatives (2), two forcings and the half
+    step's (3), the kernel's spectra (1) and RK4's k1..k4 with three
+    temporaries (7), and in run_scheme the wave at the last node of the
+    previous norm block, which its first node's differences read (1); and
+    _march_scheme holds 11 real rows of N samples per iterate: two wave
+    nodes (8), the half step's velocity (1) and the kernel's samples (2)."""
     stored = (T / dt + 1.0) * (2 * N * keep_last + 4 * (n_max + 1) + 4) * 8
     march = (15 * 2 * (N // 2 + 1) * 16 + 11 * N * 8) * n_max
     rows = 4 * n_max * _nodes_per_call(p, 4 * n_max)
@@ -397,63 +397,28 @@ def _scheme_bytes(N: int, n_max: int, T: float, dt: float, p: float = 2.0,
     return stored + march + block
 
 
-def run_scheme(u0: GridFunction, rho0: GridFunction, cfg: SchemeConfig, *,
-               keep_last: bool = True) -> IterationTrace:
-    """Run the mollified transport iteration on [0, lifespan(P0, C)].
+def _march_scheme(initial: np.ndarray, grid: Grid, time_grid: np.ndarray, dt: float):
+    """The scheme's wave march from the (n_max, 2, N) mollified data of
+    iterates 1..n_max, yielding at each of its M + n_max wave nodes the
+    rows' (n_max, 2, N//2 + 1) half spectra and the (n_max, 4, N) samples
+    of their (u, rho, u_x, rho_x), buffers that the next step overwrites.
 
-    keep_last stores the samples of iterate n_max at every node as
-    trace.last, (M + 1, 2, N) floats, which scheme_direct_distance reads;
-    without it trace.last is None and the run holds only the norms, d_n and
-    flags per node.  u0 and rho0 must share one grid (initial_norm).
+    Row r of the wave is iterate r + 1, one node behind row r - 1: at wave
+    node i it sits at node clip(i - r, 0, M), and it steps on while
+    0 <= i - r < M, reading iterate r at nodes i - r and i - r + 1, which
+    row r - 1 reached at wave nodes i - 1 and i.  The same code runs on
+    every row at every wave node from node 1 (at node 0 no row moves on):
+    every row is stepped, and a row that does not move on keeps its bits,
+    its stepped result discarded.  Row 0, advected by the zero pair, is its
+    data at every node, so only rows 1.. march.  A velocity over the
+    advective bound, or a row that is not finite after its step, raises
+    RuntimeError naming the iterate and node.
     """
-    grid = u0.grid
-    part = build_partition(grid)
-    params = cfg.params
-    # a wave in B^s x B^{s-1}, its differences from the previous iterate
-    # in B^{s-1} x B^{s-2}
-    smoothness = np.stack([_pair_smoothness(params),
-                           _pair_smoothness(params.shift(-1.0))])[:, None]
-
-    P0 = initial_norm(u0, rho0, params)
-    T = lifespan(P0, cfg.C)
-    if P0 > 0:
-        # 4*C*P0^2*T = 3/4 by construction; guard against misuse
-        assert 4.0 * cfg.C * P0**2 * T < 1.0
-    # the lifespan is an awkward number; refine dt so the nodes land on T
-    n_steps = max(1, int(np.ceil(T / cfg.dt - 1e-12)))
-    _check_memory(_scheme_bytes(grid.N, cfg.n_max, T, cfg.dt, params.p, part.masks.shape[0],
-                                keep_last),
-                  f"--dt or --n-max; the run spans the lifespan T = 3/(16 C P0^2) = {T:.3g} "
-                  f"(at most {LIFESPAN_CAP:g}) of P0 = {P0:.3g}, set by --amplitude and --C")
-    time_grid = make_time_grid(T, T / n_steps)
-    dt = float(time_grid[1] - time_grid[0])
-    n_nodes, n_rows, N = time_grid.size, cfg.n_max, grid.N
-    M = n_nodes - 1
-
+    n_rows, N, M = len(initial), grid.N, time_grid.size - 1
     ik, lam, mask = _half_symbols(grid)
-    last = np.empty((n_nodes, 2, N)) if keep_last else None
-    # iterate 0 is the zero pair: zero norms
-    norms = np.zeros((n_rows + 1, n_nodes, 2))
-    d_max = np.full((n_rows, 2), -np.inf)
-
-    # Row r of the wave is iterate r + 1, one node behind row r - 1: at wave
-    # node i it sits at node clip(i - r, 0, M), and it steps on while
-    # 0 <= i - r < M, reading iterate r at nodes i - r and i - r + 1, which
-    # row r - 1 reached at wave nodes i - 1 and i.  The same code runs on
-    # every row at every wave node from node 1 (at node 0 no row moves on):
-    # every row is stepped, and a row that does not move on keeps its bits,
-    # its stepped result discarded; a row's norms depend only on the row,
-    # so a held row repeats what it has already produced.  Row 0, advected
-    # by the zero pair, is its data at every node, so only rows 1.. march.
-    # The wave is half spectra; the velocity is given as samples, the
-    # forcing as half spectra.
-    kernels = [MollifierKernel(epsilon=1.0 / (n + 1)) for n in range(n_rows)]
-    initial = _stacked([(mollify(u0, k), mollify(rho0, k)) for k in kernels])
-    first = np.broadcast_to(initial[0], (n_nodes, 2, N))
-    # the wave's half spectra y; at each wave node a copy of them and their
-    # derivatives, (u, rho, u_x, rho_x) of every row, is inverted into the
-    # samples of that node, in two buffers taken in turn
     y = np.fft.rfft(initial)
+    # at each wave node a copy of the wave and its derivatives is inverted
+    # into the samples of that node, in two buffers taken in turn
     spectra = np.empty((n_rows, 4, N // 2 + 1), dtype=complex)
     samples = np.empty((2, n_rows, 4, N))
     # the forcing of this wave node and the last, and the half step's
@@ -462,58 +427,30 @@ def run_scheme(u0: GridFunction, rho0: GridFunction, cfg: SchemeConfig, *,
     u_half, f_half = np.empty((n_rows - 1, 1, N)), np.empty_like(forcings[0])
     work, zk = _transport_workspace(forcings[0].shape, N)
     rows = np.arange(n_rows)
-    # the 4 * n_rows norm rows of each wave node, its half spectra y and
-    # their differences from the previous iterate, and the node each row
-    # sits at, gathered over a block of whole wave nodes: y is copied in as
-    # the march carries it, the differences are taken when the block closes
-    # (row r at node k minus row r - 1 at node k - 1, row 0 minus the zero
-    # iterate), and the block is normed in one call whose norms are divided
-    # by N (a row's norm scales with it)
-    span = min(_nodes_per_call(params.p, 4 * n_rows), M + n_rows)
-    block = np.empty((span, 2, n_rows, 2, N // 2 + 1), dtype=complex)
-    at = np.empty((span, n_rows), dtype=int)
-    # the wave at the last node of the previous block; before wave node 0,
-    # the data, so a row that has not started is compared with its
-    # predecessor's data
-    carry = y.copy()
     f_now = None
     for i in range(M + n_rows):
-        j = i % span
-        nodes = np.minimum(np.maximum(i - rows, 0), M, out=at[j])
+        nodes = np.minimum(np.maximum(i - rows, 0), M)
         # one inverse transform of the wave and its derivatives: the velocity
-        # of the successors, the last iterate (when it is kept), the samples
-        # of the forcing's product and stage 1's derivative samples
+        # of the successors, the samples of the forcing's product and stage
+        # 1's derivative samples
         z, z_then = samples[i % 2], samples[(i - 1) % 2]
         np.copyto(spectra[:, :2], y)
         np.multiply(ik, y, out=spectra[:, 2:])
         np.fft.irfft(spectra, N, out=z)
-        if keep_last:
-            last[nodes[-1]] = z[-1, :2] if n_rows > 1 else initial[0]
         hit = _cfl_violation(grid, z[:-1, 0], dt)
         if hit:
             k, reason = hit
             raise RuntimeError(
                 f"transport solve failed at iterate {k + 2}: velocity u^{k + 1} at "
                 f"node {nodes[k]} (t = {time_grid[nodes[k]]:.6g}): {reason}")
-
-        # the wave's norms and its differences from the previous iterate,
-        # normed when the block is full and at the last wave node, and the
-        # forcing it exerts on the successors, but for the last wave node's
-        np.copyto(block[j, 0], y)
-        if j == span - 1 or i == M + n_rows - 1:
-            now, diff = block[:j + 1, 0], block[:j + 1, 1]
-            np.subtract(now[0, 1:], carry[:-1], out=diff[0, 1:])
-            np.subtract(now[1:, 1:], now[:-1, :-1], out=diff[1:, 1:])
-            np.copyto(diff[:, 0], now[:, 0])
-            np.copyto(carry, now[-1])
-            wave = _norms(part, block[:j + 1], params, smoothness) / N
-            norms[rows + 1, at[:j + 1]] = wave[:, 0]
-            np.maximum(d_max, wave[:, 1].max(axis=0), out=d_max)
+        yield y, z
         if i == M + n_rows - 1:
-            break
+            return
+        # the forcing the wave exerts on the successors, but for the last
+        # wave node's
         f_then, f_now = f_now, _scheme_forcing(y[:-1], z[:-1], ik, lam, mask,
                                                forcings[i % 2])
-        if i == 0:  # no row moves on from wave node 0
+        if i == 0:
             continue
 
         # one RK4 step of rows 1.. to wave node i + 1, with the inputs at
@@ -539,20 +476,77 @@ def run_scheme(u0: GridFunction, rho0: GridFunction, cfg: SchemeConfig, *,
             exc = _lost_finiteness("transport solution", i + 1 - r,
                                    float(time_grid[i + 1 - r]), ())
             raise RuntimeError(f"transport solve failed at iterate {r + 1}: {exc}") from exc
-    d_n = d_max[:, 0] + d_max[:, 1]
+
+
+def run_scheme(u0: GridFunction, rho0: GridFunction, cfg: SchemeConfig, *,
+               keep_last: bool = True) -> IterationTrace:
+    """Run the mollified transport iteration on [0, lifespan(P0, C)]: one
+    _march_scheme of the mollified data, whose wave nodes this measures.
+
+    keep_last stores the samples of iterate n_max at every node as
+    trace.last, (M + 1, 2, N) floats, which scheme_direct_distance reads;
+    without it trace.last is None and the run holds only the norms, d_n and
+    flags per node.  u0 and rho0 must share one grid (initial_norm).
+    """
+    grid = u0.grid
+    part = build_partition(grid)
+    params = cfg.params
+    # the wave in B^s x B^{s-1}, its differences in B^{s-1} x B^{s-2}
+    smoothness = np.stack([_pair_smoothness(params),
+                           _pair_smoothness(params.shift(-1.0))])[:, None]
+
+    P0 = initial_norm(u0, rho0, params)
+    T = lifespan(P0, cfg.C)
+    assert 4.0 * cfg.C * P0**2 * T < 1.0  # 3/4 by construction; guard against misuse
+    # the lifespan is an awkward number; refine dt so the nodes land on T
+    n_steps = max(1, int(np.ceil(T / cfg.dt - 1e-12)))
+    _check_memory(_scheme_bytes(grid.N, cfg.n_max, T, cfg.dt, params.p, part.masks.shape[0],
+                                keep_last),
+                  f"--dt or --n-max; the run spans the lifespan T = 3/(16 C P0^2) = {T:.3g} "
+                  f"(at most {LIFESPAN_CAP:g}) of P0 = {P0:.3g}, set by --amplitude and --C")
+    time_grid = make_time_grid(T, T / n_steps)
+    dt = float(time_grid[1] - time_grid[0])
+    n_nodes, n_rows, N = time_grid.size, cfg.n_max, grid.N
+    M = n_nodes - 1
+
+    kernels = [MollifierKernel(epsilon=1.0 / (n + 1)) for n in range(n_rows)]
+    initial = _stacked([(mollify(u0, k), mollify(rho0, k)) for k in kernels])
+    first = np.broadcast_to(initial[0], (n_nodes, 2, N))
+    last = np.empty((n_nodes, 2, N)) if keep_last else None
+    norms = np.zeros((n_rows + 1, n_nodes, 2))  # iterate 0 is the zero pair
+    d_max = np.full((n_rows, 2), -np.inf)
+    rows = np.arange(n_rows)
+    # each wave node's half spectra, copied in as yielded, and their
+    # differences from the previous iterate, formed when the block closes
+    # (row r at node k minus row r - 1 at node k - 1, reading the previous
+    # block's last node from carry): normed in one call per block of whole
+    # wave nodes, and the norms divided by N.  Row r sits at clip(i - r, 0, M)
+    span = min(_nodes_per_call(params.p, 4 * n_rows), M + n_rows)
+    block = np.empty((span, 2, n_rows, 2, N // 2 + 1), dtype=complex)
+    for i, (y, z) in enumerate(_march_scheme(initial, grid, time_grid, dt)):
+        j = i % span
+        if i == 0:  # the data: a row that has not started reads its predecessor's
+            carry = y.copy()
+        if keep_last:
+            last[min(max(i - n_rows + 1, 0), M)] = z[-1, :2] if n_rows > 1 else initial[0]
+        np.copyto(block[j, 0], y)
+        if j == span - 1 or i == M + n_rows - 1:
+            now, diff = block[:j + 1, 0], block[:j + 1, 1]
+            np.subtract(now[0, 1:], carry[:-1], out=diff[0, 1:])
+            np.subtract(now[1:, 1:], now[:-1, :-1], out=diff[1:, 1:])
+            np.copyto(diff[:, 0], now[:, 0])  # row 0 minus the zero iterate
+            np.copyto(carry, now[-1])
+            wave = _norms(part, block[:j + 1], params, smoothness) / N
+            norms[rows + 1, np.clip(np.arange(i - j, i + 1)[:, None] - rows, 0, M)] = wave[:, 0]
+            np.maximum(d_max, wave[:, 1].max(axis=0), out=d_max)
 
     norm_sum = norms[..., 0] + norms[..., 1]
-    if P0 > 0:
-        envelope = P0 / np.sqrt(1.0 - 4.0 * cfg.C * P0**2 * time_grid)
-    else:
-        envelope = np.zeros(n_nodes)
-    bound_312 = np.all(_within(norm_sum, envelope[None, :]), axis=1)
-    bound_313 = np.all(_within(norm_sum, 2.0 * P0), axis=1)
-
+    envelope = P0 / np.sqrt(1.0 - 4.0 * cfg.C * P0**2 * time_grid)  # zero for zero data
     return IterationTrace(
         grid=grid, time_grid=time_grid, params=params, C=cfg.C, P0=P0, T=T,
-        first=first, last=last, norms=norms, d_n=d_n,
-        bound_312=bound_312, bound_313=bound_313,
+        first=first, last=last, norms=norms, d_n=d_max[:, 0] + d_max[:, 1],
+        bound_312=np.all(_within(norm_sum, envelope[None, :]), axis=1),
+        bound_313=np.all(_within(norm_sum, 2.0 * P0), axis=1),
     )
 
 

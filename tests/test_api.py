@@ -130,11 +130,11 @@ def test_kernels_invert_real_fields_with_irfft(name):
         # the scheme's wave march carries half spectra: its loop transforms
         # no march state back to spectra
         scheme = next(node for node in tree.body
-                      if isinstance(node, ast.FunctionDef) and node.name == "run_scheme")
+                      if isinstance(node, ast.FunctionDef) and node.name == "_march_scheme")
         loops = [node for node in ast.walk(scheme) if isinstance(node, ast.For)]
         back = [node.lineno for loop in loops for node in ast.walk(loop)
                 if isinstance(node, ast.Attribute) and node.attr == "rfft"]
-        assert loops and not back, f"run_scheme's wave loop calls rfft on lines {back}"
+        assert loops and not back, f"_march_scheme's wave loop calls rfft on lines {back}"
 
 
 def _private_definitions(tree):
@@ -178,9 +178,9 @@ def test_benchmark_tracer_resolves_every_entry_point():
 
 def test_one_rk4_stepper_and_a_lifespan_sweep_that_does_not_restart():
     # the RK4 stage arithmetic, marked by its weight dt/6, is written once,
-    # in transport._rk4_step; the lifespan sweep and the scheme's wave step
-    # through it, each in one loop, neither starting a second march nor
-    # catching a blow-up
+    # in transport._rk4_step; the lifespan sweep and the scheme's wave march,
+    # _march_scheme, step through it, each in one loop, neither starting a
+    # second march nor catching a blow-up
     trees = {p.name: ast.parse(p.read_text()) for p in SOURCES}
     staging = sorted((name, fn.name) for name, tree in trees.items()
                      for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
@@ -188,7 +188,7 @@ def test_one_rk4_stepper_and_a_lifespan_sweep_that_does_not_restart():
                              and isinstance(node.right, ast.Constant) and node.right.value == 6
                              for node in ast.walk(fn)))
     assert staging == [("transport.py", "_rk4_step")], f"RK4 stages written in {staging}"
-    for name in ("_lifespans", "run_scheme"):
+    for name in ("_lifespans", "_march_scheme"):
         loop = next(node for node in trees["fw.py"].body
                     if isinstance(node, ast.FunctionDef) and node.name == name)
         marches = [node.lineno for node in ast.walk(loop) if isinstance(node, ast.Call)
@@ -260,8 +260,9 @@ def test_transport_march_steps_one_in_place_kernel():
     # the transport right-hand side is one kernel, transport._transport_rhs,
     # which works in a workspace per march and joins no arrays; its second
     # half, _advection, is the one place the advection is written.  Only
-    # _march_transport and the scheme's wave step through the kernel, and
-    # the wave's loop joins no arrays and inverts the wave once per node
+    # _march_transport and the scheme's wave march, _march_scheme, step
+    # through the kernel, and the wave's loop joins no arrays and inverts
+    # the wave once per node
     trees = {name: ast.parse((Path(fwlab.__file__).parent / name).read_text())
              for name in ("transport.py", "fw.py")}
     functions = {(name, node.name): node for name, tree in trees.items()
@@ -270,25 +271,42 @@ def test_transport_march_steps_one_in_place_kernel():
     for key in [("transport.py", "_transport_rhs"), ("transport.py", "_advection")]:
         named = sorted(joins & set(_names(functions[key])))
         assert not named, f"{key} names {named}"
-    for kernel, want in [("_transport_rhs", [("fw.py", "run_scheme"),
+    for kernel, want in [("_transport_rhs", [("fw.py", "_march_scheme"),
                                              ("transport.py", "_march_transport")]),
-                         ("_advection", [("fw.py", "run_scheme"),
+                         ("_advection", [("fw.py", "_march_scheme"),
                                          ("transport.py", "_transport_rhs")])]:
         callers = sorted(key for key, fn in functions.items()
                          if key[1] != kernel and kernel in set(_names(fn)))
         assert callers == want, f"{kernel} called in {callers}"
-    loop = next(node for node in ast.walk(functions[("fw.py", "run_scheme")])
+    loop = next(node for node in ast.walk(functions[("fw.py", "_march_scheme")])
                 if isinstance(node, ast.For))
     named = sorted(joins & set(_names(loop)))
-    assert not named, f"run_scheme's wave loop names {named}"
+    assert not named, f"_march_scheme's wave loop names {named}"
     inverses = [node.lineno for node in ast.walk(loop) if isinstance(node, ast.Attribute)
                 and node.attr == "irfft"]
-    assert len(inverses) == 1, f"run_scheme's wave loop calls irfft on lines {inverses}"
+    assert len(inverses) == 1, f"_march_scheme's wave loop calls irfft on lines {inverses}"
+
+
+def test_scheme_measures_what_its_march_yields():
+    # the scheme's wave is one march, fw._march_scheme, which steps, checks
+    # and inverts and measures nothing; run_scheme consumes it and only
+    # measures: it names no kernel, no step, no transform and no check of
+    # the march, and the march names no norm
+    tree = ast.parse((Path(fwlab.__file__).parent / "fw.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    marching = {"_rk4_step", "_transport_rhs", "_advection", "_scheme_forcing",
+                "_cfl_violation", "irfft", "rfft"}
+    named = sorted(marching & set(_names(functions["run_scheme"])))
+    assert not named, f"run_scheme names {named}"
+    assert "_march_scheme" in set(_names(functions["run_scheme"]))
+    measuring = sorted({"_norms", "_pair_norms", "_norm_bounds"}
+                       & set(_names(functions["_march_scheme"])))
+    assert not measuring, f"_march_scheme names {measuring}"
 
 
 def test_wave_norms_divided_not_their_rows():
-    # the scheme's wave copies its half spectra into the norm block as the
-    # march carries them and divides the norms by N, not the rows: its loop
+    # run_scheme copies the half spectra its wave march yields into the
+    # norm block and divides the norms by N, not the rows: its loop
     # calls no np.divide, divides nothing in place, every / in it divides a
     # _norms(...) result, and it keeps no per-node copy of the last iterate
     tree = ast.parse((Path(fwlab.__file__).parent / "fw.py").read_text())
@@ -296,15 +314,15 @@ def test_wave_norms_divided_not_their_rows():
                   if isinstance(node, ast.FunctionDef) and node.name == "run_scheme")
     loop = next(node for node in ast.walk(scheme) if isinstance(node, ast.For))
     named = sorted({"divide", "true_divide", "then"} & set(_names(loop)))
-    assert not named, f"run_scheme's wave loop names {named}"
+    assert not named, f"run_scheme's norm loop names {named}"
     in_place = [node.lineno for node in ast.walk(loop) if isinstance(node, ast.AugAssign)
                 and isinstance(node.op, (ast.Div, ast.FloorDiv))]
-    assert not in_place, f"run_scheme's wave loop divides in place on lines {in_place}"
+    assert not in_place, f"run_scheme's norm loop divides in place on lines {in_place}"
     divided = [node.lineno for node in ast.walk(loop) if isinstance(node, ast.BinOp)
                and isinstance(node.op, (ast.Div, ast.FloorDiv))
                and not (isinstance(node.left, ast.Call) and isinstance(node.left.func, ast.Name)
                         and node.left.func.id == "_norms")]
-    assert not divided, f"run_scheme's wave loop divides rows on lines {divided}"
+    assert not divided, f"run_scheme's norm loop divides rows on lines {divided}"
 
 
 def test_pairs_become_samples_only_in_stacked():

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -221,7 +222,8 @@ class TestDirectSolve:
 
     def test_memory_guard_prices_what_is_live(self, scheme_peak):
         trace, peak = scheme_peak
-        priced = fwlab.fw._scheme_bytes(trace.grid.N, trace.n_max, trace.T, 2e-3)
+        # priced with one dyadic block per row, under the run's own price
+        priced = fwlab.fw._scheme_bytes(trace.grid.N, trace.n_max, trace.T, 2e-3, 2.0, 1, True)
         assert priced >= peak
 
     def test_memory_guard_before_allocating(self, grid256):
@@ -379,17 +381,42 @@ class TestScheme:
             rtol=1e-12, atol=0.0,
         )
 
+    def test_frozen_d_n_at_p4(self):
+        # the general-p norms of the wave, pinned as test_frozen_d_n pins
+        # p = 2: d_n and every iterate's norm sum at the last node, at
+        # C = 4 (T = 2.909, 146 steps), where d_n falls from iterate 3 on
+        grid = make_grid(64, 8.0)
+        u0 = GridFunction.from_samples(grid, 0.1 * np.sin(grid.x))
+        rho0 = GridFunction.from_samples(grid, 0.1 * np.cos(grid.x))
+        cfg = SchemeConfig(params=BesovParams(3.0, 4.0, 2.0), C=4.0, n_max=4, dt=2e-2)
+        trace = run_scheme(u0, rho0, cfg)
+        assert trace.time_grid.size == 147
+        np.testing.assert_allclose(
+            trace.d_n, [0.14873295844359125, 0.3768408178710996, 0.35456814479647,
+                        0.23315009992437208],
+            rtol=1e-12, atol=0.0,
+        )
+        np.testing.assert_allclose(
+            [trace.norm_sum(n)[-1] for n in range(cfg.n_max + 1)],
+            [0.0, 0.11631896152434332, 0.21233443534919177, 0.2376159737661269,
+             0.27432155718922335],
+            rtol=1e-12, atol=0.0,
+        )
+
     def test_one_transport_solve_per_iterate(self, grid256, part256, params322,
                                              monkeypatch):
-        # iterates 2..n_max step in one wave march of M + n_max - 2 RK4
-        # steps (none at wave node 0, where no iterate moves on), each one
-        # batched call of the transport kernel per stage: stage 1 calls its
-        # second half, _advection, on the wave's own derivative samples;
-        # iterate 1, advected by the zero pair, does not step
+        # iterates 2..n_max step in one wave march, _march_scheme, of
+        # M + n_max - 2 RK4 steps (none at wave node 0, where no iterate
+        # moves on), each one batched call of the transport kernel per stage
+        # from the march's step: stage 1 calls its second half, _advection,
+        # on the wave's own derivative samples; iterate 1, advected by the
+        # zero pair, does not step
         calls = {"_transport_rhs": [], "_advection": []}
+        callers = set()
         for name, shapes in calls.items():
             def counting(f, *args, real=getattr(fwlab.fw, name), shapes=shapes):
                 shapes.append(f.shape)
+                callers.add(sys._getframe(1).f_code.co_qualname)
                 return real(f, *args)
             monkeypatch.setattr(fwlab.fw, name, counting)
         u0 = GridFunction.from_samples(grid256, 0.1 * np.sin(grid256.x))
@@ -401,37 +428,28 @@ class TestScheme:
         assert len(calls["_advection"]) == steps
         assert set(calls["_transport_rhs"]) == {(cfg.n_max - 1, 2, grid256.N // 2 + 1)}
         assert set(calls["_advection"]) == {(cfg.n_max - 1, 2, grid256.N)}
+        assert callers == {"_march_scheme.<locals>.rhs"}
 
     def test_each_iterate_transformed_once(self, grid256, part256, params322,
                                            monkeypatch):
         # a wave step makes 7 real transforms in the transport kernel, an
-        # rfft per stage and an irfft for stages 2..4, and 2 outside it: one
-        # irfft of the wave's (u, rho, u_x, rho_x), whose derivative samples
-        # stage 1 reads, and one rfft of the forcing's product, formed at
-        # every wave node but the last; the march state is never transformed
-        # back.  Besides, one rfft of the data and one of P0's pair.
-        counts = {"kernel": Counter(), "wave": Counter()}
-        in_kernel = []
-
-        def kernel(real):
-            def call(*args):
-                in_kernel.append(True)
-                try:
-                    return real(*args)
-                finally:
-                    in_kernel.pop()
-            return call
+        # rfft per stage (in _advection) and an irfft for stages 2..4 (in
+        # _transport_rhs), and 2 outside it: _march_scheme's one irfft of
+        # the wave's (u, rho, u_x, rho_x), whose derivative samples stage 1
+        # reads, and one rfft of the forcing's product (_scheme_forcing),
+        # formed at every wave node but the last; the march state is never
+        # transformed back.  Besides, _march_scheme's one rfft of the data
+        # and initial_norm's one of P0's pair; run_scheme transforms nothing
+        counts = Counter()
 
         def counting(name):
             real = getattr(np.fft, name)
 
             def transform(*args, **kwargs):
-                counts["kernel" if in_kernel else "wave"][name] += 1
+                counts[sys._getframe(1).f_code.co_name, name] += 1
                 return real(*args, **kwargs)
             return transform
 
-        for name in ("_transport_rhs", "_advection"):
-            monkeypatch.setattr(fwlab.fw, name, kernel(getattr(fwlab.fw, name)))
         for name in ("rfft", "irfft"):
             monkeypatch.setattr(np.fft, name, counting(name))
         u0 = GridFunction.from_samples(grid256, 0.1 * np.sin(grid256.x))
@@ -440,8 +458,11 @@ class TestScheme:
         trace = run_scheme(u0, rho0, cfg)
         nodes = trace.time_grid.size + cfg.n_max - 1  # M + n_max wave nodes
         steps = nodes - 2
-        assert counts["kernel"] == {"rfft": 4 * steps, "irfft": 3 * steps}
-        assert counts["wave"] == {"rfft": (nodes - 1) + 2, "irfft": nodes}
+        assert counts == {("_advection", "rfft"): 4 * steps,
+                          ("_transport_rhs", "irfft"): 3 * steps,
+                          ("_scheme_forcing", "rfft"): nodes - 1,
+                          ("_march_scheme", "rfft"): 1, ("_march_scheme", "irfft"): nodes,
+                          ("initial_norm", "rfft"): 1}
 
     def test_forcing_is_the_sample_formula(self, grid256):
         # the spectral forcing is the rfft of Lambda^{-1} d/dx (rho - u) and
@@ -455,7 +476,8 @@ class TestScheme:
                       for _ in range(3)]) + 0.1 * (-1.0) ** np.arange(N)
         y_hat = np.fft.rfft(y)
         z = np.fft.irfft(np.concatenate([y_hat, ik * y_hat[:, :1]], axis=-2), N)
-        got = fwlab.fw._scheme_forcing(y_hat, z, ik, lam, mask)
+        got = fwlab.fw._scheme_forcing(y_hat, z, ik, lam, mask,
+                                       np.empty(y_hat.shape, dtype=complex))
         u, rho, ux = z[:, 0], z[:, 1], z[:, 2]
         prod = np.fft.irfft(mask * np.fft.rfft(rho * ux), N)
         want = np.stack([np.fft.irfft(lam * (y_hat[:, 1] - y_hat[:, 0]), N),
@@ -500,7 +522,7 @@ class TestScheme:
             kern = MollifierKernel(epsilon=1.0 / (n + 1))
             data.append(np.stack([mollify(u0, kern).samples, mollify(rho0, kern).samples]))
             z = np.fft.irfft(np.concatenate([prev, ik * prev[:, :1]], axis=-2), N)
-            forcing = fwlab.fw._scheme_forcing(prev, z, ik, lam, mask)
+            forcing = fwlab.fw._scheme_forcing(prev, z, ik, lam, mask, np.empty_like(prev))
             cur = np.stack([
                 np.array(list(_march_transport(grid256, tg, z[:, 0], forcing[:, k],
                                                np.fft.rfft(data[n][k]))))
@@ -616,7 +638,8 @@ class TestScheme:
             kern = MollifierKernel(epsilon=1.0 / (n + 1))
             prev_hat = np.fft.rfft(prev)
             z = np.fft.irfft(np.concatenate([prev_hat, ik * prev_hat[:, :1]], axis=-2), N)
-            forcing = np.fft.irfft(fwlab.fw._scheme_forcing(prev_hat, z, ik, lam, mask), N)
+            forcing = np.fft.irfft(fwlab.fw._scheme_forcing(prev_hat, z, ik, lam, mask,
+                                                            np.empty_like(prev_hat)), N)
             prev = np.stack([
                 solve_transport(TransportProblem.build(
                     tg, prev[:, 0], forcing[:, k], mollify(f0, kern))).states
@@ -679,6 +702,50 @@ class TestScheme:
             run_scheme(u0, rho0, cfg)
         assert isinstance(info.value.__cause__, BlowUpError)
 
+    def test_march_yields_its_nodes_before_a_failure(self, monkeypatch):
+        # _march_scheme yields each wave node before it steps on, so a march
+        # that fails has yielded every node before the failure, with the
+        # bits of a march that does not fail: a NaN in the forcing iterate 1
+        # exerts at wave node 5 reaches iterate 2 at its step to node 5,
+        # after wave nodes 0..5 are yielded, and the error reads as
+        # run_scheme's
+        grid = make_grid(64, 8.0)
+        u0 = GridFunction.from_samples(grid, 0.1 * np.sin(grid.x))
+        rho0 = GridFunction.from_samples(grid, 0.1 * np.cos(grid.x))
+        kernels = [MollifierKernel(epsilon=1.0 / (n + 1)) for n in range(3)]
+        initial = fwlab.fw._stacked([(mollify(u0, k), mollify(rho0, k)) for k in kernels])
+        time_grid = make_time_grid(1.0, 1e-2)
+
+        def march():
+            yielded = []
+            try:
+                for y, z in fwlab.fw._march_scheme(initial, grid, time_grid, 1e-2):
+                    yielded.append((y.copy(), z.copy()))
+            except RuntimeError as exc:
+                return yielded, exc
+            return yielded, None
+
+        clean, none = march()
+        assert none is None and len(clean) == time_grid.size + 2  # M + n_max wave nodes
+        real = fwlab.fw._scheme_forcing
+        waves = []
+
+        def poisoned(y, *args):
+            out = real(y, *args)
+            waves.append(len(y))
+            if len(waves) == 6:  # wave node 5: iterate 1 is the first row
+                out[0, 0, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(fwlab.fw, "_scheme_forcing", poisoned)
+        yielded, exc = march()
+        assert len(yielded) == 6
+        for (y, z), (y_clean, z_clean) in zip(yielded, clean):
+            assert np.array_equal(y, y_clean) and np.array_equal(z, z_clean)
+        assert str(exc) == ("transport solve failed at iterate 2: transport solution "
+                            "lost finiteness at node 5 (t = 0.05)")
+        assert isinstance(exc.__cause__, BlowUpError)
+
     def test_prefix_runs_give_every_iterate(self, grid256, part256, params322):
         # iterates never depend on later ones, so the n_max = k run is the
         # first k iterates of a longer run: its norms and d_n bit for bit,
@@ -734,7 +801,7 @@ class TestScheme:
         finally:
             tracemalloc.stop()
         Q = build_partition(grid).masks.shape[0]
-        priced = fwlab.fw._scheme_bytes(grid.N, cfg.n_max, trace.T, cfg.dt, 4.0, Q)
+        priced = fwlab.fw._scheme_bytes(grid.N, cfg.n_max, trace.T, cfg.dt, 4.0, Q, True)
         assert peak <= priced
         samples = 2 * Q * 4 * cfg.n_max * grid.N * 8
         flags = (trace.T / cfg.dt + 1.0) * (2 * (cfg.n_max + 1) + 4) * 8
@@ -780,10 +847,10 @@ class TestScheme:
         assert (trace.P0, trace.T) == (want.P0, want.T)
         samples = want.time_grid.size * 2 * grid.N * 8
         assert peak < peak_with_last - 0.9 * samples
-        priced = fwlab.fw._scheme_bytes(grid.N, cfg.n_max, trace.T, cfg.dt, keep_last=False)
+        priced = fwlab.fw._scheme_bytes(grid.N, cfg.n_max, trace.T, cfg.dt, 2.0, 1, False)
         assert peak <= priced
         assert priced == pytest.approx(
-            fwlab.fw._scheme_bytes(grid.N, cfg.n_max, trace.T, cfg.dt)
+            fwlab.fw._scheme_bytes(grid.N, cfg.n_max, trace.T, cfg.dt, 2.0, 1, True)
             - (trace.T / cfg.dt + 1.0) * 2 * grid.N * 8, rel=1e-12)
 
     def test_direct_distance_needs_the_last_iterate(self, grid256, params322):
