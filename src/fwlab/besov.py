@@ -143,17 +143,15 @@ class BesovParams:
     def admissible(self) -> bool:
         """Whether (s, p, r) satisfies the well-posedness hypothesis
         s > max(2 + 1/p, 5/2) with r finite."""
-        inv_p = 0.0 if np.isinf(self.p) else 1.0 / self.p
-        return self.s > max(2.0 + inv_p, 2.5) and not np.isinf(self.r)
+        return self.s > max(2.0 + 1.0 / self.p, 2.5) and not np.isinf(self.r)
 
     def require_admissible(self) -> None:
         """Raise ValueError naming the threshold unless ``admissible``."""
         if not self.admissible:
-            inv_p = 0.0 if np.isinf(self.p) else 1.0 / self.p
             raise ValueError(
                 f"inadmissible Besov parameters (s, p, r) = ({self.s}, "
                 f"{self.p}, {self.r}): need s > max(2 + 1/p, 5/2) = "
-                f"{max(2.0 + inv_p, 2.5)} and r finite"
+                f"{max(2.0 + 1.0 / self.p, 2.5)} and r finite"
             )
 
     def shift(self, ds: float) -> "BesovParams":

@@ -228,7 +228,10 @@ def _march_fw(initial: np.ndarray, grid: Grid, time_grid: np.ndarray, dt: float)
             f"dt = {dt} violates the stability bound {bound:.3e} "
             f"({CFL_FACTOR:g}*dx/max(1, max|u0|))"
         )
-    y0 = np.fft.rfft(np.moveaxis(initial, -2, 0))
+    # data whose half spectra overflow are reported by the march, as a
+    # blow-up at node 0
+    with np.errstate(over="ignore"):
+        y0 = np.fft.rfft(np.moveaxis(initial, -2, 0))
     return integrate_rk4(_direct_rhs(grid, y0.shape), y0, time_grid, dt, "direct solve")
 
 
@@ -568,23 +571,13 @@ def scheme_direct_distance(trace: IterationTrace, direct: FWTrajectory) -> float
 def _lifespans(pairs: Sequence[tuple[GridFunction, GridFunction]],
                cfg: SchemeConfig, t_cap: float) -> tuple[np.ndarray, np.ndarray]:
     """P0 and the empirical lifespan of each (u0, rho0) pair, all on one
-    grid (ValueError otherwise): one march of their (K, 2, N) stack, one RK4
-    step per node, normed in blocks of consecutive nodes.  Node 0 is a block of its own,
-    normed by _pair_norms, and its norm sum is each member's P0, the measure
-    of every later node, so node 0 is never over 2*P0.  Later blocks hold
-    _SCREENED_NODES nodes (the last may hold fewer).  Each is screened by
-    _pair_norm_bounds: a row whose bound sum is at most
-    2*P0*(1 - _BOUND_MARGIN) is under 2*P0, and only the other rows, zero or
-    not finite ones included, are gathered and normed by _pair_norms, in
-    calls of at most K rows, so no norm call holds more rows than node 0's.
-
-    A member leaves the stack at its first node that is over 2*P0 or not
-    finite, and its lifespan is the node before; a march that is not finite
-    after its first step has no such node and raises BlowUpError.  Members
-    leave when their block closes: one that crossed inside a block steps to
-    its end, and those steps are thrown away.  Members step and are normed
-    row by row, so neither the blocks, the screen nor dropping a member
-    moves the others' bits from those a march of their own would make.
+    grid (ValueError otherwise): one march of their (K, 2, N) stack.  P0 is
+    each member's norm sum at node 0 (_pair_norms).  A member leaves the
+    stack at its first later node that is over 2*P0 or not finite, and its
+    lifespan is the node before; t_cap if it never leaves.  Data not finite
+    at node 0, or a march not finite after its first step, raise
+    BlowUpError.  Members step and are normed row by row, so a member's
+    lifespan has the bits of a march of its own.
     """
     y = _stacked(pairs)
     grid = pairs[0][0].grid
@@ -595,32 +588,15 @@ def _lifespans(pairs: Sequence[tuple[GridFunction, GridFunction]],
     live = np.arange(len(pairs))  # the pair of each member of the stack
     y = next(_march_fw(y, grid, time_grid, cfg.dt))
     rhs = _direct_rhs(grid, y.shape)
-    # the field-major states of nodes i - len(block) + 1 .. i; node 0 is a
-    # block of its own
-    i, block = 0, y[None]
-    while True:
-        pair = np.moveaxis(block, 1, -2)  # (node, member, field) view
-        # a node near blow-up can overflow its norm; inf counts as a
-        # violation, and so does NaN
-        with np.errstate(over="ignore"):
-            if i == 0:
-                norm_sum = np.add(*_pair_norms(part, pair, cfg.params))
-                P0 = norm_sum[0]
-            else:
-                norm_sum = np.add(*_pair_norm_bounds(part, pair, cfg.params))
-                # the (node, member) of each row the bound cannot certify
-                exact = np.argwhere(~(norm_sum <= 2.0 * P0[live] * (1.0 - _BOUND_MARGIN)))
-                for c in range(0, len(exact), len(pairs)):
-                    n, k = exact[c:c + len(pairs)].T
-                    norm_sum[n, k] = np.add(*_pair_norms(part, pair[n, k], cfg.params))
-        leave = ~(np.isfinite(pair).all(axis=(-2, -1)) & _within(norm_sum, 2.0 * P0[live]))
-        left = leave.any(axis=0)
-        T_emp[live[left]] = time_grid[i - len(block) + leave.argmax(axis=0)[left]]
-        live, y = live[~left], block[-1][:, ~left]
-        if not live.size or i == time_grid.size - 1:
-            break
-        if left.any():  # a workspace for the members that march on
-            rhs = _direct_rhs(grid, y.shape)
+    # a node near blow-up can overflow its norm; inf counts as a violation,
+    # and so does NaN
+    with np.errstate(over="ignore"):
+        P0 = np.add(*_pair_norms(part, np.moveaxis(y[None], 1, -2), cfg.params))[0]
+    i = 0
+    while live.size and i < time_grid.size - 1:
+        # the field-major states of nodes i + 1 .. i + len(block), each
+        # screened by _pair_norm_bounds; only the rows it cannot certify
+        # under 2*P0 are normed, in calls of at most K rows, node 0's
         block = np.empty((min(_SCREENED_NODES, time_grid.size - 1 - i),) + y.shape,
                          dtype=y.dtype)
         for j in range(len(block)):
@@ -628,18 +604,29 @@ def _lifespans(pairs: Sequence[tuple[GridFunction, GridFunction]],
             y, i = block[j], i + 1
             if i == 1:
                 _check_finite(y, i, time_grid, "direct solve")
+        pair = np.moveaxis(block, 1, -2)  # (node, member, field) view
+        with np.errstate(over="ignore"):
+            norm_sum = np.add(*_pair_norm_bounds(part, pair, cfg.params))
+            exact = np.argwhere(~(norm_sum <= 2.0 * P0[live] * (1.0 - _BOUND_MARGIN)))
+            for c in range(0, len(exact), len(pairs)):
+                n, k = exact[c:c + len(pairs)].T
+                norm_sum[n, k] = np.add(*_pair_norms(part, pair[n, k], cfg.params))
+        leave = ~(np.isfinite(pair).all(axis=(-2, -1)) & _within(norm_sum, 2.0 * P0[live]))
+        left = leave.any(axis=0)
+        if left.any():  # members that cross inside a block step to its end
+            T_emp[live[left]] = time_grid[i - len(block) + leave.argmax(axis=0)[left]]
+            live, y = live[~left], y[:, ~left]
+            rhs = _direct_rhs(grid, y.shape)
     return P0, T_emp
 
 
 def empirical_lifespan(u0: GridFunction, rho0: GridFunction, cfg: SchemeConfig,
                        t_cap: float) -> float:
-    """Largest time node at which ||u|| + ||rho|| still sits under 2*P0.
-
-    The nonlinear system is marched directly on [0, t_cap] and the march
-    stops at the first node over the bound; a numerical blow-up before that
-    ends it at the last finite node, and one on the first step raises
-    BlowUpError.  P0 is the norm sum at node 0, as initial_norm measures
-    it.  The one-member case of the lifespan sweep's march (_lifespans).
+    """Largest time node in [0, t_cap] before the direct march from
+    (u0, rho0) first goes over 2*P0 or loses finiteness, with P0 as
+    initial_norm measures it: the one-member case of the lifespan sweep
+    (_lifespans).  Data not finite at node 0, or a march not finite after
+    its first step, raise BlowUpError.
     """
     return float(_lifespans([(u0, rho0)], cfg, t_cap)[1][0])
 

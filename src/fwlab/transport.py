@@ -120,9 +120,11 @@ def integrate_rk4(rhs, y0: np.ndarray, time_grid: np.ndarray, dt: float,
     rhs(y, i, w) is the time derivative at state y and time t_i + w*dt for
     w in {0, 1/2, 1}.  A generator: it yields y0, then the state at each
     later node, and stores nothing, so the caller keeps what it needs and
-    may stop early; a state that is not finite raises BlowUpError.
+    may stop early; a state that is not finite, y0 included, raises
+    BlowUpError.
     """
     y = y0
+    _check_finite(y, 0, time_grid, what)
     yield y
     for i in range(time_grid.size - 1):
         y = _rk4_step(rhs, y, i, dt)
@@ -307,7 +309,7 @@ class TransportEstimateReport:
 
 
 def _check_estimate_admissible(params: BesovParams) -> None:
-    inv_p = 0.0 if np.isinf(params.p) else 1.0 / params.p
+    inv_p = 1.0 / params.p
     strict = params.s > 1.0 + inv_p and 1.0 < params.r < np.inf
     limiting = params.s >= 1.0 + inv_p and params.r == 1.0
     if not (strict or limiting):

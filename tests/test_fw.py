@@ -950,6 +950,22 @@ class TestEmpiricalLifespan:
             empirical_lifespan(u0, rho0, cfg, t_cap=0.1)
         assert info.value.node == 1
 
+    def test_data_not_finite_at_node_0_raises(self, params322):
+        # rho0 = 1e307 cos x has finite samples and a half spectrum that
+        # overflows (32e307 at mode 1): the march raises at node 0, where a
+        # member that left there would have no node before it
+        grid = make_grid(64, 8.0)
+        u0 = GridFunction.from_samples(grid, 0.1 * np.sin(grid.x))
+        with np.errstate(over="ignore", invalid="ignore"):  # its coefficients overflow too
+            rho0 = GridFunction.from_samples(grid, 1e307 * np.cos(grid.x))
+        cfg = SchemeConfig(params=params322, dt=1e-2)
+        with pytest.raises(BlowUpError) as info:
+            empirical_lifespan(u0, rho0, cfg, t_cap=1.0)
+        assert str(info.value) == "direct solve lost finiteness at node 0 (t = 0) in rows (0,)"
+        with pytest.raises(BlowUpError, match=r"at node 0 \(t = 0\)") as info:
+            solve_fw_direct(u0, rho0, 1.0, 1e-2)
+        assert info.value.node == 0
+
     @pytest.mark.parametrize("norms_zeroed, blowup_lifespan", [(False, 0.35), (True, 6.47)])
     def test_stacked_lifespans_equal_single_marches(self, params322, monkeypatch,
                                                     norms_zeroed, blowup_lifespan):
@@ -1037,6 +1053,21 @@ class TestEmpiricalLifespan:
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         assert want[1][0] == want[1][3] == 8.0  # tiny and zero data reach t_cap
         assert want[1][2] < want[1][1] < 8.0
+
+    @pytest.mark.parametrize("besov, P0, nodes", [
+        ("{p: 1.0, s: 3.5}", [4.585017571924608, 9.170035143849216, 18.34007028769843,
+                              36.68014057539686], [334, 185, 65, 28]),
+        ("{p: .inf}", [0.15230195660377832, 0.30460391320755664, 0.6092078264151133,
+                       1.2184156528302266], [325, 174, 60, 25]),
+    ])
+    def test_frozen_sweep_at_p1_and_pinf(self, besov, P0, nodes):
+        # the lifespan-p4 benchmark workload's amplitudes, dt and t_cap at
+        # p = 1 and p = inf: P0 and the node before each member leaves
+        cfg = parse_config("experiment: {kind: lifespan-sweep, amplitudes: [0.25, 0.5, 1, 2]}\n"
+                           f"time: {{dt: 5e-3, t_cap: 20.0}}\nbesov: {besov}\n")
+        rows = run_experiment(cfg, write=False).tables["lifespan"][1]
+        assert [row[1] for row in rows] == pytest.approx(P0, rel=1e-12)
+        assert [row[2] for row in rows] == [float(t) for t in make_time_grid(20.0, 5e-3)[nodes]]
 
     def test_sweep_is_one_march_that_drops_members(self, monkeypatch):
         calls = {"_march_fw": 0, "_fw_rhs": 0, "_pair_norms": 0, "_pair_norm_bounds": 0}
@@ -1416,6 +1447,21 @@ class TestMemberBatch:
         du, drho = fwlab.fw._member_distances(members, grid256, tg, 1e-2, params322)
         assert marched == [2]
         assert np.all(du == 0.0) and np.all(drho == 0.0)
+
+    def test_member_not_finite_at_node_0_is_named(self, params322):
+        # a perturbed rho0 of 1e307 cos x overflows its half spectrum: the
+        # stability family names that member at node 0, before any step
+        grid = make_grid(64, 8.0)
+        u0, rho0 = _sine_cosine(grid, 0.1)
+        z = _gf(grid, 0.0)
+        d = GridFunction.from_samples(grid, 1e-4 * np.sin(2 * grid.x))
+        cfg = SchemeConfig(params=params322, dt=1e-2)
+        # the perturbed member's coefficients overflow as it is built
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError) as info:
+            huge = GridFunction.from_samples(grid, 1e307 * np.cos(grid.x))
+            stability_experiment(u0, rho0, [(z, z), (z, huge), (d, z)], cfg, T=1.0)
+        assert str(info.value) == "direct solve lost finiteness at node 0 (t = 0) in rows (2,)"
+        assert info.value.node == 0 and info.value.rows == (2,)
 
     def test_distinct_march_blowup_names_every_member(self, params322):
         u0, rho0 = _blowup_data()

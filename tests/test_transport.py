@@ -90,6 +90,24 @@ class TestIntegrateRK4:
         assert info.value.rows == rows
         assert (f"in rows {rows}" in str(info.value)) == bool(rows)
 
+    @pytest.mark.parametrize("shape, rows", [((4,), ()), ((2, 3, 4), (0, 2))])
+    def test_nonfinite_y0_raises_at_node_0(self, shape, rows):
+        # y0 is checked as every later node is, before it is yielded and
+        # before any step
+        y0 = np.ones(shape)
+        if rows:
+            y0[1, list(rows), 0] = np.inf
+        else:
+            y0[0] = np.inf
+        calls = []
+        march = integrate_rk4(self._decay(calls), y0, make_time_grid(1.0, 0.1), 0.1, "batch")
+        with pytest.raises(BlowUpError) as info:
+            next(march)
+        assert info.value.node == 0 and info.value.t == 0.0
+        assert info.value.rows == rows
+        assert (f"in rows {rows}" in str(info.value)) == bool(rows)
+        assert calls == []
+
 
 def _sine_half_spectrum(grid, m):
     """The rfft of sin(m x / L): -i N/2 at mode m."""
