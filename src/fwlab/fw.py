@@ -217,9 +217,21 @@ def _stacked(pairs: Sequence[tuple[GridFunction, GridFunction]]) -> np.ndarray:
     return np.array([[u.samples, rho.samples] for u, rho in pairs])
 
 
+def _node_blocks(nodes, block: np.ndarray, n_nodes: int):
+    """Copy the first n_nodes arrays that nodes yields, in order, into the
+    rows of block, a caller's (span, ...) buffer, and yield (first, filled):
+    the index of the block's first node and its filled rows, when block is
+    full and after the last node.  The next block overwrites the rows."""
+    for first in range(0, n_nodes, len(block)):
+        filled = block[:n_nodes - first]
+        for row, y in zip(filled, nodes):
+            np.copyto(row, y)
+        yield first, filled
+
+
 def _march_fw(initial: np.ndarray, grid: Grid, time_grid: np.ndarray, dt: float):
-    """The direct RK4 march from stacked (..., 2, N) (u, rho) samples,
-    yielding the state per node field-major, as (2, ..., N//2 + 1) half
+    """The direct RK4 march from a (K, 2, N) stack of (u, rho) samples,
+    yielding the state per node field-major, as (2, K, N//2 + 1) half
     spectra, the rfft of the samples; every member steps in the same batched
     call of one kernel (_direct_rhs)."""
     bound = CFL_FACTOR * grid.dx / max(1.0, float(np.max(np.abs(initial[..., 0, :]))))
@@ -243,11 +255,12 @@ def solve_fw_direct(u0: GridFunction, rho0: GridFunction, T: float,
     NaN/Inf mid-run raises BlowUpError with the offending node; the theory is
     local in time, so a blow-up is an outcome, not an artifact failure.
     """
-    y0 = _stacked([(u0, rho0)])[0]
+    y0 = _stacked([(u0, rho0)])
     grid = u0.grid
     _check_memory((T / dt + 1.0) * 2 * grid.N * 8 if dt > 0 else 0.0, "--dt or --T")
     time_grid = make_time_grid(T, dt)
-    states = _stored(_march_fw(y0, grid, time_grid, dt), y0, time_grid.size)
+    march = (y[:, 0] for y in _march_fw(y0, grid, time_grid, dt))
+    states = _stored(march, y0[0], time_grid.size)
     return FWTrajectory(
         grid=grid, time_grid=time_grid, states=states,
         mean_u=states[:, 0].mean(axis=-1), mean_rho=states[:, 1].mean(axis=-1),
@@ -400,11 +413,13 @@ def _scheme_bytes(N: int, n_max: int, T: float, dt: float, p: float,
     return stored + march + block
 
 
-def _march_scheme(initial: np.ndarray, grid: Grid, time_grid: np.ndarray, dt: float):
+def _march_scheme(initial: np.ndarray, grid: Grid, time_grid: np.ndarray, dt: float,
+                  last: np.ndarray | None = None):
     """The scheme's wave march from the (n_max, 2, N) mollified data of
     iterates 1..n_max, yielding at each of its M + n_max wave nodes the
-    rows' (n_max, 2, N//2 + 1) half spectra and the (n_max, 4, N) samples
-    of their (u, rho, u_x, rho_x), buffers that the next step overwrites.
+    rows' (n_max, 2, N//2 + 1) half spectra, a buffer that the next step
+    overwrites.  Given last, an (M + 1, 2, N) buffer, it writes there the
+    samples of iterate n_max at each of its nodes.
 
     Row r of the wave is iterate r + 1, one node behind row r - 1: at wave
     node i it sits at node clip(i - r, 0, M), and it steps on while
@@ -446,7 +461,9 @@ def _march_scheme(initial: np.ndarray, grid: Grid, time_grid: np.ndarray, dt: fl
             raise RuntimeError(
                 f"transport solve failed at iterate {k + 2}: velocity u^{k + 1} at "
                 f"node {nodes[k]} (t = {time_grid[nodes[k]]:.6g}): {reason}")
-        yield y, z
+        if last is not None:
+            last[nodes[-1]] = z[-1, :2] if n_rows > 1 else initial[0]
+        yield y
         if i == M + n_rows - 1:
             return
         # the forcing the wave exerts on the successors, but for the last
@@ -519,29 +536,24 @@ def run_scheme(u0: GridFunction, rho0: GridFunction, cfg: SchemeConfig, *,
     norms = np.zeros((n_rows + 1, n_nodes, 2))  # iterate 0 is the zero pair
     d_max = np.full((n_rows, 2), -np.inf)
     rows = np.arange(n_rows)
-    # each wave node's half spectra, copied in as yielded, and their
-    # differences from the previous iterate, formed when the block closes
-    # (row r at node k minus row r - 1 at node k - 1, reading the previous
-    # block's last node from carry): normed in one call per block of whole
-    # wave nodes, and the norms divided by N.  Row r sits at clip(i - r, 0, M)
-    span = min(_nodes_per_call(params.p, 4 * n_rows), M + n_rows)
+    # each block of wave nodes' half spectra and their differences from the
+    # previous iterate (row r at node k minus row r - 1 at node k - 1,
+    # reading the previous block's last node from carry): normed in one call
+    # per block, and the norms divided by N.  Row r sits at clip(i - r, 0, M)
+    span = _nodes_per_call(params.p, 4 * n_rows)
     block = np.empty((span, 2, n_rows, 2, N // 2 + 1), dtype=complex)
-    for i, (y, z) in enumerate(_march_scheme(initial, grid, time_grid, dt)):
-        j = i % span
+    march = _march_scheme(initial, grid, time_grid, dt, last)
+    for i, now in _node_blocks(march, block[:, 0], M + n_rows):
         if i == 0:  # the data: a row that has not started reads its predecessor's
-            carry = y.copy()
-        if keep_last:
-            last[min(max(i - n_rows + 1, 0), M)] = z[-1, :2] if n_rows > 1 else initial[0]
-        np.copyto(block[j, 0], y)
-        if j == span - 1 or i == M + n_rows - 1:
-            now, diff = block[:j + 1, 0], block[:j + 1, 1]
-            np.subtract(now[0, 1:], carry[:-1], out=diff[0, 1:])
-            np.subtract(now[1:, 1:], now[:-1, :-1], out=diff[1:, 1:])
-            np.copyto(diff[:, 0], now[:, 0])  # row 0 minus the zero iterate
-            np.copyto(carry, now[-1])
-            wave = _norms(part, block[:j + 1], params, smoothness) / N
-            norms[rows + 1, np.clip(np.arange(i - j, i + 1)[:, None] - rows, 0, M)] = wave[:, 0]
-            np.maximum(d_max, wave[:, 1].max(axis=0), out=d_max)
+            carry = now[0].copy()
+        diff = block[:len(now), 1]
+        np.subtract(now[0, 1:], carry[:-1], out=diff[0, 1:])
+        np.subtract(now[1:, 1:], now[:-1, :-1], out=diff[1:, 1:])
+        np.copyto(diff[:, 0], now[:, 0])  # row 0 minus the zero iterate
+        np.copyto(carry, now[-1])
+        wave = _norms(part, block[:len(now)], params, smoothness) / N
+        norms[rows + 1, np.clip(np.arange(i, i + len(now))[:, None] - rows, 0, M)] = wave[:, 0]
+        np.maximum(d_max, wave[:, 1].max(axis=0), out=d_max)
 
     norm_sum = norms[..., 0] + norms[..., 1]
     envelope = P0 / np.sqrt(1.0 - 4.0 * cfg.C * P0**2 * time_grid)  # zero for zero data
@@ -664,23 +676,19 @@ def _member_distances(members: np.ndarray, grid: Grid, time_grid: np.ndarray,
     index: dict[bytes, int] = {}  # each distinct member's row, by its bytes
     row = np.array([index.setdefault(m.tobytes(), len(index)) for m in members])
     distinct = members[np.unique(row, return_index=True)[1]]
-    du = np.zeros((time_grid.size, len(distinct)))
-    drho = np.zeros_like(du)
-    # the member-major differences of a block of nodes, 2 rows per distinct
-    # member after the first, normed in one call per block
-    span = min(_nodes_per_call(params.p, 2 * (len(distinct) - 1)), time_grid.size)
-    block = np.empty((span, len(distinct) - 1, 2, grid.N // 2 + 1), dtype=complex)
+    dist = np.zeros((2, time_grid.size, len(distinct)))  # ||u_k - u_0||, ||rho_k - rho_0||
+    # the field-major differences from member 0 of a block of nodes, 2 rows
+    # per distinct member after the first, normed in one call per block
+    span = _nodes_per_call(params.p, 2 * (len(distinct) - 1))
+    block = np.empty((span, 2, len(distinct) - 1, grid.N // 2 + 1), dtype=complex)
+    diffs = (y[:, 1:] - y[:, :1] for y in _march_fw(distinct, grid, time_grid, dt))
     try:
-        for i, y in enumerate(_march_fw(distinct, grid, time_grid, dt)):
-            j = i % span
-            np.subtract(y[:, 1:], y[:, :1], out=block[j].swapaxes(0, 1))
-            if j == span - 1 or i == time_grid.size - 1:
-                du[i - j:i + 1, 1:], drho[i - j:i + 1, 1:] = _pair_norms(
-                    part, block[:j + 1], params)
+        for i, d in _node_blocks(diffs, block, time_grid.size):
+            dist[:, i:i + len(d), 1:] = _pair_norms(part, d.swapaxes(1, 2), params)
     except BlowUpError as exc:
         rows = tuple(np.flatnonzero(np.isin(row, exc.rows)).tolist())
         raise _lost_finiteness("direct solve", exc.node, exc.t, rows) from exc
-    return du[:, row[1:]], drho[:, row[1:]]
+    return tuple(dist[..., row[1:]])
 
 
 def stability_experiment(

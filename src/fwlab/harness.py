@@ -11,7 +11,6 @@ import io
 import time
 from dataclasses import dataclass, field, asdict
 from functools import partial
-from itertools import islice
 from pathlib import Path
 from typing import Any, Callable
 
@@ -25,6 +24,7 @@ from .fw import (
     _check_memory,
     _lifespans,
     _march_fw,
+    _node_blocks,
     _pair_norms,
     _stacked,
     lifespan,
@@ -512,15 +512,15 @@ def _run_simulate(cfg: RunConfig, report: ExperimentReport) -> None:
     T, dt = cfg.time["T"], cfg.time["dt"]
     time_grid = make_time_grid(T, dt)
     part, params = build_partition(grid), cfg.besov_params()
-    march = _march_fw(_stacked([(u0, rho0)])[0], grid, time_grid, dt)
-    # the norms and means of chunks of nodes, two norm rows per node, as they
+    march = (y[:, 0] for y in _march_fw(_stacked([(u0, rho0)]), grid, time_grid, dt))
+    # the norms and means of blocks of nodes, two norm rows per node, as they
     # are made: no trajectory is stored.  A node's mean is its mode 0 over N.
-    columns = []
-    while chunk := list(islice(march, _nodes_per_call(params.p, 2))):
-        y = np.array(chunk)
-        columns.append(np.column_stack([*_pair_norms(part, y, params),
-                                        y[..., 0].real / grid.N]))
-    table = np.column_stack([time_grid, np.concatenate(columns)])
+    block = np.empty((_nodes_per_call(params.p, 2), 2, grid.N // 2 + 1), dtype=complex)
+    table = np.empty((time_grid.size, 5))
+    table[:, 0] = time_grid
+    for i, y in _node_blocks(march, block, time_grid.size):
+        table[i:i + len(y), 1:] = np.column_stack([*_pair_norms(part, y, params),
+                                                   y[..., 0].real / grid.N])
     report.tables["trajectory"] = (
         ["t", "norm_u_Bs", "norm_rho_Bsm1", "mean_u", "mean_rho"], table
     )

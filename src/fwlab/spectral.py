@@ -101,7 +101,10 @@ class GridFunction:
             )
         if not np.all(np.isfinite(samples)):
             raise ValueError("samples contain NaN or Inf")
-        coeffs = np.fft.fft(samples) / grid.N
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeffs = np.fft.fft(samples) / grid.N
+        if not np.all(np.isfinite(coeffs)):
+            raise ValueError("coefficients contain NaN or Inf")
         return cls(grid=grid, samples=samples.copy(), coefficients=coeffs)
 
     @classmethod

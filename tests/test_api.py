@@ -350,3 +350,25 @@ def test_pairs_become_samples_only_in_stacked():
         checked = [node.lineno for node in grid_checks(tree) if id(node) not in inside]
         assert not held, f"{name} stacks a pair's samples on lines {held}"
         assert not checked, f"{name} checks a pair's grid on lines {checked}"
+
+
+def test_measured_marches_are_cut_into_blocks_in_one_place():
+    # fw._node_blocks is the one place a measured march is cut into norm
+    # blocks: run_scheme, _member_distances and simulate each call it, and
+    # their loops keep no slot arithmetic (no %); nothing in fwlab chunks an
+    # iterator with islice
+    trees = {p.name: ast.parse(p.read_text()) for p in SOURCES}
+    consumers = [("fw.py", "run_scheme"), ("fw.py", "_member_distances"),
+                 ("harness.py", "_run_simulate")]
+    for name, fn_name in consumers:
+        fn = next(node for node in trees[name].body
+                  if isinstance(node, ast.FunctionDef) and node.name == fn_name)
+        calls = [node for node in ast.walk(fn) if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Name) and node.func.id == "_node_blocks"]
+        assert calls, f"{fn_name} does not call _node_blocks"
+        slots = [node.lineno for loop in ast.walk(fn) if isinstance(loop, (ast.For, ast.While))
+                 for node in ast.walk(loop)
+                 if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Mod)]
+        assert not slots, f"{fn_name}'s loop takes % on lines {slots}"
+    chunking = sorted(name for name, tree in trees.items() if "islice" in set(_names(tree)))
+    assert not chunking, f"islice is named in {chunking}"

@@ -187,6 +187,16 @@ def _blowup_data():
             GridFunction.from_samples(grid, 2.0 * np.cos(grid.x)))
 
 
+def _overflowing(grid):
+    """1e307 cos x: finite samples whose half spectrum overflows (32e307 at
+    mode 1 at N = 64).  from_samples refuses it, so it is built with the
+    constructor, to reach the marches' own node-0 check."""
+    samples = 1e307 * np.cos(grid.x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coefficients = np.fft.fft(samples) / grid.N
+    return GridFunction(grid=grid, samples=samples, coefficients=coefficients)
+
+
 class TestDirectSolve:
     def test_frozen_node(self, grid256):
         u0 = GridFunction.from_samples(grid256, 0.1 * np.sin(grid256.x))
@@ -210,9 +220,13 @@ class TestDirectSolve:
         exc = info.value
         assert exc.node == 648
         assert exc.t == pytest.approx(6.48, rel=1e-12)
+        # the pair marches as a one-member stack, so its rows name members,
+        # as the lifespan sweep's do
+        assert exc.rows == (0,) and str(exc).endswith("in rows (0,)")
         assert len(yielded) == 648
         assert all(np.all(np.isfinite(y)) for y in yielded)
-        assert np.array_equal(yielded[0], np.fft.rfft(np.stack([u0.samples, rho0.samples])))
+        assert np.array_equal(yielded[0],
+                              np.fft.rfft(np.stack([u0.samples, rho0.samples])[:, None]))
 
     def test_peak_memory_at_scheme_sizes(self, scheme_peak):
         # below the 35 MB of a march that keeps two whole iterates live, and
@@ -704,11 +718,12 @@ class TestScheme:
 
     def test_march_yields_its_nodes_before_a_failure(self, monkeypatch):
         # _march_scheme yields each wave node before it steps on, so a march
-        # that fails has yielded every node before the failure, with the
-        # bits of a march that does not fail: a NaN in the forcing iterate 1
+        # that fails has yielded every node before the failure, and written
+        # the kept iterate's samples at the nodes it reached, with the bits
+        # of a march that does not fail: a NaN in the forcing iterate 1
         # exerts at wave node 5 reaches iterate 2 at its step to node 5,
-        # after wave nodes 0..5 are yielded, and the error reads as
-        # run_scheme's
+        # after wave nodes 0..5 are yielded (iterate 3 at nodes 0..3), and
+        # the error reads as run_scheme's
         grid = make_grid(64, 8.0)
         u0 = GridFunction.from_samples(grid, 0.1 * np.sin(grid.x))
         rho0 = GridFunction.from_samples(grid, 0.1 * np.cos(grid.x))
@@ -717,16 +732,17 @@ class TestScheme:
         time_grid = make_time_grid(1.0, 1e-2)
 
         def march():
-            yielded = []
+            yielded, last = [], np.full((time_grid.size, 2, grid.N), np.nan)
             try:
-                for y, z in fwlab.fw._march_scheme(initial, grid, time_grid, 1e-2):
-                    yielded.append((y.copy(), z.copy()))
+                for y in fwlab.fw._march_scheme(initial, grid, time_grid, 1e-2, last):
+                    yielded.append(y.copy())
             except RuntimeError as exc:
-                return yielded, exc
-            return yielded, None
+                return yielded, last, exc
+            return yielded, last, None
 
-        clean, none = march()
+        clean, clean_last, none = march()
         assert none is None and len(clean) == time_grid.size + 2  # M + n_max wave nodes
+        assert np.isfinite(clean_last).all()
         real = fwlab.fw._scheme_forcing
         waves = []
 
@@ -738,10 +754,11 @@ class TestScheme:
             return out
 
         monkeypatch.setattr(fwlab.fw, "_scheme_forcing", poisoned)
-        yielded, exc = march()
+        yielded, last, exc = march()
         assert len(yielded) == 6
-        for (y, z), (y_clean, z_clean) in zip(yielded, clean):
-            assert np.array_equal(y, y_clean) and np.array_equal(z, z_clean)
+        for y, y_clean in zip(yielded, clean):
+            assert np.array_equal(y, y_clean)
+        assert np.array_equal(last[:4], clean_last[:4]) and np.isnan(last[4:]).all()
         assert str(exc) == ("transport solve failed at iterate 2: transport solution "
                             "lost finiteness at node 5 (t = 0.05)")
         assert isinstance(exc.__cause__, BlowUpError)
@@ -952,19 +969,21 @@ class TestEmpiricalLifespan:
 
     def test_data_not_finite_at_node_0_raises(self, params322):
         # rho0 = 1e307 cos x has finite samples and a half spectrum that
-        # overflows (32e307 at mode 1): the march raises at node 0, where a
+        # overflows (32e307 at mode 1): from_samples refuses it, and a field
+        # built past that check makes the march raise at node 0, where a
         # member that left there would have no node before it
         grid = make_grid(64, 8.0)
+        with pytest.raises(ValueError, match="coefficients contain NaN or Inf"):
+            GridFunction.from_samples(grid, 1e307 * np.cos(grid.x))
         u0 = GridFunction.from_samples(grid, 0.1 * np.sin(grid.x))
-        with np.errstate(over="ignore", invalid="ignore"):  # its coefficients overflow too
-            rho0 = GridFunction.from_samples(grid, 1e307 * np.cos(grid.x))
+        rho0 = _overflowing(grid)
         cfg = SchemeConfig(params=params322, dt=1e-2)
         with pytest.raises(BlowUpError) as info:
             empirical_lifespan(u0, rho0, cfg, t_cap=1.0)
         assert str(info.value) == "direct solve lost finiteness at node 0 (t = 0) in rows (0,)"
         with pytest.raises(BlowUpError, match=r"at node 0 \(t = 0\)") as info:
             solve_fw_direct(u0, rho0, 1.0, 1e-2)
-        assert info.value.node == 0
+        assert info.value.node == 0 and info.value.rows == (0,)
 
     @pytest.mark.parametrize("norms_zeroed, blowup_lifespan", [(False, 0.35), (True, 6.47)])
     def test_stacked_lifespans_equal_single_marches(self, params322, monkeypatch,
@@ -1450,16 +1469,20 @@ class TestMemberBatch:
 
     def test_member_not_finite_at_node_0_is_named(self, params322):
         # a perturbed rho0 of 1e307 cos x overflows its half spectrum: the
-        # stability family names that member at node 0, before any step
+        # stability family refuses to build it, and the member march names
+        # that member of a raw stack at node 0, before any step
         grid = make_grid(64, 8.0)
         u0, rho0 = _sine_cosine(grid, 0.1)
         z = _gf(grid, 0.0)
         d = GridFunction.from_samples(grid, 1e-4 * np.sin(2 * grid.x))
+        huge = _overflowing(grid)
         cfg = SchemeConfig(params=params322, dt=1e-2)
-        # the perturbed member's coefficients overflow as it is built
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError) as info:
-            huge = GridFunction.from_samples(grid, 1e307 * np.cos(grid.x))
+        with pytest.raises(ValueError, match="coefficients contain NaN or Inf"):
             stability_experiment(u0, rho0, [(z, z), (z, huge), (d, z)], cfg, T=1.0)
+        members = fwlab.fw._stacked([(u0, rho0), (u0, rho0), (u0, huge), (u0 + d, rho0)])
+        with pytest.raises(BlowUpError) as info:
+            fwlab.fw._member_distances(members, grid, make_time_grid(1.0, 1e-2), 1e-2,
+                                       params322.shift(-1.0))
         assert str(info.value) == "direct solve lost finiteness at node 0 (t = 0) in rows (2,)"
         assert info.value.node == 0 and info.value.rows == (2,)
 
@@ -1584,3 +1607,25 @@ class TestPairNorms:
             halves = [besov_norms_of_samples(part256, y[:1000, k], q),
                       besov_norms_of_samples(part256, y[1000:, k], q)]
             assert np.array_equal(norms[k], np.concatenate(halves))
+
+
+class TestNodeBlocks:
+    SPAN = 4
+
+    @pytest.mark.parametrize("n_nodes", [1, SPAN - 1, SPAN, SPAN + 1, 2 * SPAN])
+    def test_blocks_tile_the_nodes_with_their_bits(self, n_nodes):
+        # each yielded (first, filled) is the next run of nodes, at most SPAN
+        # of them, copied into the caller's buffer with each node's bits;
+        # the nodes after the first n_nodes are not read
+        rng = np.random.default_rng(41)
+        nodes = rng.standard_normal((n_nodes + 1, 2, 3))
+        block = np.full((self.SPAN, 2, 3), np.nan)
+        given = iter(nodes)
+        tiled = []
+        for first, filled in fwlab.fw._node_blocks(given, block, n_nodes):
+            assert first == len(tiled) and 1 <= len(filled) <= self.SPAN
+            assert np.shares_memory(filled, block)
+            assert same_bits(filled, nodes[first:first + len(filled)])
+            tiled += range(first, first + len(filled))
+        assert tiled == list(range(n_nodes))
+        assert same_bits(next(given), nodes[-1])
