@@ -223,10 +223,9 @@ def _node_blocks(nodes, block: np.ndarray, n_nodes: int):
     the index of the block's first node and its filled rows, when block is
     full and after the last node.  The next block overwrites the rows."""
     for first in range(0, n_nodes, len(block)):
-        filled = block[:n_nodes - first]
-        for row, y in zip(filled, nodes):
+        for row, y in zip(block[:n_nodes - first], nodes):
             np.copyto(row, y)
-        yield first, filled
+        yield first, block[:n_nodes - first]
 
 
 def _march_fw(initial: np.ndarray, grid: Grid, time_grid: np.ndarray, dt: float):
@@ -677,14 +676,16 @@ def _member_distances(members: np.ndarray, grid: Grid, time_grid: np.ndarray,
     row = np.array([index.setdefault(m.tobytes(), len(index)) for m in members])
     distinct = members[np.unique(row, return_index=True)[1]]
     dist = np.zeros((2, time_grid.size, len(distinct)))  # ||u_k - u_0||, ||rho_k - rho_0||
-    # the field-major differences from member 0 of a block of nodes, 2 rows
-    # per distinct member after the first, normed in one call per block
+    # the member-major differences from member 0 of a block of nodes, 2 rows
+    # per distinct member after the first, normed in one call per block from
+    # contiguous rows (_norms copies a strided view)
     span = _nodes_per_call(params.p, 2 * (len(distinct) - 1))
-    block = np.empty((span, 2, len(distinct) - 1, grid.N // 2 + 1), dtype=complex)
-    diffs = (y[:, 1:] - y[:, :1] for y in _march_fw(distinct, grid, time_grid, dt))
+    block = np.empty((span, len(distinct) - 1, 2, grid.N // 2 + 1), dtype=complex)
+    diffs = ((y[:, 1:] - y[:, :1]).swapaxes(0, 1)
+             for y in _march_fw(distinct, grid, time_grid, dt))
     try:
         for i, d in _node_blocks(diffs, block, time_grid.size):
-            dist[:, i:i + len(d), 1:] = _pair_norms(part, d.swapaxes(1, 2), params)
+            dist[:, i:i + len(d), 1:] = _pair_norms(part, d, params)
     except BlowUpError as exc:
         rows = tuple(np.flatnonzero(np.isin(row, exc.rows)).tolist())
         raise _lost_finiteness("direct solve", exc.node, exc.t, rows) from exc
